@@ -15,7 +15,6 @@ def main() -> int:
     ap.add_argument("--n-end", type=int, default=8)
     ap.add_argument("--max-degree", type=int, default=3)
     ap.add_argument("--slices", default="A1,A2")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="campaign.json")
     args = ap.parse_args()
 
@@ -24,7 +23,6 @@ def main() -> int:
         n_end=args.n_end,
         max_h_degree=args.max_degree,
         slices=tuple(args.slices.split(",")),
-        threads=args.threads,
     )
     started = time.monotonic()
     try:

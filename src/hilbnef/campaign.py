@@ -9,7 +9,6 @@ the report verbatim.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,7 +38,6 @@ class Campaign:
     n_end: int
     max_h_degree: int = 3
     slices: tuple[str, ...] = ("A1", "A2")
-    threads: int = 1
 
 
 def validate_campaign(c: Campaign) -> None:
@@ -54,8 +52,6 @@ def validate_campaign(c: Campaign) -> None:
         raise CampaignUsageError("slices must be a nonempty subset of {A1, A2}")
     if len(set(c.slices)) != len(c.slices):
         raise CampaignUsageError("slices must not repeat")
-    if c.threads < 1:
-        raise CampaignUsageError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -154,16 +150,9 @@ def _checks_for_n(n: int, max_h_degree: int, slices: tuple[str, ...]) -> list[Ch
 def run_campaign(c: Campaign) -> CampaignResult:
     validate_campaign(c)
     ns = list(range(c.n_start, c.n_end + 1))
-
-    def work(n: int) -> list[CheckResult]:
-        return _checks_for_n(n, c.max_h_degree, c.slices)
-
-    if c.threads > 1:
-        with ThreadPoolExecutor(max_workers=c.threads) as pool:
-            per_n = list(pool.map(work, ns))  # map keeps input order
-    else:
-        per_n = [work(n) for n in ns]
-    checks = tuple(result for batch in per_n for result in batch)
+    checks = tuple(
+        result for n in ns for result in _checks_for_n(n, c.max_h_degree, c.slices)
+    )
     discrepancies = {
         str(n): [row.to_json() for row in discrepancy_table(n)] for n in ns
     }

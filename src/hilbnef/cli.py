@@ -3,13 +3,13 @@
 Exit codes: 0 when the requested check certifies (or the query succeeds),
 1 when a check or certification fails, 2 on usage errors.  Every command
 prints one canonical JSON document to stdout; --out writes the same bytes
-to a file, so repeated runs are byte-identical.
+to a file first, so repeated runs are byte-identical.  An --out path that
+cannot be written is a usage error and leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .lattice import DivisorClass, parse_divisor
@@ -28,16 +28,10 @@ class UsageError(ValueError):
 
 
 def _parse_divisor_arg(text: str) -> DivisorClass:
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            return DivisorClass.from_json(json.loads(text))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad divisor JSON: {exc}") from exc
     try:
         return parse_divisor(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad divisor {text!r}: {exc}") from exc
 
 
 def _check_degree(value: int) -> int:
@@ -127,7 +121,6 @@ def cmd_campaign_run(args) -> tuple[dict, int]:
         n_end=args.n_end,
         max_h_degree=degree,
         slices=slices,
-        threads=args.threads,
     )
     try:
         result = run_campaign(campaign)
@@ -136,16 +129,15 @@ def cmd_campaign_run(args) -> tuple[dict, int]:
     return result.to_json(), 0 if result.all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="also write the JSON report to this path")
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker threads (campaign only)"
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, help="RNG seed for sampling commands"
-    )
+def _command(group, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """A subcommand that prints its JSON report and takes --out."""
+    cmd = group.add_parser(name, help=help)
+    cmd.add_argument("--out", help="also write the JSON report to this path")
+    cmd.set_defaults(handler=handler)
+    return cmd
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbnef",
         description="Exact nef-cone certification for Hilbert schemes of "
@@ -156,66 +148,64 @@ def build_parser() -> argparse.ArgumentParser:
     weyl = top.add_parser("weyl", help="Weyl group computations").add_subparsers(
         dest="command", required=True
     )
-    orbit = weyl.add_parser("orbit", parents=[common], help="degree-bounded orbit")
+    orbit = _command(weyl, "orbit", cmd_weyl_orbit, "degree-bounded orbit")
     orbit.add_argument("--start", required=True, help="class, e.g. E9 or H-E1")
     orbit.add_argument("--max-degree", type=int, default=3)
-    orbit.set_defaults(handler=cmd_weyl_orbit)
 
     surface = top.add_parser("surface", help="surface cone checks").add_subparsers(
         dest="command", required=True
     )
-    nef = surface.add_parser("nef", parents=[common], help="degree-bounded nef check")
+    nef = _command(surface, "nef", cmd_surface_nef, "degree-bounded nef check")
     nef.add_argument("--divisor", required=True, help="class text or JSON")
     nef.add_argument("--max-degree", type=int, default=3)
-    nef.set_defaults(handler=cmd_surface_nef)
-    ample = surface.add_parser(
-        "ample-family", parents=[common], help="closed-form ampleness for A1/A2"
+    ample = _command(
+        surface,
+        "ample-family",
+        cmd_surface_ample_family,
+        "closed-form ampleness for A1/A2",
     )
     ample.add_argument("--n", type=int, required=True)
     ample.add_argument("--which", choices=("A1", "A2"), required=True)
-    ample.set_defaults(handler=cmd_surface_ample_family)
 
     hilb = top.add_parser("hilb", help="Hilbert scheme cone checks").add_subparsers(
         dest="command", required=True
     )
-    check = hilb.add_parser(
-        "check-theorem", parents=[common], help="duality scan of the bounding cone"
+    check = _command(
+        hilb,
+        "check-theorem",
+        cmd_hilb_check_theorem,
+        "duality scan of the bounding cone",
     )
     check.add_argument("--n", type=int, required=True)
     check.add_argument("--max-degree", type=int, default=3)
-    check.set_defaults(handler=cmd_hilb_check_theorem)
 
     walls = top.add_parser("walls", help="wall computations").add_subparsers(
         dest="command", required=True
     )
-    gieseker = walls.add_parser(
-        "gieseker", parents=[common], help="certify the extremal wall"
+    gieseker = _command(
+        walls, "gieseker", cmd_walls_gieseker, "certify the extremal wall"
     )
     gieseker.add_argument("--slice", choices=("A1", "A2"), required=True)
     gieseker.add_argument("--n", type=int, required=True)
     gieseker.add_argument("--max-degree", type=int, default=3)
-    gieseker.set_defaults(handler=cmd_walls_gieseker)
 
     coneconj = top.add_parser(
         "coneconj", help="cone conjecture experiments"
     ).add_subparsers(dest="command", required=True)
-    cover = coneconj.add_parser(
-        "cover", parents=[common], help="random reduction coverage"
-    )
+    cover = _command(coneconj, "cover", cmd_coneconj_cover, "random reduction coverage")
     cover.add_argument("--n", type=int, required=True)
     cover.add_argument("--samples", type=int, default=100)
     cover.add_argument("--max-degree", type=int, default=3)
-    cover.set_defaults(handler=cmd_coneconj_cover)
+    cover.add_argument("--seed", type=int, default=0, help="RNG seed of the samples")
 
     camp = top.add_parser("campaign", help="full certification").add_subparsers(
         dest="command", required=True
     )
-    run = camp.add_parser("run", parents=[common], help="run every check per n")
+    run = _command(camp, "run", cmd_campaign_run, "run every check per n")
     run.add_argument("--n-start", type=int, default=3)
     run.add_argument("--n-end", type=int, default=12)
     run.add_argument("--max-degree", type=int, default=3)
     run.add_argument("--slices", default="A1,A2")
-    run.set_defaults(handler=cmd_campaign_run)
 
     return parser
 
@@ -229,10 +219,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = dumps_json(payload)
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     return code
 
 

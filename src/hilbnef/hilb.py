@@ -9,8 +9,10 @@ or the class induced by a curve on the surface (n points moving on it).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattice import (
     DivisorClass,
@@ -107,16 +109,21 @@ def b_negative_ray(n: int) -> HilbDivisor:
     return HilbDivisor((n - 1) * F, Fraction(-1))
 
 
+def _orthogonal_coefficients(cf: Fraction | int, n: int) -> tuple[Fraction, int, int]:
+    """(x, y, b) with fiber_orthogonal_lift(c, n) = x*c^[n] + y*F^[n] + b*B/2
+    for every class c with c.F = cf."""
+    if n < 3:
+        raise ValueError("n >= 3 required")
+    if cf == 0:
+        raise ValueError("class pairs to zero with the fiber; no orthogonal lift")
+    return Fraction(n) / cf, n - 1, -1
+
+
 def fiber_orthogonal_lift(c: DivisorClass, n: int) -> HilbDivisor:
     """x*c^[n] + (n-1)F^[n] - B/2 with x = n/(c.F), the unique member of that
     pencil pairing to zero with the induced fiber curve."""
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    cf = intersect(c, F)
-    if cf == 0:
-        raise ValueError("class pairs to zero with the fiber; no orthogonal lift")
-    x = Fraction(n) / cf
-    return HilbDivisor(x * c + (n - 1) * F, Fraction(-1))
+    x, y, b = _orthogonal_coefficients(intersect(c, F), n)
+    return HilbDivisor(x * c + y * F, Fraction(b))
 
 
 @dataclass(frozen=True)
@@ -282,89 +289,177 @@ class DualityReport:
         return data
 
 
+# A scanned curve: label, integer coordinates (None for the contracted curve),
+# its pairing with F, and g - 1 (None for the contracted curve).
+_Curve = tuple[str, tuple[int, ...] | None, int, int | None]
+
+_FIBER_COLUMN = 1  # the induced fiber curve follows the contracted curve
+
+
+@dataclass(frozen=True)
+class _DotProfile:
+    """The n-independent part of the duality scan at one degree bound.
+
+    `classes` are the orbit blocks [F], the Weyl orbit of H and the Weyl orbit
+    of H-E1.  `curves` are the contracted curve, the induced fiber curve and
+    every induced (-1)-curve.  For orbit block k and curve j, `rows[k][j]`
+    maps each distinct t = c.e over the block (0 for the contracted curve) to
+    (how many classes give it, first index).
+    """
+
+    classes: tuple[tuple[DivisorClass, ...], ...]
+    curves: tuple[_Curve, ...]
+    rows: tuple[tuple[dict[int, tuple[int, int]], ...], ...]
+
+
+def _induced_curve(label: str, e_cls: DivisorClass) -> _Curve:
+    genus = arithmetic_genus(e_cls)
+    return label, e_cls.int_coords(), int(intersect(F, e_cls)), int(genus) - 1
+
+
+def _dot_row(block: tuple[tuple[int, ...], ...], e_ints) -> dict[int, tuple[int, int]]:
+    dots = [0] * len(block) if e_ints is None else [dot_int(c, e_ints) for c in block]
+    counts = Counter(dots)
+    first = {t: i for i, t in reversed(list(enumerate(dots)))}
+    return {t: (counts[t], first[t]) for t in counts}
+
+
+@lru_cache(maxsize=8)
+def _dot_profile(max_h_degree: int) -> _DotProfile:
+    classes = (
+        (F,),
+        tuple(weyl_orbit(H, max_h_degree)),
+        tuple(weyl_orbit(H - E[0], max_h_degree)),
+    )
+    ints = tuple(tuple(c.int_coords() for c in block) for block in classes)
+    curves = [("contracted", None, 0, None), _induced_curve("fiber", F)]
+    curves += [
+        _induced_curve(str(e_cls), e_cls)
+        for e_cls in enumerate_minus_one_classes(max_h_degree)
+    ]
+    rows = tuple(
+        tuple(_dot_row(block, e_ints) for _, e_ints, _, _ in curves) for block in ints
+    )
+    return _DotProfile(classes, tuple(curves), rows)
+
+
+def _fiber_degree(rows: tuple[dict[int, tuple[int, int]], ...]) -> int:
+    """The one value of c.F over an orbit block.  It must be positive: the
+    scan reads each block's smallest pairing at its smallest c.e."""
+    values = sorted(rows[_FIBER_COLUMN])
+    if len(values) != 1 or values[0] <= 0:
+        raise ValueError(f"orbit block has c.F values {values}, not one positive value")
+    return values[0]
+
+
 def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     """Scan every candidate nef generator against every candidate curve class.
 
-    Nef candidates: lifted Weyl images of H and H-E1, the lifted fiber class,
+    Nef candidates: the lifted fiber class, lifted Weyl images of H and H-E1,
     and the fiber-orthogonal lift of each Weyl image.  Curve candidates: the
     contracted curve, the induced fiber curve, and every induced (-1)-curve
     up to the bound.  Passing means no negative pairing and, for every curve,
     some nef candidate pairing to exactly zero.
+
+    The candidates form five blocks x*c^[n] + y*F^[n] + b*B/2 in which c runs
+    over an orbit block and x > 0, y, b are shared, so a pairing with a curve
+    e is x*(c.e) + y*(F.e) + b*(g(e) - 1 + n) and grows with t = c.e.  The
+    per-degree `_dot_profile` holds the distinct values of t with their counts
+    and first indices, so each curve's minimum, zero count and first witness
+    in candidate order come from a few exact operations per block and n.
+    `pairings_checked` counts the (candidate, curve) pairs certified.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
-    orbit_h = weyl_orbit(H, max_h_degree)
-    orbit_ruling = weyl_orbit(H - E[0], max_h_degree)
-    minus_ones = enumerate_minus_one_classes(max_h_degree)
+    profile = _dot_profile(max_h_degree)
+    lifted = tuple(c for block in profile.classes for c in block)
+    eps_candidates = [fiber_orthogonal_lift(c, n) for c in profile.classes[1]]
+    eps_candidates += [fiber_orthogonal_lift(c, n) for c in profile.classes[2]]
 
-    nef_candidates: list[HilbDivisor] = [lift(F)]
-    nef_candidates += [lift(c) for c in orbit_h]
-    nef_candidates += [lift(c) for c in orbit_ruling]
-    eps_candidates = [fiber_orthogonal_lift(c, n) for c in orbit_h]
-    eps_candidates += [fiber_orthogonal_lift(c, n) for c in orbit_ruling]
-    nef_candidates += eps_candidates
+    def candidate(index: int) -> HilbDivisor:
+        if index < len(lifted):
+            return lift(lifted[index])
+        return eps_candidates[index - len(lifted)]
 
-    # Scaled-integer fast path: pairing * den = dot(surf_int, curve_int)
-    # + b_half_int * (g - 1 + n), with den the divisor's common denominator.
-    scaled = []
-    for d in nef_candidates:
-        ints, den = d.surf.scaled_int_coords()
-        b_num = d.b_half * den
-        if b_num.denominator != 1:
-            raise ValueError("candidate B coefficient does not clear the denominator")
-        scaled.append((ints, int(b_num), den))
+    # (first candidate index, orbit block, x, y, b): lift(c) = c^[n], then
+    # the fiber-orthogonal lifts of the two Weyl orbits
+    blocks = []
+    offset = 0
+    for k, orthogonal in ((0, False), (1, False), (2, False), (1, True), (2, True)):
+        if orthogonal:
+            x, y, b = _orthogonal_coefficients(_fiber_degree(profile.rows[k]), n)
+        else:
+            x, y, b = Fraction(1), 0, 0
+        blocks.append((offset, k, x, y, b))
+        offset += len(profile.classes[k])
 
-    curves: list[tuple[str, tuple[int, ...] | None, int]] = [("contracted", None, 0)]
-    curves.append(("fiber", F.int_coords(), n))  # genus 1: g - 1 + n = n
-    for e_cls in minus_ones:
-        curves.append((str(e_cls), e_cls.int_coords(), n - 1))  # genus 0
+    def shift(y: int, b: int, curve: _Curve) -> int:
+        """y*(F.e) + b*(B/2 . e): the part of a pairing not depending on c."""
+        _, _, fe, genus_less_one = curve
+        b_pairing = -1 if genus_less_one is None else genus_less_one + n
+        return y * fe + b * b_pairing
 
-    violations: list[str] = []
-    # per curve: min pairing as an int pair (num, den), zero hits, witness
-    cmin: list[tuple[int, int] | None] = [None] * len(curves)
-    zero_counts = [0] * len(curves)
-    witness_at = [-1] * len(curves)
-    checked = 0
-    for cand_idx, (d, (ints, b_num, den)) in enumerate(zip(nef_candidates, scaled)):
-        for idx, (label, cvec, gfac) in enumerate(curves):
-            if cvec is None:
-                num = -b_num
-            else:
-                num = dot_int(ints, cvec) + b_num * gfac
-            checked += 1
-            if num == 0:
-                zero_counts[idx] += 1
-                if witness_at[idx] < 0:
-                    witness_at[idx] = cand_idx
-            elif num < 0:
-                violations.append(f"{d} against {label}: {Fraction(num, den)}")
-            prev = cmin[idx]
-            if prev is None or num * prev[1] < prev[0] * den:
-                cmin[idx] = (num, den)
+    rows = []
+    negative = []  # (block, curve index) with some negative pairing
+    for j, curve in enumerate(profile.curves):
+        low: Fraction | None = None
+        zero_count = 0
+        witness_at: int | None = None
+        for block in blocks:
+            first_idx, k, x, y, b = block
+            dots = profile.rows[k][j]
+            s = shift(y, b, curve)
+            value = x * min(dots) + s
+            if low is None or value < low:
+                low = value
+            if value < 0:
+                negative.append((block, j))
+            t_zero = -s / x
+            hit = dots.get(t_zero.numerator) if t_zero.denominator == 1 else None
+            if hit is not None:
+                zero_count += hit[0]
+                if witness_at is None:
+                    witness_at = first_idx + hit[1]
+        rows.append(
+            CurveRow(
+                curve=curve[0],
+                min_pairing=low,
+                zero_count=zero_count,
+                witness=None if witness_at is None else str(candidate(witness_at)),
+            )
+        )
+
+    # Only a falsified scan walks dot rows again, to list each offender in
+    # candidate-major, then curve order.
+    offenders = []
+    for (first_idx, k, x, y, b), j in negative:
+        curve = profile.curves[j]
+        s = shift(y, b, curve)
+        e_ints = curve[1]
+        for i, c in enumerate(profile.classes[k]):
+            value = x * (0 if e_ints is None else dot_int(c.int_coords(), e_ints)) + s
+            if value < 0:
+                offenders.append((first_idx + i, j, value))
+    offenders.sort(key=lambda hit: hit[:2])
+    violations = [
+        f"{candidate(idx)} against {profile.curves[j][0]}: {value}"
+        for idx, j, value in offenders
+    ]
 
     # The fiber-orthogonal lifts must kill the induced fiber curve exactly.
     for d in eps_candidates:
         if pair_hilb(d, InducedCurve(F), n) != 0:
             violations.append(f"{d} is not orthogonal to the induced fiber curve")
 
-    rows = tuple(
-        CurveRow(
-            curve=label,
-            min_pairing=Fraction(*cmin[idx]),
-            zero_count=zero_counts[idx],
-            witness=str(nef_candidates[witness_at[idx]])
-            if witness_at[idx] >= 0
-            else None,
-        )
-        for idx, (label, _, _) in enumerate(curves)
-    )
+    rows = tuple(rows)
     unwitnessed = tuple(row.curve for row in rows if row.witness is None)
+    candidate_count = len(lifted) + len(eps_candidates)
     return DualityReport(
         n=n,
         degree_bound=max_h_degree,
-        nef_candidate_count=len(nef_candidates),
-        curve_candidate_count=len(curves),
-        pairings_checked=checked,
+        nef_candidate_count=candidate_count,
+        curve_candidate_count=len(profile.curves),
+        pairings_checked=candidate_count * len(profile.curves),
         violations=tuple(violations),
         unwitnessed_curves=unwitnessed,
         min_pairing=min(row.min_pairing for row in rows),

@@ -150,11 +150,24 @@ def gram_matrix() -> tuple[tuple[int, ...], ...]:
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Intersection pairing: h*h' - sum(e_i * e_i')."""
-    acc = a.coords[0] * b.coords[0]
-    for x, y in zip(a.coords[1:], b.coords[1:]):
-        acc -= x * y
-    return acc
+    """Intersection pairing: h*h' - sum(e_i * e_i').
+
+    Summed as one integer numerator over a product of denominators, so that
+    only the result is normalised; exact, and several times faster than
+    adding ten Fractions.
+    """
+    num, den = 0, 1
+    for sign, x, y in zip(_SIGNS, a.coords, b.coords):
+        p = x.numerator * y.numerator
+        if not p:
+            continue
+        q = x.denominator * y.denominator
+        if q == den:
+            num += sign * p
+        else:
+            num = num * q + sign * p * den
+            den *= q
+    return Fraction(num, den)
 
 
 def self_intersection(a: DivisorClass) -> Fraction:

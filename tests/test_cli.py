@@ -161,3 +161,34 @@ def test_rational_strings_everywhere(capsys):
             assert RATIONAL.match(node), node
 
     walk(json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "divisor",
+    [json.dumps({"h": "1/0", "e": ["0"] * 9}), "1/0H"],
+    ids=["json", "text"],
+)
+def test_zero_denominator_divisor_exits_two(capsys, divisor):
+    code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", divisor])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "orbit.json"
+    code, out, err = run_cli(
+        capsys,
+        ["weyl", "orbit", "--start", "H", "--max-degree", "1", "--out", str(out_path)],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not out_path.exists()
+
+
+def test_seed_belongs_to_cover_only(capsys):
+    code, _, err = run_cli(capsys, ["hilb", "check-theorem", "--n", "3", "--seed", "1"])
+    assert code == 2
+    assert "--seed" in err

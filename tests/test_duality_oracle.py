@@ -1,0 +1,191 @@
+"""The duality scan against the scaled-integer scan it replaced.
+
+`oracle_duality_check` is the pairing-by-pairing scan that production ran
+before the per-degree dot profile: it pairs every candidate with every curve
+and is kept here, unchanged apart from its name, as the independent reference.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from hilbnef import hilb
+from hilbnef.hilb import (
+    CurveRow,
+    DualityReport,
+    HilbDivisor,
+    InducedCurve,
+    cone_duality_check,
+    fiber_orthogonal_lift,
+    lift,
+    pair_hilb,
+)
+from hilbnef.lattice import E, F, H, divisor, dot_int
+from hilbnef.weyl import enumerate_minus_one_classes, weyl_orbit
+
+
+def oracle_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
+    """Scan every candidate nef generator against every candidate curve class.
+
+    Nef candidates: lifted Weyl images of H and H-E1, the lifted fiber class,
+    and the fiber-orthogonal lift of each Weyl image.  Curve candidates: the
+    contracted curve, the induced fiber curve, and every induced (-1)-curve
+    up to the bound.  Passing means no negative pairing and, for every curve,
+    some nef candidate pairing to exactly zero.
+    """
+    if n < 3:
+        raise ValueError("n >= 3 required")
+    orbit_h = weyl_orbit(H, max_h_degree)
+    orbit_ruling = weyl_orbit(H - E[0], max_h_degree)
+    minus_ones = enumerate_minus_one_classes(max_h_degree)
+
+    nef_candidates: list[HilbDivisor] = [lift(F)]
+    nef_candidates += [lift(c) for c in orbit_h]
+    nef_candidates += [lift(c) for c in orbit_ruling]
+    eps_candidates = [fiber_orthogonal_lift(c, n) for c in orbit_h]
+    eps_candidates += [fiber_orthogonal_lift(c, n) for c in orbit_ruling]
+    nef_candidates += eps_candidates
+
+    # Scaled-integer fast path: pairing * den = dot(surf_int, curve_int)
+    # + b_half_int * (g - 1 + n), with den the divisor's common denominator.
+    scaled = []
+    for d in nef_candidates:
+        ints, den = d.surf.scaled_int_coords()
+        b_num = d.b_half * den
+        if b_num.denominator != 1:
+            raise ValueError("candidate B coefficient does not clear the denominator")
+        scaled.append((ints, int(b_num), den))
+
+    curves: list[tuple[str, tuple[int, ...] | None, int]] = [("contracted", None, 0)]
+    curves.append(("fiber", F.int_coords(), n))  # genus 1: g - 1 + n = n
+    for e_cls in minus_ones:
+        curves.append((str(e_cls), e_cls.int_coords(), n - 1))  # genus 0
+
+    violations: list[str] = []
+    # per curve: min pairing as an int pair (num, den), zero hits, witness
+    cmin: list[tuple[int, int] | None] = [None] * len(curves)
+    zero_counts = [0] * len(curves)
+    witness_at = [-1] * len(curves)
+    checked = 0
+    for cand_idx, (d, (ints, b_num, den)) in enumerate(zip(nef_candidates, scaled)):
+        for idx, (label, cvec, gfac) in enumerate(curves):
+            if cvec is None:
+                num = -b_num
+            else:
+                num = dot_int(ints, cvec) + b_num * gfac
+            checked += 1
+            if num == 0:
+                zero_counts[idx] += 1
+                if witness_at[idx] < 0:
+                    witness_at[idx] = cand_idx
+            elif num < 0:
+                violations.append(f"{d} against {label}: {Fraction(num, den)}")
+            prev = cmin[idx]
+            if prev is None or num * prev[1] < prev[0] * den:
+                cmin[idx] = (num, den)
+
+    # The fiber-orthogonal lifts must kill the induced fiber curve exactly.
+    for d in eps_candidates:
+        if pair_hilb(d, InducedCurve(F), n) != 0:
+            violations.append(f"{d} is not orthogonal to the induced fiber curve")
+
+    rows = tuple(
+        CurveRow(
+            curve=label,
+            min_pairing=Fraction(*cmin[idx]),
+            zero_count=zero_counts[idx],
+            witness=str(nef_candidates[witness_at[idx]])
+            if witness_at[idx] >= 0
+            else None,
+        )
+        for idx, (label, _, _) in enumerate(curves)
+    )
+    unwitnessed = tuple(row.curve for row in rows if row.witness is None)
+    return DualityReport(
+        n=n,
+        degree_bound=max_h_degree,
+        nef_candidate_count=len(nef_candidates),
+        curve_candidate_count=len(curves),
+        pairings_checked=checked,
+        violations=tuple(violations),
+        unwitnessed_curves=unwitnessed,
+        min_pairing=min(row.min_pairing for row in rows),
+        passed=not violations and not unwitnessed,
+        curve_rows=rows,
+    )
+
+
+@pytest.mark.parametrize(
+    "n,degree", [(n, 2) for n in range(3, 13)] + [(3, 3), (7, 3), (12, 3)]
+)
+def test_scan_matches_oracle(n, degree):
+    assert cone_duality_check(n, degree) == oracle_duality_check(n, degree)
+
+
+# Not nef: 2H-3E1 pairs -1 with every line H-E1-Ej (c.F = 3, as on the orbit of
+# H), and H-2E1+E2 pairs -1 with E2 and with H-E1-Ej for j >= 3 (c.F = 2).
+BAD_H = divisor(2, [-3, 0, 0, 0, 0, 0, 0, 0, 0])
+BAD_RULING = divisor(1, [-2, 1, 0, 0, 0, 0, 0, 0, 0])
+
+
+@pytest.fixture
+def injected_orbits(monkeypatch):
+    """Weyl orbits with one non-nef class added to each, for the profile and
+    for the oracle alike; the eps lift of BAD_H also fails its fiber check."""
+    extra = {H: BAD_H, H - E[0]: BAD_RULING}
+    real_orbit, real_pairing = weyl_orbit, pair_hilb
+
+    def orbit(start, max_h_degree):
+        return sorted(real_orbit(start, max_h_degree) + [extra[start]])
+
+    bad_eps = {fiber_orthogonal_lift(BAD_H, n) for n in range(3, 13)}
+
+    def pairing(d, curve, n):
+        return Fraction(1) if d in bad_eps else real_pairing(d, curve, n)
+
+    here = sys.modules[__name__]
+    for module in (hilb, here):
+        monkeypatch.setattr(module, "weyl_orbit", orbit)
+        monkeypatch.setattr(module, "pair_hilb", pairing)
+    hilb._dot_profile.cache_clear()
+    yield
+    hilb._dot_profile.cache_clear()
+
+
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_falsified_scan_matches_oracle(injected_orbits, n):
+    report = cone_duality_check(n, 2)
+    assert report == oracle_duality_check(n, 2)
+    assert not report.passed
+
+
+def test_falsified_scan_lists_offenders_candidate_major(injected_orbits):
+    lines = [f"H-E1-E{j}" for j in range(2, 10)]
+    eps_h = "(8H-5E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8-2E9)^[n] - 1*B/2"
+    eps_ruling = "(15/2H-5E1-1/2E2-2E3-2E4-2E5-2E6-2E7-2E8-2E9)^[n] - 1*B/2"
+    assert str(fiber_orthogonal_lift(BAD_H, 3)) == eps_h
+    assert str(fiber_orthogonal_lift(BAD_RULING, 3)) == eps_ruling
+    expected = [f"(2H-3E1)^[n] against {c}: -1" for c in lines]
+    expected += [f"(H-2E1+E2)^[n] against {c}: -1" for c in ["E2"] + lines[1:]]
+    expected += [f"{eps_h} against {c}: -1" for c in lines]
+    expected += [f"{eps_ruling} against {c}: -3/2" for c in ["E2"] + lines[1:]]
+    expected.append(f"{eps_h} is not orthogonal to the induced fiber curve")
+    report = cone_duality_check(3, 2)
+    assert list(report.violations) == expected
+    assert report.min_pairing == Fraction(-3, 2)
+
+
+def test_block_with_two_fiber_degrees_is_rejected(monkeypatch):
+    real_orbit = weyl_orbit
+
+    def orbit(start, max_h_degree):
+        return real_orbit(start, max_h_degree) + [H - E[0]]  # c.F = 2 beside 3
+
+    monkeypatch.setattr(hilb, "weyl_orbit", orbit)
+    hilb._dot_profile.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="c.F values"):
+            cone_duality_check(3, 1)
+    finally:
+        hilb._dot_profile.cache_clear()

@@ -117,6 +117,14 @@ def test_intersection_symmetric_bilinear(a, b):
     assert intersect(da + db, da) == self_intersection(da) + intersect(da, db)
 
 
+@given(small_coords, small_coords)
+def test_intersection_matches_fraction_sum(a, b):
+    expected = a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+    got = intersect(DivisorClass(tuple(a)), DivisorClass(tuple(b)))
+    assert type(got) is Fraction
+    assert got == expected
+
+
 @given(small_coords)
 def test_json_round_trip(coords):
     d = DivisorClass(tuple(coords))

@@ -89,7 +89,6 @@ def test_validate_campaign_bounds():
         Campaign(3, 3, slices=()),
         Campaign(3, 3, slices=("A1", "A1")),
         Campaign(3, 3, slices=("A3",)),
-        Campaign(3, 3, threads=0),
     ):
         with pytest.raises(CampaignUsageError):
             validate_campaign(bad)
@@ -110,13 +109,6 @@ def test_campaign_single_n():
         "wall_to_nef_A2",
     ]
     assert str(3) in res.to_json()["discrepancies"]
-
-
-def test_campaign_threads_match_serial():
-    serial = run_campaign(Campaign(3, 4, slices=("A1",)))
-    threaded = run_campaign(Campaign(3, 4, slices=("A1",), threads=2))
-    assert serial.to_json()["results"] == threaded.to_json()["results"]
-    assert serial.verdict == threaded.verdict == "certified"
 
 
 def test_campaign_rejects_bad_range_at_run():
