@@ -6,13 +6,11 @@ walls sit relative to the extremal fiber wall."""
 import argparse
 from collections import Counter
 
-from hilbnef import Wall, rank1_candidates, slice_a1, slice_a2
-
-MAKERS = {"A1": slice_a1, "A2": slice_a2}
+from hilbnef import Wall, rank1_candidates, slice_for
 
 
 def census(label: str, n: int, bound: int) -> dict:
-    sl = MAKERS[label](n)
+    sl = slice_for(label, n)
     cands = rank1_candidates(sl, bound)
     eliminated = Counter(c.filtered_by for c in cands if c.filtered_by)
     survivors = [c for c in cands if c.filtered_by is None]

@@ -11,6 +11,12 @@ Two independent wall computations are kept side by side: numerical_wall uses
 the closed slope/discriminant formula, wall_oracle expands the central-charge
 equality as a polynomial identity in (s, t^2).  They must agree exactly; the
 test suite enforces this on random inputs.
+
+The rank-1 candidate pool is held as orbits of the permutations of E2..E9,
+which fix both slices, the twist and every filter and wall: one
+representative per orbit (E1, E9, or aH - sum b_i E_i with b2 >= ... >= b9)
+carries its orbit size, and the filters and walls run once per orbit.  The
+shape-by-shape candidate list is expanded in pool order only when iterated.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import factorial, isqrt
 
 from .lattice import (
     RANK,
@@ -134,6 +140,11 @@ def slice_a2(n: int) -> Slice:
     """Slice on the ruling-family polarization (n/2)(H - E1) + (n - 3/2)F."""
     quoted = Fraction(n * (2 * n - 3))
     return Slice("A2", a2_polarization(n), -1 * F, n, quoted, ruling_based=True)
+
+
+def slice_for(label: str, n: int) -> Slice:
+    """The slice named "A1" or "A2" at n."""
+    return {"A1": slice_a1, "A2": slice_a2}[label](n)
 
 
 def mu_ap(sl: Slice, ch: ChernChar) -> Fraction | None:
@@ -410,24 +421,60 @@ class WallCandidate:
 
 FILTER_ORDER = ("slope", "fiber_degree", "fiber_component", "ruling_excess")
 
+_E_SHAPES = tuple(tuple(int(j == i + 1) for j in range(RANK)) for i in range(9))
+_ORBIT_PERMUTATIONS = factorial(8)
 
-@lru_cache(maxsize=4)
-def _shape_pool(max_h_degree: int):
-    """All candidate shapes -l: the E_i plus aH - sum b_i E_i with
-    1 <= a <= bound, 0 <= b_i <= a, sum b_i <= 3a (effectivity caps).
-    Rows are (coords, fiber_degree, a, b1, sum of b_2..b_9)."""
+
+@lru_cache(maxsize=16)
+def _degree_orbits(a: int) -> tuple[tuple[tuple[int, ...], int, int, int, int], ...]:
+    """The E2..E9 orbits of candidate shapes -l of H-degree a: the E_i for
+    a = 0 ({E1} and {E2..E9}), else aH - sum b_i E_i with 0 <= b_i <= a and
+    sum b_i <= 3a (effectivity caps).  Rows are (representative shape with
+    e2 <= ... <= e9, orbit size 8!/prod m_k!, fiber_degree, b1, sum of
+    b_2..b_9)."""
+    if a == 0:
+        return ((_E_SHAPES[0], 1, 1, 0, 0), (_E_SHAPES[8], 8, 1, 0, 0))
     rows = []
-    for i in range(9):
-        coords = tuple(1 if j == i + 1 else 0 for j in range(RANK))
-        rows.append((coords, 1, 0, 0, 0))
-    for a in range(1, max_h_degree + 1):
-        for b in itertools.product(range(a + 1), repeat=9):
-            total = sum(b)
-            if total > 3 * a:
+    for b1 in range(a + 1):
+        for tail in itertools.combinations_with_replacement(range(a, -1, -1), 8):
+            rest = sum(tail)
+            if b1 + rest > 3 * a:
                 continue
-            coords = (a,) + tuple(-x for x in b)
-            rows.append((coords, 3 * a - total, a, b[0], total - b[0]))
+            size = _ORBIT_PERMUTATIONS
+            for _, run in itertools.groupby(tail):
+                size //= factorial(len(tuple(run)))
+            coords = (a, -b1) + tuple(-x for x in tail)
+            rows.append((coords, size, 3 * a - b1 - rest, b1, rest))
     return tuple(rows)
+
+
+def shapes_of_degree(a: int) -> int:
+    """Number of candidate shapes of H-degree exactly a, from the orbit sizes."""
+    return sum(row[1] for row in _degree_orbits(a))
+
+
+def _orbit_code(coords: tuple[int, ...]) -> int:
+    """The orbit of a shape aH - sum b_i E_i (a >= 1) as one integer: base-16
+    digit k counts the b_2..b_9 equal to k (at most 8 of them), and b1 sits
+    above digit a."""
+    a = coords[0]
+    return -coords[1] * 16 ** (a + 1) + sum(16 ** -e for e in coords[2:])
+
+
+def _degree_shapes(a: int):
+    """The shapes (a, -b1, ..., -b9) with 0 <= b_i <= a and sum b_i <= 3a, in
+    itertools.product order of (b1, ..., b9), each with its _orbit_code."""
+    digit = [16**k for k in range(a + 1)]
+    rows = [((a, -b1), 3 * a - b1, b1 * 16 ** (a + 1)) for b1 in range(a + 1)]
+    for _ in range(7):  # b2..b8
+        rows = [
+            (coords + (-k,), left - k, code + digit[k])
+            for coords, left, code in rows
+            for k in range(min(a, left) + 1)
+        ]
+    for coords, left, code in rows:  # b9
+        for k in range(min(a, left) + 1):
+            yield coords + (-k,), code + digit[k]
 
 
 def _is_fiber_multiple(coords: tuple[int, ...]) -> bool:
@@ -438,7 +485,37 @@ def _is_fiber_multiple(coords: tuple[int, ...]) -> bool:
     return all(e == -k for e in coords[1:])
 
 
-def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> list[WallCandidate]:
+@dataclass(frozen=True)
+class CandidatePool:
+    """The rank-1 candidates of one slice, held as E2..E9 orbits.
+
+    orbits pairs each orbit's representative candidate (its sorted shape,
+    filter verdict and wall) with the orbit size.  len() is the number of
+    shapes; iterating expands every shape in pool order, each row reusing
+    its orbit's filter name and Wall object.
+    """
+
+    max_h_degree: int
+    orbits: tuple[tuple[WallCandidate, int], ...]
+
+    def __len__(self) -> int:
+        return sum(size for _, size in self.orbits)
+
+    def __iter__(self):
+        (e1, _), (e_rest, _) = self.orbits[:2]
+        yield WallCandidate(_E_SHAPES[0], e1.filtered_by, e1.wall)
+        for coords in _E_SHAPES[1:]:
+            yield WallCandidate(coords, e_rest.filtered_by, e_rest.wall)
+        for a in range(1, self.max_h_degree + 1):
+            reps = {
+                _orbit_code(rep.shape): rep for rep, _ in self.orbits if rep.shape[0] == a
+            }
+            for coords, code in _degree_shapes(a):
+                rep = reps[code]
+                yield WallCandidate(coords, rep.filtered_by, rep.wall)
+
+
+def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
     """Enumerate rank-1 destabilizer candidates and replay the case filters.
 
     A candidate is eliminated by the first filter it trips, in FILTER_ORDER:
@@ -447,30 +524,37 @@ def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> list[WallCandidate]:
     that is not a full fiber multiple), and, on the ruling-based slice only,
     ruling_excess (ruling multiples with more exceptional multiplicity than
     ruling degree).  Survivors get their wall against the ideal character.
+
+    Both slices' A and P = -F are fixed by every permutation of E2..E9, and
+    so are the filters (they read A.l, the fiber degree, a, b1 and
+    b2 + ... + b9) and the wall (it reads l.A, l^2 and l.P).  So each is
+    computed once per orbit, on the representative with e2 <= ... <= e9:
+    193 orbits for the 34,162 shapes up to degree 3.
     """
     if max_h_degree < 0:
         raise ValueError("max_h_degree >= 0 required")
     a_ints, a_den = sl.polarization.scaled_int_coords()
     slope_cap = sl.n * a_den
     ideal = ideal_points_char(sl.n)
-    out: list[WallCandidate] = []
-    for coords, f_deg, a, b1, rest in _shape_pool(max_h_degree):
-        if dot_int(coords, a_ints) > slope_cap:
-            filtered = "slope"
-        elif f_deg >= 2:
-            filtered = "fiber_degree"
-        elif f_deg == 0 and not _is_fiber_multiple(coords):
-            filtered = "fiber_component"
-        elif sl.ruling_based and a == b1 >= 1 and rest > a:
-            filtered = "ruling_excess"
-        else:
-            filtered = None
-        wall = None
-        if filtered is None:
-            l_cls = -1 * DivisorClass(coords)
-            wall = wall_oracle(sl, line_bundle_char(l_cls), ideal)
-        out.append(WallCandidate(coords, filtered, wall))
-    return out
+    orbits: list[tuple[WallCandidate, int]] = []
+    for a in range(max_h_degree + 1):
+        for coords, size, f_deg, b1, rest in _degree_orbits(a):
+            if dot_int(coords, a_ints) > slope_cap:
+                filtered = "slope"
+            elif f_deg >= 2:
+                filtered = "fiber_degree"
+            elif f_deg == 0 and not _is_fiber_multiple(coords):
+                filtered = "fiber_component"
+            elif sl.ruling_based and a == b1 >= 1 and rest > a:
+                filtered = "ruling_excess"
+            else:
+                filtered = None
+            wall = None
+            if filtered is None:
+                l_cls = -1 * DivisorClass(coords)
+                wall = wall_oracle(sl, line_bundle_char(l_cls), ideal)
+            orbits.append((WallCandidate(coords, filtered, wall), size))
+    return CandidatePool(max_h_degree, tuple(orbits))
 
 
 def rank2_radius_bound(sl: Slice) -> Fraction:
@@ -515,7 +599,7 @@ class GiesekerCertificate:
     rank2_bound_quoted: Fraction
     rank2_bound_exact: Fraction
     certified: bool
-    candidates: tuple[WallCandidate, ...]
+    candidates: CandidatePool
 
     def to_json(self, include_candidates: bool = True) -> dict:
         data = {
@@ -540,6 +624,21 @@ class GiesekerCertificate:
         if include_candidates:
             data["candidates"] = [c.to_json() for c in self.candidates]
         return data
+
+
+def _falsification(cand: WallCandidate, fiber_wall: Wall) -> str | None:
+    """Why a surviving candidate refutes the fiber wall, or None."""
+    if cand.filtered_by is not None:
+        return None
+    wall = cand.wall
+    if not isinstance(wall, Wall):
+        return f"candidate {cand.shape_class()} gave a non-circular wall {wall}"
+    if not wall.is_empty and wall.center < fiber_wall.center:
+        return (
+            f"candidate {cand.shape_class()} has wall center "
+            f"{format_rational(wall.center)} left of the fiber wall"
+        )
+    return None
 
 
 def gieseker_wall(
@@ -569,30 +668,25 @@ def gieseker_wall(
     empty_walls = 0
     coincident = 0
     min_center: Fraction | None = None
-    for cand in candidates:
-        if cand.filtered_by is not None:
-            eliminated[cand.filtered_by] += 1
+    for rep, size in candidates.orbits:
+        if rep.filtered_by is not None:
+            eliminated[rep.filtered_by] += size
             continue
-        survivors += 1
-        wall = cand.wall
-        if not isinstance(wall, Wall):
-            raise GiesekerFalsified(
-                f"candidate {cand.shape_class()} gave a non-circular wall {wall}",
-                witness=cand,
-            )
+        survivors += size
+        wall = rep.wall
+        if _falsification(rep, fiber_wall) is not None:
+            # the witness is the first failing shape in pool order
+            for cand in candidates:
+                message = _falsification(cand, fiber_wall)
+                if message is not None:
+                    raise GiesekerFalsified(message, witness=cand)
         if wall.is_empty:
-            empty_walls += 1
+            empty_walls += size
             continue
         if min_center is None or wall.center < min_center:
             min_center = wall.center
-        if wall.center < fiber_wall.center:
-            raise GiesekerFalsified(
-                f"candidate {cand.shape_class()} has wall center "
-                f"{format_rational(wall.center)} left of the fiber wall",
-                witness=cand,
-            )
         if wall == fiber_wall:
-            coincident += 1
+            coincident += size
 
     bound_quoted = rank2_radius_bound(sl)
     bound_exact = rank2_radius_bound_exact(sl)
@@ -617,7 +711,7 @@ def gieseker_wall(
         rank2_bound_quoted=bound_quoted,
         rank2_bound_exact=bound_exact,
         certified=True,
-        candidates=tuple(candidates),
+        candidates=candidates,
     )
     return fiber_wall, cert
 

@@ -10,18 +10,11 @@ the report verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .lattice import E, H
 from .hilb import cone_duality_check, fiber_orthogonal_lift
-from .bridgeland import (
-    GiesekerFalsified,
-    gieseker_wall,
-    nef_from_wall,
-    slice_a1,
-    slice_a2,
-)
-from .surface_cones import is_ample_hf_family
+from .bridgeland import GiesekerFalsified, gieseker_wall, nef_from_wall, slice_for
+from .surface_cones import ample_family
 from .reporting import discrepancy_table, write_json
 
 N_FLOOR = 3
@@ -96,15 +89,8 @@ class CampaignResult:
         }
 
 
-def _slice_for(label: str, n: int):
-    return slice_a1(n) if label == "A1" else slice_a2(n)
-
-
 def _ample_check(label: str, n: int) -> CheckResult:
-    if label == "A1":
-        report = is_ample_hf_family(Fraction(n, 3), 0, n - Fraction(3, 2))
-    else:
-        report = is_ample_hf_family(0, Fraction(n, 2), n - Fraction(3, 2))
+    report = ample_family(label, n)
     return CheckResult(n, f"ample_{label}", report.ample, report.to_json())
 
 
@@ -115,7 +101,7 @@ def _checks_for_n(n: int, max_h_degree: int, slices: tuple[str, ...]) -> list[Ch
         CheckResult(n, "duality_scan", duality.passed, duality.to_json(False))
     )
     for label in slices:
-        sl = _slice_for(label, n)
+        sl = slice_for(label, n)
         out.append(_ample_check(label, n))
         try:
             wall, cert = gieseker_wall(sl, max_h_degree)

@@ -14,13 +14,17 @@ import sys
 
 from .lattice import DivisorClass, parse_divisor
 from .weyl import orbit_counts_by_degree, weyl_orbit
-from .surface_cones import is_ample_hf_family, is_nef_up_to_degree
+from .surface_cones import ample_family, is_nef_up_to_degree
 from .hilb import cone_duality_check
-from .bridgeland import GiesekerFalsified, gieseker_wall, slice_a1, slice_a2
+from .bridgeland import GiesekerFalsified, gieseker_wall, shapes_of_degree, slice_for
 from .translations import CoverageConfig, coverage_experiment
 from .campaign import Campaign, CampaignUsageError, run_campaign
 from .reporting import dumps_json
-from fractions import Fraction
+
+# `walls gieseker` lists every candidate shape, and its JSON rows take about
+# 1.2 kB each in memory (274 MB for the 227,112 shapes up to degree 4).
+# Degree 5 lists 1,104,956 shapes; degree 6 would list 4,305,881.
+MAX_LISTED_CANDIDATES = 2_000_000
 
 
 class UsageError(ValueError):
@@ -46,8 +50,15 @@ def _check_n(value: int) -> int:
     return value
 
 
-def _slice_for(label: str, n: int):
-    return slice_a1(n) if label == "A1" else slice_a2(n)
+def _check_listable(degree: int) -> None:
+    listed = 0
+    for a in range(degree + 1):
+        listed += shapes_of_degree(a)
+        if listed > MAX_LISTED_CANDIDATES:
+            raise UsageError(
+                f"--max-degree {degree} would list more than "
+                f"{MAX_LISTED_CANDIDATES} candidates; use --max-degree {a - 1} or less"
+            )
 
 
 def cmd_weyl_orbit(args) -> tuple[dict, int]:
@@ -77,10 +88,7 @@ def cmd_surface_nef(args) -> tuple[dict, int]:
 
 def cmd_surface_ample_family(args) -> tuple[dict, int]:
     n = _check_n(args.n)
-    if args.which == "A1":
-        report = is_ample_hf_family(Fraction(n, 3), 0, n - Fraction(3, 2))
-    else:
-        report = is_ample_hf_family(0, Fraction(n, 2), n - Fraction(3, 2))
+    report = ample_family(args.which, n)
     payload = {"n": n, "which": args.which, **report.to_json()}
     return payload, 0 if report.ample else 1
 
@@ -95,7 +103,8 @@ def cmd_hilb_check_theorem(args) -> tuple[dict, int]:
 def cmd_walls_gieseker(args) -> tuple[dict, int]:
     n = _check_n(args.n)
     degree = _check_degree(args.max_degree)
-    sl = _slice_for(args.slice, n)
+    _check_listable(degree)
+    sl = slice_for(args.slice, n)
     try:
         wall, cert = gieseker_wall(sl, degree)
     except GiesekerFalsified as exc:

@@ -163,6 +163,16 @@ def is_ample_hf_family(
     )
 
 
+def ample_family(label: str, n: int) -> AmplenessReport:
+    """Closed-form ampleness of the A1 polarization (n/3)H + (n - 3/2)F or the
+    A2 polarization (n/2)(H - E1) + (n - 3/2)F."""
+    if label == "A1":
+        return is_ample_hf_family(Fraction(n, 3), 0, n - Fraction(3, 2))
+    if label == "A2":
+        return is_ample_hf_family(0, Fraction(n, 2), n - Fraction(3, 2))
+    raise ValueError(f"unknown polarization family {label!r}")
+
+
 def self_intersection_report(d: DivisorClass) -> Fraction:
     return self_intersection(d)
 

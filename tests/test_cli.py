@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+from hilbnef import cli
+from hilbnef.bridgeland import shapes_of_degree
 from hilbnef.cli import main
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -192,3 +194,33 @@ def test_seed_belongs_to_cover_only(capsys):
     code, _, err = run_cli(capsys, ["hilb", "check-theorem", "--n", "3", "--seed", "1"])
     assert code == 2
     assert "--seed" in err
+
+
+class _WallsReached(Exception):
+    pass
+
+
+def _no_walls(*args, **kwargs):
+    raise _WallsReached
+
+
+@pytest.mark.parametrize("degree", ["6", "1000"])
+def test_walls_gieseker_refuses_unlistable_degree(capsys, monkeypatch, degree):
+    # the candidate count comes from the orbit sizes: no wall is computed
+    monkeypatch.setattr(cli, "gieseker_wall", _no_walls)
+    code, out, err = run_cli(
+        capsys, ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", degree]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "--max-degree 5 or less" in err
+
+
+def test_walls_gieseker_lists_degree_five(capsys, monkeypatch):
+    # degree 5 (1,104,956 shapes) passes the check and goes on to the walls
+    assert sum(shapes_of_degree(a) for a in range(6)) == 1_104_956
+    assert sum(shapes_of_degree(a) for a in range(7)) > cli.MAX_LISTED_CANDIDATES
+    monkeypatch.setattr(cli, "gieseker_wall", _no_walls)
+    with pytest.raises(_WallsReached):
+        main(["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "5"])
