@@ -7,10 +7,11 @@ have equal tilted slope, and all decisions are made in exact rational
 arithmetic.  t never appears directly; every formula is polynomial in s and
 t^2, so walls come out as circles with rational center and radius squared.
 
-Two independent wall computations are kept side by side: numerical_wall uses
-the closed slope/discriminant formula, wall_oracle expands the central-charge
-equality as a polynomial identity in (s, t^2).  They must agree exactly; the
-test suite enforces this on random inputs.
+Every wall in a certificate or report comes from numerical_wall, the closed
+slope/discriminant formula.  wall_oracle is the reference: it expands the
+central-charge equality as a polynomial identity in (s, t^2).  The two must
+agree exactly; gieseker_wall checks this on the fiber wall at run time, and
+the test suite compares them on random inputs and on every candidate shape.
 
 The rank-1 candidate pool is held as orbits of the permutations of E2..E9,
 which fix both slices, the twist and every filter and wall: one
@@ -25,17 +26,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial
 
 from .lattice import (
     RANK,
     DivisorClass,
-    E,
     F,
-    H,
     K,
     ZERO,
-    divisor,
     dot_int,
     format_rational,
     intersect,
@@ -164,21 +162,6 @@ def delta_ap(sl: Slice, ch: ChernChar) -> Fraction:
     return mu * mu / 2 - tw.ch2 / (sl.a_squared * ch.rank)
 
 
-def central_charge(
-    sl: Slice, s: Fraction, t_sq: Fraction, ch: ChernChar
-) -> tuple[Fraction, Fraction]:
-    """Exact (re, im) of Z_{s,t}.  im is reported as its coefficient of t:
-    the full imaginary part is t * im, and t > 0 never changes a sign."""
-    s = Fraction(s)
-    t_sq = Fraction(t_sq)
-    if t_sq <= 0:
-        raise ValueError("t^2 > 0 required")
-    tw = twist(ch, sl.twist + s * sl.polarization)
-    re = -tw.ch2 + t_sq * sl.a_squared * tw.rank / 2
-    im = intersect(sl.polarization, tw.c1)
-    return re, im
-
-
 @dataclass(frozen=True)
 class Wall:
     """Semicircular wall: (s - center)^2 + t^2 = radius_sq.  Empty if
@@ -304,23 +287,11 @@ def wall_oracle(sl: Slice, ch_e: ChernChar, ch_f: ChernChar) -> NumericalWall:
     return DegenerateWall(everywhere=(c00 == 0))
 
 
-def rank_one_center(sl: Slice, l: DivisorClass, points: int = 0) -> Fraction:
-    """Closed-form center of the wall between O(l) twisted by `points` points
-    and the ideal of n points: (n - m + l^2/2 - l.P) / (l.A)."""
-    la = intersect(l, sl.polarization)
-    if la == 0:
-        raise ValueError("l.A = 0 gives a vertical wall, not a circle")
-    return (
-        Fraction(sl.n - points)
-        + self_intersection(l) / 2
-        - intersect(l, sl.twist)
-    ) / la
-
-
 def quoted_rank_one_center(sl: Slice, l: DivisorClass, points: int = 0) -> Fraction:
-    """The commonly quoted special-case reduction of the same center, with
-    l.P/2 in place of l.P.  It disagrees with rank_one_center and with
-    wall_oracle; kept as a diagnostic for the discrepancy report."""
+    """The commonly quoted center of the wall between O(l) twisted by `points`
+    points and the ideal of n points.  The center of numerical_wall is
+    (n - points + l^2/2 - l.P) / (l.A); the quoted form has l.P/2 in place of
+    l.P.  Kept as a diagnostic for the discrepancy report."""
     minus_la = intersect(-1 * l, sl.polarization)
     if minus_la == 0:
         raise ValueError("l.A = 0 gives a vertical wall, not a circle")
@@ -329,70 +300,6 @@ def quoted_rank_one_center(sl: Slice, l: DivisorClass, points: int = 0) -> Fract
         + self_intersection(l) / 2
         - intersect(l, sl.twist) / 2
     ) / minus_la
-
-
-# -- radical comparisons -----------------------------------------------------
-
-
-def _sqrt_bounds(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    # sqrt(p/d) = sqrt(p d)/d; isqrt gives a 2^-prec-wide rational bracket
-    if q < 0:
-        raise ValueError("negative radicand")
-    big = q.numerator * q.denominator
-    scale = 1 << prec
-    root = isqrt(big * scale * scale)
-    return (
-        Fraction(root, q.denominator * scale),
-        Fraction(root + 1, q.denominator * scale),
-    )
-
-
-def radical_sign(a: Fraction, b: Fraction, r: Fraction) -> int:
-    """Exact sign of sqrt(a) - sqrt(b) - r for rationals a, b >= 0."""
-    a, b, r = Fraction(a), Fraction(b), Fraction(r)
-    if a < 0 or b < 0:
-        raise ValueError("radicands must be nonnegative")
-    # exact-zero test first: sqrt(a) = sqrt(b) + r has rational witnesses only
-    if r == 0:
-        if a == b:
-            return 0
-    elif r > 0:
-        u = (a - b - r * r) / (2 * r)  # would-be value of sqrt(b)
-        if u >= 0 and u * u == b:
-            return 0
-    else:
-        u = (b - a - r * r) / (-2 * r)  # would-be value of sqrt(a)
-        if u >= 0 and u * u == a:
-            return 0
-    prec = 8
-    while True:
-        lo_a, hi_a = _sqrt_bounds(a, prec)
-        lo_b, hi_b = _sqrt_bounds(b, prec)
-        if lo_a - hi_b - r > 0:
-            return 1
-        if hi_a - lo_b - r < 0:
-            return -1
-        prec *= 2
-
-
-def wall_contains(outer: Wall, inner: Wall) -> bool:
-    """Closed containment of semicircles: every point of inner lies on or
-    inside outer.  Empty walls are contained in everything."""
-    if inner.is_empty:
-        return True
-    if outer.is_empty:
-        return False
-    gap = abs(outer.center - inner.center)
-    return radical_sign(outer.radius_sq, inner.radius_sq, gap) >= 0
-
-
-def wall_strictly_contains(outer: Wall, inner: Wall) -> bool:
-    if inner.is_empty:
-        return not outer.is_empty
-    if outer.is_empty:
-        return False
-    gap = abs(outer.center - inner.center)
-    return radical_sign(outer.radius_sq, inner.radius_sq, gap) > 0
 
 
 # -- rank-1 candidate search -------------------------------------------------
@@ -552,7 +459,7 @@ def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
             wall = None
             if filtered is None:
                 l_cls = -1 * DivisorClass(coords)
-                wall = wall_oracle(sl, line_bundle_char(l_cls), ideal)
+                wall = numerical_wall(sl, line_bundle_char(l_cls), ideal)
             orbits.append((WallCandidate(coords, filtered, wall), size))
     return CandidatePool(max_h_degree, tuple(orbits))
 

@@ -15,7 +15,7 @@ from .lattice import E, H
 from .hilb import cone_duality_check, fiber_orthogonal_lift
 from .bridgeland import GiesekerFalsified, gieseker_wall, nef_from_wall, slice_for
 from .surface_cones import ample_family
-from .reporting import discrepancy_table, write_json
+from .reporting import discrepancy_table
 
 N_FLOOR = 3
 N_CAP = 64
@@ -143,10 +143,3 @@ def run_campaign(c: Campaign) -> CampaignResult:
         str(n): [row.to_json() for row in discrepancy_table(n)] for n in ns
     }
     return CampaignResult(campaign=c, checks=checks, discrepancies=discrepancies)
-
-
-def run_and_write(c: Campaign, out_path: str | None) -> CampaignResult:
-    result = run_campaign(c)
-    if out_path:
-        write_json(out_path, result.to_json())
-    return result

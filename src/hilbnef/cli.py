@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 when the requested check certifies (or the query succeeds),
-1 when a check or certification fails, 2 on usage errors.  Every command
+1 when a check or certification fails, 2 on usage errors, 3 when a command
+crashes (the traceback and an error: line go to stderr, stdout stays empty),
+so that a crash never reads as a falsified check.  Every command
 prints one canonical JSON document to stdout; --out writes the same bytes
 to a file first, so repeated runs are byte-identical.  An --out path that
 cannot be written is a usage error and leaves stdout empty.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .lattice import DivisorClass, parse_divisor
 from .weyl import orbit_counts_by_degree, weyl_orbit
@@ -34,7 +37,7 @@ class UsageError(ValueError):
 def _parse_divisor_arg(text: str) -> DivisorClass:
     try:
         return parse_divisor(text)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise UsageError(f"bad divisor {text!r}: {exc}") from exc
 
 
@@ -227,6 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 3
     text = dumps_json(payload)
     if args.out:
         try:

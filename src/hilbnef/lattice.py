@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 RANK = 10
 
@@ -219,9 +219,3 @@ def parse_divisor(text: str) -> DivisorClass:
 def sorted_classes(classes: Iterable[DivisorClass]) -> list[DivisorClass]:
     """Canonical deterministic ordering by coordinate tuple."""
     return sorted(classes)
-
-
-def iter_names() -> Iterator[str]:
-    yield "H"
-    for i in range(1, RANK):
-        yield f"E{i}"

@@ -28,7 +28,6 @@ from .bridgeland import (
     quoted_rank_one_center,
     slice_a1,
     slice_a2,
-    wall_oracle,
 )
 
 
@@ -111,7 +110,7 @@ def discrepancy_table(n: int) -> tuple[DiscrepancyRow, ...]:
     )
 
     e1_quoted_a1 = quoted_rank_one_center(sl1, -1 * E[0])
-    e1_wall_a1 = wall_oracle(sl1, line_bundle_char(-1 * E[0]), ideal)
+    e1_wall_a1 = numerical_wall(sl1, line_bundle_char(-1 * E[0]), ideal)
     rows.append(
         DiscrepancyRow(
             quantity="exceptional-wall center on the H-family slice",
@@ -128,7 +127,7 @@ def discrepancy_table(n: int) -> tuple[DiscrepancyRow, ...]:
     )
 
     e1_quoted_a2 = quoted_rank_one_center(sl2, -1 * E[0])
-    e1_wall_a2 = wall_oracle(sl2, line_bundle_char(-1 * E[0]), ideal)
+    e1_wall_a2 = numerical_wall(sl2, line_bundle_char(-1 * E[0]), ideal)
     empty_note = (
         "the wall locus is empty at this n"
         if isinstance(e1_wall_a2, Wall) and e1_wall_a2.is_empty
@@ -182,10 +181,3 @@ def dumps_json(data) -> str:
     """Canonical report serialization: sorted keys, two-space indent, and a
     trailing newline, so identical runs produce identical bytes."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def write_json(path: str, data) -> str:
-    text = dumps_json(data)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text

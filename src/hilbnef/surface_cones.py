@@ -173,10 +173,6 @@ def ample_family(label: str, n: int) -> AmplenessReport:
     raise ValueError(f"unknown polarization family {label!r}")
 
 
-def self_intersection_report(d: DivisorClass) -> Fraction:
-    return self_intersection(d)
-
-
 def a1_polarization(n: int) -> DivisorClass:
     """(n/3) H + (n - 3/2) F, ample for n >= 2."""
     return Fraction(n, 3) * H + (n - Fraction(3, 2)) * F

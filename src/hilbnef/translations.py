@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattice import (
     DivisorClass,
@@ -39,6 +40,25 @@ from .hilb import (
 _BASIS = (H,) + E
 
 
+def _transvect(x: tuple[int, ...], v: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """x + (x.F) v - [(x.v) + c (x.F)] F on integer coordinates, with
+    F = 3H - E1 - ... - E9.  Linear, so it applies to scaled coordinates."""
+    xf = 3 * x[0] + sum(x[1:])
+    bracket = dot_int(x, v) + c * xf
+    return (x[0] + xf * v[0] - 3 * bracket,) + tuple(
+        xi + xf * vi + bracket for xi, vi in zip(x[1:], v[1:])
+    )
+
+
+def _section_move(p: DivisorClass) -> tuple[tuple[int, ...], int]:
+    """(v, c) of the transvection sending E1 to p: v = p - E1, c = v.v/2."""
+    v = p - E[0]
+    c = self_intersection(v) / 2
+    if c.denominator != 1:
+        raise ArithmeticError("v.v is always even for a section difference")
+    return v.int_coords(), int(c)
+
+
 @dataclass(frozen=True)
 class Translation:
     """A section class together with its transvection on the lattice."""
@@ -56,16 +76,9 @@ def translation(p: DivisorClass) -> Translation:
         raise ValueError(f"section must be a (-1)-class: {p}")
     if intersect(p, F) != 1:
         raise ValueError(f"section must meet the fiber once: {p}")
-    v = p - E[0]
-    half_v_sq = self_intersection(v) / 2
-    if half_v_sq.denominator != 1:
-        raise ArithmeticError("v.v is always even for a section difference")
-
-    def image(x: DivisorClass) -> DivisorClass:
-        xf = intersect(x, F)
-        return x + xf * v - (intersect(x, v) + half_v_sq * xf) * F
-
-    return Translation(p, LatticeMap.from_basis_images([image(b) for b in _BASIS]))
+    v, c = _section_move(p)
+    images = [DivisorClass(_transvect(b.int_coords(), v, c)) for b in _BASIS]
+    return Translation(p, LatticeMap.from_basis_images(images))
 
 
 def translate_hilb(t: Translation, d: HilbDivisor) -> HilbDivisor:
@@ -139,37 +152,24 @@ def low_degree_sections(max_h_degree: int = 1) -> list[DivisorClass]:
     return enumerate_minus_one_classes(max_h_degree)
 
 
-@dataclass(frozen=True)
-class _FastTransvection:
-    # integer-coordinate form of x -> x + (x.F)v - [(x.v) + c(x.F)]F
-    label: str
-    v: tuple[int, ...]
-    c: int
-
-    def apply_ints(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        xf = dot_int(x, _F_INTS)
-        bracket = dot_int(x, self.v) + self.c * xf
-        return tuple(
-            xi + xf * vi - bracket * fi for xi, vi, fi in zip(x, self.v, _F_INTS)
-        )
+# Knobs of the coverage experiment.  A reduced nef part above STALL_DEGREE
+# with no descent move left is flagged as a non-terminating reduction
+# (combinations of MAX_TERMS * MAX_COEFF window-degree generators should land
+# well below it).  MAX_STEPS is a defensive cap on the descent.
+MAX_TERMS = 5
+MAX_COEFF = 3
+STALL_DEGREE = 15
+MAX_STEPS = 256
 
 
-_F_INTS = F.int_coords()
-
-
-def _fast_transvections(sections: list[DivisorClass]) -> list[_FastTransvection]:
-    out = []
-    for p in sections:
-        v = p - E[0]
-        c = self_intersection(v) / 2
-        out.append(_FastTransvection(str(p), v.int_coords(), int(c)))
-    return out
+@lru_cache(maxsize=1)
+def _reduction_moves() -> tuple[tuple[str, tuple[int, ...], int], ...]:
+    """(label, v, c) of each low-degree section's transvection, built once."""
+    return tuple((str(p), *_section_move(p)) for p in low_degree_sections())
 
 
 def reduce_surface_class(
     surf: DivisorClass,
-    moves: list[_FastTransvection] | None = None,
-    max_steps: int = 256,
 ) -> tuple[DivisorClass, int, tuple[str, ...], bool]:
     """Greedy descent of the H-degree under the section transvections.
 
@@ -179,8 +179,7 @@ def reduce_surface_class(
     The degree is a nonneg integer multiple of 1/den and strictly drops,
     so termination is guaranteed; the cap is only a defensive bound.
     """
-    if moves is None:
-        moves = _fast_transvections(low_degree_sections())
+    moves = _reduction_moves()
     ints, den = surf.scaled_int_coords()
     labels: list[str] = []
     steps = 0
@@ -188,14 +187,14 @@ def reduce_surface_class(
     while True:
         best: tuple[int, ...] | None = None
         best_label = ""
-        for mv in moves:
-            img = mv.apply_ints(ints)
+        for label, v, c in moves:
+            img = _transvect(ints, v, c)
             if img[0] < ints[0] and (best is None or img < best):
                 best = img
-                best_label = mv.label
+                best_label = label
         if best is None:
             break
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             hit_cap = True
             break
         ints = best
@@ -207,19 +206,12 @@ def reduce_surface_class(
 
 @dataclass(frozen=True)
 class CoverageConfig:
-    """Knobs for the bounding-cone coverage experiment."""
+    """Parameters of the bounding-cone coverage experiment."""
 
     n: int
     samples: int = 100
     seed: int = 0
     max_h_degree: int = 3
-    max_terms: int = 5
-    max_coeff: int = 3
-    # a reduced nef part above this degree with no descent move left is
-    # flagged as a non-terminating reduction (combos of max_terms * max_coeff
-    # window-degree generators should land well below it)
-    stall_degree: int = 15
-    max_steps: int = 256
 
 
 @dataclass(frozen=True)
@@ -259,7 +251,7 @@ class CoverageReport:
             "samples": self.config.samples,
             "seed": self.config.seed,
             "max_h_degree": self.config.max_h_degree,
-            "stall_degree": self.config.stall_degree,
+            "stall_degree": STALL_DEGREE,
             "successes": self.successes,
             "stalled": self.stalled_count,
             "max_reduced_h": format_rational(self.max_reduced_h),
@@ -281,33 +273,30 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:
     """
     if cfg.n < 3:
         raise ValueError("n >= 3 required")
-    if cfg.samples < 1 or cfg.max_terms < 1 or cfg.max_coeff < 1:
-        raise ValueError("samples, max_terms, max_coeff must be positive")
+    if cfg.samples < 1:
+        raise ValueError("samples must be positive")
     rng = random.Random(cfg.seed)
     orbit_h = weyl_orbit(H, cfg.max_h_degree)
     orbit_ruling = weyl_orbit(H - E[0], cfg.max_h_degree)
     pool: list[HilbDivisor] = [lift(F)]
     pool += [fiber_orthogonal_lift(c, cfg.n) for c in orbit_h]
     pool += [fiber_orthogonal_lift(c, cfg.n) for c in orbit_ruling]
-    moves = _fast_transvections(low_degree_sections())
 
     trials: list[CoverageTrial] = []
     successes = 0
     stalled_count = 0
     max_reduced = Fraction(0)
     for index in range(cfg.samples):
-        terms = rng.randint(1, cfg.max_terms)
+        terms = rng.randint(1, MAX_TERMS)
         d = HilbDivisor(ZERO, Fraction(0))
         for _ in range(terms):
-            coeff = rng.randint(1, cfg.max_coeff)
+            coeff = rng.randint(1, MAX_COEFF)
             d = d + coeff * pool[rng.randrange(len(pool))]
-        reduced_surf, steps, _, hit_cap = reduce_surface_class(
-            d.surf, moves, cfg.max_steps
-        )
+        reduced_surf, steps, _, hit_cap = reduce_surface_class(d.surf)
         reduced = HilbDivisor(reduced_surf, d.b_half)
         # degree of the nef part: the t*(n-1)F summand is move-invariant
         nef_h = reduced_surf.h + d.b_half * 3 * (cfg.n - 1)
-        stalled = hit_cap or nef_h > cfg.stall_degree
+        stalled = hit_cap or nef_h > STALL_DEGREE
         try:
             bounding_cone_decompose(reduced, cfg.n, cfg.max_h_degree)
             decomposed = True

@@ -20,7 +20,6 @@ from .lattice import (
     E,
     F,
     H,
-    K,
     divisor,
     dot_int,
     intersect,

@@ -4,7 +4,9 @@
 the shape-by-shape enumeration, filtering and certificate that production ran
 before the pool moved to E2..E9 orbits.  They are kept here, unchanged apart
 from their names and from calling `bridgeland.wall_oracle` through the module
-(so that a test can replace it on both paths), as the independent reference.
+(so that a test can replace it), as the independent reference.  Production
+computes each candidate wall with the closed form `numerical_wall`, so the
+equality tests also compare the two wall formulas on every surviving shape.
 """
 
 import itertools
@@ -186,17 +188,21 @@ def test_orbit_sizes_sum_to_pool_count(degree, count):
 
 
 def _replace_walls(monkeypatch, selected, wall):
-    """Make bridgeland.wall_oracle return `wall` for every shape aH - sum b_i E_i
-    with selected(a, b1), on the production and the oracle path alike."""
-    real = bridgeland.wall_oracle
+    """Make bridgeland.numerical_wall (the production path) and
+    bridgeland.wall_oracle (the oracle path) return `wall` for every shape
+    aH - sum b_i E_i with selected(a, b1)."""
 
-    def fake(sl, ch_e, ch_f):
-        shape = [-c for c in ch_e.c1.coords]
-        if selected(shape[0], -shape[1]):
-            return wall
-        return real(sl, ch_e, ch_f)
+    def faked(real):
+        def fake(sl, ch_e, ch_f):
+            shape = [-c for c in ch_e.c1.coords]
+            if selected(shape[0], -shape[1]):
+                return wall
+            return real(sl, ch_e, ch_f)
 
-    monkeypatch.setattr(bridgeland, "wall_oracle", fake)
+        return fake
+
+    for name in ("numerical_wall", "wall_oracle"):
+        monkeypatch.setattr(bridgeland, name, faked(getattr(bridgeland, name)))
 
 
 FALSIFIERS = {
@@ -225,3 +231,17 @@ def test_falsified_wall_matches_oracle(monkeypatch, label, case):
     assert str(got.value) == str(expected.value)
     assert got.value.witness == expected.value.witness
     assert got.value.witness is not None
+
+
+def test_production_walls_use_the_closed_form(monkeypatch):
+    # wall_oracle is the reference; production runs it on the fiber wall only
+    calls = []
+    real = bridgeland.wall_oracle
+
+    def counted(sl, ch_e, ch_f):
+        calls.append(ch_e)
+        return real(sl, ch_e, ch_f)
+
+    monkeypatch.setattr(bridgeland, "wall_oracle", counted)
+    gieseker_wall(slice_a2(3), 2)
+    assert calls == [line_bundle_char(-1 * F)]

@@ -178,6 +178,28 @@ def test_zero_denominator_divisor_exits_two(capsys, divisor):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_divisor_exits_two(capsys):
+    divisor = '{"h":' * 3000 + "1" + "}" * 3000
+    code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", divisor])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_crash_exits_three_not_falsified(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(cli, "cmd_surface_nef", broken)
+    code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", "H"])
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert err.rstrip().splitlines()[-1].startswith("error:")
+    assert "handler bug" in err
+
+
 def test_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):
     out_path = tmp_path / "missing" / "orbit.json"
     code, out, err = run_cli(
@@ -222,5 +244,8 @@ def test_walls_gieseker_lists_degree_five(capsys, monkeypatch):
     assert sum(shapes_of_degree(a) for a in range(6)) == 1_104_956
     assert sum(shapes_of_degree(a) for a in range(7)) > cli.MAX_LISTED_CANDIDATES
     monkeypatch.setattr(cli, "gieseker_wall", _no_walls)
-    with pytest.raises(_WallsReached):
-        main(["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "5"])
+    code, out, err = run_cli(
+        capsys, ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "5"]
+    )
+    assert (code, out) == (3, "")  # the stub's exception surfaces as a crash
+    assert "_WallsReached" in err

@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of CLI output against committed golden files.
 
 The files under tests/golden/ were written by the CLI before the duality scan
-moved to per-degree dot profiles and before the rank-1 shape pool moved to
-E2..E9 orbits; any change to the certificate bytes fails here.  Regenerate
+moved to per-degree dot profiles, before the rank-1 shape pool moved to E2..E9
+orbits and (the `coneconj cover` file) before the section transvections moved
+to one integer formula; any change to the certificate bytes fails here.  Regenerate
 one with, e.g.,
 `PYTHONPATH=src python -m hilbnef hilb check-theorem --n 3 > tests/golden/hilb_check_theorem_n3.json`
 only when the output is meant to change.  The degree-3 `walls gieseker`
@@ -36,6 +37,10 @@ CASES = [
     (
         "walls_gieseker_a2_n3_deg2.json",
         ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "2"],
+    ),
+    (
+        "coneconj_cover_n3_seed0.json",
+        ["coneconj", "cover", "--n", "3", "--seed", "0"],
     ),
 ]
 

@@ -11,7 +11,6 @@ from hilbnef import (
     dumps_json,
     run_campaign,
     validate_campaign,
-    write_json,
 )
 
 # the three wall-value rows, as (quoted, recomputed) exact rationals at n=3
@@ -69,14 +68,6 @@ def test_dumps_json_canonical():
     text = dumps_json({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
     assert text.endswith("\n")
-
-
-def test_write_json_round_trip(tmp_path):
-    path = tmp_path / "out.json"
-    data = {"x": "3/2", "y": [1, 2]}
-    text = write_json(str(path), data)
-    assert path.read_text() == text
-    assert json.loads(text) == data
 
 
 def test_validate_campaign_bounds():

@@ -16,7 +16,6 @@ from hilbnef import (
     mori_generators,
     parse_divisor,
     self_intersection,
-    self_intersection_report,
 )
 
 # fiber class plus (-1)-classes up to each degree
@@ -74,11 +73,8 @@ def test_polarization_classes():
 
 
 def test_self_intersection_values():
-    assert self_intersection_report(a1_polarization(3)) == 10
-    assert self_intersection_report(a2_polarization(3)) == 9
-    assert self_intersection_report(a1_polarization(3)) == self_intersection(
-        a1_polarization(3)
-    )
+    assert self_intersection(a1_polarization(3)) == 10
+    assert self_intersection(a2_polarization(3)) == 9
 
 
 @settings(max_examples=40)

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hilbnef import translations
 from hilbnef import (
     C0,
     CoverageConfig,
+    DivisorClass,
     E,
     F,
     H,
@@ -18,6 +22,7 @@ from hilbnef import (
     low_degree_sections,
     pair_hilb,
     reduce_surface_class,
+    self_intersection,
     translate_hilb,
     translation,
     verify_weyl_necessary_conditions,
@@ -25,6 +30,52 @@ from hilbnef import (
 )
 
 SECTION_COUNT = 45  # sections of H-degree at most 1
+
+
+def oracle_transvection(p: DivisorClass, x: DivisorClass) -> DivisorClass:
+    """x + (x.F) v - [(x.v) + (v.v/2)(x.F)] F with v = p - E1, in Fraction
+    arithmetic on DivisorClass: the reference for the integer formula."""
+    v = p - E[0]
+    half_v_sq = self_intersection(v) / 2
+    xf = intersect(x, F)
+    return x + xf * v - (intersect(x, v) + half_v_sq * xf) * F
+
+
+@lru_cache(maxsize=1)
+def _section_maps():
+    """(section, its Translation, its reduction move (v, c)) for all 45."""
+    moves = {label: (v, c) for label, v, c in translations._reduction_moves()}
+    assert len(moves) == SECTION_COUNT
+    return tuple((p, translation(p), moves[str(p)]) for p in low_degree_sections(1))
+
+
+def _move_image(move, x: DivisorClass) -> DivisorClass:
+    ints, den = x.scaled_int_coords()
+    image = translations._transvect(ints, *move)
+    return DivisorClass(tuple(Fraction(i, den) for i in image))
+
+
+def test_transvections_match_oracle_on_basis():
+    for p, t, move in _section_maps():
+        for b in (H,) + E:
+            expected = oracle_transvection(p, b)
+            assert t.map.apply(b) == expected, (p, b)
+            assert _move_image(move, b) == expected, (p, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-12, 12),
+    st.lists(st.integers(-12, 12), min_size=9, max_size=9),
+)
+def test_transvections_match_oracle_on_half_integer_classes(h2, e2):
+    # h is an odd multiple of 1/2, so the reduction runs with den = 2
+    x = DivisorClass((Fraction(2 * h2 + 1, 2),) + tuple(Fraction(k, 2) for k in e2))
+    assert x.scaled_int_coords()[1] == 2
+    for p, t, move in _section_maps():
+        expected = oracle_transvection(p, x)
+        assert t.map.apply(x) == expected, p
+        assert _move_image(move, x) == expected, p
 
 
 def test_translation_moves_base_section():
