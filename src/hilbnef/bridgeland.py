@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .lattice import (
@@ -109,13 +109,12 @@ class Slice:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError("n >= 3 required")
-        a_sq = self_intersection(self.polarization)
-        if a_sq <= 0:
+        if self.a_squared <= 0:
             raise ValueError("polarization must have positive self-intersection")
         if intersect(self.polarization, F) <= 0:
             raise ValueError("polarization must meet the fiber positively")
 
-    @property
+    @cached_property
     def a_squared(self) -> Fraction:
         return self_intersection(self.polarization)
 
@@ -145,21 +144,26 @@ def slice_for(label: str, n: int) -> Slice:
     return {"A1": slice_a1, "A2": slice_a2}[label](n)
 
 
+def _slope_and_discriminant(sl: Slice, ch: ChernChar) -> tuple[Fraction, Fraction]:
+    """(mu_AP, delta_AP) of a character of nonzero rank, from one twist."""
+    tw = twist(ch, sl.twist)
+    scale = sl.a_squared * ch.rank
+    mu = intersect(sl.polarization, tw.c1) / scale
+    return mu, mu * mu / 2 - tw.ch2 / scale
+
+
 def mu_ap(sl: Slice, ch: ChernChar) -> Fraction | None:
     """Twisted slope A.ch1^P / (A^2 ch0).  None encodes +infinity (rank 0)."""
     if ch.rank == 0:
         return None
-    tw = twist(ch, sl.twist)
-    return intersect(sl.polarization, tw.c1) / (sl.a_squared * ch.rank)
+    return _slope_and_discriminant(sl, ch)[0]
 
 
 def delta_ap(sl: Slice, ch: ChernChar) -> Fraction:
     """Twisted discriminant mu^2/2 - ch2^P / (A^2 ch0)."""
     if ch.rank == 0:
         raise ValueError("discriminant needs nonzero rank")
-    mu = mu_ap(sl, ch)
-    tw = twist(ch, sl.twist)
-    return mu * mu / 2 - tw.ch2 / (sl.a_squared * ch.rank)
+    return _slope_and_discriminant(sl, ch)[1]
 
 
 @dataclass(frozen=True)
@@ -222,8 +226,8 @@ def numerical_wall(sl: Slice, ch_e: ChernChar, ch_f: ChernChar) -> NumericalWall
     rho^2 = (mu_e - s0)^2 - 2 delta_e."""
     if ch_e.rank == 0 or ch_f.rank == 0:
         raise ValueError("numerical_wall needs finite slopes; use wall_oracle")
-    mu_e, mu_f = mu_ap(sl, ch_e), mu_ap(sl, ch_f)
-    d_e, d_f = delta_ap(sl, ch_e), delta_ap(sl, ch_f)
+    mu_e, d_e = _slope_and_discriminant(sl, ch_e)
+    mu_f, d_f = _slope_and_discriminant(sl, ch_f)
     if mu_e == mu_f:
         if d_e == d_f:
             return DegenerateWall(everywhere=True)
@@ -440,8 +444,8 @@ def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
     """
     if max_h_degree < 0:
         raise ValueError("max_h_degree >= 0 required")
-    a_ints, a_den = sl.polarization.scaled_int_coords()
-    slope_cap = sl.n * a_den
+    a_ints = sl.polarization.nums
+    slope_cap = sl.n * sl.polarization.den
     ideal = ideal_points_char(sl.n)
     orbits: list[tuple[WallCandidate, int]] = []
     for a in range(max_h_degree + 1):

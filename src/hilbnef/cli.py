@@ -30,15 +30,24 @@ from .reporting import dumps_json
 MAX_LISTED_CANDIDATES = 2_000_000
 
 
+# An error line quotes at most this many characters of the input and of the
+# parser's message, so a huge --divisor gives a short line.
+ECHO_CHARS = 60
+
+
 class UsageError(ValueError):
     pass
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
 
 
 def _parse_divisor_arg(text: str) -> DivisorClass:
     try:
         return parse_divisor(text)
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
-        raise UsageError(f"bad divisor {text!r}: {exc}") from exc
+        raise UsageError(f"bad divisor {_clip(text)!r}: {_clip(str(exc))}") from exc
 
 
 def _check_degree(value: int) -> int:

@@ -314,7 +314,7 @@ class _DotProfile:
 
 def _induced_curve(label: str, e_cls: DivisorClass) -> _Curve:
     genus = arithmetic_genus(e_cls)
-    return label, e_cls.int_coords(), int(intersect(F, e_cls)), int(genus) - 1
+    return label, e_cls.nums, int(intersect(F, e_cls)), int(genus) - 1
 
 
 def _dot_row(block: tuple[tuple[int, ...], ...], e_ints) -> dict[int, tuple[int, int]]:
@@ -331,7 +331,7 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
         tuple(weyl_orbit(H, max_h_degree)),
         tuple(weyl_orbit(H - E[0], max_h_degree)),
     )
-    ints = tuple(tuple(c.int_coords() for c in block) for block in classes)
+    ints = tuple(tuple(c.nums for c in block) for block in classes)
     curves = [("contracted", None, 0, None), _induced_curve("fiber", F)]
     curves += [
         _induced_curve(str(e_cls), e_cls)
@@ -437,7 +437,7 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
         s = shift(y, b, curve)
         e_ints = curve[1]
         for i, c in enumerate(profile.classes[k]):
-            value = x * (0 if e_ints is None else dot_int(c.int_coords(), e_ints)) + s
+            value = x * (0 if e_ints is None else dot_int(c.nums, e_ints)) + s
             if value < 0:
                 offenders.append((first_idx + i, j, value))
     offenders.sort(key=lambda hit: hit[:2])

@@ -1,8 +1,10 @@
 """Exact Picard-lattice arithmetic for the plane blown up at nine points.
 
 Divisor classes live in the rank-10 lattice with basis {H, E1, ..., E9}
-and intersection form diag(1, -1, ..., -1).  All scalars are
-`fractions.Fraction`; there is no floating point anywhere in this package.
+and intersection form diag(1, -1, ..., -1).  A class is stored once, as ten
+integer numerators over one positive denominator in lowest terms; `dot_int`
+is the only code for the form, and a pairing is one `Fraction` built from
+its integer value.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -10,12 +12,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import total_ordering
+from math import gcd, lcm
 from typing import Iterable
 
 RANK = 10
 
-_SIGNS = (1,) + (-1,) * 9
+_BASIS_NAMES = ("H",) + tuple(f"E{i}" for i in range(1, RANK))
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -23,8 +26,12 @@ def format_rational(x: Fraction | int) -> str:
     return str(Fraction(x))
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+def _format_ratio(num: int, den: int) -> str:
+    """format_rational(Fraction(num, den)) for den > 0."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 def dot_int(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -43,61 +50,91 @@ def dot_int(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     )
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class DivisorClass:
-    """Class h*H + e1*E1 + ... + e9*E9 stored as the tuple (h, e1, ..., e9)."""
+    """The class (n0 H + n1 E1 + ... + n9 E9) / den for nums = (n0, ..., n9).
 
-    coords: tuple[Fraction, ...]
+    nums are ints and den is a positive int, reduced to lowest terms on
+    construction, so equal classes have equal fields.  Rational values enter
+    through `divisor`, `from_json` or `parse_divisor`; h, e and coords are
+    read-only Fraction views.  Classes order by their rational coordinates.
+    """
+
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.coords) != RANK:
-            raise ValueError(f"expected {RANK} coordinates, got {len(self.coords)}")
-        if not all(type(c) is Fraction for c in self.coords):
-            object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        nums = tuple(self.nums)
+        if len(nums) != RANK:
+            raise ValueError(f"expected {RANK} coordinates, got {len(nums)}")
+        if type(self.den) is not int or not all(type(x) is int for x in nums):
+            raise TypeError("numerators and denominator must be ints")
+        if self.den < 1:
+            raise ValueError("denominator must be positive")
+        g = gcd(self.den, *nums)
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "nums", nums)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def h(self) -> Fraction:
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     @property
     def e(self) -> tuple[Fraction, ...]:
         return self.coords[1:]
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.nums)
+
+    def _over_common_den(
+        self, other: "DivisorClass"
+    ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(self numerators, other numerators, den) over one denominator."""
+        if self.den == other.den:
+            return self.nums, other.nums, self.den
+        den = lcm(self.den, other.den)
+        s, o = den // self.den, den // other.den
+        return tuple(x * s for x in self.nums), tuple(y * o for y in other.nums), den
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b, den = self._over_common_den(other)
+        return DivisorClass(tuple(x + y for x, y in zip(a, b)), den)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b, den = self._over_common_den(other)
+        return DivisorClass(tuple(x - y for x, y in zip(a, b)), den)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coords))
+        return DivisorClass(tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, scalar: Fraction | int) -> "DivisorClass":
         s = Fraction(scalar)
-        return DivisorClass(tuple(a * s for a in self.coords))
+        return DivisorClass(
+            tuple(x * s.numerator for x in self.nums), self.den * s.denominator
+        )
 
     __rmul__ = __mul__
 
-    def int_coords(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise ValueError(f"not an integral class: {self}")
-        return tuple(c.numerator for c in self.coords)
-
-    def scaled_int_coords(self) -> tuple[tuple[int, ...], int]:
-        """(integer coordinates, positive denominator) with coords = ints/den."""
-        den = lcm(*(c.denominator for c in self.coords))
-        return tuple(int(c * den) for c in self.coords), den
+    def __lt__(self, other: "DivisorClass") -> bool:
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
+        a, b, _ = self._over_common_den(other)
+        return a < b
 
     def to_json(self) -> dict:
         return {
-            "h": format_rational(self.coords[0]),
-            "e": [format_rational(c) for c in self.coords[1:]],
+            "h": _format_ratio(self.nums[0], self.den),
+            "e": [_format_ratio(x, self.den) for x in self.nums[1:]],
         }
 
     @classmethod
@@ -105,18 +142,15 @@ class DivisorClass:
         e = data["e"]
         if len(e) != RANK - 1:
             raise ValueError("expected 9 exceptional coordinates")
-        return cls((Fraction(data["h"]),) + tuple(Fraction(x) for x in e))
+        return divisor(data["h"], e)
 
     def __str__(self) -> str:
         parts: list[str] = []
-        names = ["H"] + [f"E{i}" for i in range(1, RANK)]
-        for c, name in zip(self.coords, names):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            term = name if mag == 1 else f"{format_rational(mag)}{name}"
-            parts.append(f"{sign}{term}")
+        for x, name in zip(self.nums, _BASIS_NAMES):
+            if x:
+                mag = abs(x)
+                coeff = "" if mag == self.den else _format_ratio(mag, self.den)
+                parts.append(("-" if x < 0 else "+") + coeff + name)
         if not parts:
             return "0"
         out = "".join(parts)
@@ -124,50 +158,29 @@ class DivisorClass:
 
 
 def divisor(h: Fraction | int | str, e: Iterable[Fraction | int | str]) -> DivisorClass:
+    """The class hH + e1 E1 + ... + e9 E9 from rational coordinates."""
     coords = (Fraction(h),) + tuple(Fraction(x) for x in e)
-    return DivisorClass(coords)
+    den = lcm(*(c.denominator for c in coords))
+    return DivisorClass(
+        tuple(c.numerator * (den // c.denominator) for c in coords), den
+    )
 
 
-def _basis(i: int) -> DivisorClass:
-    coords = [Fraction(0)] * RANK
-    coords[i] = Fraction(1)
-    return DivisorClass(tuple(coords))
-
-
-H = _basis(0)
-E = tuple(_basis(i) for i in range(1, RANK))  # E[0] is E1, ..., E[8] is E9
-ZERO = DivisorClass((Fraction(0),) * RANK)
+BASIS = tuple(
+    DivisorClass(tuple(int(i == j) for j in range(RANK))) for i in range(RANK)
+)
+H = BASIS[0]
+E = BASIS[1:]  # E[0] is E1, ..., E[8] is E9
+ZERO = DivisorClass((0,) * RANK)
 
 # K = -3H + E1 + ... + E9; the anticanonical class F = -K is the fiber class.
 K = divisor(-3, [1] * 9)
 F = -K
 
 
-def gram_matrix() -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(_SIGNS[i] if i == j else 0 for j in range(RANK)) for i in range(RANK)
-    )
-
-
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Intersection pairing: h*h' - sum(e_i * e_i').
-
-    Summed as one integer numerator over a product of denominators, so that
-    only the result is normalised; exact, and several times faster than
-    adding ten Fractions.
-    """
-    num, den = 0, 1
-    for sign, x, y in zip(_SIGNS, a.coords, b.coords):
-        p = x.numerator * y.numerator
-        if not p:
-            continue
-        q = x.denominator * y.denominator
-        if q == den:
-            num += sign * p
-        else:
-            num = num * q + sign * p * den
-            den *= q
-    return Fraction(num, den)
+    """Intersection pairing h*h' - sum(e_i * e_i') = dot_int(nums) / dens."""
+    return Fraction(dot_int(a.nums, b.nums), a.den * b.den)
 
 
 def self_intersection(a: DivisorClass) -> Fraction:

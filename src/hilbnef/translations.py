@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import (
+    BASIS,
     DivisorClass,
     E,
     F,
@@ -37,17 +38,14 @@ from .hilb import (
     lift,
 )
 
-_BASIS = (H,) + E
-
 
 def _transvect(x: tuple[int, ...], v: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """x + (x.F) v - [(x.v) + c (x.F)] F on integer coordinates, with
-    F = 3H - E1 - ... - E9.  Linear, so it applies to scaled coordinates."""
-    xf = 3 * x[0] + sum(x[1:])
+    """x + (x.F) v - [(x.v) + c (x.F)] F on integer numerators.  Linear, so
+    it applies to a class's nums over any denominator."""
+    f = F.nums
+    xf = dot_int(x, f)
     bracket = dot_int(x, v) + c * xf
-    return (x[0] + xf * v[0] - 3 * bracket,) + tuple(
-        xi + xf * vi + bracket for xi, vi in zip(x[1:], v[1:])
-    )
+    return tuple(xi + xf * vi - bracket * fi for xi, vi, fi in zip(x, v, f))
 
 
 def _section_move(p: DivisorClass) -> tuple[tuple[int, ...], int]:
@@ -56,7 +54,7 @@ def _section_move(p: DivisorClass) -> tuple[tuple[int, ...], int]:
     c = self_intersection(v) / 2
     if c.denominator != 1:
         raise ArithmeticError("v.v is always even for a section difference")
-    return v.int_coords(), int(c)
+    return v.nums, int(c)
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def translation(p: DivisorClass) -> Translation:
     if intersect(p, F) != 1:
         raise ValueError(f"section must meet the fiber once: {p}")
     v, c = _section_move(p)
-    images = [DivisorClass(_transvect(b.int_coords(), v, c)) for b in _BASIS]
+    images = [DivisorClass(_transvect(b.nums, v, c)) for b in BASIS]
     return Translation(p, LatticeMap.from_basis_images(images))
 
 
@@ -180,7 +178,7 @@ def reduce_surface_class(
     so termination is guaranteed; the cap is only a defensive bound.
     """
     moves = _reduction_moves()
-    ints, den = surf.scaled_int_coords()
+    ints = surf.nums
     labels: list[str] = []
     steps = 0
     hit_cap = False
@@ -200,8 +198,7 @@ def reduce_surface_class(
         ints = best
         labels.append(best_label)
         steps += 1
-    reduced = DivisorClass(tuple(Fraction(x, den) for x in ints))
-    return reduced, steps, tuple(labels), hit_cap
+    return DivisorClass(ints, surf.den), steps, tuple(labels), hit_cap
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Iterator
 
 from .lattice import (
+    BASIS,
     RANK,
     DivisorClass,
     E,
     F,
-    H,
     divisor,
     dot_int,
     intersect,
+    self_intersection,
     sorted_classes,
 )
 
@@ -76,12 +77,7 @@ class LatticeMap:
 
     @classmethod
     def identity(cls) -> "LatticeMap":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(RANK))
-                for i in range(RANK)
-            )
-        )
+        return cls.from_basis_images(BASIS)
 
     @classmethod
     def from_basis_images(cls, images: Iterable[DivisorClass]) -> "LatticeMap":
@@ -92,41 +88,31 @@ class LatticeMap:
         return cls(tuple(tuple(cols[j][i] for j in range(RANK)) for i in range(RANK)))
 
     def apply(self, d: DivisorClass) -> DivisorClass:
+        """The integer matrix over its entries' common denominator, times d."""
+        den = lcm(*(x.denominator for r in self.rows for x in r))
         return DivisorClass(
             tuple(
-                sum((r[j] * d.coords[j] for j in range(RANK)), Fraction(0))
+                sum(x.numerator * (den // x.denominator) * y for x, y in zip(r, d.nums))
                 for r in self.rows
-            )
+            ),
+            den * d.den,
         )
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
         """self after other."""
-        o_cols = tuple(zip(*other.rows))
-        return LatticeMap(
-            tuple(
-                tuple(
-                    sum((r[k] * c[k] for k in range(RANK)), Fraction(0)) for c in o_cols
-                )
-                for r in self.rows
-            )
-        )
+        return LatticeMap.from_basis_images(self.apply(other.apply(b)) for b in BASIS)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for r in self.rows for x in r)
 
     def is_isometry(self) -> bool:
-        """M^T G M = G for the diagonal form G = diag(1, -1, ..., -1)."""
-        signs = [1] + [-1] * 9
-        cols = tuple(zip(*self.rows))
-        for i in range(RANK):
-            for j in range(i, RANK):
-                acc = Fraction(0)
-                for k in range(RANK):
-                    acc += signs[k] * cols[i][k] * cols[j][k]
-                expected = signs[i] if i == j else 0
-                if acc != expected:
-                    return False
-        return True
+        """M b_i . M b_j = b_i . b_j for every pair of basis classes."""
+        images = [self.apply(b) for b in BASIS]
+        return all(
+            intersect(images[i], images[j]) == intersect(BASIS[i], BASIS[j])
+            for i in range(RANK)
+            for j in range(i, RANK)
+        )
 
     def determinant(self) -> Fraction:
         m = [list(r) for r in self.rows]
@@ -147,22 +133,20 @@ class LatticeMap:
         return det
 
     def inverse(self) -> "LatticeMap":
-        """Only for isometries: M^-1 = G M^T G."""
+        """Only for isometries: coordinate i of M^-1 x is (x . M b_i) / b_i^2."""
         if not self.is_isometry():
             raise ValueError("inverse implemented for isometries only")
-        signs = [1] + [-1] * 9
-        cols = tuple(zip(*self.rows))
+        images = [self.apply(b) for b in BASIS]
         return LatticeMap(
             tuple(
-                tuple(signs[i] * cols[i][j] * signs[j] for j in range(RANK))
-                for i in range(RANK)
+                tuple(intersect(b, img) / self_intersection(b_i) for b in BASIS)
+                for b_i, img in zip(BASIS, images)
             )
         )
 
 
 def reflection_map(beta: Root) -> LatticeMap:
-    basis = [H] + list(E)
-    return LatticeMap.from_basis_images([reflect(beta, b) for b in basis])
+    return LatticeMap.from_basis_images([reflect(beta, b) for b in BASIS])
 
 
 def enumerate_minus_one_classes(max_h_degree: int) -> list[DivisorClass]:
@@ -183,7 +167,7 @@ def _minus_one_cached(max_h_degree: int) -> tuple[DivisorClass, ...]:
         target_sum = 1 - 3 * h
         target_sq = h * h + 1
         for e_vec in _signed_vectors(target_sum, target_sq, 9):
-            found.append(divisor(h, e_vec))
+            found.append(DivisorClass((h,) + e_vec))
     return tuple(sorted_classes(found))
 
 
@@ -219,12 +203,11 @@ def weyl_orbit(start: DivisorClass, max_h_degree: int) -> list[DivisorClass]:
 
 @lru_cache(maxsize=32)
 def _orbit_cached(start: DivisorClass, max_h_degree: int) -> tuple[DivisorClass, ...]:
-    window_hi = max(max_h_degree, int(start.h))
+    window_hi = max(max_h_degree, start.nums[0])
     cap = window_hi + FRONTIER_MARGIN
-    roots_int = [r.cls.int_coords() for r in root_basis()]
-    start_t = start.int_coords()
-    seen: set[tuple[int, ...]] = {start_t}
-    frontier: list[tuple[int, ...]] = [start_t]
+    roots_int = [r.cls.nums for r in root_basis()]
+    seen: set[tuple[int, ...]] = {start.nums}
+    frontier: list[tuple[int, ...]] = [start.nums]
     while frontier:
         fresh: set[tuple[int, ...]] = set()
         for vec in frontier:
@@ -237,14 +220,8 @@ def _orbit_cached(start: DivisorClass, max_h_degree: int) -> tuple[DivisorClass,
                     fresh.add(img)
         seen.update(fresh)
         frontier = sorted(fresh)
-    hi = window_hi
-    return tuple(
-        sorted_classes(
-            DivisorClass(tuple(Fraction(c) for c in vec))
-            for vec in seen
-            if 0 <= vec[0] <= hi
-        )
-    )
+    # on integral classes, the order of the numerator tuples is the class order
+    return tuple(DivisorClass(vec) for vec in sorted(seen) if 0 <= vec[0] <= window_hi)
 
 
 def orbit_counts_by_degree(orbit: Iterable[DivisorClass]) -> dict[int, int]:

@@ -67,8 +67,8 @@ def oracle_is_fiber_multiple(coords: tuple[int, ...]) -> bool:
 def oracle_rank1_candidates(sl, max_h_degree: int = 3) -> list[WallCandidate]:
     if max_h_degree < 0:
         raise ValueError("max_h_degree >= 0 required")
-    a_ints, a_den = sl.polarization.scaled_int_coords()
-    slope_cap = sl.n * a_den
+    a_ints = sl.polarization.nums
+    slope_cap = sl.n * sl.polarization.den
     ideal = ideal_points_char(sl.n)
     out: list[WallCandidate] = []
     for coords, f_deg, a, b1, rest in oracle_shape_pool(max_h_degree):

@@ -187,6 +187,21 @@ def test_deeply_nested_divisor_exits_two(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "divisor",
+    ['{"h":' * 3000 + "1" + "}" * 3000, "H+" + "Q" * 5000, "9" * 5000 + "/0H"],
+    ids=["nested-json", "long-garbage", "long-zero-denominator"],
+)
+def test_long_bad_divisor_gives_short_error_line(capsys, divisor):
+    code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", divisor])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.encode()) < 300
+    assert "..." in err
+    assert "Traceback" not in err
+
+
 def test_crash_exits_three_not_falsified(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("handler bug")

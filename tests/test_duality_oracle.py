@@ -51,16 +51,16 @@ def oracle_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     # + b_half_int * (g - 1 + n), with den the divisor's common denominator.
     scaled = []
     for d in nef_candidates:
-        ints, den = d.surf.scaled_int_coords()
+        ints, den = d.surf.nums, d.surf.den
         b_num = d.b_half * den
         if b_num.denominator != 1:
             raise ValueError("candidate B coefficient does not clear the denominator")
         scaled.append((ints, int(b_num), den))
 
     curves: list[tuple[str, tuple[int, ...] | None, int]] = [("contracted", None, 0)]
-    curves.append(("fiber", F.int_coords(), n))  # genus 1: g - 1 + n = n
+    curves.append(("fiber", F.nums, n))  # genus 1: g - 1 + n = n
     for e_cls in minus_ones:
-        curves.append((str(e_cls), e_cls.int_coords(), n - 1))  # genus 0
+        curves.append((str(e_cls), e_cls.nums, n - 1))  # genus 0
 
     violations: list[str] = []
     # per curve: min pairing as an int pair (num, den), zero hits, witness

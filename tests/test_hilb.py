@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hilbnef import (
     B_CLASS,
@@ -15,6 +16,7 @@ from hilbnef import (
     ZERO,
     b_negative_ray,
     bounding_cone_decompose,
+    divisor,
     bounding_cone_membership,
     fiber_orthogonal_lift,
     intersect,
@@ -27,6 +29,16 @@ from hilbnef import (
 DUALITY_NEF_CANDIDATES = 2709
 DUALITY_CURVES = 425
 DUALITY_PAIRINGS = 1151325
+
+
+# rationals with unrelated denominators, so the surface class's den varies
+mixed = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+@given(st.lists(mixed, min_size=10, max_size=10), mixed)
+def test_hilb_divisor_json_round_trip(coords, b_half):
+    x = HilbDivisor(divisor(coords[0], coords[1:]), b_half)
+    assert HilbDivisor.from_json(x.to_json()) == x
 
 
 def test_pairing_table_against_ray():

@@ -1,7 +1,9 @@
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hilbnef import (
     DivisorClass,
@@ -13,11 +15,9 @@ from hilbnef import (
     arithmetic_genus,
     divisor,
     format_rational,
-    gram_matrix,
     intersect,
     is_minus_one_class,
     parse_divisor,
-    parse_rational,
     self_intersection,
     sorted_classes,
 )
@@ -28,17 +28,106 @@ small_coords = st.lists(
     min_size=10,
     max_size=10,
 )
+# coordinates with unrelated denominators, so sums and products change den
+mixed_coords = st.lists(
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+    min_size=10,
+    max_size=10,
+)
 
 
-def test_gram_matrix_signature():
-    g = gram_matrix()
-    assert g[0][0] == 1
-    for i in range(1, 10):
-        assert g[i][i] == -1
-    for i in range(10):
-        for j in range(10):
-            if i != j:
-                assert g[i][j] == 0
+def from_coords(coords) -> DivisorClass:
+    return divisor(coords[0], coords[1:])
+
+
+@dataclass(frozen=True, order=True)
+class FractionDivisorClass:
+    """The reference class: ten Fraction coordinates (h, e1, ..., e9), with
+    the pairing, string and JSON forms written directly on them."""
+
+    coords: tuple[Fraction, ...]
+
+    def __add__(self, other):
+        return FractionDivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        return FractionDivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return FractionDivisorClass(tuple(-a for a in self.coords))
+
+    def __mul__(self, scalar):
+        return FractionDivisorClass(tuple(a * scalar for a in self.coords))
+
+    def to_json(self) -> dict:
+        return {"h": str(self.coords[0]), "e": [str(c) for c in self.coords[1:]]}
+
+    def __str__(self) -> str:
+        names = ["H"] + [f"E{i}" for i in range(1, 10)]
+        parts = [
+            ("-" if c < 0 else "+") + ("" if abs(c) == 1 else str(abs(c))) + name
+            for c, name in zip(self.coords, names)
+            if c != 0
+        ]
+        out = "".join(parts) or "0"
+        return out[1:] if out.startswith("+") else out
+
+
+def oracle_intersect(a: FractionDivisorClass, b: FractionDivisorClass) -> Fraction:
+    x, y = a.coords, b.coords
+    return x[0] * y[0] - sum(p * q for p, q in zip(x[1:], y[1:]))
+
+
+def test_classes_are_stored_in_lowest_terms():
+    d = DivisorClass((2, -4, 0, 0, 0, 0, 0, 0, 0, 6), 4)
+    assert d.nums == (1, -2, 0, 0, 0, 0, 0, 0, 0, 3)
+    assert d.den == 2
+    assert d == divisor(Fraction(1, 2), [-1, 0, 0, 0, 0, 0, 0, 0, Fraction(3, 2)])
+    assert ZERO.den == 1
+    assert DivisorClass((0,) * 10, 7) == ZERO
+
+
+def test_constructor_takes_integers_only():
+    with pytest.raises(TypeError):
+        DivisorClass((Fraction(1, 2),) + (0,) * 9)
+    with pytest.raises(TypeError):
+        DivisorClass((1,) + (0,) * 9, Fraction(2))
+    with pytest.raises(ValueError):
+        DivisorClass((1,) + (0,) * 9, 0)
+    with pytest.raises(ValueError):
+        DivisorClass((1,) + (0,) * 9, -2)
+    with pytest.raises(ValueError):
+        DivisorClass((1,) * 9)
+
+
+@given(mixed_coords, mixed_coords, st.fractions(min_value=-9, max_value=9, max_denominator=9))
+def test_matches_fraction_oracle(a, b, s):
+    da, db = from_coords(a), from_coords(b)
+    oa, ob = FractionDivisorClass(tuple(a)), FractionDivisorClass(tuple(b))
+    for d, o in ((da, oa), (da + db, oa + ob), (da - db, oa - ob), (-da, -oa), (s * da, oa * s)):
+        assert d.den > 0 and gcd(d.den, *d.nums) == 1
+        assert d.coords == o.coords
+        assert (d.h, d.e) == (o.coords[0], o.coords[1:])
+        assert str(d) == str(o)
+        assert d.to_json() == o.to_json()
+    assert intersect(da, db) == oracle_intersect(oa, ob)
+    assert type(intersect(da, db)) is Fraction
+    assert (da < db, da <= db, da > db, da >= db) == (oa < ob, oa <= ob, oa > ob, oa >= ob)
+    assert (da == db) == (oa == ob)
+    assert (da + db) - db == da
+    assert hash((da + db) - db) == hash(da)
+    # hashing identifies exactly the classes the oracle identifies
+    same = [da, db, (da + db) - db, 2 * db - db]
+    assert len(set(same)) == len({FractionDivisorClass(d.coords) for d in same})
+    assert len({da, db}) == len({oa, ob})
+
+
+@settings(max_examples=40)
+@given(st.lists(mixed_coords, min_size=2, max_size=6))
+def test_sorting_matches_fraction_oracle(rows):
+    got = sorted_classes(from_coords(r) for r in rows)
+    expected = sorted(FractionDivisorClass(tuple(r)) for r in rows)
+    assert [d.coords for d in got] == [o.coords for o in expected]
 
 
 def test_basis_pairings():
@@ -93,14 +182,16 @@ def test_parse_divisor_rejects_garbage():
         parse_divisor("E10")
 
 
-def test_str_parse_round_trip():
-    for d in (H, F, K, E[4], divisor(7, [2] * 9), Fraction(1, 2) * F):
+@given(mixed_coords)
+def test_str_parse_round_trip(coords):
+    d = from_coords(coords)
+    if not d.is_zero():
         assert parse_divisor(str(d)) == d
 
 
 @given(rationals)
 def test_rational_format_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
+    assert Fraction(format_rational(q)) == q
 
 
 def test_rational_format_lowest_terms():
@@ -111,8 +202,8 @@ def test_rational_format_lowest_terms():
 
 @given(small_coords, small_coords)
 def test_intersection_symmetric_bilinear(a, b):
-    da = DivisorClass(tuple(a))
-    db = DivisorClass(tuple(b))
+    da = from_coords(a)
+    db = from_coords(b)
     assert intersect(da, db) == intersect(db, da)
     assert intersect(da + db, da) == self_intersection(da) + intersect(da, db)
 
@@ -120,26 +211,24 @@ def test_intersection_symmetric_bilinear(a, b):
 @given(small_coords, small_coords)
 def test_intersection_matches_fraction_sum(a, b):
     expected = a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
-    got = intersect(DivisorClass(tuple(a)), DivisorClass(tuple(b)))
+    got = intersect(from_coords(a), from_coords(b))
     assert type(got) is Fraction
     assert got == expected
 
 
-@given(small_coords)
+@given(mixed_coords)
 def test_json_round_trip(coords):
-    d = DivisorClass(tuple(coords))
+    d = from_coords(coords)
     assert DivisorClass.from_json(d.to_json()) == d
 
 
 def test_integral_coordinate_helpers():
     d = divisor(2, [-1, -1, 0, 0, 0, 0, 0, 0, 0])
     assert d.is_integral()
-    assert d.int_coords() == (2, -1, -1, 0, 0, 0, 0, 0, 0, 0)
+    assert (d.nums, d.den) == ((2, -1, -1, 0, 0, 0, 0, 0, 0, 0), 1)
     half = Fraction(1, 2) * d
     assert not half.is_integral()
-    ints, den = half.scaled_int_coords()
-    assert den == 2
-    assert ints == (2, -1, -1, 0, 0, 0, 0, 0, 0, 0)
+    assert (half.nums, half.den) == ((2, -1, -1, 0, 0, 0, 0, 0, 0, 0), 2)
 
 
 def test_sorted_classes_deterministic():
