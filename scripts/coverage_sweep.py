@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the bounding-cone coverage experiment over n and seeds.  Reports the
-decomposition success rate and how often the section-translation reduction
-stalls above the stall degree (an honest negative signal: the greedy move set
-contains no inverse translations, so most nef combinations are already local
-minima for it)."""
+decomposition success rate and the `stalled` count: the trials whose reduced
+nef part still has H-degree above STALL_DEGREE (or whose descent hit its step
+cap).  The flag measures the size of the reduced class, not a failed
+reduction: on the seed-0 trials at degrees 3 and 4, a descent over all 240
+root translations gives the same stalled counts."""
 
 import argparse
 

@@ -159,13 +159,6 @@ def mu_ap(sl: Slice, ch: ChernChar) -> Fraction | None:
     return _slope_and_discriminant(sl, ch)[0]
 
 
-def delta_ap(sl: Slice, ch: ChernChar) -> Fraction:
-    """Twisted discriminant mu^2/2 - ch2^P / (A^2 ch0)."""
-    if ch.rank == 0:
-        raise ValueError("discriminant needs nonzero rank")
-    return _slope_and_discriminant(sl, ch)[1]
-
-
 @dataclass(frozen=True)
 class Wall:
     """Semicircular wall: (s - center)^2 + t^2 = radius_sq.  Empty if

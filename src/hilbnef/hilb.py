@@ -19,12 +19,12 @@ from .lattice import (
     E,
     F,
     H,
-    ZERO,
     arithmetic_genus,
     dot_int,
     format_rational,
     intersect,
 )
+from .surface_cones import is_nef_up_to_degree
 from .weyl import enumerate_minus_one_classes, weyl_orbit
 
 
@@ -66,9 +66,6 @@ class HilbDivisor:
 def lift(surf: DivisorClass) -> HilbDivisor:
     """The induced divisor surf^[n] (no B component)."""
     return HilbDivisor(surf, Fraction(0))
-
-
-B_CLASS = HilbDivisor(ZERO, Fraction(2))
 
 
 @dataclass(frozen=True)
@@ -219,17 +216,14 @@ def bounding_cone_decompose(
         )
     t = -d.b_half
     nef_part = d.surf + d.b_half * (n - 1) * F
-    fib = intersect(nef_part, F)
-    if fib < 0:
+    cert = is_nef_up_to_degree(nef_part, max_h_degree)
+    if cert.witness is not None:
+        against = "the fiber class" if cert.witness == F else "a (-1)-curve"
         raise DecompositionError(
-            "nef part fails against the fiber class", witness=F, pairing=fib
+            f"nef part fails against {against}",
+            witness=cert.witness,
+            pairing=cert.witness_pairing,
         )
-    for e_cls in enumerate_minus_one_classes(max_h_degree):
-        v = intersect(nef_part, e_cls)
-        if v < 0:
-            raise DecompositionError(
-                "nef part fails against a (-1)-curve", witness=e_cls, pairing=v
-            )
     return nef_part, t
 
 

@@ -3,9 +3,10 @@
 Every (-1)-class P with P.F = 1 determines an integral isometry
     T(x) = x + (x.F) v - [(x.v) + (v.v/2)(x.F)] F,   v = P - E1,
 fixing F and K and carrying E1 to P.  These are the candidates for the
-automorphisms furnished by fiberwise translation; this module checks the
-lattice-level necessary conditions and runs the fundamental-domain
-reduction experiment on the Hilbert scheme's bounding cone.
+automorphisms furnished by fiberwise translation; this module stores each
+as an integer `LatticeMap`, checks the lattice-level necessary conditions
+and runs the fundamental-domain reduction experiment on the Hilbert
+scheme's bounding cone.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .lattice import (
     BASIS,
+    RANK,
     DivisorClass,
     E,
     F,
@@ -29,7 +32,7 @@ from .lattice import (
     is_minus_one_class,
     self_intersection,
 )
-from .weyl import LatticeMap, enumerate_minus_one_classes, root_basis, weyl_orbit
+from .weyl import enumerate_minus_one_classes, root_basis, weyl_orbit
 from .hilb import (
     DecompositionError,
     HilbDivisor,
@@ -37,6 +40,67 @@ from .hilb import (
     fiber_orthogonal_lift,
     lift,
 )
+
+
+@dataclass(frozen=True)
+class LatticeMap:
+    """Integer 10x10 matrix of a lattice endomorphism: rows[i][j] is
+    coordinate i of the image of basis class j."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(r) for r in self.rows)
+        if len(rows) != RANK or any(len(r) != RANK for r in rows):
+            raise ValueError("expected a 10x10 matrix")
+        if not all(type(x) is int for r in rows for x in r):
+            raise TypeError("matrix entries must be ints")
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_basis_images(cls, images: Iterable[DivisorClass]) -> "LatticeMap":
+        """Build from the integral images of H, E1, ..., E9 (column data)."""
+        images = list(images)
+        if len(images) != RANK:
+            raise ValueError("need 10 basis images")
+        for img in images:
+            if img.den != 1:
+                raise ValueError(f"basis image is not integral: {img}")
+        return cls(tuple(zip(*(img.nums for img in images))))
+
+    def apply(self, d: DivisorClass) -> DivisorClass:
+        """The matrix times d's numerators, over d's denominator."""
+        return DivisorClass(
+            tuple(sum(x * y for x, y in zip(r, d.nums)) for r in self.rows), d.den
+        )
+
+    def is_isometry(self) -> bool:
+        """M b_i . M b_j = b_i . b_j for every pair of basis classes."""
+        cols = tuple(zip(*self.rows))
+        return all(
+            dot_int(cols[i], cols[j]) == dot_int(BASIS[i].nums, BASIS[j].nums)
+            for i in range(RANK)
+            for j in range(i, RANK)
+        )
+
+    def determinant(self) -> int:
+        """Exact, by fraction-free (Bareiss) elimination: every division is
+        exact, and the last pivot is the determinant up to row swaps."""
+        m = [list(r) for r in self.rows]
+        sign = 1
+        prev = 1
+        for k in range(RANK - 1):
+            if m[k][k] == 0:
+                pivot = next((r for r in range(k + 1, RANK) if m[r][k] != 0), None)
+                if pivot is None:
+                    return 0
+                m[k], m[pivot] = m[pivot], m[k]
+                sign = -sign
+            for i in range(k + 1, RANK):
+                for j in range(k + 1, RANK):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            prev = m[k][k]
+        return sign * m[-1][-1]
 
 
 def _transvect(x: tuple[int, ...], v: tuple[int, ...], c: int) -> tuple[int, ...]:
@@ -79,21 +143,15 @@ def translation(p: DivisorClass) -> Translation:
     return Translation(p, LatticeMap.from_basis_images(images))
 
 
-def translate_hilb(t: Translation, d: HilbDivisor) -> HilbDivisor:
-    """Translations fix the exceptional B-direction; only surf moves."""
-    return HilbDivisor(t.map.apply(d.surf), d.b_half)
-
-
 def weyl_condition_failures(
     m: LatticeMap, section: DivisorClass | None = None
 ) -> tuple[str, ...]:
     """Necessary conditions for m to come from a fibration automorphism:
-    integral isometry, fixes F and K, unit determinant, preserves the root
-    lattice.  section, when given, must be the image of E1.  These do not
-    certify that an automorphism exists; they can only rule one out."""
+    isometry, fixes F and K, unit determinant, preserves the root lattice
+    (a LatticeMap is integral by construction).  section, when given, must
+    be the image of E1.  These do not certify that an automorphism exists;
+    they can only rule one out."""
     failures: list[str] = []
-    if not m.is_integral():
-        failures.append("map is not integral")
     if not m.is_isometry():
         failures.append("map is not an isometry")
     if m.apply(F) != F:
@@ -104,9 +162,7 @@ def weyl_condition_failures(
         failures.append("determinant is not a unit")
     for root in root_basis():
         img = m.apply(root.cls)
-        if not img.is_integral():
-            failures.append(f"image of root {root.cls} is not integral")
-        elif intersect(img, F) != 0:
+        if intersect(img, F) != 0:
             failures.append(f"image of root {root.cls} leaves the fiber-orthogonal")
         elif self_intersection(img) != -2:
             failures.append(f"image of root {root.cls} is not a root")
@@ -118,14 +174,14 @@ def weyl_condition_failures(
 @dataclass(frozen=True)
 class TranslationReport:
     section: DivisorClass
-    determinant: Fraction
+    determinant: int
     failures: tuple[str, ...]
     passed: bool
 
     def to_json(self) -> dict:
         return {
             "section": str(self.section),
-            "determinant": format_rational(self.determinant),
+            "determinant": str(self.determinant),
             "failures": list(self.failures),
             "passed": self.passed,
         }

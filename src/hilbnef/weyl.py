@@ -8,22 +8,17 @@ against the fiber class), acting by s_b(D) = D + (D.b) b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from typing import Iterable, Iterator
 
 from .lattice import (
-    BASIS,
-    RANK,
     DivisorClass,
     E,
     F,
     divisor,
     dot_int,
     intersect,
-    self_intersection,
     sorted_classes,
 )
 
@@ -59,94 +54,6 @@ def reflect(beta: Root | DivisorClass, d: DivisorClass) -> DivisorClass:
     if not isinstance(beta, Root):
         Root(b)  # validate
     return d + intersect(d, b) * b
-
-
-@dataclass(frozen=True)
-class LatticeMap:
-    """Linear endomorphism of the lattice; rows[i][j] is d(image_i)/d(coord_j)."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != RANK or any(len(r) != RANK for r in self.rows):
-            raise ValueError("expected a 10x10 matrix")
-        if not all(type(x) is Fraction for r in self.rows for x in r):
-            object.__setattr__(
-                self, "rows", tuple(tuple(Fraction(x) for x in r) for r in self.rows)
-            )
-
-    @classmethod
-    def identity(cls) -> "LatticeMap":
-        return cls.from_basis_images(BASIS)
-
-    @classmethod
-    def from_basis_images(cls, images: Iterable[DivisorClass]) -> "LatticeMap":
-        """Build from the images of H, E1, ..., E9 (column data)."""
-        cols = [img.coords for img in images]
-        if len(cols) != RANK:
-            raise ValueError("need 10 basis images")
-        return cls(tuple(tuple(cols[j][i] for j in range(RANK)) for i in range(RANK)))
-
-    def apply(self, d: DivisorClass) -> DivisorClass:
-        """The integer matrix over its entries' common denominator, times d."""
-        den = lcm(*(x.denominator for r in self.rows for x in r))
-        return DivisorClass(
-            tuple(
-                sum(x.numerator * (den // x.denominator) * y for x, y in zip(r, d.nums))
-                for r in self.rows
-            ),
-            den * d.den,
-        )
-
-    def compose(self, other: "LatticeMap") -> "LatticeMap":
-        """self after other."""
-        return LatticeMap.from_basis_images(self.apply(other.apply(b)) for b in BASIS)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.rows for x in r)
-
-    def is_isometry(self) -> bool:
-        """M b_i . M b_j = b_i . b_j for every pair of basis classes."""
-        images = [self.apply(b) for b in BASIS]
-        return all(
-            intersect(images[i], images[j]) == intersect(BASIS[i], BASIS[j])
-            for i in range(RANK)
-            for j in range(i, RANK)
-        )
-
-    def determinant(self) -> Fraction:
-        m = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for col in range(RANK):
-            pivot = next((r for r in range(col, RANK) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, RANK):
-                if m[r][col] != 0:
-                    factor = m[r][col] * inv
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        return det
-
-    def inverse(self) -> "LatticeMap":
-        """Only for isometries: coordinate i of M^-1 x is (x . M b_i) / b_i^2."""
-        if not self.is_isometry():
-            raise ValueError("inverse implemented for isometries only")
-        images = [self.apply(b) for b in BASIS]
-        return LatticeMap(
-            tuple(
-                tuple(intersect(b, img) / self_intersection(b_i) for b in BASIS)
-                for b_i, img in zip(BASIS, images)
-            )
-        )
-
-
-def reflection_map(beta: Root) -> LatticeMap:
-    return LatticeMap.from_basis_images([reflect(beta, b) for b in BASIS])
 
 
 def enumerate_minus_one_classes(max_h_degree: int) -> list[DivisorClass]:
@@ -230,28 +137,3 @@ def orbit_counts_by_degree(orbit: Iterable[DivisorClass]) -> dict[int, int]:
         d = int(c.h)
         counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
-
-
-class NefOrbit(Enum):
-    """Weyl orbit of a nef extremal ray, keyed by (D.D, D.F)."""
-
-    FIBER = "fiber"
-    H = "H"
-    H_MINUS_E1 = "H-E1"
-    NOT_EXTREMAL = "not-extremal"
-
-
-def classify_nef_extremal(d: DivisorClass) -> NefOrbit:
-    """Classify by the Weyl invariants (D.D, D.F); valid for nef inputs."""
-    if not d.is_integral():
-        raise ValueError("classification expects an integral class")
-    if d.is_zero():
-        return NefOrbit.NOT_EXTREMAL
-    key = (intersect(d, d), intersect(d, F))
-    if key == (0, 0):
-        return NefOrbit.FIBER
-    if key == (1, 3):
-        return NefOrbit.H
-    if key == (0, 2):
-        return NefOrbit.H_MINUS_E1
-    return NefOrbit.NOT_EXTREMAL

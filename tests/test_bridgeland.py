@@ -13,7 +13,6 @@ from hilbnef import (
     VerticalWall,
     Wall,
     ZERO,
-    delta_ap,
     divisor,
     fiber_orthogonal_lift,
     ideal_points_char,
@@ -83,8 +82,6 @@ def test_twisted_slope_and_discriminant(a1_slice_3):
     # c1 - r*P = F for the twisted ideal, and A.F = 3
     assert mu_ap(a1_slice_3, ideal) == Fraction(3, 10)
     assert mu_ap(a1_slice_3, ChernChar(0, F, Fraction(0))) is None
-    with pytest.raises(ValueError):
-        delta_ap(a1_slice_3, ChernChar(0, F, Fraction(0)))
 
 
 @pytest.mark.parametrize("n", range(3, 13))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hilbnef import (
-    B_CLASS,
     C0,
     DecompositionError,
     E,
@@ -30,6 +29,8 @@ DUALITY_NEF_CANDIDATES = 2709
 DUALITY_CURVES = 425
 DUALITY_PAIRINGS = 1151325
 
+B = HilbDivisor(ZERO, 2)  # the class of the nonreduced locus, b_half = 2
+
 
 # rationals with unrelated denominators, so the surface class's den varies
 mixed = st.fractions(min_value=-60, max_value=60, max_denominator=12)
@@ -49,7 +50,7 @@ def test_pairing_table_against_ray():
 
 
 def test_contracted_pairing_is_minus_b_half():
-    assert pair_hilb(B_CLASS, C0, 4) == -2
+    assert pair_hilb(B, C0, 4) == -2
     assert pair_hilb(lift(H), C0, 4) == 0
 
 
@@ -115,6 +116,7 @@ def test_decompose_fixture_classes():
 def test_decompose_failure_witnesses():
     with pytest.raises(DecompositionError) as exc:
         bounding_cone_decompose(HilbDivisor(H, Fraction(-1)), 3)
+    assert str(exc.value) == "nef part fails against a (-1)-curve"
     assert exc.value.witness == E[8]
     assert exc.value.pairing == -2
 
@@ -126,6 +128,13 @@ def test_decompose_failure_witnesses():
         bounding_cone_decompose(lift(E[0]), 3)
     assert exc.value.witness == E[0]
     assert exc.value.pairing == -1
+
+    # the fiber is checked first: -H also fails against every E_i
+    with pytest.raises(DecompositionError) as exc:
+        bounding_cone_decompose(lift(-1 * H), 3)
+    assert str(exc.value) == "nef part fails against the fiber class"
+    assert exc.value.witness == F
+    assert exc.value.pairing == -3
 
 
 def test_decompose_recompose_random_members():
@@ -169,7 +178,7 @@ def test_duality_json_shapes(duality_3):
 
 
 def test_hilb_divisor_arithmetic():
-    d = lift(H) + Fraction(1, 2) * B_CLASS
+    d = lift(H) + Fraction(1, 2) * B
     assert d.surf == H
     assert d.b_half == 1
     assert (d - d).surf == ZERO

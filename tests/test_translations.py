@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbnef import translations
 from hilbnef import (
@@ -12,22 +13,26 @@ from hilbnef import (
     E,
     F,
     H,
+    HilbDivisor,
     InducedCurve,
     K,
     LatticeMap,
     bounding_cone_decompose,
     coverage_experiment,
+    enumerate_minus_one_classes,
     fiber_orthogonal_lift,
     intersect,
     low_degree_sections,
     pair_hilb,
     reduce_surface_class,
+    reflect,
+    root_basis,
     self_intersection,
-    translate_hilb,
     translation,
     verify_weyl_necessary_conditions,
     weyl_condition_failures,
 )
+from hilbnef.lattice import BASIS
 
 SECTION_COUNT = 45  # sections of H-degree at most 1
 
@@ -77,6 +82,84 @@ def test_transvections_match_oracle_on_half_integer_classes(h2, e2):
         assert _move_image(move, x) == expected, p
 
 
+def oracle_determinant(rows) -> Fraction:
+    """Gaussian elimination over Fraction rows: the reference for the
+    integer (Bareiss) determinant of LatticeMap."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, len(m)):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+matrices = st.lists(
+    st.lists(st.integers(-3, 3), min_size=10, max_size=10), min_size=10, max_size=10
+)
+# a cyclic shift of the ten coordinates: a zero leading pivot, determinant -1
+ZERO_PIVOT = [[int(j == (i + 1) % 10) for j in range(10)] for i in range(10)]
+# rows i and i + 4 agree
+SINGULAR = [[(i + j) % 4 - 1 for j in range(10)] for i in range(10)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+@example(ZERO_PIVOT)
+@example(SINGULAR)
+@example([[0] * 10 for _ in range(10)])
+def test_determinant_matches_fraction_oracle(rows):
+    det = LatticeMap(rows).determinant()
+    assert type(det) is int
+    assert det == oracle_determinant(rows)
+
+
+def test_determinant_oracle_examples():
+    assert oracle_determinant(ZERO_PIVOT) == -1
+    assert LatticeMap(ZERO_PIVOT).determinant() == -1
+    assert LatticeMap(SINGULAR).determinant() == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrices,
+    st.lists(st.integers(-40, 40), min_size=10, max_size=10),
+    st.integers(1, 12),
+)
+def test_apply_matches_fraction_sum(rows, nums, den):
+    d = DivisorClass(tuple(nums), den)
+    expected = tuple(
+        sum((Fraction(x) * y for x, y in zip(r, d.coords)), Fraction(0)) for r in rows
+    )
+    assert LatticeMap(rows).apply(d).coords == expected
+
+
+def test_reflection_matrix_has_determinant_minus_one():
+    m = LatticeMap.from_basis_images(reflect(root_basis()[3], b) for b in BASIS)
+    assert m.is_isometry()
+    assert m.determinant() == -1
+
+
+def test_lattice_map_rejects_non_integers():
+    rows = [[int(i == j) for j in range(10)] for i in range(10)]
+    rows[2][7] = Fraction(1, 2)
+    with pytest.raises(TypeError):
+        LatticeMap(rows)
+    images = list(BASIS)
+    images[4] = DivisorClass(images[4].nums, 2)
+    with pytest.raises(ValueError):
+        LatticeMap.from_basis_images(images)
+
+
 def test_translation_moves_base_section():
     t = translation(E[1])
     assert t.map.apply(E[0]) == E[1]
@@ -87,14 +170,7 @@ def test_translation_moves_base_section():
 
 def test_translation_by_base_section_is_identity():
     t = translation(E[0])
-    assert t.map == LatticeMap.identity()
-
-
-def test_translation_squared_is_not_identity():
-    t = translation(E[1])
-    twice = t.map.compose(t.map)
-    assert twice != LatticeMap.identity()
-    assert twice.apply(F) == F  # still fixes the fiber
+    assert t.map == LatticeMap.from_basis_images(BASIS)
 
 
 def test_translation_rejects_non_sections():
@@ -132,18 +208,31 @@ def test_corrupted_map_fails_conditions():
     assert any("isometry" in f for f in failures)
 
 
-def test_composition_stays_in_group():
-    t1 = translation(E[1])
-    t2 = translation(H - E[0] - E[1])
-    composed = t1.map.compose(t2.map)
-    assert weyl_condition_failures(composed) == ()
-    assert composed.determinant() == 1
+def test_translation_group_law():
+    """t_p after t_q is the translation by t_p(q), for 200 seeded pairs of
+    sections of degree at most 2, and the composite passes the conditions."""
+    sections = enumerate_minus_one_classes(2)
+    assert len(sections) == 171
+    rng = random.Random(6)
+    pairs = [(rng.choice(sections), rng.choice(sections)) for _ in range(200)]
+    pairs.append((E[1], E[1]))  # t_{E2} squared is not the identity
+    identity = LatticeMap.from_basis_images(BASIS)
+    for p, q in pairs:
+        t_p, t_q = translation(p), translation(q)
+        composite = LatticeMap.from_basis_images(
+            t_p.map.apply(t_q.map.apply(b)) for b in BASIS
+        )
+        section = t_p.map.apply(q)
+        assert translation(section).map == composite, (p, q)
+        assert weyl_condition_failures(composite, section=section) == (), (p, q)
+        assert composite.determinant() == 1
+        assert (composite == identity) == (section == E[0]), (p, q)
 
 
 def test_translate_hilb_preserves_pairings():
     t = translation(E[1])
     d = fiber_orthogonal_lift(H - E[0], 3)
-    moved = translate_hilb(t, d)
+    moved = HilbDivisor(t.map.apply(d.surf), d.b_half)
     assert moved.b_half == d.b_half
     assert pair_hilb(moved, C0, 3) == pair_hilb(d, C0, 3)
     assert pair_hilb(moved, InducedCurve(F), 3) == 0  # stays fiber-orthogonal

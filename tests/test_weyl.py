@@ -1,24 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hilbnef import (
     E,
     F,
     H,
     K,
-    LatticeMap,
-    NefOrbit,
     Root,
-    classify_nef_extremal,
     divisor,
     enumerate_minus_one_classes,
     intersect,
     is_minus_one_class,
     orbit_counts_by_degree,
     reflect,
-    reflection_map,
     root_basis,
     self_intersection,
     weyl_orbit,
@@ -112,35 +107,3 @@ def test_orbit_members_share_invariants(orbit_h_3):
 
 def test_orbit_deterministic(orbit_e9_3):
     assert weyl_orbit(E[8], 3) == orbit_e9_3
-
-
-def test_classify_nef_extremal(orbit_h_3, orbit_ruling_3):
-    assert classify_nef_extremal(F) == NefOrbit.FIBER
-    assert classify_nef_extremal(orbit_h_3[0]) == NefOrbit.H
-    assert classify_nef_extremal(orbit_ruling_3[-1]) == NefOrbit.H_MINUS_E1
-
-
-def test_lattice_map_identity_and_inverse():
-    ident = LatticeMap.identity()
-    m = reflection_map(root_basis()[3])
-    assert m.is_integral()
-    assert m.is_isometry()
-    assert m.determinant() == -1
-    assert m.compose(m.inverse()) == ident
-    assert m.inverse() == m  # reflections are involutions
-
-
-def test_lattice_map_from_basis_images():
-    images = [H] + [E[i] for i in range(9)]
-    assert LatticeMap.from_basis_images(images) == LatticeMap.identity()
-
-
-@settings(max_examples=60)
-@given(
-    st.integers(min_value=0, max_value=8),
-    st.lists(st.integers(min_value=-6, max_value=6), min_size=10, max_size=10),
-)
-def test_reflection_map_matches_pointwise(idx, coords):
-    beta = root_basis()[idx]
-    d = divisor(coords[0], [-c for c in coords[1:]])
-    assert reflection_map(beta).apply(d) == reflect(beta, d)
