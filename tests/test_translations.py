@@ -208,6 +208,26 @@ def test_corrupted_map_fails_conditions():
     assert any("isometry" in f for f in failures)
 
 
+def _compose(a: LatticeMap, b: LatticeMap) -> LatticeMap:
+    """a after b, built from the images of the basis."""
+    return LatticeMap.from_basis_images(a.apply(b.apply(x)) for x in BASIS)
+
+
+def test_translation_squared_is_not_identity():
+    t = translation(E[1])
+    twice = _compose(t.map, t.map)
+    assert twice != LatticeMap.from_basis_images(BASIS)
+    assert twice.apply(F) == F  # still fixes the fiber
+
+
+def test_composition_stays_in_group():
+    t1 = translation(E[1])
+    t2 = translation(H - E[0] - E[1])
+    composed = _compose(t1.map, t2.map)
+    assert weyl_condition_failures(composed) == ()
+    assert composed.determinant() == 1
+
+
 def test_translation_group_law():
     """t_p after t_q is the translation by t_p(q), for 200 seeded pairs of
     sections of degree at most 2, and the composite passes the conditions."""
@@ -219,9 +239,7 @@ def test_translation_group_law():
     identity = LatticeMap.from_basis_images(BASIS)
     for p, q in pairs:
         t_p, t_q = translation(p), translation(q)
-        composite = LatticeMap.from_basis_images(
-            t_p.map.apply(t_q.map.apply(b)) for b in BASIS
-        )
+        composite = _compose(t_p.map, t_q.map)
         section = t_p.map.apply(q)
         assert translation(section).map == composite, (p, q)
         assert weyl_condition_failures(composite, section=section) == (), (p, q)
