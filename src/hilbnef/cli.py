@@ -6,12 +6,21 @@ crashes (the traceback and an error: line go to stderr, stdout stays empty),
 so that a crash never reads as a falsified check.  Every command
 prints one canonical JSON document to stdout; --out writes the same bytes
 to a file first, so repeated runs are byte-identical.  An --out path that
-cannot be written is a usage error and leaves stdout empty.
+cannot be written is a usage error and leaves stdout empty; a stdout that is
+closed or cannot be written (a reader that exits early) also exits 2 with an
+error: line and no traceback.
+
+Parameters that would run too long are usage errors, refused before any
+work: each command's --max-degree (for `weyl orbit`, the larger of it and the
+H-degree of --start) and `coneconj cover --samples` have a cap (the MAX_*
+constants below), and `walls gieseker` refuses a degree that would list more
+than MAX_LISTED_CANDIDATES shapes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
@@ -24,10 +33,19 @@ from .translations import CoverageConfig, coverage_experiment
 from .campaign import Campaign, CampaignUsageError, run_campaign
 from .reporting import dumps_json
 
-# `walls gieseker` lists every candidate shape, and its JSON rows take about
-# 1.2 kB each in memory (274 MB for the 227,112 shapes up to degree 4).
+# `walls gieseker` lists every candidate shape: the 227,112 shapes up to
+# degree 4 peak at about 226 MB of RSS (`perfbench/run.py`, workload walls).
 # Degree 5 lists 1,104,956 shapes; degree 6 would list 4,305,881.
 MAX_LISTED_CANDIDATES = 2_000_000
+
+# Caps on the other commands, checked before any work.  Each comment gives one
+# run at the cap (wall time, peak RSS) on a 2-vCPU machine, Python 3.11.7.
+MAX_ORBIT_DEGREE = 8  # weyl orbit --start H: 9.4 s, 175 MB (degree 9: 271 MB)
+MAX_NEF_DEGREE = 25  # surface nef --divisor H: 16 s, 189 MB (30: 37 s, 372 MB)
+MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 78 s, 45 MB
+MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 93 s, 48 MB
+MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 7.8 s
+MAX_COVER_SAMPLES = 10_000  # coneconj cover --n 3 --max-degree 6: 141 s, 50 MB
 
 
 # An error line quotes at most this many characters of the input and of the
@@ -50,9 +68,15 @@ def _parse_divisor_arg(text: str) -> DivisorClass:
         raise UsageError(f"bad divisor {_clip(text)!r}: {_clip(str(exc))}") from exc
 
 
-def _check_degree(value: int) -> int:
+def _check_degree(value: int, cap: int | None = None) -> int:
     if value < 0:
         raise UsageError("--max-degree must be nonnegative")
+    return value if cap is None else _check_cap("--max-degree", value, cap)
+
+
+def _check_cap(flag: str, value: int, cap: int) -> int:
+    if value > cap:
+        raise UsageError(f"{flag} is {value}, over this command's cap of {cap}")
     return value
 
 
@@ -78,6 +102,8 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
     if not start.is_integral():
         raise UsageError("orbit start must be an integral class")
     degree = _check_degree(args.max_degree)
+    window = max(degree, start.nums[0])  # the BFS window, see weyl_orbit
+    _check_cap("max(--max-degree, H-degree of --start)", window, MAX_ORBIT_DEGREE)
     orbit = weyl_orbit(start, degree)
     payload = {
         "start": str(start),
@@ -93,7 +119,7 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
 
 def cmd_surface_nef(args) -> tuple[dict, int]:
     d = _parse_divisor_arg(args.divisor)
-    degree = _check_degree(args.max_degree)
+    degree = _check_degree(args.max_degree, MAX_NEF_DEGREE)
     cert = is_nef_up_to_degree(d, degree)
     return cert.to_json(), 0 if cert.nef_up_to_bound else 1
 
@@ -107,7 +133,7 @@ def cmd_surface_ample_family(args) -> tuple[dict, int]:
 
 def cmd_hilb_check_theorem(args) -> tuple[dict, int]:
     n = _check_n(args.n)
-    degree = _check_degree(args.max_degree)
+    degree = _check_degree(args.max_degree, MAX_THEOREM_DEGREE)
     report = cone_duality_check(n, degree)
     return report.to_json(), 0 if report.passed else 1
 
@@ -126,16 +152,17 @@ def cmd_walls_gieseker(args) -> tuple[dict, int]:
 
 def cmd_coneconj_cover(args) -> tuple[dict, int]:
     n = _check_n(args.n)
-    degree = _check_degree(args.max_degree)
+    degree = _check_degree(args.max_degree, MAX_COVER_DEGREE)
     if args.samples < 1:
         raise UsageError("--samples must be positive")
+    _check_cap("--samples", args.samples, MAX_COVER_SAMPLES)
     cfg = CoverageConfig(n=n, samples=args.samples, seed=args.seed, max_h_degree=degree)
     report = coverage_experiment(cfg)
     return report.to_json(), 0 if report.passed else 1
 
 
 def cmd_campaign_run(args) -> tuple[dict, int]:
-    degree = _check_degree(args.max_degree)
+    degree = _check_degree(args.max_degree, MAX_CAMPAIGN_DEGREE)
     slices = tuple(s.strip() for s in args.slices.split(",") if s.strip())
     campaign = Campaign(
         n_start=args.n_start,
@@ -231,6 +258,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> bool:
+    """Write and flush the report.  On a closed or unwritable stdout, print an
+    error line, point stdout's descriptor at the null device so that the
+    interpreter's flush at exit cannot fail again, and return False."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return True
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # a stream without a descriptor
+        return False
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+    return False
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -251,8 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot write --out: {exc}", file=sys.stderr)
             return 2
-    sys.stdout.write(text)
-    return code
+    return code if _write_stdout(text) else 2
 
 
 if __name__ == "__main__":

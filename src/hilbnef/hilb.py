@@ -106,21 +106,22 @@ def b_negative_ray(n: int) -> HilbDivisor:
     return HilbDivisor((n - 1) * F, Fraction(-1))
 
 
-def _orthogonal_coefficients(cf: Fraction | int, n: int) -> tuple[Fraction, int, int]:
-    """(x, y, b) with fiber_orthogonal_lift(c, n) = x*c^[n] + y*F^[n] + b*B/2
-    for every class c with c.F = cf."""
+def _orthogonal_scale(cf: Fraction | int, n: int) -> Fraction:
+    """x with fiber_orthogonal_lift(c, n) = x*c^[n] + b_negative_ray(n) for
+    every class c with c.F = cf."""
     if n < 3:
         raise ValueError("n >= 3 required")
     if cf == 0:
         raise ValueError("class pairs to zero with the fiber; no orthogonal lift")
-    return Fraction(n) / cf, n - 1, -1
+    return Fraction(n) / cf
 
 
 def fiber_orthogonal_lift(c: DivisorClass, n: int) -> HilbDivisor:
     """x*c^[n] + (n-1)F^[n] - B/2 with x = n/(c.F), the unique member of that
     pencil pairing to zero with the induced fiber curve."""
-    x, y, b = _orthogonal_coefficients(intersect(c, F), n)
-    return HilbDivisor(x * c + y * F, Fraction(b))
+    x = _orthogonal_scale(intersect(c, F), n)
+    ray = b_negative_ray(n)
+    return HilbDivisor(x * c + ray.surf, ray.b_half)
 
 
 @dataclass(frozen=True)
@@ -199,14 +200,20 @@ class DecompositionError(ValueError):
         self.pairing = pairing
 
 
+def nef_part(d: HilbDivisor, n: int) -> DivisorClass:
+    """The surface class of d - t * b_negative_ray(n), t = -b_half, which has
+    no B component."""
+    return (d + d.b_half * b_negative_ray(n)).surf
+
+
 def bounding_cone_decompose(
     d: HilbDivisor, n: int, max_h_degree: int = 3
 ) -> tuple[DivisorClass, Fraction]:
-    """Write d = nef_part^[n] + t * ((n-1)F^[n] - B/2) with t = -b_half >= 0.
+    """Write d = nef_part^[n] + t * b_negative_ray(n) with t = -b_half >= 0.
 
-    The nef part surf + b_half*(n-1)F is certified nef up to the degree bound:
-    its fiber pairing equals surf.F and its pairing with a (-1)-curve equals
-    the pairing of d with the induced curve, so membership transfers exactly.
+    The nef part is certified nef up to the degree bound: its fiber pairing
+    equals surf.F and its pairing with a (-1)-curve equals the pairing of d
+    with the induced curve, so membership transfers exactly.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
@@ -214,9 +221,8 @@ def bounding_cone_decompose(
         raise DecompositionError(
             "positive B/2 coefficient pairs negatively with the contracted curve"
         )
-    t = -d.b_half
-    nef_part = d.surf + d.b_half * (n - 1) * F
-    cert = is_nef_up_to_degree(nef_part, max_h_degree)
+    part = nef_part(d, n)
+    cert = is_nef_up_to_degree(part, max_h_degree)
     if cert.witness is not None:
         against = "the fiber class" if cert.witness == F else "a (-1)-curve"
         raise DecompositionError(
@@ -224,7 +230,7 @@ def bounding_cone_decompose(
             witness=cert.witness,
             pairing=cert.witness_pairing,
         )
-    return nef_part, t
+    return part, -d.b_half
 
 
 def recompose(nef_part: DivisorClass, t: Fraction, n: int) -> HilbDivisor:
@@ -283,10 +289,6 @@ class DualityReport:
         return data
 
 
-# A scanned curve: label, integer coordinates (None for the contracted curve),
-# its pairing with F, and g - 1 (None for the contracted curve).
-_Curve = tuple[str, tuple[int, ...] | None, int, int | None]
-
 _FIBER_COLUMN = 1  # the induced fiber curve follows the contracted curve
 
 
@@ -295,24 +297,24 @@ class _DotProfile:
     """The n-independent part of the duality scan at one degree bound.
 
     `classes` are the orbit blocks [F], the Weyl orbit of H and the Weyl orbit
-    of H-E1.  `curves` are the contracted curve, the induced fiber curve and
-    every induced (-1)-curve.  For orbit block k and curve j, `rows[k][j]`
-    maps each distinct t = c.e over the block (0 for the contracted curve) to
-    (how many classes give it, first index).
+    of H-E1.  `curves` are (label, curve) for the contracted curve, the
+    induced fiber curve and every induced (-1)-curve.  For orbit block k and
+    curve j, `rows[k][j]` maps each distinct t = c.e over the block (0 for
+    the contracted curve) to (how many classes give it, first index).
     """
 
     classes: tuple[tuple[DivisorClass, ...], ...]
-    curves: tuple[_Curve, ...]
+    curves: tuple[tuple[str, CurveClass], ...]
     rows: tuple[tuple[dict[int, tuple[int, int]], ...], ...]
 
 
-def _induced_curve(label: str, e_cls: DivisorClass) -> _Curve:
-    genus = arithmetic_genus(e_cls)
-    return label, e_cls.nums, int(intersect(F, e_cls)), int(genus) - 1
-
-
-def _dot_row(block: tuple[tuple[int, ...], ...], e_ints) -> dict[int, tuple[int, int]]:
-    dots = [0] * len(block) if e_ints is None else [dot_int(c, e_ints) for c in block]
+def _dot_row(
+    block: tuple[tuple[int, ...], ...], curve: CurveClass
+) -> dict[int, tuple[int, int]]:
+    if isinstance(curve, ContractedCurve):
+        dots = [0] * len(block)
+    else:
+        dots = [dot_int(c, curve.c.nums) for c in block]
     counts = Counter(dots)
     first = {t: i for i, t in reversed(list(enumerate(dots)))}
     return {t: (counts[t], first[t]) for t in counts}
@@ -326,13 +328,13 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
         tuple(weyl_orbit(H - E[0], max_h_degree)),
     )
     ints = tuple(tuple(c.nums for c in block) for block in classes)
-    curves = [("contracted", None, 0, None), _induced_curve("fiber", F)]
+    curves = [("contracted", C0), ("fiber", InducedCurve(F))]
     curves += [
-        _induced_curve(str(e_cls), e_cls)
+        (str(e_cls), InducedCurve(e_cls))
         for e_cls in enumerate_minus_one_classes(max_h_degree)
     ]
     rows = tuple(
-        tuple(_dot_row(block, e_ints) for _, e_ints, _, _ in curves) for block in ints
+        tuple(_dot_row(block, curve) for _, curve in curves) for block in ints
     )
     return _DotProfile(classes, tuple(curves), rows)
 
@@ -355,54 +357,50 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     up to the bound.  Passing means no negative pairing and, for every curve,
     some nef candidate pairing to exactly zero.
 
-    The candidates form five blocks x*c^[n] + y*F^[n] + b*B/2 in which c runs
-    over an orbit block and x > 0, y, b are shared, so a pairing with a curve
-    e is x*(c.e) + y*(F.e) + b*(g(e) - 1 + n) and grows with t = c.e.  The
-    per-degree `_dot_profile` holds the distinct values of t with their counts
-    and first indices, so each curve's minimum, zero count and first witness
-    in candidate order come from a few exact operations per block and n.
+    The candidates form five blocks: c^[n] for c in an orbit block, then
+    x*c^[n] + b_negative_ray(n) for c in a Weyl orbit, where x = n/(c.F) is
+    shared by the block.  A pairing with a curve e is x*(c.e), plus ray.e in
+    an orthogonal block, so it grows with t = c.e.  The per-degree
+    `_dot_profile` holds the distinct values of t with their counts and first
+    indices, so each curve's minimum, zero count and first witness in
+    candidate order come from a few exact operations per block and n, and
+    ray.e from one `pair_hilb` per curve.  c.F is one value per block, so one
+    identity x*(c.F) + ray.F_[n] = 0 checks that a whole orthogonal block
+    kills the induced fiber curve.  A candidate is built only to print it.
     `pairings_checked` counts the (candidate, curve) pairs certified.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
     profile = _dot_profile(max_h_degree)
-    lifted = tuple(c for block in profile.classes for c in block)
-    eps_candidates = [fiber_orthogonal_lift(c, n) for c in profile.classes[1]]
-    eps_candidates += [fiber_orthogonal_lift(c, n) for c in profile.classes[2]]
+    ray = b_negative_ray(n)
+    ray_pairings = [pair_hilb(ray, curve, n) for _, curve in profile.curves]
 
-    def candidate(index: int) -> HilbDivisor:
-        if index < len(lifted):
-            return lift(lifted[index])
-        return eps_candidates[index - len(lifted)]
-
-    # (first candidate index, orbit block, x, y, b): lift(c) = c^[n], then
-    # the fiber-orthogonal lifts of the two Weyl orbits
+    # (first candidate index, orbit block, x, orthogonal): c^[n] over each
+    # orbit block, then the fiber-orthogonal lifts of the two Weyl orbits
     blocks = []
     offset = 0
     for k, orthogonal in ((0, False), (1, False), (2, False), (1, True), (2, True)):
+        x = Fraction(1)
         if orthogonal:
-            x, y, b = _orthogonal_coefficients(_fiber_degree(profile.rows[k]), n)
-        else:
-            x, y, b = Fraction(1), 0, 0
-        blocks.append((offset, k, x, y, b))
+            x = _orthogonal_scale(_fiber_degree(profile.rows[k]), n)
+        blocks.append((offset, k, x, orthogonal))
         offset += len(profile.classes[k])
 
-    def shift(y: int, b: int, curve: _Curve) -> int:
-        """y*(F.e) + b*(B/2 . e): the part of a pairing not depending on c."""
-        _, _, fe, genus_less_one = curve
-        b_pairing = -1 if genus_less_one is None else genus_less_one + n
-        return y * fe + b * b_pairing
+    def candidate(index: int) -> HilbDivisor:
+        first_idx, k, _, orthogonal = next(b for b in reversed(blocks) if index >= b[0])
+        c = profile.classes[k][index - first_idx]
+        return fiber_orthogonal_lift(c, n) if orthogonal else lift(c)
 
     rows = []
     negative = []  # (block, curve index) with some negative pairing
-    for j, curve in enumerate(profile.curves):
+    for j, (label, _) in enumerate(profile.curves):
         low: Fraction | None = None
         zero_count = 0
         witness_at: int | None = None
         for block in blocks:
-            first_idx, k, x, y, b = block
+            first_idx, k, x, orthogonal = block
             dots = profile.rows[k][j]
-            s = shift(y, b, curve)
+            s = ray_pairings[j] if orthogonal else 0
             value = x * min(dots) + s
             if low is None or value < low:
                 low = value
@@ -416,44 +414,41 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
                     witness_at = first_idx + hit[1]
         rows.append(
             CurveRow(
-                curve=curve[0],
+                curve=label,
                 min_pairing=low,
                 zero_count=zero_count,
                 witness=None if witness_at is None else str(candidate(witness_at)),
             )
         )
 
-    # Only a falsified scan walks dot rows again, to list each offender in
-    # candidate-major, then curve order.
+    # Only a falsified scan builds and pairs a block's candidates, to list
+    # each offender in candidate-major, then curve order.
     offenders = []
-    for (first_idx, k, x, y, b), j in negative:
-        curve = profile.curves[j]
-        s = shift(y, b, curve)
-        e_ints = curve[1]
-        for i, c in enumerate(profile.classes[k]):
-            value = x * (0 if e_ints is None else dot_int(c.nums, e_ints)) + s
+    for (first_idx, k, _, _), j in negative:
+        for idx in range(first_idx, first_idx + len(profile.classes[k])):
+            d = candidate(idx)
+            value = pair_hilb(d, profile.curves[j][1], n)
             if value < 0:
-                offenders.append((first_idx + i, j, value))
-    offenders.sort(key=lambda hit: hit[:2])
-    violations = [
-        f"{candidate(idx)} against {profile.curves[j][0]}: {value}"
-        for idx, j, value in offenders
-    ]
+                offenders.append((idx, j, f"{d} against {profile.curves[j][0]}: {value}"))
+    violations = [line for _, _, line in sorted(offenders)]
 
-    # The fiber-orthogonal lifts must kill the induced fiber curve exactly.
-    for d in eps_candidates:
-        if pair_hilb(d, InducedCurve(F), n) != 0:
-            violations.append(f"{d} is not orthogonal to the induced fiber curve")
+    # One identity per orthogonal block, as c.F is constant on it.
+    ray_fiber = ray_pairings[_FIBER_COLUMN]
+    for first_idx, k, x, orthogonal in blocks:
+        if orthogonal and x * _fiber_degree(profile.rows[k]) + ray_fiber != 0:
+            violations += [
+                f"{candidate(idx)} is not orthogonal to the induced fiber curve"
+                for idx in range(first_idx, first_idx + len(profile.classes[k]))
+            ]
 
     rows = tuple(rows)
     unwitnessed = tuple(row.curve for row in rows if row.witness is None)
-    candidate_count = len(lifted) + len(eps_candidates)
     return DualityReport(
         n=n,
         degree_bound=max_h_degree,
-        nef_candidate_count=candidate_count,
+        nef_candidate_count=offset,
         curve_candidate_count=len(profile.curves),
-        pairings_checked=candidate_count * len(profile.curves),
+        pairings_checked=offset * len(profile.curves),
         violations=tuple(violations),
         unwitnessed_curves=unwitnessed,
         min_pairing=min(row.min_pairing for row in rows),

@@ -39,6 +39,7 @@ from .hilb import (
     bounding_cone_decompose,
     fiber_orthogonal_lift,
     lift,
+    nef_part,
 )
 
 
@@ -347,8 +348,8 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:
             d = d + coeff * pool[rng.randrange(len(pool))]
         reduced_surf, steps, _, hit_cap = reduce_surface_class(d.surf)
         reduced = HilbDivisor(reduced_surf, d.b_half)
-        # degree of the nef part: the t*(n-1)F summand is move-invariant
-        nef_h = reduced_surf.h + d.b_half * 3 * (cfg.n - 1)
+        # degree of the nef part: the t * b_negative_ray summand is move-invariant
+        nef_h = nef_part(reduced, cfg.n).h
         stalled = hit_cap or nef_h > STALL_DEGREE
         try:
             bounding_cone_decompose(reduced, cfg.n, cfg.max_h_degree)
@@ -359,8 +360,7 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:
             successes += 1
         if stalled:
             stalled_count += 1
-        if nef_h > max_reduced:
-            max_reduced = nef_h
+        max_reduced = max(max_reduced, nef_h)
         trials.append(
             CoverageTrial(
                 index=index,

@@ -1,5 +1,10 @@
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from hilbnef.bridgeland import shapes_of_degree
 from hilbnef.cli import main
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, args):
@@ -264,3 +270,107 @@ def test_walls_gieseker_lists_degree_five(capsys, monkeypatch):
     )
     assert (code, out) == (3, "")  # the stub's exception surfaces as a crash
     assert "_WallsReached" in err
+
+
+# (argv before the capped value, flag, cap, the cli name doing the work)
+CAPPED = [
+    (["weyl", "orbit", "--start", "H"], "--max-degree", "MAX_ORBIT_DEGREE", "weyl_orbit"),
+    (
+        ["surface", "nef", "--divisor", "H"],
+        "--max-degree",
+        "MAX_NEF_DEGREE",
+        "is_nef_up_to_degree",
+    ),
+    (
+        ["hilb", "check-theorem", "--n", "3"],
+        "--max-degree",
+        "MAX_THEOREM_DEGREE",
+        "cone_duality_check",
+    ),
+    (["campaign", "run"], "--max-degree", "MAX_CAMPAIGN_DEGREE", "run_campaign"),
+    (
+        ["coneconj", "cover", "--n", "3"],
+        "--max-degree",
+        "MAX_COVER_DEGREE",
+        "coverage_experiment",
+    ),
+    (
+        ["coneconj", "cover", "--n", "3"],
+        "--samples",
+        "MAX_COVER_SAMPLES",
+        "coverage_experiment",
+    ),
+]
+
+
+class _WorkReached(Exception):
+    pass
+
+
+def _no_work(*args, **kwargs):
+    raise _WorkReached
+
+
+@pytest.mark.parametrize("prefix,flag,cap,worker", CAPPED, ids=[c[2] for c in CAPPED])
+def test_cap_refuses_before_any_work(capsys, monkeypatch, prefix, flag, cap, worker):
+    monkeypatch.setattr(cli, worker, _no_work)
+    limit = getattr(cli, cap)
+    for value in (limit + 1, 10**9):
+        code, out, err = run_cli(capsys, prefix + [flag, str(value)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and f"cap of {limit}" in err
+        assert "Traceback" not in err
+    # the cap itself is allowed and reaches the work
+    code, out, err = run_cli(capsys, prefix + [flag, str(limit)])
+    assert (code, out) == (3, "")
+    assert "_WorkReached" in err
+
+
+def test_orbit_cap_covers_the_start_degree(capsys, monkeypatch):
+    # the BFS window is max(--max-degree, H-degree of --start)
+    monkeypatch.setattr(cli, "weyl_orbit", _no_work)
+    start = f"{cli.MAX_ORBIT_DEGREE + 1}H"
+    code, out, err = run_cli(
+        capsys, ["weyl", "orbit", "--start", start, "--max-degree", "0"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "H-degree of --start" in err
+    code, _, err = run_cli(
+        capsys, ["weyl", "orbit", "--start", f"{cli.MAX_ORBIT_DEGREE}H", "--max-degree", "0"]
+    )
+    assert code == 3 and "_WorkReached" in err
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_two_in_process(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(["weyl", "orbit", "--start", "H", "--max-degree", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Broken pipe" in err
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_two_in_subprocess():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    argv = ["weyl", "orbit", "--start", "H", "--max-degree", "2"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hilbnef", *argv],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "Exception ignored" not in err

@@ -132,22 +132,16 @@ BAD_RULING = divisor(1, [-2, 1, 0, 0, 0, 0, 0, 0, 0])
 @pytest.fixture
 def injected_orbits(monkeypatch):
     """Weyl orbits with one non-nef class added to each, for the profile and
-    for the oracle alike; the eps lift of BAD_H also fails its fiber check."""
+    for the oracle alike."""
     extra = {H: BAD_H, H - E[0]: BAD_RULING}
-    real_orbit, real_pairing = weyl_orbit, pair_hilb
+    real_orbit = weyl_orbit
 
     def orbit(start, max_h_degree):
         return sorted(real_orbit(start, max_h_degree) + [extra[start]])
 
-    bad_eps = {fiber_orthogonal_lift(BAD_H, n) for n in range(3, 13)}
-
-    def pairing(d, curve, n):
-        return Fraction(1) if d in bad_eps else real_pairing(d, curve, n)
-
     here = sys.modules[__name__]
     for module in (hilb, here):
         monkeypatch.setattr(module, "weyl_orbit", orbit)
-        monkeypatch.setattr(module, "pair_hilb", pairing)
     hilb._dot_profile.cache_clear()
     yield
     hilb._dot_profile.cache_clear()
@@ -170,7 +164,6 @@ def test_falsified_scan_lists_offenders_candidate_major(injected_orbits):
     expected += [f"(H-2E1+E2)^[n] against {c}: -1" for c in ["E2"] + lines[1:]]
     expected += [f"{eps_h} against {c}: -1" for c in lines]
     expected += [f"{eps_ruling} against {c}: -3/2" for c in ["E2"] + lines[1:]]
-    expected.append(f"{eps_h} is not orthogonal to the induced fiber curve")
     report = cone_duality_check(3, 2)
     assert list(report.violations) == expected
     assert report.min_pairing == Fraction(-3, 2)
@@ -189,3 +182,48 @@ def test_block_with_two_fiber_degrees_is_rejected(monkeypatch):
             cone_duality_check(3, 1)
     finally:
         hilb._dot_profile.cache_clear()
+
+
+@pytest.fixture
+def doubled_scale(monkeypatch):
+    """Every fiber-orthogonal lift built with twice its scale x, so each one
+    pairs n, not 0, with the induced fiber curve; production and oracle see
+    the same lifts."""
+    real_scale = hilb._orthogonal_scale
+    monkeypatch.setattr(hilb, "_orthogonal_scale", lambda cf, n: 2 * real_scale(cf, n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_wrong_orthogonal_scale_matches_oracle(doubled_scale, n):
+    report = cone_duality_check(n, 2)
+    assert report == oracle_duality_check(n, 2)
+    assert not report.passed
+    lifts = [fiber_orthogonal_lift(c, n) for c in weyl_orbit(H, 2)]
+    lifts += [fiber_orthogonal_lift(c, n) for c in weyl_orbit(H - E[0], 2)]
+    assert len(lifts) == 220
+    assert list(report.violations) == [
+        f"{d} is not orthogonal to the induced fiber curve" for d in lifts
+    ]
+
+
+def test_passing_scan_builds_only_printed_candidates(monkeypatch):
+    calls = {"fiber_orthogonal_lift": 0, "pair_hilb": 0}
+
+    def counted(name):
+        real = getattr(hilb, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    report = cone_duality_check(3, 3)  # warms the profile
+    for name in calls:
+        monkeypatch.setattr(hilb, name, counted(name))
+    assert cone_duality_check(3, 3) == report
+    assert report.passed
+    assert report.curve_candidate_count == 425
+    assert report.nef_candidate_count == 1 + 2 * (715 + 639)
+    assert calls["pair_hilb"] <= 425  # ray.e, once per curve
+    assert calls["fiber_orthogonal_lift"] <= 425  # printed witnesses only

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from hilbnef import (
     C0,
@@ -82,6 +82,16 @@ def test_fiber_orthogonal_lift_rejects_fiber_orthogonal_input():
         fiber_orthogonal_lift(F, 3)  # F.F = 0
     with pytest.raises(ValueError):
         fiber_orthogonal_lift(E[0] - E[1], 3)
+
+
+@given(st.lists(st.integers(-20, 20), min_size=10, max_size=10), st.integers(3, 64))
+def test_fiber_orthogonal_lift_is_scaled_lift_plus_ray(coords, n):
+    c = divisor(coords[0], coords[1:])
+    cf = intersect(c, F)
+    assume(cf > 0)
+    d = fiber_orthogonal_lift(c, n)
+    assert pair_hilb(d, InducedCurve(F), n) == 0
+    assert d - (n / cf) * lift(c) == b_negative_ray(n)
 
 
 def test_membership_members():
