@@ -7,7 +7,10 @@ to one integer formula; any change to the certificate bytes fails here.  Regener
 one with, e.g.,
 `PYTHONPATH=src python -m hilbnef hilb check-theorem --n 3 > tests/golden/hilb_check_theorem_n3.json`
 only when the output is meant to change.  The degree-3 `walls gieseker`
-certificates (about 3 MB each) are pinned by their SHA-256 digest instead.
+certificates (about 3 MB each) are pinned by their SHA-256 digest instead, and
+so are the degree-5 and degree-6 outputs in DEEP_DIGESTS, which were recorded
+from the CLI while the Weyl orbits still came from a breadth-first search and
+the duality scan still paired every orbit class with every curve.
 """
 
 import hashlib
@@ -69,6 +72,58 @@ def test_cli_output_matches_golden_bytes(capsys, name, args):
 def test_degree3_walls_match_golden_digest(capsys, label, digest, size):
     args = ["walls", "gieseker", "--slice", label, "--n", "3", "--max-degree", "3"]
     assert main(args) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert len(out) == size
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+# (name, argv, exit code, SHA-256 of stdout, stdout bytes).  `hilb check-theorem` at
+# degree 6 exits 1: 72 (-1)-curves of degree 6 have no orthogonality witness
+# inside the window, so this pins the window-edge output.
+DEEP_DIGESTS = [
+    (
+        "campaign_run_deg5",
+        ["campaign", "run", "--max-degree", "5"],
+        0,
+        "df767f12f342e6b9a817dc7341992b12ce06be084f0ffd3186f253496bc03e4d",
+        63442,
+    ),
+    (
+        "hilb_check_theorem_n3_deg6",
+        ["hilb", "check-theorem", "--n", "3", "--max-degree", "6"],
+        1,
+        "d32a6ac60ecf0c79c969f3965ac396948221f579d5d9172ec4e4c165f3e5279f",
+        553460,
+    ),
+    (
+        "weyl_orbit_h_deg6",
+        ["weyl", "orbit", "--start", "H", "--max-degree", "6"],
+        0,
+        "40d4b8aff306068e56cb8768a8e8317f19dc10b4d2134caddb96161318442612",
+        2873678,
+    ),
+    (
+        "weyl_orbit_e9_deg6",
+        ["weyl", "orbit", "--start", "E9", "--max-degree", "6"],
+        0,
+        "20ab5cb21c7a91da4b8f07d1b0c4d6179de669e721ed2778f1a27eed1cd0d131",
+        527230,
+    ),
+    (
+        "coneconj_cover_n3_deg5_seed0",
+        ["coneconj", "cover", "--n", "3", "--max-degree", "5", "--seed", "0"],
+        0,
+        "68afea596c819ace72450eb934cb5a7488aeca399e398637bdf71c6583737637",
+        16799,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,args,code,digest,size", DEEP_DIGESTS, ids=[d[0] for d in DEEP_DIGESTS]
+)
+def test_deep_outputs_match_recorded_digest(capsys, name, args, code, digest, size):
+    assert main(args) == code
     out = capsys.readouterr().out.encode("utf-8")
     assert len(out) == size
     assert hashlib.sha256(out).hexdigest() == digest
