@@ -15,7 +15,6 @@ from .lattice import (
     is_minus_one_class,
     parse_divisor,
     self_intersection,
-    sorted_classes,
 )
 from .weyl import (
     Root,

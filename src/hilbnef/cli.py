@@ -102,9 +102,12 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
     if not start.is_integral():
         raise UsageError("orbit start must be an integral class")
     degree = _check_degree(args.max_degree)
-    window = max(degree, start.nums[0])  # the BFS window, see weyl_orbit
+    window = max(degree, start.nums[0])  # the orbit's degree window, see weyl_orbit
     _check_cap("max(--max-degree, H-degree of --start)", window, MAX_ORBIT_DEGREE)
-    orbit = weyl_orbit(start, degree)
+    try:
+        orbit = weyl_orbit(start, degree)
+    except ValueError as exc:  # a start with no finite orbit window
+        raise UsageError(str(exc)) from exc
     payload = {
         "start": str(start),
         "max_degree": degree,

@@ -13,8 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from math import factorial
 
 from .lattice import (
+    RANK,
     DivisorClass,
     E,
     F,
@@ -291,6 +294,10 @@ class DualityReport:
 
 _FIBER_COLUMN = 1  # the induced fiber curve follows the contracted curve
 
+# (counts, first): how many classes of a block give each t = c.e, and the
+# index in the block of the first class giving it
+_Row = tuple[dict[int, int], dict[int, int]]
+
 
 @dataclass(frozen=True)
 class _DotProfile:
@@ -299,25 +306,77 @@ class _DotProfile:
     `classes` are the orbit blocks [F], the Weyl orbit of H and the Weyl orbit
     of H-E1.  `curves` are (label, curve) for the contracted curve, the
     induced fiber curve and every induced (-1)-curve.  For orbit block k and
-    curve j, `rows[k][j]` maps each distinct t = c.e over the block (0 for
-    the contracted curve) to (how many classes give it, first index).
+    curve j, `rows[k][j]` is (counts, first): counts maps each distinct
+    t = c.e over the block (0 for the contracted curve) to how many classes
+    give it, and first maps t to the index of the first class giving it.  On
+    a (-1)-curve, first holds t = 0 only: the ray pairs to zero with such a
+    curve, so a zero pairing there needs c.e = 0 for every n.
     """
 
     classes: tuple[tuple[DivisorClass, ...], ...]
     curves: tuple[tuple[str, CurveClass], ...]
-    rows: tuple[tuple[dict[int, tuple[int, int]], ...], ...]
+    rows: tuple[tuple[_Row, ...], ...]
 
 
-def _dot_row(
-    block: tuple[tuple[int, ...], ...], curve: CurveClass
-) -> dict[int, tuple[int, int]]:
-    if isinstance(curve, ContractedCurve):
-        dots = [0] * len(block)
-    else:
-        dots = [dot_int(c, curve.c.nums) for c in block]
-    counts = Counter(dots)
-    first = {t: i for i, t in reversed(list(enumerate(dots)))}
-    return {t: (counts[t], first[t]) for t in counts}
+def _direct_row(block: tuple[tuple[int, ...], ...], curve: tuple[int, ...] | None) -> _Row:
+    """The row of one curve paired with every class; None is the contracted
+    curve, which pairs 0 with every c^[n]."""
+    dots = [0] * len(block) if curve is None else [dot_int(c, curve) for c in block]
+    return Counter(dots), {t: i for i, t in reversed(list(enumerate(dots)))}
+
+
+def _check_orbit_block(block: tuple[tuple[int, ...], ...]) -> None:
+    """A block must be strictly increasing (so index order is class order)
+    and a union of whole orbits of the permutations of E1..E9."""
+    if any(u >= v for u, v in zip(block, block[1:])):
+        raise ValueError("orbit block is not strictly increasing")
+    sizes = Counter((c[0],) + tuple(sorted(c[1:])) for c in block)
+    for shape, size in sizes.items():
+        whole = factorial(RANK - 1)
+        for _, run in groupby(shape[1:]):
+            whole //= factorial(len(tuple(run)))
+        if size != whole:
+            raise ValueError(
+                f"orbit block holds {size} of the {whole} permutations of "
+                f"{DivisorClass(shape)}, not a union of S9 orbits"
+            )
+
+
+def _minus_one_rows(
+    block: tuple[tuple[int, ...], ...], minus_ones: list[DivisorClass]
+) -> list[_Row]:
+    """The rows of every (-1)-curve against one block, paired once per S9
+    orbit of curves.
+
+    For e = sigma(r), with r the sorted representative of e, the block's
+    values c.e are its values c.r (the block is a union of S9 orbits), and
+    its classes with c.e = 0 are the images under sigma of those with
+    c.r = 0.  The first zero is the least image: take the zeros of least
+    H-degree, permute each and keep the lexicographic minimum.
+    """
+    _check_orbit_block(block)
+    index = {c: i for i, c in enumerate(block)}
+    by_shape: dict[tuple[int, ...], tuple[Counter, list[tuple[int, ...]]]] = {}
+    rows: list[_Row] = []
+    for e_cls in minus_ones:
+        e = e_cls.nums
+        order = sorted(range(1, RANK), key=e.__getitem__)
+        r = (e[0],) + tuple(e[i] for i in order)
+        if r not in by_shape:
+            dots = [dot_int(c, r) for c in block]
+            zeros = [c for c, t in zip(block, dots) if t == 0]
+            low = min((z[0] for z in zeros), default=None)
+            by_shape[r] = Counter(dots), [z for z in zeros if z[0] == low]
+        counts, lowest = by_shape[r]
+        first = {}
+        if lowest:
+            # e_i = r_src[i], so z.r = 0 gives the class c_i = z_src[i]
+            src = [0] * RANK
+            for j, i in enumerate(order, 1):
+                src[i] = j
+            first[0] = index[min(tuple(z[i] for i in src) for z in lowest)]
+        rows.append((counts, first))
+    return rows
 
 
 @lru_cache(maxsize=8)
@@ -327,22 +386,23 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
         tuple(weyl_orbit(H, max_h_degree)),
         tuple(weyl_orbit(H - E[0], max_h_degree)),
     )
-    ints = tuple(tuple(c.nums for c in block) for block in classes)
+    minus_ones = enumerate_minus_one_classes(max_h_degree)
     curves = [("contracted", C0), ("fiber", InducedCurve(F))]
-    curves += [
-        (str(e_cls), InducedCurve(e_cls))
-        for e_cls in enumerate_minus_one_classes(max_h_degree)
-    ]
-    rows = tuple(
-        tuple(_dot_row(block, curve) for _, curve in curves) for block in ints
-    )
-    return _DotProfile(classes, tuple(curves), rows)
+    curves += [(str(e_cls), InducedCurve(e_cls)) for e_cls in minus_ones]
+    rows = []
+    for k, block in enumerate(classes):
+        ints = tuple(c.nums for c in block)
+        row = [_direct_row(ints, None), _direct_row(ints, F.nums)]
+        if k:  # a Weyl block
+            _fiber_degree(row)
+        rows.append(tuple(row + _minus_one_rows(ints, minus_ones)))
+    return _DotProfile(classes, tuple(curves), tuple(rows))
 
 
-def _fiber_degree(rows: tuple[dict[int, tuple[int, int]], ...]) -> int:
+def _fiber_degree(rows: list[_Row] | tuple[_Row, ...]) -> int:
     """The one value of c.F over an orbit block.  It must be positive: the
     scan reads each block's smallest pairing at its smallest c.e."""
-    values = sorted(rows[_FIBER_COLUMN])
+    values = sorted(rows[_FIBER_COLUMN][0])
     if len(values) != 1 or values[0] <= 0:
         raise ValueError(f"orbit block has c.F values {values}, not one positive value")
     return values[0]
@@ -364,7 +424,9 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     `_dot_profile` holds the distinct values of t with their counts and first
     indices, so each curve's minimum, zero count and first witness in
     candidate order come from a few exact operations per block and n, and
-    ray.e from one `pair_hilb` per curve.  c.F is one value per block, so one
+    ray.e from one `pair_hilb` per curve.  On a (-1)-curve ray.e = 0 (checked
+    here), so a zero needs t = 0 whatever n is, and the profile pairs each
+    block once per S9 orbit of those curves.  c.F is one value per block, so one
     identity x*(c.F) + ray.F_[n] = 0 checks that a whole orthogonal block
     kills the induced fiber curve.  A candidate is built only to print it.
     `pairings_checked` counts the (candidate, curve) pairs certified.
@@ -374,6 +436,8 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     profile = _dot_profile(max_h_degree)
     ray = b_negative_ray(n)
     ray_pairings = [pair_hilb(ray, curve, n) for _, curve in profile.curves]
+    if any(ray_pairings[_FIBER_COLUMN + 1 :]):
+        raise ValueError("the B-negative ray pairs nonzero with an induced (-1)-curve")
 
     # (first candidate index, orbit block, x, orthogonal): c^[n] over each
     # orbit block, then the fiber-orthogonal lifts of the two Weyl orbits
@@ -399,19 +463,19 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
         witness_at: int | None = None
         for block in blocks:
             first_idx, k, x, orthogonal = block
-            dots = profile.rows[k][j]
+            counts, first = profile.rows[k][j]
             s = ray_pairings[j] if orthogonal else 0
-            value = x * min(dots) + s
+            value = x * min(counts) + s
             if low is None or value < low:
                 low = value
             if value < 0:
                 negative.append((block, j))
             t_zero = -s / x
-            hit = dots.get(t_zero.numerator) if t_zero.denominator == 1 else None
+            hit = counts.get(t_zero.numerator) if t_zero.denominator == 1 else None
             if hit is not None:
-                zero_count += hit[0]
+                zero_count += hit
                 if witness_at is None:
-                    witness_at = first_idx + hit[1]
+                    witness_at = first_idx + first[t_zero.numerator]
         rows.append(
             CurveRow(
                 curve=label,

@@ -227,8 +227,3 @@ def parse_divisor(text: str) -> DivisorClass:
         acc = acc + c * _NAMED[name]
         pos = m.end()
     return acc
-
-
-def sorted_classes(classes: Iterable[DivisorClass]) -> list[DivisorClass]:
-    """Canonical deterministic ordering by coordinate tuple."""
-    return sorted(classes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import DivisorClass, E, F, H, divisor, intersect, self_intersection
+from .lattice import DivisorClass, E, F, H, dot_int, self_intersection
 from .weyl import enumerate_minus_one_classes
 
 
@@ -23,15 +23,19 @@ def mori_generators(max_h_degree: int) -> list[DivisorClass]:
 
 @dataclass(frozen=True)
 class NefCertificate:
+    """How many Mori generators were paired with the divisor, the smallest
+    pairing, and the first negative one with its generator."""
+
     divisor: DivisorClass
     degree_bound: int
     nef_up_to_bound: bool
-    pairings: tuple[tuple[DivisorClass, Fraction], ...]
+    generators_checked: int
+    lowest_pairing: Fraction
     witness: DivisorClass | None = None
     witness_pairing: Fraction | None = None
 
     def min_pairing(self) -> Fraction:
-        return min(p for _, p in self.pairings)
+        return self.lowest_pairing
 
     def to_json(self) -> dict:
         from .lattice import format_rational
@@ -41,7 +45,7 @@ class NefCertificate:
             "degree_bound": self.degree_bound,
             "verdict": "nef_up_to_bound" if self.nef_up_to_bound else "not_nef",
             "min_pairing": format_rational(self.min_pairing()),
-            "generators_checked": len(self.pairings),
+            "generators_checked": self.generators_checked,
         }
         if self.witness is not None:
             data["witness"] = self.witness.to_json()
@@ -54,23 +58,21 @@ def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
 
     The witness, when the check fails, is the first violating generator in
     the deterministic enumeration order (fiber first, then sorted classes).
+    The generators are integral, so each pairing is dot_int on numerators
+    over d's denominator.
     """
-    pairings = []
-    witness = None
-    witness_pairing = None
-    for g in mori_generators(max_h_degree):
-        v = intersect(d, g)
-        pairings.append((g, v))
-        if v < 0 and witness is None:
-            witness = g
-            witness_pairing = v
+    generators = mori_generators(max_h_degree)
+    dots = [dot_int(d.nums, g.nums) for g in generators]
+    first_negative = next((i for i, v in enumerate(dots) if v < 0), None)
+    witness = None if first_negative is None else generators[first_negative]
     return NefCertificate(
         divisor=d,
         degree_bound=max_h_degree,
         nef_up_to_bound=witness is None,
-        pairings=tuple(pairings),
+        generators_checked=len(dots),
+        lowest_pairing=Fraction(min(dots), d.den),
         witness=witness,
-        witness_pairing=witness_pairing,
+        witness_pairing=None if witness is None else Fraction(dots[first_negative], d.den),
     )
 
 

@@ -2,7 +2,9 @@
 
 The group is generated by reflections in the nine roots
 E1-E2, ..., E8-E9, H-E1-E2-E3 (each with square -2 and zero pairing
-against the fiber class), acting by s_b(D) = D + (D.b) b.
+against the fiber class), acting by s_b(D) = D + (D.b) b.  The first eight
+generate the permutations S9 of E1..E9.  Orbits are enumerated from sorted
+S9 representatives, not searched: see `weyl_orbit`.
 """
 
 from __future__ import annotations
@@ -12,19 +14,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator
 
-from .lattice import (
-    DivisorClass,
-    E,
-    F,
-    divisor,
-    dot_int,
-    intersect,
-    sorted_classes,
-)
-
-# Reflections can raise the H-degree of intermediate classes; the BFS frontier
-# explores this many degrees above the requested window before pruning.
-FRONTIER_MARGIN = 3
+from .lattice import DivisorClass, E, F, divisor, dot_int, intersect
 
 
 @dataclass(frozen=True)
@@ -59,47 +49,24 @@ def reflect(beta: Root | DivisorClass, d: DivisorClass) -> DivisorClass:
 def enumerate_minus_one_classes(max_h_degree: int) -> list[DivisorClass]:
     """All integral C with C.C = -1, C.K = -1 and 0 <= C.H <= max_h_degree.
 
-    Direct Diophantine search: for fixed h the exceptional part satisfies
-    sum(e_i) = 1 - 3h and sum(e_i^2) = h^2 + 1, which bounds every e_i.
+    These are exactly the classes of the Weyl orbit of E9 in that window.
     """
     if max_h_degree < 0:
         raise ValueError("max_h_degree must be nonnegative")
-    return list(_minus_one_cached(max_h_degree))
-
-
-@lru_cache(maxsize=8)
-def _minus_one_cached(max_h_degree: int) -> tuple[DivisorClass, ...]:
-    found: list[DivisorClass] = []
-    for h in range(max_h_degree + 1):
-        target_sum = 1 - 3 * h
-        target_sq = h * h + 1
-        for e_vec in _signed_vectors(target_sum, target_sq, 9):
-            found.append(DivisorClass((h,) + e_vec))
-    return tuple(sorted_classes(found))
-
-
-def _signed_vectors(s: int, q: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Integer tuples with given sum s and sum of squares q."""
-    if slots == 0:
-        if s == 0 and q == 0:
-            yield ()
-        return
-    # Cauchy-Schwarz feasibility: s^2 <= slots * q.
-    if s * s > slots * q:
-        return
-    bound = isqrt(q)
-    for v in range(-bound, bound + 1):
-        rest_q = q - v * v
-        for tail in _signed_vectors(s - v, rest_q, slots - 1):
-            yield (v,) + tail
+    return list(_orbit_cached(E[8], max_h_degree))
 
 
 def weyl_orbit(start: DivisorClass, max_h_degree: int) -> list[DivisorClass]:
-    """Closure of {start} under the nine generators, kept to the degree window.
+    """The classes of W.start with H-degree in [0, max(max_h_degree, deg(start))],
+    sorted.
 
-    The result window is [0, max(max_h_degree, deg(start))]; the BFS frontier
-    is allowed FRONTIER_MARGIN degrees above it so that images whose degree
-    dips back into the window are not lost.
+    The start must be integral with start.F > 0, or a multiple of F (fixed by
+    W); any other start raises ValueError.  Every class with D.F > 0 has one
+    representative in the chamber b1 >= ... >= b9, a >= b1 + b2 + b3 (writing
+    D = aH - sum b_i E_i), so the orbit is enumerated exactly: for each degree
+    a in the window, every sorted b with the orbit's fiber degree and square
+    whose chamber representative is the start's, then its distinct
+    permutations.
     """
     if max_h_degree < 0:
         raise ValueError("max_h_degree must be nonnegative")
@@ -111,24 +78,72 @@ def weyl_orbit(start: DivisorClass, max_h_degree: int) -> list[DivisorClass]:
 @lru_cache(maxsize=32)
 def _orbit_cached(start: DivisorClass, max_h_degree: int) -> tuple[DivisorClass, ...]:
     window_hi = max(max_h_degree, start.nums[0])
-    cap = window_hi + FRONTIER_MARGIN
-    roots_int = [r.cls.nums for r in root_basis()]
-    seen: set[tuple[int, ...]] = {start.nums}
-    frontier: list[tuple[int, ...]] = [start.nums]
-    while frontier:
-        fresh: set[tuple[int, ...]] = set()
-        for vec in frontier:
-            for b in roots_int:
-                p = dot_int(vec, b)
-                if p == 0:
-                    continue
-                img = tuple(v + p * bb for v, bb in zip(vec, b))
-                if 0 <= img[0] <= cap and img not in seen:
-                    fresh.add(img)
-        seen.update(fresh)
-        frontier = sorted(fresh)
+    fiber = dot_int(start.nums, F.nums)
+    square = dot_int(start.nums, start.nums)
+    if fiber == 0 and square == 0:  # a multiple of F
+        return (start,) if start.nums[0] >= 0 else ()
+    if fiber <= 0:
+        raise ValueError(
+            f"orbit start {start} has D.F = {fiber} and D.D = {square}; only "
+            "classes with D.F > 0 or multiples of F have a finite orbit window"
+        )
+    b = tuple(-x for x in start.nums[1:])
+    target = _chamber(start.nums[0], sorted(b, reverse=True))
+    found: list[tuple[int, ...]] = []
+    for a in range(window_hi + 1):
+        q = a * a - square
+        if q < 0:
+            continue
+        for rep in _sorted_vectors(3 * a - fiber, q, 9, isqrt(q)):
+            if _chamber(a, list(rep)) == target:
+                found += [(a,) + e for e in _permutations(tuple(-x for x in rep))]
     # on integral classes, the order of the numerator tuples is the class order
-    return tuple(DivisorClass(vec) for vec in sorted(seen) if 0 <= vec[0] <= window_hi)
+    return tuple(DivisorClass(vec) for vec in sorted(found))
+
+
+def _chamber(a: int, b: list[int]) -> tuple[int, ...]:
+    """The chamber representative (a, b1 >= ... >= b9) of aH - sum b_i E_i
+    for b sorted nonincreasing.  While a < b1 + b2 + b3, the reflection in
+    H-E1-E2-E3 adds d = a - b1 - b2 - b3 < 0 to a, b1, b2 and b3, so a
+    strictly drops; on a class with D.F > 0, Cauchy-Schwarz bounds a below."""
+    while True:
+        d = a - b[0] - b[1] - b[2]
+        if d >= 0:
+            return (a, *b)
+        a += d
+        b[0] += d
+        b[1] += d
+        b[2] += d
+        b.sort(reverse=True)
+
+
+def _sorted_vectors(s: int, q: int, slots: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Nonincreasing integer tuples with entries <= top, sum s and sum of
+    squares q."""
+    if slots == 1:
+        if s <= top and s * s == q:
+            yield (s,)
+        return
+    # the first entry is the largest, so at least the mean; Cauchy-Schwarz
+    # on the rest: (s - v)^2 <= (slots - 1) * (q - v^2)
+    for v in range(min(top, isqrt(q)), -(-s // slots) - 1, -1):
+        rest_s, rest_q = s - v, q - v * v
+        if rest_s * rest_s <= (slots - 1) * rest_q:
+            for tail in _sorted_vectors(rest_s, rest_q, slots - 1, v):
+                yield (v,) + tail
+
+
+def _permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct permutations of a nondecreasing tuple, in lexicographic
+    order."""
+    if len(items) <= 1:
+        yield items
+        return
+    for i, v in enumerate(items):
+        if i and v == items[i - 1]:
+            continue
+        for rest in _permutations(items[:i] + items[i + 1 :]):
+            yield (v,) + rest
 
 
 def orbit_counts_by_degree(orbit: Iterable[DivisorClass]) -> dict[int, int]:

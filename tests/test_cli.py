@@ -40,6 +40,15 @@ def test_weyl_orbit_fixed_class(capsys):
     assert json.loads(out)["total"] == 1
 
 
+@pytest.mark.parametrize("start", ["--start=E1-E2", "--start=-H"])
+def test_weyl_orbit_refuses_a_start_without_a_finite_window(capsys, start):
+    # E1-E2 pairs 0 with F and squares to -2; -H pairs -3 with F
+    code, out, err = run_cli(capsys, ["weyl", "orbit", start, "--max-degree", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "finite orbit window" in err
+    assert "Traceback" not in err
+
+
 def test_surface_nef_accepts(capsys):
     code, out, _ = run_cli(capsys, ["surface", "nef", "--divisor", "H", "--max-degree", "2"])
     assert code == 0
@@ -327,7 +336,7 @@ def test_cap_refuses_before_any_work(capsys, monkeypatch, prefix, flag, cap, wor
 
 
 def test_orbit_cap_covers_the_start_degree(capsys, monkeypatch):
-    # the BFS window is max(--max-degree, H-degree of --start)
+    # the orbit window is max(--max-degree, H-degree of --start)
     monkeypatch.setattr(cli, "weyl_orbit", _no_work)
     start = f"{cli.MAX_ORBIT_DEGREE + 1}H"
     code, out, err = run_cli(

@@ -3,15 +3,21 @@
 `oracle_duality_check` is the pairing-by-pairing scan that production ran
 before the per-degree dot profile: it pairs every candidate with every curve
 and is kept here, unchanged apart from its name, as the independent reference.
+`oracle_dot_profile` is the profile production built before it paired each
+orbit block once per S9 orbit of (-1)-curves: one row per curve, every class
+paired with every curve.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hilbnef import hilb
 from hilbnef.hilb import (
+    C0,
+    ContractedCurve,
     CurveRow,
     DualityReport,
     HilbDivisor,
@@ -21,7 +27,7 @@ from hilbnef.hilb import (
     lift,
     pair_hilb,
 )
-from hilbnef.lattice import E, F, H, divisor, dot_int
+from hilbnef.lattice import DivisorClass, E, F, H, divisor, dot_int
 from hilbnef.weyl import enumerate_minus_one_classes, weyl_orbit
 
 
@@ -129,15 +135,81 @@ BAD_H = divisor(2, [-3, 0, 0, 0, 0, 0, 0, 0, 0])
 BAD_RULING = divisor(1, [-2, 1, 0, 0, 0, 0, 0, 0, 0])
 
 
+def oracle_dot_row(block, curve):
+    if isinstance(curve, ContractedCurve):
+        dots = [0] * len(block)
+    else:
+        dots = [dot_int(c, curve.c.nums) for c in block]
+    counts = Counter(dots)
+    first = {t: i for i, t in reversed(list(enumerate(dots)))}
+    return {t: (counts[t], first[t]) for t in counts}
+
+
+def oracle_dot_profile(max_h_degree):
+    """(classes, curves, rows) with rows[k][j] mapping each t = c.e over
+    block k to (count, first index)."""
+    classes = (
+        (F,),
+        tuple(weyl_orbit(H, max_h_degree)),
+        tuple(weyl_orbit(H - E[0], max_h_degree)),
+    )
+    ints = tuple(tuple(c.nums for c in block) for block in classes)
+    curves = [("contracted", C0), ("fiber", InducedCurve(F))]
+    curves += [
+        (str(e_cls), InducedCurve(e_cls))
+        for e_cls in enumerate_minus_one_classes(max_h_degree)
+    ]
+    rows = tuple(
+        tuple(oracle_dot_row(block, curve) for _, curve in curves) for block in ints
+    )
+    return classes, tuple(curves), rows
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_profile_rows_match_oracle_profile(degree):
+    """Per (block, curve): the same values and counts of t = c.e, hence the
+    same minimum and zero count, and the same first zero (the witness); the
+    contracted and fiber rows keep every first index."""
+    classes, curves, rows = oracle_dot_profile(degree)
+    profile = hilb._dot_profile(degree)
+    assert profile.classes == classes
+    assert profile.curves == curves
+    for k, block in enumerate(rows):
+        for j, old in enumerate(block):
+            counts, first = profile.rows[k][j]
+            assert counts == {t: count for t, (count, _) in old.items()}
+            assert min(counts) == min(old)
+            if j < 2:
+                assert first == {t: i for t, (_, i) in old.items()}
+            else:
+                assert first == ({0: old[0][1]} if 0 in old else {})
+
+
+def s9_orbit(c: DivisorClass) -> list[DivisorClass]:
+    """The classes obtained from c by permuting E1..E9, sorted: the closure
+    under the transpositions of adjacent E_i."""
+    seen = {c.nums}
+    todo = [c.nums]
+    while todo:
+        v = todo.pop()
+        for i in range(1, 9):
+            w = v[:i] + (v[i + 1], v[i]) + v[i + 2 :]
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return sorted(DivisorClass(v) for v in seen)
+
+
 @pytest.fixture
 def injected_orbits(monkeypatch):
-    """Weyl orbits with one non-nef class added to each, for the profile and
-    for the oracle alike."""
-    extra = {H: BAD_H, H - E[0]: BAD_RULING}
+    """Weyl orbits with the S9 orbit of one non-nef class added to each, for
+    the profile and for the oracle alike.  The profile pairs each block once
+    per S9 orbit of curves, so a block must stay a union of S9 orbits."""
+    extra = {H: s9_orbit(BAD_H), H - E[0]: s9_orbit(BAD_RULING)}
     real_orbit = weyl_orbit
 
     def orbit(start, max_h_degree):
-        return sorted(real_orbit(start, max_h_degree) + [extra[start]])
+        return sorted(real_orbit(start, max_h_degree) + extra[start])
 
     here = sys.modules[__name__]
     for module in (hilb, here):
@@ -155,17 +227,32 @@ def test_falsified_scan_matches_oracle(injected_orbits, n):
 
 
 def test_falsified_scan_lists_offenders_candidate_major(injected_orbits):
-    lines = [f"H-E1-E{j}" for j in range(2, 10)]
     eps_h = "(8H-5E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8-2E9)^[n] - 1*B/2"
     eps_ruling = "(15/2H-5E1-1/2E2-2E3-2E4-2E5-2E6-2E7-2E8-2E9)^[n] - 1*B/2"
     assert str(fiber_orthogonal_lift(BAD_H, 3)) == eps_h
     assert str(fiber_orthogonal_lift(BAD_RULING, 3)) == eps_ruling
-    expected = [f"(2H-3E1)^[n] against {c}: -1" for c in lines]
-    expected += [f"(H-2E1+E2)^[n] against {c}: -1" for c in ["E2"] + lines[1:]]
-    expected += [f"{eps_h} against {c}: -1" for c in lines]
-    expected += [f"{eps_ruling} against {c}: -3/2" for c in ["E2"] + lines[1:]]
+    # 2H-3Ei pairs -1 with the eight lines through Ei; H-2Ei+Ej pairs -1 with
+    # Ej and with the seven lines through Ei but not Ej
+    bad_h = [(2 * H - 3 * E[i], sorted(H - E[i] - E[k] for k in range(9) if k != i))
+             for i in range(9)]
+    bad_ruling = sorted(
+        (H - 2 * E[i] + E[j], sorted([E[j]] + [H - E[i] - E[k] for k in range(9)
+                                               if k not in (i, j)]))
+        for i in range(9) for j in range(9) if i != j
+    )
+
+    def lines(build, rows, value):
+        return [f"{build(c)} against {e}: {value}" for c, curves in rows for e in curves]
+
+    def eps(c):
+        return fiber_orthogonal_lift(c, 3)
+
+    expected = lines(lift, bad_h, -1) + lines(lift, bad_ruling, -1)
+    expected += lines(eps, bad_h, -1) + lines(eps, bad_ruling, "-3/2")
     report = cone_duality_check(3, 2)
     assert list(report.violations) == expected
+    assert len(expected) == 2 * (9 + 72) * 8
+    assert expected[:8] == [f"(2H-3E1)^[n] against H-E1-E{j}: -1" for j in range(2, 10)]
     assert report.min_pairing == Fraction(-3, 2)
 
 
@@ -182,6 +269,42 @@ def test_block_with_two_fiber_degrees_is_rejected(monkeypatch):
             cone_duality_check(3, 1)
     finally:
         hilb._dot_profile.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "start,tamper,message",
+    [
+        (H, lambda classes: classes + [BAD_H], "holds 1 of the 9 permutations of 2H-3E1"),
+        (
+            H - E[0],
+            lambda classes: sorted(classes + s9_orbit(BAD_RULING)[1:]),
+            "holds 71 of the 72 permutations",
+        ),
+        (H - E[0], lambda classes: classes[::-1], "not strictly increasing"),
+    ],
+    ids=["one-class", "orbit-less-one", "reversed"],
+)
+def test_block_not_a_union_of_s9_orbits_is_rejected(monkeypatch, start, tamper, message):
+    real_orbit = weyl_orbit
+
+    def orbit(s, max_h_degree):
+        classes = real_orbit(s, max_h_degree)
+        return tamper(classes) if s == start else classes
+
+    monkeypatch.setattr(hilb, "weyl_orbit", orbit)
+    hilb._dot_profile.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=message):
+            cone_duality_check(3, 1)
+    finally:
+        hilb._dot_profile.cache_clear()
+
+
+def test_ray_pairing_nonzero_with_a_minus_one_curve_is_rejected(monkeypatch):
+    # n F^[n] - B/2 pairs n - (n - 1) = 1 with every induced (-1)-curve
+    monkeypatch.setattr(hilb, "b_negative_ray", lambda n: HilbDivisor(n * F, Fraction(-1)))
+    with pytest.raises(ValueError, match="ray pairs nonzero"):
+        cone_duality_check(3, 1)
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from hilbnef import (
     is_minus_one_class,
     parse_divisor,
     self_intersection,
-    sorted_classes,
 )
 
 rationals = st.fractions(min_value=-999, max_value=999, max_denominator=40)
@@ -125,7 +124,7 @@ def test_matches_fraction_oracle(a, b, s):
 @settings(max_examples=40)
 @given(st.lists(mixed_coords, min_size=2, max_size=6))
 def test_sorting_matches_fraction_oracle(rows):
-    got = sorted_classes(from_coords(r) for r in rows)
+    got = sorted(from_coords(r) for r in rows)
     expected = sorted(FractionDivisorClass(tuple(r)) for r in rows)
     assert [d.coords for d in got] == [o.coords for o in expected]
 
@@ -233,7 +232,7 @@ def test_integral_coordinate_helpers():
 
 def test_sorted_classes_deterministic():
     classes = [E[8], H, E[0], F]
-    once = sorted_classes(classes)
-    again = sorted_classes(list(reversed(classes)))
+    once = sorted(classes)
+    again = sorted(reversed(classes))
     assert once == again
     assert set(once) == set(classes)

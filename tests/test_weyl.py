@@ -1,12 +1,21 @@
+"""Weyl orbits and (-1)-classes, with the breadth-first orbit search and the
+Diophantine (-1)-class search that production used before the orbits were
+enumerated from sorted representatives, kept here as oracles."""
+
 import random
+from functools import lru_cache
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbnef import (
     E,
     F,
     H,
     K,
+    ZERO,
+    DivisorClass,
     Root,
     divisor,
     enumerate_minus_one_classes,
@@ -18,6 +27,62 @@ from hilbnef import (
     self_intersection,
     weyl_orbit,
 )
+from hilbnef.lattice import dot_int
+from hilbnef.weyl import _chamber
+
+# Reflections can raise the H-degree of intermediate classes; the BFS frontier
+# explores this many degrees above the requested window before pruning.
+FRONTIER_MARGIN = 3
+
+
+@lru_cache(maxsize=None)
+def oracle_weyl_orbit(start: DivisorClass, max_h_degree: int) -> tuple[DivisorClass, ...]:
+    window_hi = max(max_h_degree, start.nums[0])
+    cap = window_hi + FRONTIER_MARGIN
+    roots_int = [r.cls.nums for r in root_basis()]
+    seen: set[tuple[int, ...]] = {start.nums}
+    frontier: list[tuple[int, ...]] = [start.nums]
+    while frontier:
+        fresh: set[tuple[int, ...]] = set()
+        for vec in frontier:
+            for b in roots_int:
+                p = dot_int(vec, b)
+                if p == 0:
+                    continue
+                img = tuple(v + p * bb for v, bb in zip(vec, b))
+                if 0 <= img[0] <= cap and img not in seen:
+                    fresh.add(img)
+        seen.update(fresh)
+        frontier = sorted(fresh)
+    # on integral classes, the order of the numerator tuples is the class order
+    return tuple(DivisorClass(vec) for vec in sorted(seen) if 0 <= vec[0] <= window_hi)
+
+
+def _signed_vectors(s: int, q: int, slots: int):
+    """Integer tuples with given sum s and sum of squares q."""
+    if slots == 0:
+        if s == 0 and q == 0:
+            yield ()
+        return
+    # Cauchy-Schwarz feasibility: s^2 <= slots * q.
+    if s * s > slots * q:
+        return
+    bound = isqrt(q)
+    for v in range(-bound, bound + 1):
+        rest_q = q - v * v
+        for tail in _signed_vectors(s - v, rest_q, slots - 1):
+            yield (v,) + tail
+
+
+def oracle_minus_one_classes(max_h_degree: int) -> list[DivisorClass]:
+    """Integral C with C.C = -1, C.K = -1 by direct Diophantine search: for
+    fixed h, sum(e_i) = 1 - 3h and sum(e_i^2) = h^2 + 1."""
+    return sorted(
+        DivisorClass((h,) + e_vec)
+        for h in range(max_h_degree + 1)
+        for e_vec in _signed_vectors(1 - 3 * h, h * h + 1, 9)
+    )
+
 
 # cumulative (-1)-class counts by maximal H-degree
 MINUS_ONE_COUNTS = {0: 9, 1: 45, 2: 171, 3: 423, 4: 936}
@@ -107,3 +172,63 @@ def test_orbit_members_share_invariants(orbit_h_3):
 
 def test_orbit_deterministic(orbit_e9_3):
     assert weyl_orbit(E[8], 3) == orbit_e9_3
+
+
+STARTS = {"H": H, "H-E1": H - E[0], "E9": E[8]}
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("name", sorted(STARTS))
+def test_orbit_matches_bfs_oracle(name, degree):
+    start = STARTS[name]
+    assert weyl_orbit(start, degree) == list(oracle_weyl_orbit(start, degree))
+
+
+def test_orbit_matches_bfs_oracle_at_degree_5():
+    assert weyl_orbit(H, 5) == list(oracle_weyl_orbit(H, 5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STARTS)),
+    word=st.lists(st.integers(0, 8), max_size=8),
+    degree=st.integers(0, 3),
+)
+def test_orbit_of_a_weyl_image_matches_bfs_oracle(name, word, degree):
+    start = STARTS[name]
+    for i in word:
+        start = reflect(root_basis()[i], start)
+    if start.nums[0] > 3:
+        return  # the oracle's window would pass degree 3
+    orbit = weyl_orbit(start, degree)
+    assert orbit == list(oracle_weyl_orbit(start, degree))
+    assert orbit == weyl_orbit(STARTS[name], max(degree, start.nums[0]))
+
+
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("degree", [0, 3, 6])
+def test_orbit_of_a_fiber_multiple_matches_bfs_oracle(k, degree):
+    start = k * F  # 0 * F is the zero class
+    orbit = weyl_orbit(start, degree)
+    assert orbit == list(oracle_weyl_orbit(start, degree))
+    assert orbit == ([start] if k >= 0 else [])
+    assert weyl_orbit(ZERO, degree) == [ZERO]
+
+
+@pytest.mark.parametrize("start", [E[0] - E[1], E[0] - E[1] + F, -H, -E[8]])
+def test_orbit_rejects_a_start_without_positive_fiber_degree(start):
+    # D.F < 0, or D.F = 0 with D.D < 0: not a multiple of F
+    with pytest.raises(ValueError, match="finite orbit window"):
+        weyl_orbit(start, 3)
+
+
+def test_minus_one_classes_match_diophantine_oracle():
+    assert enumerate_minus_one_classes(6) == oracle_minus_one_classes(6)
+
+
+def test_every_minus_one_class_descends_to_e9():
+    e9 = _chamber(0, [0] * 8 + [-1])
+    classes = oracle_minus_one_classes(6)
+    assert len(classes) == 3024
+    for c in classes:
+        assert _chamber(c.nums[0], sorted((-x for x in c.nums[1:]), reverse=True)) == e9
