@@ -40,12 +40,16 @@ MAX_LISTED_CANDIDATES = 2_000_000
 
 # Caps on the other commands, checked before any work.  Each comment gives one
 # run at the cap (wall time, peak RSS) on a 2-vCPU machine, Python 3.11.7.
-MAX_ORBIT_DEGREE = 8  # weyl orbit --start H: 9.4 s, 175 MB (degree 9: 271 MB)
-MAX_NEF_DEGREE = 25  # surface nef --divisor H: 16 s, 189 MB (30: 37 s, 372 MB)
-MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 78 s, 45 MB
-MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 93 s, 48 MB
-MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 7.8 s
-MAX_COVER_SAMPLES = 10_000  # coneconj cover --n 3 --max-degree 6: 141 s, 50 MB
+# The orbit cap is set by the memory of its JSON report: degree 9 lists 99,838
+# classes (17 MB) and peaks at 271 MB.  Degree 7 for the duality scan first
+# needs orthogonality witnesses from outside the degree window: at degree 6,
+# 72 (-1)-curves of degree 6 already have none inside it.
+MAX_ORBIT_DEGREE = 8  # weyl orbit --start H: 2.0 s, 166 MB (degree 9: 3.7 s, 271 MB)
+MAX_NEF_DEGREE = 25  # surface nef --divisor H: 3.6 s, 118 MB (30: 8.0 s, 219 MB)
+MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.9 s, 31 MB
+MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 1.7 s, 31 MB
+MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 1.7 s, 35 MB
+MAX_COVER_SAMPLES = 10_000  # coneconj cover --n 3 --max-degree 6: 24 s, 41 MB
 
 
 # An error line quotes at most this many characters of the input and of the

@@ -294,10 +294,6 @@ class DualityReport:
 
 _FIBER_COLUMN = 1  # the induced fiber curve follows the contracted curve
 
-# (counts, first): how many classes of a block give each t = c.e, and the
-# index in the block of the first class giving it
-_Row = tuple[dict[int, int], dict[int, int]]
-
 
 @dataclass(frozen=True)
 class _DotProfile:
@@ -305,24 +301,22 @@ class _DotProfile:
 
     `classes` are the orbit blocks [F], the Weyl orbit of H and the Weyl orbit
     of H-E1.  `curves` are (label, curve) for the contracted curve, the
-    induced fiber curve and every induced (-1)-curve.  For orbit block k and
-    curve j, `rows[k][j]` is (counts, first): counts maps each distinct
-    t = c.e over the block (0 for the contracted curve) to how many classes
-    give it, and first maps t to the index of the first class giving it.  On
-    a (-1)-curve, first holds t = 0 only: the ray pairs to zero with such a
-    curve, so a zero pairing there needs c.e = 0 for every n.
+    induced fiber curve and every induced (-1)-curve.  Curves with the same
+    values t = c.e over every block share a column: column 0 is the
+    contracted curve (t = 0 throughout), column 1 the fiber curve, then one
+    column per S9 orbit of (-1)-curves; `columns[j]` is curve j's column.
+    `counts[k][m]` maps each distinct t over block k to how many classes
+    give it in column m, and `first[k][j]` maps t to the index of the first
+    class of block k giving it against curve j.  On a (-1)-curve, first
+    holds t = 0 only: the ray pairs to zero with such a curve, so a zero
+    pairing there needs c.e = 0 for every n.
     """
 
     classes: tuple[tuple[DivisorClass, ...], ...]
     curves: tuple[tuple[str, CurveClass], ...]
-    rows: tuple[tuple[_Row, ...], ...]
-
-
-def _direct_row(block: tuple[tuple[int, ...], ...], curve: tuple[int, ...] | None) -> _Row:
-    """The row of one curve paired with every class; None is the contracted
-    curve, which pairs 0 with every c^[n]."""
-    dots = [0] * len(block) if curve is None else [dot_int(c, curve) for c in block]
-    return Counter(dots), {t: i for i, t in reversed(list(enumerate(dots)))}
+    columns: tuple[int, ...]
+    counts: tuple[tuple[dict[int, int], ...], ...]
+    first: tuple[tuple[dict[int, int], ...], ...]
 
 
 def _check_orbit_block(block: tuple[tuple[int, ...], ...]) -> None:
@@ -342,41 +336,42 @@ def _check_orbit_block(block: tuple[tuple[int, ...], ...]) -> None:
             )
 
 
-def _minus_one_rows(
-    block: tuple[tuple[int, ...], ...], minus_ones: list[DivisorClass]
-) -> list[_Row]:
-    """The rows of every (-1)-curve against one block, paired once per S9
-    orbit of curves.
+def _shape_columns(
+    block: tuple[tuple[int, ...], ...],
+    shapes: list[tuple[int, ...]],
+    minus_ones: list[tuple[int, list[int]]],
+) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """The counts of each (-1)-curve column and the first zero of each
+    (-1)-curve, against one block.
 
-    For e = sigma(r), with r the sorted representative of e, the block's
-    values c.e are its values c.r (the block is a union of S9 orbits), and
-    its classes with c.e = 0 are the images under sigma of those with
-    c.r = 0.  The first zero is the least image: take the zeros of least
-    H-degree, permute each and keep the lexicographic minimum.
+    The block is a union of S9 orbits (checked), so for a (-1)-curve
+    e = sigma(r), with r its sorted shape, the block's values c.e are its
+    values c.r, and its classes with c.e = 0 are the images under sigma of
+    those with c.r = 0.  The first zero is the least image: take the zeros
+    of least H-degree, permute each and keep the lexicographic minimum.
     """
     _check_orbit_block(block)
+    counts = []
+    lowest = []  # per shape, its zeros of least H-degree
+    for r in shapes:
+        dots = [dot_int(c, r) for c in block]
+        zeros = [c for c, t in zip(block, dots) if t == 0]
+        low = min((z[0] for z in zeros), default=None)
+        counts.append(Counter(dots))
+        lowest.append([z for z in zeros if z[0] == low])
     index = {c: i for i, c in enumerate(block)}
-    by_shape: dict[tuple[int, ...], tuple[Counter, list[tuple[int, ...]]]] = {}
-    rows: list[_Row] = []
-    for e_cls in minus_ones:
-        e = e_cls.nums
-        order = sorted(range(1, RANK), key=e.__getitem__)
-        r = (e[0],) + tuple(e[i] for i in order)
-        if r not in by_shape:
-            dots = [dot_int(c, r) for c in block]
-            zeros = [c for c, t in zip(block, dots) if t == 0]
-            low = min((z[0] for z in zeros), default=None)
-            by_shape[r] = Counter(dots), [z for z in zeros if z[0] == low]
-        counts, lowest = by_shape[r]
-        first = {}
-        if lowest:
-            # e_i = r_src[i], so z.r = 0 gives the class c_i = z_src[i]
-            src = [0] * RANK
-            for j, i in enumerate(order, 1):
-                src[i] = j
-            first[0] = index[min(tuple(z[i] for i in src) for z in lowest)]
-        rows.append((counts, first))
-    return rows
+    first = []
+    for m, order in minus_ones:
+        zeros = lowest[m - _FIBER_COLUMN - 1]
+        if not zeros:
+            first.append({})
+            continue
+        # e_i = r_src[i], so z.r = 0 gives the class c_i = z_src[i]
+        src = [0] * RANK
+        for j, i in enumerate(order, 1):
+            src[i] = j
+        first.append({0: index[min(tuple(z[i] for i in src) for z in zeros)]})
+    return counts, first
 
 
 @lru_cache(maxsize=8)
@@ -386,23 +381,46 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
         tuple(weyl_orbit(H, max_h_degree)),
         tuple(weyl_orbit(H - E[0], max_h_degree)),
     )
-    minus_ones = enumerate_minus_one_classes(max_h_degree)
     curves = [("contracted", C0), ("fiber", InducedCurve(F))]
-    curves += [(str(e_cls), InducedCurve(e_cls)) for e_cls in minus_ones]
-    rows = []
+    columns = [0, _FIBER_COLUMN]
+    shapes: dict[tuple[int, ...], int] = {}
+    minus_ones = []  # (column, sorting order of E1..E9) per (-1)-curve
+    for e_cls in enumerate_minus_one_classes(max_h_degree):
+        e = e_cls.nums
+        order = sorted(range(1, RANK), key=e.__getitem__)
+        r = (e[0],) + tuple(e[i] for i in order)
+        m = shapes.setdefault(r, _FIBER_COLUMN + 1 + len(shapes))
+        curves.append((str(e_cls), InducedCurve(e_cls)))
+        columns.append(m)
+        minus_ones.append((m, order))
+    counts, first = [], []
     for k, block in enumerate(classes):
         ints = tuple(c.nums for c in block)
-        row = [_direct_row(ints, None), _direct_row(ints, F.nums)]
+        block_counts, block_first = [], []
+        for curve in (None, F.nums):  # the contracted and the fiber curve
+            dots = [0] * len(ints) if curve is None else [dot_int(c, curve) for c in ints]
+            block_counts.append(Counter(dots))
+            block_first.append({t: i for i, t in reversed(list(enumerate(dots)))})
         if k:  # a Weyl block
-            _fiber_degree(row)
-        rows.append(tuple(row + _minus_one_rows(ints, minus_ones)))
-    return _DotProfile(classes, tuple(curves), tuple(rows))
+            _fiber_degree(block_counts)
+        shape_counts, shape_first = _shape_columns(ints, list(shapes), minus_ones)
+        counts.append(tuple(block_counts + shape_counts))
+        first.append(tuple(block_first + shape_first))
+    return _DotProfile(
+        classes, tuple(curves), tuple(columns), tuple(counts), tuple(first)
+    )
 
 
-def _fiber_degree(rows: list[_Row] | tuple[_Row, ...]) -> int:
+@lru_cache(maxsize=1 << 14)
+def _lift_label(c: DivisorClass) -> str:
+    """str(lift(c)), the same for every n: a witness is printed once per n."""
+    return str(lift(c))
+
+
+def _fiber_degree(counts: list[dict[int, int]] | tuple[dict[int, int], ...]) -> int:
     """The one value of c.F over an orbit block.  It must be positive: the
     scan reads each block's smallest pairing at its smallest c.e."""
-    values = sorted(rows[_FIBER_COLUMN][0])
+    values = sorted(counts[_FIBER_COLUMN])
     if len(values) != 1 or values[0] <= 0:
         raise ValueError(f"orbit block has c.F values {values}, not one positive value")
     return values[0]
@@ -421,12 +439,13 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     x*c^[n] + b_negative_ray(n) for c in a Weyl orbit, where x = n/(c.F) is
     shared by the block.  A pairing with a curve e is x*(c.e), plus ray.e in
     an orthogonal block, so it grows with t = c.e.  The per-degree
-    `_dot_profile` holds the distinct values of t with their counts and first
-    indices, so each curve's minimum, zero count and first witness in
-    candidate order come from a few exact operations per block and n, and
-    ray.e from one `pair_hilb` per curve.  On a (-1)-curve ray.e = 0 (checked
-    here), so a zero needs t = 0 whatever n is, and the profile pairs each
-    block once per S9 orbit of those curves.  c.F is one value per block, so one
+    `_dot_profile` holds the distinct values of t with their counts per block
+    and column (the contracted curve, the fiber curve, one S9 orbit of
+    (-1)-curves), and each curve's first index per value, so the minimum and
+    zero count of a column and the first witness of a curve, in candidate
+    order, come from a few exact operations per block and n, and ray.e from
+    one `pair_hilb` per column.  On a (-1)-curve ray.e = 0 (checked here), so
+    a zero needs t = 0 whatever n is.  c.F is one value per block, so one
     identity x*(c.F) + ray.F_[n] = 0 checks that a whole orthogonal block
     kills the induced fiber curve.  A candidate is built only to print it.
     `pairings_checked` counts the (candidate, curve) pairs certified.
@@ -435,7 +454,12 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
         raise ValueError("n >= 3 required")
     profile = _dot_profile(max_h_degree)
     ray = b_negative_ray(n)
-    ray_pairings = [pair_hilb(ray, curve, n) for _, curve in profile.curves]
+    # ray.e per column: permuting E1..E9 fixes F, so e.F and the genus of e,
+    # hence ray.e, are one value on a column
+    ray_pairings = [
+        pair_hilb(ray, profile.curves[profile.columns.index(m)][1], n)
+        for m in range(len(profile.counts[0]))
+    ]
     if any(ray_pairings[_FIBER_COLUMN + 1 :]):
         raise ValueError("the B-negative ray pairs nonzero with an induced (-1)-curve")
 
@@ -446,60 +470,73 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     for k, orthogonal in ((0, False), (1, False), (2, False), (1, True), (2, True)):
         x = Fraction(1)
         if orthogonal:
-            x = _orthogonal_scale(_fiber_degree(profile.rows[k]), n)
+            x = _orthogonal_scale(_fiber_degree(profile.counts[k]), n)
         blocks.append((offset, k, x, orthogonal))
         offset += len(profile.classes[k])
 
-    def candidate(index: int) -> HilbDivisor:
+    def locate(index: int) -> tuple[bool, DivisorClass]:
         first_idx, k, _, orthogonal = next(b for b in reversed(blocks) if index >= b[0])
-        c = profile.classes[k][index - first_idx]
+        return orthogonal, profile.classes[k][index - first_idx]
+
+    def candidate(index: int) -> HilbDivisor:
+        orthogonal, c = locate(index)
         return fiber_orthogonal_lift(c, n) if orthogonal else lift(c)
 
-    rows = []
-    negative = []  # (block, curve index) with some negative pairing
-    for j, (label, _) in enumerate(profile.curves):
+    def candidate_label(index: int) -> str:
+        orthogonal, c = locate(index)
+        return str(fiber_orthogonal_lift(c, n)) if orthogonal else _lift_label(c)
+
+    # Per column: the minimum, the zero count, and the first block with a
+    # zero (its first index, orbit block and t = c.e).
+    summaries = []
+    negative = []  # (block, column) with some negative pairing
+    for m, s_m in enumerate(ray_pairings):
         low: Fraction | None = None
         zero_count = 0
-        witness_at: int | None = None
+        hit = None
         for block in blocks:
             first_idx, k, x, orthogonal = block
-            counts, first = profile.rows[k][j]
-            s = ray_pairings[j] if orthogonal else 0
+            counts = profile.counts[k][m]
+            s = s_m if orthogonal else 0
             value = x * min(counts) + s
             if low is None or value < low:
                 low = value
             if value < 0:
-                negative.append((block, j))
+                negative.append((block, m))
             t_zero = -s / x
-            hit = counts.get(t_zero.numerator) if t_zero.denominator == 1 else None
-            if hit is not None:
-                zero_count += hit
-                if witness_at is None:
-                    witness_at = first_idx + first[t_zero.numerator]
-        rows.append(
-            CurveRow(
-                curve=label,
-                min_pairing=low,
-                zero_count=zero_count,
-                witness=None if witness_at is None else str(candidate(witness_at)),
-            )
-        )
+            if t_zero.denominator == 1 and t_zero.numerator in counts:
+                zero_count += counts[t_zero.numerator]
+                if hit is None:
+                    hit = (first_idx, k, t_zero.numerator)
+        summaries.append((low, zero_count, hit))
+
+    rows = []
+    for j, (label, _) in enumerate(profile.curves):
+        low, zero_count, hit = summaries[profile.columns[j]]
+        witness = None
+        if hit is not None:
+            first_idx, k, t = hit
+            witness = candidate_label(first_idx + profile.first[k][j][t])
+        rows.append(CurveRow(label, low, zero_count, witness))
 
     # Only a falsified scan builds and pairs a block's candidates, to list
     # each offender in candidate-major, then curve order.
     offenders = []
-    for (first_idx, k, _, _), j in negative:
+    for (first_idx, k, _, _), m in negative:
+        curves = [j for j, col in enumerate(profile.columns) if col == m]
         for idx in range(first_idx, first_idx + len(profile.classes[k])):
             d = candidate(idx)
-            value = pair_hilb(d, profile.curves[j][1], n)
-            if value < 0:
-                offenders.append((idx, j, f"{d} against {profile.curves[j][0]}: {value}"))
+            for j in curves:
+                value = pair_hilb(d, profile.curves[j][1], n)
+                if value < 0:
+                    label = profile.curves[j][0]
+                    offenders.append((idx, j, f"{d} against {label}: {value}"))
     violations = [line for _, _, line in sorted(offenders)]
 
     # One identity per orthogonal block, as c.F is constant on it.
     ray_fiber = ray_pairings[_FIBER_COLUMN]
     for first_idx, k, x, orthogonal in blocks:
-        if orthogonal and x * _fiber_degree(profile.rows[k]) + ray_fiber != 0:
+        if orthogonal and x * _fiber_degree(profile.counts[k]) + ray_fiber != 0:
             violations += [
                 f"{candidate(idx)} is not orthogonal to the induced fiber curve"
                 for idx in range(first_idx, first_idx + len(profile.classes[k]))

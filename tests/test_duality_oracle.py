@@ -176,7 +176,8 @@ def test_profile_rows_match_oracle_profile(degree):
     assert profile.curves == curves
     for k, block in enumerate(rows):
         for j, old in enumerate(block):
-            counts, first = profile.rows[k][j]
+            counts = profile.counts[k][profile.columns[j]]
+            first = profile.first[k][j]
             assert counts == {t: count for t, (count, _) in old.items()}
             assert min(counts) == min(old)
             if j < 2:
