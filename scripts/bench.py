@@ -2,15 +2,15 @@
 
 Usage, from the root of a git checkout:
 
-    python3 scripts/bench.py --label LABEL --parent REV [--change REV] \
-        [--pairs N] [--seconds S] [--workloads campaign,walls,cover]
+    python3 scripts/bench.py --label LABEL --parent REV
 
-Both commits are exported with `git archive` into a temporary directory, so
-only committed files are measured.  For each workload the script runs
-`perfbench/run.py --trace 0 --seconds S --seed i` in the two trees
-alternately, N pairs, the side that runs first alternating from pair to pair;
-each run measures its own tree with that tree's runner.  Pair i uses seed i
-(only `cover` reads it).  One run yields one median per end-to-end metric.
+REV and HEAD are exported with `git archive` into a temporary directory, so
+only committed files are measured.  For each workload of BENCHMARK.json the
+script runs `perfbench/run.py --trace 0 --seed i` in the two trees
+alternately, PAIRS pairs, the side that runs first alternating from pair to
+pair; each run measures its own tree with that tree's runner, for the run
+length that runner sets.  Pair i uses seed i (only `cover` reads it).  One
+run yields one median per end-to-end metric.
 
 BENCH_<label>.json, written at the root of the checkout, holds per workload
 and metric both sides' samples (one per run) with their median and
@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -55,10 +56,10 @@ def export(commit: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One perfbench run in `tree`; its JSON result line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -103,17 +104,10 @@ def compare(runs: list[dict], metric: dict) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    parser.add_argument("--parent", required=True, help="the commit compared against")
-    parser.add_argument("--change", default="HEAD", help="the commit measured")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=40, help="perfbench --seconds")
-    parser.add_argument("--workloads", default="campaign,walls,cover")
+    parser.add_argument("--parent", required=True, help="the commit compared with HEAD")
     args = parser.parse_args()
-    if args.pairs < 2 or args.seconds < 1:
-        parser.error("--pairs must be at least 2 and --seconds positive")
-    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     report: dict = {
         "label": args.label,
         "python": sys.version.split()[0],
@@ -121,21 +115,20 @@ def main() -> int:
         "commits": commits,
         "settings": {
             "command": "perfbench/run.py --trace 0",
-            "pairs": args.pairs,
-            "seconds": args.seconds,
-            "seeds": f"pair index 0..{args.pairs - 1}",
+            "pairs": PAIRS,
+            "seeds": f"pair index 0..{PAIRS - 1}",
         },
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="hilbnef-bench-") as tmp:
         trees = {side: export(commits[side], Path(tmp) / side) for side in SIDES}
-        for workload in workloads:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             runs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 run = {"pair": i, "first": order[0]}
                 for side in order:
-                    run[side] = run_once(trees[side], workload, i, args.seconds)
+                    run[side] = run_once(trees[side], workload, i)
                     print(f"{workload} pair {i} {side}: {run[side]['metrics']}", file=sys.stderr)
                 runs.append(run)
             report["workloads"][workload] = {

@@ -13,8 +13,9 @@ error: line and no traceback.
 Parameters that would run too long are usage errors, refused before any
 work: each command's --max-degree (for `weyl orbit`, the larger of it and the
 H-degree of --start) and `coneconj cover --samples` have a cap (the MAX_*
-constants below), and `walls gieseker` refuses a degree that would list more
-than MAX_LISTED_CANDIDATES shapes.
+constants below), `walls gieseker` refuses a degree that would list more
+than MAX_LISTED_CANDIDATES shapes, and `weyl orbit` refuses a start whose
+walk or class count, both read from the start, is over its cap.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import os
 import sys
 import traceback
 
-from .lattice import DivisorClass, parse_divisor
-from .weyl import orbit_counts_by_degree, weyl_orbit
+from .lattice import DivisorClass, dot_int, parse_divisor
+from .weyl import orbit_counts_by_degree, orbit_size, weyl_orbit
 from .surface_cones import ample_family, is_nef_up_to_degree
 from .hilb import cone_duality_check
 from .bridgeland import GiesekerFalsified, gieseker_wall, shapes_of_degree, slice_for
@@ -45,6 +46,13 @@ MAX_LISTED_CANDIDATES = 2_000_000
 # needs orthogonality witnesses from outside the degree window: at degree 6,
 # 72 (-1)-curves of degree 6 already have none inside it.
 MAX_ORBIT_DEGREE = 8  # weyl orbit --start H: 2.0 s, 166 MB (degree 9: 3.7 s, 271 MB)
+# The orbit's walk visits, at each degree a of the window, the sorted b with
+# sum of squares a^2 - D.D (`weyl.weyl_orbit`), so its cost grows with -D.D
+# too; its report's memory grows with the classes listed, which one orbit of
+# a window within MAX_ORBIT_DEGREE can hold by the million.  Both are checked
+# from the start before any class is listed.
+MAX_ORBIT_SQUARES = 225  # window^2 - D.D; one degree's walk: at most 0.08 s
+MAX_ORBIT_CLASSES = 60_000  # --start H --max-degree 8 lists 58,888 classes
 MAX_NEF_DEGREE = 25  # surface nef --divisor H: 3.6 s, 118 MB (30: 8.0 s, 219 MB)
 MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.9 s, 31 MB
 MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 1.7 s, 31 MB
@@ -108,10 +116,14 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
     degree = _check_degree(args.max_degree)
     window = max(degree, start.nums[0])  # the orbit's degree window, see weyl_orbit
     _check_cap("max(--max-degree, H-degree of --start)", window, MAX_ORBIT_DEGREE)
+    squares = window * window - dot_int(start.nums, start.nums)
+    _check_cap("the orbit walk's window^2 - D.D", squares, MAX_ORBIT_SQUARES)
     try:
-        orbit = weyl_orbit(start, degree)
+        size = orbit_size(start, degree)
     except ValueError as exc:  # a start with no finite orbit window
         raise UsageError(str(exc)) from exc
+    _check_cap("the orbit's class count", size, MAX_ORBIT_CLASSES)
+    orbit = weyl_orbit(start, degree)
     payload = {
         "start": str(start),
         "max_degree": degree,

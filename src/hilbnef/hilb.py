@@ -411,12 +411,6 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
     )
 
 
-@lru_cache(maxsize=1 << 14)
-def _lift_label(c: DivisorClass) -> str:
-    """str(lift(c)), the same for every n: a witness is printed once per n."""
-    return str(lift(c))
-
-
 def _fiber_degree(counts: list[dict[int, int]] | tuple[dict[int, int], ...]) -> int:
     """The one value of c.F over an orbit block.  It must be positive: the
     scan reads each block's smallest pairing at its smallest c.e."""
@@ -482,10 +476,6 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
         orthogonal, c = locate(index)
         return fiber_orthogonal_lift(c, n) if orthogonal else lift(c)
 
-    def candidate_label(index: int) -> str:
-        orthogonal, c = locate(index)
-        return str(fiber_orthogonal_lift(c, n)) if orthogonal else _lift_label(c)
-
     # Per column: the minimum, the zero count, and the first block with a
     # zero (its first index, orbit block and t = c.e).
     summaries = []
@@ -516,7 +506,7 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
         witness = None
         if hit is not None:
             first_idx, k, t = hit
-            witness = candidate_label(first_idx + profile.first[k][j][t])
+            witness = str(candidate(first_idx + profile.first[k][j][t]))
         rows.append(CurveRow(label, low, zero_count, witness))
 
     # Only a falsified scan builds and pairs a block's candidates, to list

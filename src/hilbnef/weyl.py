@@ -10,8 +10,9 @@ S9 representatives, not searched: see `weyl_orbit`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
-from math import isqrt
+from math import factorial, isqrt
 from typing import Iterable, Iterator
 
 from .lattice import DivisorClass, E, F, divisor, dot_int, intersect
@@ -66,7 +67,8 @@ def weyl_orbit(start: DivisorClass, max_h_degree: int) -> list[DivisorClass]:
     D = aH - sum b_i E_i), so the orbit is enumerated exactly: for each degree
     a in the window, every sorted b with the orbit's fiber degree and square
     whose chamber representative is the start's, then its distinct
-    permutations.
+    permutations.  The walk at degree a visits sorted b with sum of squares
+    a^2 - D.D, so its cost grows with -D.D as well as with the window.
     """
     if max_h_degree < 0:
         raise ValueError("max_h_degree must be nonnegative")
@@ -75,30 +77,52 @@ def weyl_orbit(start: DivisorClass, max_h_degree: int) -> list[DivisorClass]:
     return list(_orbit_cached(start, max_h_degree))
 
 
+def orbit_size(start: DivisorClass, max_h_degree: int) -> int:
+    """len(weyl_orbit(start, max_h_degree)), counted from the orbit's sorted
+    representatives without listing its classes; same errors."""
+    if max_h_degree < 0:
+        raise ValueError("max_h_degree must be nonnegative")
+    if not start.is_integral():
+        raise ValueError("orbit start must be integral")
+    return sum(_arrangements(rep) for _, rep in _representatives(start, max_h_degree))
+
+
 @lru_cache(maxsize=32)
 def _orbit_cached(start: DivisorClass, max_h_degree: int) -> tuple[DivisorClass, ...]:
+    found: list[tuple[int, ...]] = []
+    for a, rep in _representatives(start, max_h_degree):
+        found += [(a,) + e for e in _permutations(tuple(-x for x in rep))]
+    # on integral classes, the order of the numerator tuples is the class order
+    return tuple(DivisorClass(vec) for vec in sorted(found))
+
+
+@lru_cache(maxsize=32)
+def _representatives(
+    start: DivisorClass, max_h_degree: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(a, b) with b nonincreasing for each S9 orbit of W.start in the window.
+    The walk at degree a covers the sorted b with sum of squares a^2 - D.D."""
     window_hi = max(max_h_degree, start.nums[0])
     fiber = dot_int(start.nums, F.nums)
     square = dot_int(start.nums, start.nums)
+    b = tuple(-x for x in start.nums[1:])
     if fiber == 0 and square == 0:  # a multiple of F
-        return (start,) if start.nums[0] >= 0 else ()
+        return ((start.nums[0], b),) if start.nums[0] >= 0 else ()
     if fiber <= 0:
         raise ValueError(
             f"orbit start {start} has D.F = {fiber} and D.D = {square}; only "
             "classes with D.F > 0 or multiples of F have a finite orbit window"
         )
-    b = tuple(-x for x in start.nums[1:])
     target = _chamber(start.nums[0], sorted(b, reverse=True))
-    found: list[tuple[int, ...]] = []
+    found = []
     for a in range(window_hi + 1):
         q = a * a - square
         if q < 0:
             continue
         for rep in _sorted_vectors(3 * a - fiber, q, 9, isqrt(q)):
             if _chamber(a, list(rep)) == target:
-                found += [(a,) + e for e in _permutations(tuple(-x for x in rep))]
-    # on integral classes, the order of the numerator tuples is the class order
-    return tuple(DivisorClass(vec) for vec in sorted(found))
+                found.append((a, rep))
+    return tuple(found)
 
 
 def _chamber(a: int, b: list[int]) -> tuple[int, ...]:
@@ -131,6 +155,14 @@ def _sorted_vectors(s: int, q: int, slots: int, top: int) -> Iterator[tuple[int,
         if rest_s * rest_s <= (slots - 1) * rest_q:
             for tail in _sorted_vectors(rest_s, rest_q, slots - 1, v):
                 yield (v,) + tail
+
+
+def _arrangements(b: tuple[int, ...]) -> int:
+    """The number of distinct permutations of b: len(b)! / prod m_k!."""
+    count = factorial(len(b))
+    for m in Counter(b).values():
+        count //= factorial(m)
+    return count
 
 
 def _permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -350,6 +350,27 @@ def test_orbit_cap_covers_the_start_degree(capsys, monkeypatch):
     assert code == 3 and "_WorkReached" in err
 
 
+@pytest.mark.parametrize(
+    "over,cap",
+    [
+        # H+1000E1 has degree 1, but its walk covers sum b_i^2 = 10^6
+        ("H+1000E1", "MAX_ORBIT_SQUARES"),
+        # H+5E1-5E2 lists 2,556,108 classes of degree at most 1
+        ("H+5E1-5E2", "MAX_ORBIT_CLASSES"),
+    ],
+)
+def test_orbit_walk_and_size_caps_refuse_before_listing(capsys, monkeypatch, over, cap):
+    monkeypatch.setattr(cli, "weyl_orbit", _no_work)
+    limit = getattr(cli, cap)
+    code, out, err = run_cli(capsys, ["weyl", "orbit", "--start", over, "--max-degree", "0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"cap of {limit}" in err
+    assert "Traceback" not in err
+    # H+15E1 walks exactly MAX_ORBIT_SQUARES = 225 and lists 9 classes
+    code, _, err = run_cli(capsys, ["weyl", "orbit", "--start", "H+15E1", "--max-degree", "1"])
+    assert code == 3 and "_WorkReached" in err
+
+
 class _ClosedStdout(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

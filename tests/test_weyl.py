@@ -28,7 +28,7 @@ from hilbnef import (
     weyl_orbit,
 )
 from hilbnef.lattice import dot_int
-from hilbnef.weyl import _chamber
+from hilbnef.weyl import _chamber, orbit_size
 
 # Reflections can raise the H-degree of intermediate classes; the BFS frontier
 # explores this many degrees above the requested window before pruning.
@@ -188,6 +188,21 @@ def test_orbit_matches_bfs_oracle_at_degree_5():
     assert weyl_orbit(H, 5) == list(oracle_weyl_orbit(H, 5))
 
 
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("name", sorted(STARTS))
+def test_orbit_size_counts_the_listed_classes(name, degree):
+    start = STARTS[name]
+    assert orbit_size(start, degree) == len(weyl_orbit(start, degree))
+
+
+def test_orbit_of_a_start_far_from_the_origin_matches_bfs_oracle():
+    # H+15E1 has degree 1 but square -224: the walk covers sum b_i^2 = 225
+    start = H + 15 * E[0]
+    orbit = weyl_orbit(start, 1)
+    assert orbit == list(oracle_weyl_orbit(start, 1))
+    assert len(orbit) == orbit_size(start, 1) == 9
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     name=st.sampled_from(sorted(STARTS)),
@@ -212,6 +227,7 @@ def test_orbit_of_a_fiber_multiple_matches_bfs_oracle(k, degree):
     orbit = weyl_orbit(start, degree)
     assert orbit == list(oracle_weyl_orbit(start, degree))
     assert orbit == ([start] if k >= 0 else [])
+    assert orbit_size(start, degree) == len(orbit)
     assert weyl_orbit(ZERO, degree) == [ZERO]
 
 
@@ -220,6 +236,8 @@ def test_orbit_rejects_a_start_without_positive_fiber_degree(start):
     # D.F < 0, or D.F = 0 with D.D < 0: not a multiple of F
     with pytest.raises(ValueError, match="finite orbit window"):
         weyl_orbit(start, 3)
+    with pytest.raises(ValueError, match="finite orbit window"):
+        orbit_size(start, 3)
 
 
 def test_minus_one_classes_match_diophantine_oracle():
