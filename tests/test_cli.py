@@ -40,6 +40,14 @@ def test_weyl_orbit_fixed_class(capsys):
     assert json.loads(out)["total"] == 1
 
 
+def test_weyl_orbit_empty_class_list(capsys):
+    # -F is a negative multiple of F: its orbit has no class of degree >= 0
+    code, out, _ = run_cli(capsys, ["weyl", "orbit", "--start=-F"])
+    assert code == 0
+    assert '\n  "classes": [],\n' in out
+    assert json.loads(out)["total"] == 0
+
+
 @pytest.mark.parametrize("start", ["--start=E1-E2", "--start=-H"])
 def test_weyl_orbit_refuses_a_start_without_a_finite_window(capsys, start):
     # E1-E2 pairs 0 with F and squares to -2; -H pairs -3 with F

@@ -79,7 +79,10 @@ def test_degree3_walls_match_golden_digest(capsys, label, digest, size):
 
 # (name, argv, exit code, SHA-256 of stdout, stdout bytes).  `hilb check-theorem` at
 # degree 6 exits 1: 72 (-1)-curves of degree 6 have no orthogonality witness
-# inside the window, so this pins the window-edge output.
+# inside the window, so this pins the window-edge output.  The degree-4 and
+# degree-5 `walls gieseker` certificates and the degree-8 `weyl orbit --start H`
+# report were recorded while the JSON writer still built one dict per row; the
+# A2 degree-4 digest is the `walls` workload's in perfbench/expected.json.
 DEEP_DIGESTS = [
     (
         "campaign_run_deg5",
@@ -115,6 +118,34 @@ DEEP_DIGESTS = [
         0,
         "68afea596c819ace72450eb934cb5a7488aeca399e398637bdf71c6583737637",
         16799,
+    ),
+    (
+        "walls_a2_n3_deg4",
+        ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "4"],
+        0,
+        "416c8aea30e54fc4a42cb4e34b92b0638d262ddcc217c23acdb486480dfba25c",
+        20325500,
+    ),
+    (
+        "walls_a2_n3_deg5",
+        ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "5"],
+        0,
+        "192a5ecfb4006d1d7cc0a46ae3d3ac0b4cd682c9a235ca0ac1668aad27c89659",
+        99424319,
+    ),
+    (
+        "walls_a1_n5_deg4",
+        ["walls", "gieseker", "--slice", "A1", "--n", "5", "--max-degree", "4"],
+        0,
+        "66b8765b2f7079e2e1fdb792cd43ddc145f35d0d56c4e4eb451b38b6bdad47cd",
+        19452345,
+    ),
+    (
+        "weyl_orbit_h_deg8",
+        ["weyl", "orbit", "--start", "H", "--max-degree", "8"],
+        0,
+        "c2bada185bd7641a5f9be0c7bdb4648e680a103fe31f8e4057c37fe8d4474144",
+        10238254,
     ),
 ]
 
