@@ -17,7 +17,8 @@ The rank-1 candidate pool is held as orbits of the permutations of E2..E9,
 which fix both slices, the twist and every filter and wall: one
 representative per orbit (E1, E9, or aH - sum b_i E_i with b2 >= ... >= b9)
 carries its orbit size, and the filters and walls run once per orbit.  The
-shape-by-shape candidate list is expanded in pool order only when iterated.
+shape-by-shape candidate list is expanded in pool order only when iterated;
+the certificate's report renders it from one row layout per orbit.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .lattice import (
     self_intersection,
 )
 from .hilb import HilbDivisor
+from .rowtable import RowTable
 from .surface_cones import a1_polarization, a2_polarization
 
 
@@ -315,8 +317,11 @@ class WallCandidate:
     def shape_class(self) -> DivisorClass:
         return DivisorClass(self.shape)
 
-    def to_json(self) -> dict:
-        row: dict = {"shape": str(self.shape_class())}
+    def to_json(self, shape_text: str) -> dict:
+        """The candidate's report row, with shape_text as the text of its
+        shape.  Called on an orbit representative, it is the layout of the
+        rows of the whole E2..E9 orbit (see CandidatePool.row_table)."""
+        row: dict = {"shape": shape_text}
         row["filter"] = self.filtered_by
         if self.wall is not None:
             row["wall"] = self.wall.to_json()
@@ -326,6 +331,7 @@ class WallCandidate:
 FILTER_ORDER = ("slope", "fiber_degree", "fiber_component", "ruling_excess")
 
 _E_SHAPES = tuple(tuple(int(j == i + 1) for j in range(RANK)) for i in range(9))
+_E_TEXTS = tuple(f"E{i}" for i in range(1, RANK))
 _ORBIT_PERMUTATIONS = factorial(8)
 
 
@@ -366,19 +372,33 @@ def _orbit_code(coords: tuple[int, ...]) -> int:
 
 
 def _degree_shapes(a: int):
-    """The shapes (a, -b1, ..., -b9) with 0 <= b_i <= a and sum b_i <= 3a, in
-    itertools.product order of (b1, ..., b9), each with its _orbit_code."""
+    """The shapes (a, -b1, ..., -b9) with 0 <= b_i <= a and sum b_i <= 3a, for
+    a >= 1, in itertools.product order of (b1, ..., b9), each with its
+    _orbit_code and its text str(DivisorClass(shape)), both built by prefix."""
     digit = [16**k for k in range(a + 1)]
-    rows = [((a, -b1), 3 * a - b1, b1 * 16 ** (a + 1)) for b1 in range(a + 1)]
-    for _ in range(7):  # b2..b8
+    terms = [  # terms[i][k]: the text of -k E_(i+1)
+        [""] + [f"-{'' if k == 1 else k}{name}" for k in range(1, a + 1)]
+        for name in _E_TEXTS
+    ]
+    head = "H" if a == 1 else f"{a}H"
+    rows = [
+        ((a, -b1), 3 * a - b1, b1 * 16 ** (a + 1), head + terms[0][b1])
+        for b1 in range(a + 1)
+    ]
+    for term in terms[1:7]:  # b2..b7
         rows = [
-            (coords + (-k,), left - k, code + digit[k])
-            for coords, left, code in rows
+            (coords + (-k,), left - k, code + digit[k], text + term[k])
+            for coords, left, code, text in rows
             for k in range(min(a, left) + 1)
         ]
-    for coords, left, code in rows:  # b9
+    # b8 and b9 in loops, so that no list holds the b1..b8 prefixes
+    term8, term9 = terms[7], terms[8]
+    for coords, left, code, text in rows:
         for k in range(min(a, left) + 1):
-            yield coords + (-k,), code + digit[k]
+            coords8, left8 = coords + (-k,), left - k
+            code8, text8 = code + digit[k], text + term8[k]
+            for j in range(min(a, left8) + 1):
+                yield coords8 + (-j,), code8 + digit[j], text8 + term9[j]
 
 
 def _is_fiber_multiple(coords: tuple[int, ...]) -> bool:
@@ -396,7 +416,8 @@ class CandidatePool:
     orbits pairs each orbit's representative candidate (its sorted shape,
     filter verdict and wall) with the orbit size.  len() is the number of
     shapes; iterating expands every shape in pool order, each row reusing
-    its orbit's filter name and Wall object.
+    its orbit's filter name and Wall object.  row_table() lists the same
+    rows for the report: one layout per orbit, filled with each shape's text.
     """
 
     max_h_degree: int
@@ -405,18 +426,33 @@ class CandidatePool:
     def __len__(self) -> int:
         return sum(size for _, size in self.orbits)
 
-    def __iter__(self):
-        (e1, _), (e_rest, _) = self.orbits[:2]
-        yield WallCandidate(_E_SHAPES[0], e1.filtered_by, e1.wall)
-        for coords in _E_SHAPES[1:]:
-            yield WallCandidate(coords, e_rest.filtered_by, e_rest.wall)
+    def _expand(self):
+        """(orbit index, shape, shape text) for every shape, in pool order."""
+        for i in range(9):  # E1 is orbit 0, E2..E9 orbit 1
+            yield min(i, 1), _E_SHAPES[i], _E_TEXTS[i]
         for a in range(1, self.max_h_degree + 1):
-            reps = {
-                _orbit_code(rep.shape): rep for rep, _ in self.orbits if rep.shape[0] == a
+            index = {
+                _orbit_code(rep.shape): k
+                for k, (rep, _) in enumerate(self.orbits)
+                if rep.shape[0] == a
             }
-            for coords, code in _degree_shapes(a):
-                rep = reps[code]
-                yield WallCandidate(coords, rep.filtered_by, rep.wall)
+            for coords, code, text in _degree_shapes(a):
+                yield index[code], coords, text
+
+    def __iter__(self):
+        for k, coords, _ in self._expand():
+            rep = self.orbits[k][0]
+            yield WallCandidate(coords, rep.filtered_by, rep.wall)
+
+    def row_table(self) -> RowTable:
+        """The candidate rows of the report: one layout per orbit, its
+        representative's to_json, filled with each shape's text."""
+        layouts = tuple(rep.to_json for rep, _ in self.orbits)
+        return RowTable(layouts, self._shape_rows)
+
+    def _shape_rows(self):
+        for k, _, text in self._expand():
+            yield k, (text,)
 
 
 def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
@@ -506,6 +542,8 @@ class GiesekerCertificate:
     candidates: CandidatePool
 
     def to_json(self, include_candidates: bool = True) -> dict:
+        """The certificate's report.  Its candidate list is a RowTable, for
+        reporting.dumps_json to render."""
         data = {
             "slice": self.slice_label,
             "n": self.n,
@@ -526,7 +564,7 @@ class GiesekerCertificate:
             "certified": self.certified,
         }
         if include_candidates:
-            data["candidates"] = [c.to_json() for c in self.candidates]
+            data["candidates"] = self.candidates.row_table()
         return data
 
 

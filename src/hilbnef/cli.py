@@ -3,7 +3,9 @@
 Exit codes: 0 when the requested check certifies (or the query succeeds),
 1 when a check or certification fails, 2 on usage errors, 3 when a command
 crashes (the traceback and an error: line go to stderr, stdout stays empty),
-so that a crash never reads as a falsified check.  Every command
+so that a crash never reads as a falsified check.  The report is rendered in
+full before its first byte is written, so a crash while rendering it also
+exits 3 with nothing on stdout and no --out file.  Every command
 prints one canonical JSON document to stdout; --out writes the same bytes
 to a file first, so repeated runs are byte-identical.  An --out path that
 cannot be written is a usage error and leaves stdout empty; a stdout that is
@@ -25,7 +27,7 @@ import os
 import sys
 import traceback
 
-from .lattice import DivisorClass, dot_int, parse_divisor
+from .lattice import DivisorClass, class_json, dot_int, parse_divisor
 from .weyl import orbit_counts_by_degree, orbit_size, weyl_orbit
 from .surface_cones import ample_family, is_nef_up_to_degree
 from .hilb import cone_duality_check
@@ -33,26 +35,32 @@ from .bridgeland import GiesekerFalsified, gieseker_wall, shapes_of_degree, slic
 from .translations import CoverageConfig, coverage_experiment
 from .campaign import Campaign, CampaignUsageError, run_campaign
 from .reporting import dumps_json
+from .rowtable import RowTable
 
-# `walls gieseker` lists every candidate shape: the 227,112 shapes up to
-# degree 4 peak at about 226 MB of RSS (`perfbench/run.py`, workload walls).
-# Degree 5 lists 1,104,956 shapes; degree 6 would list 4,305,881.
+# `walls gieseker` lists every candidate shape, about 90 bytes of JSON each
+# (89.5 at degree 4, 90.0 at degree 5).  --slice A2 --n 3 at degree 4
+# (227,112 shapes, 20 MB) runs in 0.5 s and 71 MB, at degree 5 (1,104,956
+# shapes, 99 MB) in 2.1 s and 244 MB, 2.5 bytes of RSS per byte written.
+# Degree 6 would list 4,305,881 shapes, about 390 MB of JSON and, at that
+# ratio, 1 GB of RSS.  The count is summed by whole degrees, so every cap from
+# degree 5's count to just below degree 6's allows the same runs; 2,000,000
+# rows (about 180 MB of JSON) is one of them.
 MAX_LISTED_CANDIDATES = 2_000_000
 
 # Caps on the other commands, checked before any work.  Each comment gives one
 # run at the cap (wall time, peak RSS) on a 2-vCPU machine, Python 3.11.7.
-# The orbit cap is set by the memory of its JSON report: degree 9 lists 99,838
-# classes (17 MB) and peaks at 271 MB.  Degree 7 for the duality scan first
+# The orbit cap keeps the run within 2.0 s and 166 MB: degree 10 lists 152,242
+# classes (26 MB of JSON) in 2.4 s and 196 MB.  Degree 7 for the duality scan first
 # needs orthogonality witnesses from outside the degree window: at degree 6,
 # 72 (-1)-curves of degree 6 already have none inside it.
-MAX_ORBIT_DEGREE = 8  # weyl orbit --start H: 2.0 s, 166 MB (degree 9: 3.7 s, 271 MB)
+MAX_ORBIT_DEGREE = 9  # weyl orbit --start H: 1.4 s, 135 MB
 # The orbit's walk visits, at each degree a of the window, the sorted b with
 # sum of squares a^2 - D.D (`weyl.weyl_orbit`), so its cost grows with -D.D
 # too; its report's memory grows with the classes listed, which one orbit of
 # a window within MAX_ORBIT_DEGREE can hold by the million.  Both are checked
 # from the start before any class is listed.
 MAX_ORBIT_SQUARES = 225  # window^2 - D.D; one degree's walk: at most 0.08 s
-MAX_ORBIT_CLASSES = 60_000  # --start H --max-degree 8 lists 58,888 classes
+MAX_ORBIT_CLASSES = 100_000  # --start H --max-degree 9 lists 99,838 classes
 MAX_NEF_DEGREE = 25  # surface nef --divisor H: 3.6 s, 118 MB (30: 8.0 s, 219 MB)
 MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.9 s, 31 MB
 MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 1.7 s, 31 MB
@@ -131,9 +139,20 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
         "counts_by_degree": {
             str(d): c for d, c in orbit_counts_by_degree(orbit).items()
         },
-        "classes": [c.to_json() for c in orbit],
+        "classes": _class_rows(orbit),
     }
     return payload, 0
+
+
+def _class_rows(classes: list[DivisorClass]) -> RowTable:
+    """The to_json rows of integral classes: one layout, whose strings are the
+    ten numerators (the denominator is 1)."""
+
+    def rows():
+        for c in classes:
+            yield 0, tuple(map(str, c.nums))
+
+    return RowTable((class_json,), rows)
 
 
 def cmd_surface_nef(args) -> tuple[dict, int]:
@@ -302,6 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)
+        text = dumps_json(payload)  # the whole report, before any byte is written
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -309,7 +329,6 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         print(f"error: internal error: {exc!r}", file=sys.stderr)
         return 3
-    text = dumps_json(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -132,10 +132,7 @@ class DivisorClass:
         return a < b
 
     def to_json(self) -> dict:
-        return {
-            "h": _format_ratio(self.nums[0], self.den),
-            "e": [_format_ratio(x, self.den) for x in self.nums[1:]],
-        }
+        return class_json(*(_format_ratio(x, self.den) for x in self.nums))
 
     @classmethod
     def from_json(cls, data: dict) -> "DivisorClass":
@@ -155,6 +152,11 @@ class DivisorClass:
             return "0"
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
+
+
+def class_json(h: str, *e: str) -> dict:
+    """The JSON form of a class from the texts of its coordinates h, e1..e9."""
+    return {"h": h, "e": list(e)}
 
 
 def divisor(h: Fraction | int | str, e: Iterable[Fraction | int | str]) -> DivisorClass:

@@ -12,10 +12,12 @@ values, so every disagreement here is survivable by construction.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import E, F, H, format_rational, intersect
+from .rowtable import RowTable
 from .weyl import reflect, root_basis
 from .hilb import fiber_orthogonal_lift
 from .bridgeland import (
@@ -179,5 +181,98 @@ def dominance_under_recomputed(n: int, max_h_degree: int = 3) -> bool:
 
 def dumps_json(data) -> str:
     """Canonical report serialization: sorted keys, two-space indent, and a
-    trailing newline, so identical runs produce identical bytes."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    trailing newline, so identical runs produce identical bytes.
+
+    Every value goes through json.dumps(..., indent=2, sort_keys=True) except
+    a RowTable, which is rendered as the list json.dumps would print for its
+    rows: each row layout is rendered once, then filled in row by row.  The
+    dicts and lists that hold a RowTable are laid out here the way json.dumps
+    lays them out; their keys must be strings.
+    """
+    chunks: list[str] = []
+    _encode(data, "", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+class _HoldsRows(Exception):
+    """json.dumps met a RowTable: the value around it is walked instead."""
+
+
+def _refuse_rows(value):
+    if isinstance(value, RowTable):
+        raise _HoldsRows
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode(value, pad: str, chunks: list[str]) -> None:
+    """Append value as json.dumps(value, indent=2, sort_keys=True) prints it
+    nested at indent pad."""
+    if isinstance(value, RowTable):
+        _render_rows(value, pad, chunks)
+        return
+    try:
+        text = json.dumps(value, indent=2, sort_keys=True, default=_refuse_rows)
+    except _HoldsRows:
+        pass
+    else:
+        chunks.append(text.replace("\n", "\n" + pad) if pad else text)
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = sorted(value.items())
+        if not all(isinstance(key, str) for key, _ in items):
+            raise TypeError("a dict holding a RowTable must have string keys")
+    else:
+        opening, closing = "[", "]"
+        items = [(None, item) for item in value]
+    chunks.append(opening)
+    separator = "\n"
+    for key, item in items:
+        chunks.append(separator + inner)
+        if key is not None:
+            chunks.append(json.dumps(key) + ": ")
+        _encode(item, inner, chunks)
+        separator = ",\n"
+    chunks.append("\n" + pad + closing)
+
+
+def _render_rows(table: RowTable, pad: str, chunks: list[str]) -> None:
+    """Append the list json.dumps(indent=2) prints at indent pad for the rows
+    of table.  Each layout is rendered once into text pieces; a row adds its
+    layout's pieces and its own strings, all joined with the document."""
+    newline = "\n" + pad + "  "
+    pieces: dict[int, tuple[str, tuple[tuple[int, str], ...]]] = {}
+    first = len(chunks)
+    append = chunks.append
+    for k, strings in table.rows():
+        layout = pieces.get(k)
+        if layout is None:
+            layout = pieces[k] = _layout_pieces(table.layouts[k], len(strings), newline)
+        head, fields = layout
+        append(head)
+        for i, piece in fields:
+            append(strings[i])
+            append(piece)
+    if len(chunks) == first:
+        append("[]")
+        return
+    chunks[first] = "[" + chunks[first][1:]  # the first row's head has no comma
+    append("\n" + pad + "]")
+
+
+def _layout_pieces(layout, slots: int, newline: str):
+    """One row layout rendered on a new line at its list indent and split
+    where its strings go: (head, ((slot i, text after it), ...)) in text
+    order.  The head starts with the comma that ends the row before."""
+    marks = [f"\0slot{i}\0" for i in range(slots)]
+    text = json.dumps(layout(*marks), indent=2, sort_keys=True)
+    parts = _SLOT.split("," + newline + text.replace("\n", newline))
+    found = [int(i) for i in parts[1::2]]
+    if sorted(found) != list(range(slots)):
+        raise ValueError(f"row layout {layout!r} must place each string once")
+    return parts[0], tuple(zip(found, parts[2::2]))
+
+
+_SLOT = re.compile(r"\\u0000slot(\d+)\\u0000")  # a mark as json.dumps prints it

@@ -7,9 +7,15 @@ from their names and from calling `bridgeland.wall_oracle` through the module
 (so that a test can replace it), as the independent reference.  Production
 computes each candidate wall with the closed form `numerical_wall`, so the
 equality tests also compare the two wall formulas on every surviving shape.
+
+The certificate's candidate list is rendered from one row layout per orbit
+and the shape texts built by prefix; its reference is json.dumps of the
+per-shape `WallCandidate.to_json` dicts, given str(DivisorClass(shape)) as
+the shape text.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -34,6 +40,7 @@ from hilbnef.bridgeland import (
     slice_a2,
 )
 from hilbnef.lattice import RANK, DivisorClass, F, dot_int, format_rational
+from hilbnef.reporting import dumps_json
 
 SLICES = {"A1": slice_a1, "A2": slice_a2}
 
@@ -160,6 +167,13 @@ def oracle_gieseker_wall(sl, max_h_degree: int = 3):
     return fiber_wall, cert
 
 
+def oracle_certificate_text(cert) -> str:
+    """The certificate as json.dumps prints it with one dict per shape."""
+    data = cert.to_json(include_candidates=False)
+    data["candidates"] = [cand.to_json(str(cand.shape_class())) for cand in cert.candidates]
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 CASES = [(label, n, 2) for label in SLICES for n in range(3, 13)]
 CASES += [(label, n, 3) for label in SLICES for n in (3, 4, 12)]
 
@@ -173,7 +187,15 @@ def test_orbit_pool_matches_per_shape_oracle(label, n, degree):
     assert list(pool) == list(oracle_cert.candidates)
     wall, cert = gieseker_wall(sl, degree)
     assert wall == oracle_wall
-    assert cert.to_json() == oracle_cert.to_json()
+    assert dumps_json(cert.to_json()) == oracle_certificate_text(oracle_cert)
+
+
+def test_shape_texts_match_divisor_strings():
+    # every shape up to degree 4, in pool order, against str(DivisorClass)
+    pool = rank1_candidates(slice_a2(3), 4)
+    table = pool.row_table()
+    for (_, strings), cand in zip(table.rows(), pool, strict=True):
+        assert strings == (str(DivisorClass(cand.shape)),)
 
 
 POOL_COUNTS = {0: 9, 1: 139, 2: 3200, 3: 34162, 4: 227112}

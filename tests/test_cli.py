@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from hilbnef import cli
+from hilbnef import cli, reporting
 from hilbnef.bridgeland import shapes_of_degree
+from hilbnef.lattice import H
+from hilbnef.weyl import orbit_size
 from hilbnef.cli import main
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -238,6 +240,30 @@ def test_crash_exits_three_not_falsified(capsys, monkeypatch):
     assert "handler bug" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "1"],
+        ["weyl", "orbit", "--start", "H", "--max-degree", "1"],
+    ],
+    ids=["walls", "orbit"],
+)
+def test_row_rendering_crash_exits_three_and_writes_nothing(
+    capsys, monkeypatch, tmp_path, args
+):
+    def broken(*a, **k):
+        raise RuntimeError("row renderer bug")
+
+    monkeypatch.setattr(reporting, "_render_rows", broken)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, args + ["--out", str(out_path)])
+    assert code == 3
+    assert out == ""
+    assert err.rstrip().splitlines()[-1].startswith("error:")
+    assert "row renderer bug" in err
+    assert not out_path.exists()
+
+
 def test_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):
     out_path = tmp_path / "missing" / "orbit.json"
     code, out, err = run_cli(
@@ -341,6 +367,12 @@ def test_cap_refuses_before_any_work(capsys, monkeypatch, prefix, flag, cap, wor
     code, out, err = run_cli(capsys, prefix + [flag, str(limit)])
     assert (code, out) == (3, "")
     assert "_WorkReached" in err
+
+
+def test_orbit_class_cap_admits_the_degree_cap():
+    # --start H lists 99,838 classes at degree 9 and 152,242 at degree 10
+    assert orbit_size(H, cli.MAX_ORBIT_DEGREE) <= cli.MAX_ORBIT_CLASSES
+    assert orbit_size(H, cli.MAX_ORBIT_DEGREE + 1) > cli.MAX_ORBIT_CLASSES
 
 
 def test_orbit_cap_covers_the_start_degree(capsys, monkeypatch):

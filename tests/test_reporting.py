@@ -12,6 +12,7 @@ from hilbnef import (
     run_campaign,
     validate_campaign,
 )
+from hilbnef.rowtable import RowTable
 
 # the three wall-value rows, as (quoted, recomputed) exact rationals at n=3
 WALL_ROWS_N3 = {
@@ -68,6 +69,58 @@ def test_dumps_json_canonical():
     text = dumps_json({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
     assert text.endswith("\n")
+
+
+def _point(x: str, y: str) -> dict:
+    return {"y": [y, "0"], "x": x, "tag": "point"}
+
+
+def _pair(x: str) -> dict:
+    return {"x": x, "nested": {"empty": [], "none": None}}
+
+
+POINTS = [("1", "-2"), ("3/4", "0"), ("E1", "-2H+E9")]
+
+
+def _table(rows) -> RowTable:
+    return RowTable((_point, _pair), lambda: iter(rows))
+
+
+def _expanded(rows) -> list:
+    return [(_point, _pair)[k](*strings) for k, strings in rows]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, p) for p in POINTS],
+        [(1, ("a",)), (0, POINTS[0]), (1, ("b",)), (0, POINTS[2])],
+        [(1, ("only",))],
+        [],
+    ],
+    ids=["one-layout", "mixed", "single", "empty"],
+)
+def test_row_tables_render_as_json_dumps(rows):
+    # a table anywhere in the report prints as json.dumps of its row dicts
+    table = _table(rows)
+    data = {"z": 1, "rows": table, "deep": [{"b": table, "a": [1, {}]}, "s"]}
+    plain = {"z": 1, "rows": _expanded(rows), "deep": [{"b": _expanded(rows), "a": [1, {}]}, "s"]}
+    assert dumps_json(data) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert dumps_json(table) == json.dumps(_expanded(rows), indent=2, sort_keys=True) + "\n"
+
+
+def test_empty_row_table_prints_an_empty_list():
+    assert dumps_json({"classes": _table([])}) == '{\n  "classes": []\n}\n'
+
+
+def test_row_table_errors():
+    with pytest.raises(TypeError):
+        dumps_json({1: _table([])})  # a dict holding a table needs string keys
+    twice = RowTable((lambda s: {"a": s, "b": s},), lambda: iter([(0, ("x",))]))
+    with pytest.raises(ValueError):
+        dumps_json(twice)
+    with pytest.raises(TypeError):
+        dumps_json({"a": object()})
 
 
 def test_validate_campaign_bounds():
