@@ -23,6 +23,7 @@ walk or class count, both read from the start, is over its cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -39,8 +40,8 @@ from .rowtable import RowTable
 
 # `walls gieseker` lists every candidate shape, about 90 bytes of JSON each
 # (89.5 at degree 4, 90.0 at degree 5).  --slice A2 --n 3 at degree 4
-# (227,112 shapes, 20 MB) runs in 0.5 s and 71 MB, at degree 5 (1,104,956
-# shapes, 99 MB) in 2.1 s and 244 MB, 2.5 bytes of RSS per byte written.
+# (227,112 shapes, 20 MB) runs in 0.6 s and 72 MB, at degree 5 (1,104,956
+# shapes, 99 MB) in 2.1-2.8 s and 244 MB, 2.5 bytes of RSS per byte written.
 # Degree 6 would list 4,305,881 shapes, about 390 MB of JSON and, at that
 # ratio, 1 GB of RSS.  The count is summed by whole degrees, so every cap from
 # degree 5's count to just below degree 6's allows the same runs; 2,000,000
@@ -50,10 +51,10 @@ MAX_LISTED_CANDIDATES = 2_000_000
 # Caps on the other commands, checked before any work.  Each comment gives one
 # run at the cap (wall time, peak RSS) on a 2-vCPU machine, Python 3.11.7.
 # The orbit cap keeps the run within 2.0 s and 166 MB: degree 10 lists 152,242
-# classes (26 MB of JSON) in 2.4 s and 196 MB.  Degree 7 for the duality scan first
+# classes (27 MB of JSON) in 1.6-2.1 s and 103 MB.  Degree 7 for the duality scan first
 # needs orthogonality witnesses from outside the degree window: at degree 6,
 # 72 (-1)-curves of degree 6 already have none inside it.
-MAX_ORBIT_DEGREE = 9  # weyl orbit --start H: 1.4 s, 135 MB
+MAX_ORBIT_DEGREE = 9  # weyl orbit --start H: 1.0-1.7 s, 73 MB
 # The orbit's walk visits, at each degree a of the window, the sorted b with
 # sum of squares a^2 - D.D (`weyl.weyl_orbit`), so its cost grows with -D.D
 # too; its report's memory grows with the classes listed, which one orbit of
@@ -146,11 +147,13 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
 
 def _class_rows(classes: list[DivisorClass]) -> RowTable:
     """The to_json rows of integral classes: one layout, whose strings are the
-    ten numerators (the denominator is 1)."""
+    ten numerators (the denominator is 1).  The rows share one text per
+    distinct numerator, which the report holds until it is joined."""
+    text = functools.cache(str)
 
     def rows():
         for c in classes:
-            yield 0, tuple(map(str, c.nums))
+            yield 0, tuple(map(text, c.nums))
 
     return RowTable((class_json,), rows)
 
