@@ -50,10 +50,10 @@ MAX_LISTED_CANDIDATES = 2_000_000
 
 # Caps on the other commands, checked before any work.  Each comment gives one
 # run at the cap (wall time, peak RSS) on a 2-vCPU machine, Python 3.11.7.
-# The orbit cap keeps the run within 2.0 s and 166 MB: degree 10 lists 152,242
-# classes (27 MB of JSON) in 1.6-2.1 s and 103 MB.  Degree 7 for the duality scan first
-# needs orthogonality witnesses from outside the degree window: at degree 6,
-# 72 (-1)-curves of degree 6 already have none inside it.
+# The orbit cap keeps the run within 2.0 s and 166 MB: degree 10 lists
+# 152,242 classes (27 MB of JSON) in 1.6-2.1 s and 103 MB.  Degree 7 for the
+# duality scan first needs orthogonality witnesses from outside the degree
+# window: at degree 6, 72 (-1)-curves of degree 6 already have none inside it.
 MAX_ORBIT_DEGREE = 9  # weyl orbit --start H: 1.0-1.7 s, 73 MB
 # The orbit's walk visits, at each degree a of the window, the sorted b with
 # sum of squares a^2 - D.D (`weyl.weyl_orbit`), so its cost grows with -D.D
