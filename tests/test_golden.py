@@ -82,7 +82,10 @@ def test_degree3_walls_match_golden_digest(capsys, label, digest, size):
 # inside the window, so this pins the window-edge output.  The degree-4 and
 # degree-5 `walls gieseker` certificates and the degree-8 `weyl orbit --start H`
 # report were recorded while the JSON writer still built one dict per row; the
-# A2 degree-4 digest is the `walls` workload's in perfbench/expected.json.
+# A2 degree-4 digest is the `walls` workload's in perfbench/expected.json.  The
+# degree-25 and degree-6 `surface nef` and the larger `coneconj cover` outputs
+# were recorded while the nef test still paired the divisor with every listed
+# (-1)-class and the coverage pool still lifted every orbit class up front.
 DEEP_DIGESTS = [
     (
         "campaign_run_deg5",
@@ -146,6 +149,61 @@ DEEP_DIGESTS = [
         0,
         "c2bada185bd7641a5f9be0c7bdb4648e680a103fe31f8e4057c37fe8d4474144",
         10238254,
+    ),
+    (
+        "surface_nef_h_deg25",
+        ["surface", "nef", "--divisor", "H", "--max-degree", "25"],
+        0,
+        "49cbc7b18a599847cdbddaa9b7a684c61a93a4f7ccb8c342361a7f79d2d5210a",
+        260,
+    ),
+    (
+        "surface_nef_h_e1_e2_deg25",
+        ["surface", "nef", "--divisor", "H-E1-E2", "--max-degree", "25"],
+        1,
+        "d10506b8769100c48b4f17aa790a683e36e20d219099474638f5ec5911ee9f4f",
+        433,
+    ),
+    (
+        # F + (3/2)(6H - 2E1 - ... - 3E5 - ... - 2E7 - 2E9): its one negative
+        # pairing is with that degree-6 (-1)-class, whose E-numerators are unsorted
+        "surface_nef_rational_deg6",
+        [
+            "surface",
+            "nef",
+            "--divisor",
+            "12H-4E1-4E2-4E3-4E4-11/2E5-4E6-4E7-E8-4E9",
+            "--max-degree",
+            "6",
+        ],
+        1,
+        "3b88031fa1ba36afd601b9112c5d00dbf1f0b71f4c3e113ac2dffa15c329fb5a",
+        451,
+    ),
+    (
+        "coneconj_cover_n3_deg6_seed0",
+        ["coneconj", "cover", "--n", "3", "--max-degree", "6", "--seed", "0"],
+        0,
+        "715c54478cde8d24c93c7c08b4f870b4ce2e487dbd59d1c37e24e923ab5e419f",
+        16726,
+    ),
+    (
+        "coneconj_cover_n5_300_deg4_seed7",
+        [
+            "coneconj",
+            "cover",
+            "--n",
+            "5",
+            "--samples",
+            "300",
+            "--max-degree",
+            "4",
+            "--seed",
+            "7",
+        ],
+        0,
+        "34133ec304d22b830a0b8fd3c4234a6624f47031fd9e681dc83c4b21d5b93909",
+        50714,
     ),
 ]
 
