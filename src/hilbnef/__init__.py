@@ -32,7 +32,6 @@ from .surface_cones import (
     ample_family,
     is_ample_hf_family,
     is_nef_up_to_degree,
-    mori_generators,
 )
 from .hilb import (
     C0,

@@ -62,11 +62,14 @@ MAX_ORBIT_DEGREE = 9  # weyl orbit --start H: 1.0-1.7 s, 73 MB
 # from the start before any class is listed.
 MAX_ORBIT_SQUARES = 225  # window^2 - D.D; one degree's walk: at most 0.08 s
 MAX_ORBIT_CLASSES = 100_000  # --start H --max-degree 9 lists 99,838 classes
-MAX_NEF_DEGREE = 25  # surface nef --divisor H: 3.6 s, 118 MB (30: 8.0 s, 219 MB)
+# The nef test reads the (-1)-classes per S9 orbit, so its cost is the walk
+# over their sorted representatives and hardly depends on the divisor; the
+# cap keeps the run near half of a 4 s budget (250: 3.4-3.7 s, 28 MB).
+MAX_NEF_DEGREE = 200  # surface nef --divisor H or H-E1-E2: 1.7-2.1 s, 22 MB
 MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.9 s, 31 MB
 MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 1.7 s, 31 MB
-MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 1.7 s, 35 MB
-MAX_COVER_SAMPLES = 10_000  # coneconj cover --n 3 --max-degree 6: 24 s, 41 MB
+MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 0.42-0.52 s, 23 MB
+MAX_COVER_SAMPLES = 10_000  # coneconj cover --n 3 --max-degree 6: 6.6-6.9 s, 43 MB
 
 
 # An error line quotes at most this many characters of the input and of the

@@ -1,10 +1,11 @@
 """Mori and nef cones of the general nine-point blowup.
 
 On the general surface the curve cone is spanned by the fiber class and the
-(-1)-curves, so degree-bounded nef checks pair a divisor against the fiber
-and every (-1)-class up to the bound.  The two ample families used downstream
-(c*H + c_F*F and c*(H-E1) + c_F*F) admit exact closed-form ampleness tests
-against the full, unbounded set of (-1)-curves.
+(-1)-curves, so a degree-bounded nef check pairs a divisor against the fiber
+and every (-1)-class up to the bound; it reads the (-1)-classes per S9 orbit,
+from their sorted representatives, without listing them.  The two ample
+families used downstream (c*H + c_F*F and c*(H-E1) + c_F*F) admit exact
+closed-form ampleness tests against the full, unbounded set of (-1)-curves.
 """
 
 from __future__ import annotations
@@ -13,18 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import DivisorClass, E, F, H, dot_int, self_intersection
-from .weyl import enumerate_minus_one_classes
-
-
-def mori_generators(max_h_degree: int) -> list[DivisorClass]:
-    """Fiber class first, then the (-1)-classes in canonical order."""
-    return [F] + enumerate_minus_one_classes(max_h_degree)
+from .weyl import _representatives, orbit_size
 
 
 @dataclass(frozen=True)
 class NefCertificate:
-    """How many Mori generators were paired with the divisor, the smallest
-    pairing, and the first negative one with its generator."""
+    """How many Mori generators the check covered, the smallest pairing, and
+    the first negative one with its generator."""
 
     divisor: DivisorClass
     degree_bound: int
@@ -54,26 +50,71 @@ class NefCertificate:
 
 
 def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
-    """Pair d against every Mori generator up to the degree bound.
+    """Pair d against the fiber and every (-1)-class up to the degree bound.
 
-    The witness, when the check fails, is the first violating generator in
-    the deterministic enumeration order (fiber first, then sorted classes).
-    The generators are integral, so each pairing is dot_int on numerators
-    over d's denominator.
+    The (-1)-classes are read per S9 orbit from their sorted representatives
+    (a, b), b nonincreasing: the class with numerators (a, -b_s(1), ...,
+    -b_s(9)) pairs with d's numerators to d0*a + sum d_i*b_s(i), so by the
+    rearrangement inequality the orbit's least pairing puts b against d's
+    E-numerators in ascending order.  The witness, when the check fails, is
+    the first violating generator in the enumeration order (fiber first, then
+    the classes in numerator order): the fiber if it pairs negatively, else
+    the least class of the lowest degree whose orbit goes negative, found by
+    `_least_negative_arrangement`.  Each pairing is an integer over d's
+    denominator.
     """
-    generators = mori_generators(max_h_degree)
-    dots = [dot_int(d.nums, g.nums) for g in generators]
-    first_negative = next((i for i, v in enumerate(dots) if v < 0), None)
-    witness = None if first_negative is None else generators[first_negative]
+    checked = 1 + orbit_size(E[8], max_h_degree)
+    nums = d.nums
+    ascending = sorted(nums[1:])
+    lowest = fiber = dot_int(nums, F.nums)
+    first: tuple[int, ...] | None = None  # numerators of the first negative class
+    for a, b in _representatives(E[8], max_h_degree):  # by nondecreasing degree
+        least = nums[0] * a + sum(x * y for x, y in zip(ascending, b))
+        lowest = min(lowest, least)
+        if least < 0 and (first is None or first[0] == a):
+            found = (a,) + _least_negative_arrangement(nums, a, b)
+            first = found if first is None else min(first, found)
+    if fiber < 0:
+        witness = F
+    else:
+        witness = None if first is None else DivisorClass(first)
     return NefCertificate(
         divisor=d,
         degree_bound=max_h_degree,
         nef_up_to_bound=witness is None,
-        generators_checked=len(dots),
-        lowest_pairing=Fraction(min(dots), d.den),
+        generators_checked=checked,
+        lowest_pairing=Fraction(lowest, d.den),
         witness=witness,
-        witness_pairing=None if witness is None else Fraction(dots[first_negative], d.den),
+        witness_pairing=(
+            None if witness is None else Fraction(dot_int(nums, witness.nums), d.den)
+        ),
     )
+
+
+def _least_negative_arrangement(
+    nums: tuple[int, ...], a: int, b: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The least E-numerator tuple (-b_s(1), ..., -b_s(9)) over the
+    arrangements s of b (nonincreasing) whose class pairs negatively with
+    nums; one must exist.  Greedy by position: take the largest remaining
+    b_j, so the smallest numerator, whose placement can still be completed
+    to a negative pairing, which holds exactly when the rearrangement bound
+    (the rest of b against the rest of nums ascending) is negative."""
+    partial = nums[0] * a
+    rest = list(b)
+    chosen: list[int] = []
+    for i in range(1, 10):
+        tail = sorted(nums[i + 1 :])
+        for j, v in enumerate(rest):
+            if j and v == rest[j - 1]:
+                continue
+            others = rest[:j] + rest[j + 1 :]
+            if partial + nums[i] * v + sum(x * y for x, y in zip(tail, others)) < 0:
+                partial += nums[i] * v
+                chosen.append(-v)
+                rest = others
+                break
+    return tuple(chosen)
 
 
 @dataclass(frozen=True)

@@ -330,11 +330,17 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:
     if cfg.samples < 1:
         raise ValueError("samples must be positive")
     rng = random.Random(cfg.seed)
-    orbit_h = weyl_orbit(H, cfg.max_h_degree)
-    orbit_ruling = weyl_orbit(H - E[0], cfg.max_h_degree)
-    pool: list[HilbDivisor] = [lift(F)]
-    pool += [fiber_orthogonal_lift(c, cfg.n) for c in orbit_h]
-    pool += [fiber_orthogonal_lift(c, cfg.n) for c in orbit_ruling]
+    # the generators by index: F, then the orbits of H and H - E1; a
+    # generator is lifted when a trial first draws it
+    classes = [F] + weyl_orbit(H, cfg.max_h_degree)
+    classes += weyl_orbit(H - E[0], cfg.max_h_degree)
+    lifted: list[HilbDivisor | None] = [lift(F)] + [None] * (len(classes) - 1)
+
+    def generator(i: int) -> HilbDivisor:
+        g = lifted[i]
+        if g is None:
+            g = lifted[i] = fiber_orthogonal_lift(classes[i], cfg.n)
+        return g
 
     trials: list[CoverageTrial] = []
     successes = 0
@@ -345,7 +351,7 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:
         d = HilbDivisor(ZERO, Fraction(0))
         for _ in range(terms):
             coeff = rng.randint(1, MAX_COEFF)
-            d = d + coeff * pool[rng.randrange(len(pool))]
+            d = d + coeff * generator(rng.randrange(len(classes)))
         reduced_surf, steps, _, hit_cap = reduce_surface_class(d.surf)
         reduced = HilbDivisor(reduced_surf, d.b_half)
         # degree of the nef part: the t * b_negative_ray summand is move-invariant

@@ -1,32 +1,109 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbnef import (
+    DivisorClass,
     E,
     F,
     H,
+    NefCertificate,
     a1_polarization,
     a2_polarization,
     divisor,
+    enumerate_minus_one_classes,
     intersect,
     is_ample_hf_family,
     is_nef_up_to_degree,
-    mori_generators,
     parse_divisor,
     self_intersection,
+    weyl_orbit,
 )
+from hilbnef.lattice import dot_int
 
 # fiber class plus (-1)-classes up to each degree
-MORI_COUNTS = {0: 10, 1: 46, 2: 172, 3: 424}
+MORI_COUNTS = {0: 10, 1: 46, 2: 172, 3: 424, 4: 937, 5: 1693, 6: 3025}
+
+
+def mori_generators(max_h_degree: int) -> list[DivisorClass]:
+    """Fiber class first, then the listed (-1)-classes in canonical order."""
+    return [F] + enumerate_minus_one_classes(max_h_degree)
+
+
+def oracle_nef(d: DivisorClass, max_h_degree: int) -> NefCertificate:
+    """The nef test as a full scan: pair d with every Mori generator and take
+    the first negative one, in enumeration order, as the witness."""
+    generators = mori_generators(max_h_degree)
+    dots = [dot_int(d.nums, g.nums) for g in generators]
+    first = next((i for i, v in enumerate(dots) if v < 0), None)
+    return NefCertificate(
+        divisor=d,
+        degree_bound=max_h_degree,
+        nef_up_to_bound=first is None,
+        generators_checked=len(dots),
+        lowest_pairing=Fraction(min(dots), d.den),
+        witness=None if first is None else generators[first],
+        witness_pairing=None if first is None else Fraction(dots[first], d.den),
+    )
 
 
 @pytest.mark.parametrize("degree,count", sorted(MORI_COUNTS.items()))
 def test_mori_generator_counts(degree, count):
-    gens = mori_generators(degree)
-    assert len(gens) == count
-    assert gens[0] == F
+    assert 1 + len(enumerate_minus_one_classes(degree)) == count
+    assert is_nef_up_to_degree(H, degree).generators_checked == count
+
+
+# nef generators of degree at most 3: a multiple of one plus a small, sparse
+# perturbation is near the nef cone's boundary, so both verdicts, fiber
+# witnesses and (-1)-class witnesses of several degrees all occur
+NEF_GENERATORS = [F] + weyl_orbit(H, 3) + weyl_orbit(H - E[0], 3)
+PERTURBATION_ENTRIES = [0, 0, 0, -1, 1]
+DENOMINATORS = [1, 1, 2, 3, 6]
+
+
+def near_nef(g: DivisorClass, m: int, p: list[int], den: int) -> DivisorClass:
+    return m * g + DivisorClass(tuple(p), den)
+
+
+near_nef_classes = st.builds(
+    near_nef,
+    st.sampled_from(NEF_GENERATORS),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(PERTURBATION_ENTRIES), min_size=10, max_size=10),
+    st.sampled_from(DENOMINATORS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_nef_classes, st.integers(0, 6))
+@example(parse_divisor("12H-4E1-4E2-4E3-4E4-11/2E5-4E6-4E7-E8-4E9"), 6)
+@example(parse_divisor("2F-1/2E3"), 4)
+@example(parse_divisor("H-E1-E2"), 5)
+@example(parse_divisor("3H-E1-E2-E3-E4-E5-E6-E7-E8"), 6)
+def test_nef_test_matches_full_scan(d, degree):
+    assert is_nef_up_to_degree(d, degree).to_json() == oracle_nef(d, degree).to_json()
+
+
+def test_near_nef_draws_reach_every_outcome():
+    """A fixed sample of the drawn family hits nef verdicts, fiber witnesses
+    and (-1)-class witnesses at several degrees, and matches the scan."""
+    rng = random.Random(0)
+    outcomes = set()
+    for _ in range(200):
+        d = near_nef(
+            rng.choice(NEF_GENERATORS),
+            rng.randint(1, 3),
+            [rng.choice(PERTURBATION_ENTRIES) for _ in range(10)],
+            rng.choice(DENOMINATORS),
+        )
+        degree = rng.randint(0, 6)
+        cert = is_nef_up_to_degree(d, degree)
+        assert cert == oracle_nef(d, degree)
+        w = cert.witness
+        outcomes.add(None if w is None else "F" if w == F else int(w.h))
+    assert {None, "F", 0, 1, 2} <= outcomes
 
 
 def test_nef_examples():
@@ -99,3 +176,8 @@ def test_mori_generators_pair_nonnegatively_with_nef():
     assert is_nef_up_to_degree(d, 2).nef_up_to_bound
     for g in mori_generators(2):
         assert intersect(d, g) >= 0
+
+
+def test_nef_test_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        is_nef_up_to_degree(H, -1)

@@ -31,6 +31,7 @@ from hilbnef import (
     translation,
     verify_weyl_necessary_conditions,
     weyl_condition_failures,
+    weyl_orbit,
 )
 from hilbnef.lattice import BASIS
 
@@ -291,6 +292,31 @@ def test_coverage_experiment_small():
     assert rep.max_reduced_h == Fraction(75, 2)
     assert len(rep.trials) == 5
     assert all(t.decomposed for t in rep.trials)
+
+
+def test_coverage_pool_lifts_only_drawn_generators(monkeypatch):
+    """The pool is F, then the orbits of H and H - E1; replaying the draws
+    gives the indices the trials read, and no others are lifted."""
+    cfg = CoverageConfig(3, samples=30, seed=5, max_h_degree=4)
+    size = 1 + len(weyl_orbit(H, 4)) + len(weyl_orbit(H - E[0], 4))
+    rng = random.Random(cfg.seed)
+    drawn = set()
+    for _ in range(cfg.samples):
+        for _ in range(rng.randint(1, translations.MAX_TERMS)):
+            rng.randint(1, translations.MAX_COEFF)
+            drawn.add(rng.randrange(size))
+    expected = coverage_experiment(cfg).to_json()
+    calls = []
+    real = translations.fiber_orthogonal_lift
+
+    def counted(c, n):
+        calls.append(c)
+        return real(c, n)
+
+    monkeypatch.setattr(translations, "fiber_orthogonal_lift", counted)
+    assert coverage_experiment(cfg).to_json() == expected
+    assert 0 < len(calls) <= len(drawn) < size // 20
+    assert len(set(calls)) == len(calls)
 
 
 def test_coverage_experiment_deterministic():
