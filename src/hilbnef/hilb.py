@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
-from math import factorial
 
 from .lattice import (
     RANK,
@@ -28,7 +26,7 @@ from .lattice import (
     intersect,
 )
 from .surface_cones import is_nef_up_to_degree
-from .weyl import enumerate_minus_one_classes, weyl_orbit
+from .weyl import _permutations, _representatives, enumerate_minus_one_classes, weyl_orbit
 
 
 @dataclass(frozen=True, order=True)
@@ -299,92 +297,34 @@ _FIBER_COLUMN = 1  # the induced fiber curve follows the contracted curve
 class _DotProfile:
     """The n-independent part of the duality scan at one degree bound.
 
-    `classes` are the orbit blocks [F], the Weyl orbit of H and the Weyl orbit
-    of H-E1.  `curves` are (label, curve) for the contracted curve, the
-    induced fiber curve and every induced (-1)-curve.  Curves with the same
-    values t = c.e over every block share a column: column 0 is the
-    contracted curve (t = 0 throughout), column 1 the fiber curve, then one
-    column per S9 orbit of (-1)-curves; `columns[j]` is curve j's column.
-    `counts[k][m]` maps each distinct t over block k to how many classes
-    give it in column m, and `first[k][j]` maps t to the index of the first
-    class of block k giving it against curve j.  On a (-1)-curve, first
-    holds t = 0 only: the ray pairs to zero with such a curve, so a zero
-    pairing there needs c.e = 0 for every n.
+    The orbit blocks are {F}, the Weyl orbit of H and the Weyl orbit of H-E1,
+    each read from its sorted S9 representatives (`weyl._representatives`)
+    and never listed: `blocks[k]` is (start, size, start.F), and every class
+    of block k has c.F = start.F.  `curves` are (label, curve) for the
+    contracted curve, the induced fiber curve and every induced (-1)-curve.
+    Curves with the same values t = c.e over every block share a column:
+    column 0 is the contracted curve (t = 0 throughout), column 1 the fiber
+    curve, then one column per S9 orbit of (-1)-curves; `columns[j]` is curve
+    j's column.  `counts[k][m]` maps each distinct t over block k to how many
+    classes give it in column m, and `first[k][j]` maps t to the least class
+    of block k giving it against curve j, its witness.  On a (-1)-curve,
+    first holds t = 0 only: the ray pairs to zero with such a curve, so a
+    zero pairing there needs c.e = 0 for every n.
     """
 
-    classes: tuple[tuple[DivisorClass, ...], ...]
+    blocks: tuple[tuple[DivisorClass, int, int], ...]
     curves: tuple[tuple[str, CurveClass], ...]
     columns: tuple[int, ...]
     counts: tuple[tuple[dict[int, int], ...], ...]
-    first: tuple[tuple[dict[int, int], ...], ...]
-
-
-def _check_orbit_block(block: tuple[tuple[int, ...], ...]) -> None:
-    """A block must be strictly increasing (so index order is class order)
-    and a union of whole orbits of the permutations of E1..E9."""
-    if any(u >= v for u, v in zip(block, block[1:])):
-        raise ValueError("orbit block is not strictly increasing")
-    sizes = Counter((c[0],) + tuple(sorted(c[1:])) for c in block)
-    for shape, size in sizes.items():
-        whole = factorial(RANK - 1)
-        for _, run in groupby(shape[1:]):
-            whole //= factorial(len(tuple(run)))
-        if size != whole:
-            raise ValueError(
-                f"orbit block holds {size} of the {whole} permutations of "
-                f"{DivisorClass(shape)}, not a union of S9 orbits"
-            )
-
-
-def _shape_columns(
-    block: tuple[tuple[int, ...], ...],
-    shapes: list[tuple[int, ...]],
-    minus_ones: list[tuple[int, list[int]]],
-) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """The counts of each (-1)-curve column and the first zero of each
-    (-1)-curve, against one block.
-
-    The block is a union of S9 orbits (checked), so for a (-1)-curve
-    e = sigma(r), with r its sorted shape, the block's values c.e are its
-    values c.r, and its classes with c.e = 0 are the images under sigma of
-    those with c.r = 0.  The first zero is the least image: take the zeros
-    of least H-degree, permute each and keep the lexicographic minimum.
-    """
-    _check_orbit_block(block)
-    counts = []
-    lowest = []  # per shape, its zeros of least H-degree
-    for r in shapes:
-        dots = [dot_int(c, r) for c in block]
-        zeros = [c for c, t in zip(block, dots) if t == 0]
-        low = min((z[0] for z in zeros), default=None)
-        counts.append(Counter(dots))
-        lowest.append([z for z in zeros if z[0] == low])
-    index = {c: i for i, c in enumerate(block)}
-    first = []
-    for m, order in minus_ones:
-        zeros = lowest[m - _FIBER_COLUMN - 1]
-        if not zeros:
-            first.append({})
-            continue
-        # e_i = r_src[i], so z.r = 0 gives the class c_i = z_src[i]
-        src = [0] * RANK
-        for j, i in enumerate(order, 1):
-            src[i] = j
-        first.append({0: index[min(tuple(z[i] for i in src) for z in zeros)]})
-    return counts, first
+    first: tuple[tuple[dict[int, DivisorClass], ...], ...]
 
 
 @lru_cache(maxsize=8)
 def _dot_profile(max_h_degree: int) -> _DotProfile:
-    classes = (
-        (F,),
-        tuple(weyl_orbit(H, max_h_degree)),
-        tuple(weyl_orbit(H - E[0], max_h_degree)),
-    )
     curves = [("contracted", C0), ("fiber", InducedCurve(F))]
     columns = [0, _FIBER_COLUMN]
     shapes: dict[tuple[int, ...], int] = {}
-    minus_ones = []  # (column, sorting order of E1..E9) per (-1)-curve
+    minus_ones = []  # (column, source of each coordinate in the shape) per (-1)-curve
     for e_cls in enumerate_minus_one_classes(max_h_degree):
         e = e_cls.nums
         order = sorted(range(1, RANK), key=e.__getitem__)
@@ -392,32 +332,50 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
         m = shapes.setdefault(r, _FIBER_COLUMN + 1 + len(shapes))
         curves.append((str(e_cls), InducedCurve(e_cls)))
         columns.append(m)
-        minus_ones.append((m, order))
-    counts, first = [], []
-    for k, block in enumerate(classes):
-        ints = tuple(c.nums for c in block)
-        block_counts, block_first = [], []
-        for curve in (None, F.nums):  # the contracted and the fiber curve
-            dots = [0] * len(ints) if curve is None else [dot_int(c, curve) for c in ints]
-            block_counts.append(Counter(dots))
-            block_first.append({t: i for i, t in reversed(list(enumerate(dots)))})
-        if k:  # a Weyl block
-            _fiber_degree(block_counts)
-        shape_counts, shape_first = _shape_columns(ints, list(shapes), minus_ones)
-        counts.append(tuple(block_counts + shape_counts))
-        first.append(tuple(block_first + shape_first))
+        src = [0] * RANK
+        for j, i in enumerate(order, 1):
+            src[i] = j
+        minus_ones.append((m, src))
+    blocks, counts, first = [], [], []
+    for start in (F, H, H - E[0]):
+        # Each representative (a, b) expands to its distinct arrangements
+        # (a, -b_sigma), least first, so the block is a union of S9 orbits
+        # and its least class, the witness of the contracted and the fiber
+        # curve, is the least representative's (a, -b1, ..., -b9).
+        reps = _representatives(start, max_h_degree)
+        least = DivisorClass(min((a,) + tuple(-x for x in b) for a, b in reps))
+        fiber = dot_int(start.nums, F.nums)
+        size = 0
+        shape_counts = [Counter() for _ in shapes]
+        zeros: list[list[tuple[int, ...]]] = [[] for _ in shapes]
+        for a, b in reps:
+            arrangements = [(a,) + p for p in _permutations(tuple(-x for x in b))]
+            size += len(arrangements)
+            for r, shape_count, found in zip(shapes, shape_counts, zeros):
+                dots = [dot_int(c, r) for c in arrangements]
+                shape_count.update(dots)
+                found += [c for c, t in zip(arrangements, dots) if t == 0]
+        lowest = []  # per shape, its zeros of least H-degree
+        for found in zeros:
+            low = min((z[0] for z in found), default=None)
+            lowest.append([z for z in found if z[0] == low])
+        # For a (-1)-curve e = sigma(r), with r its sorted shape, the values
+        # c.e over the block are its values c.r, and its classes with c.e = 0
+        # are the images under sigma of those with c.r = 0.  The witness is
+        # the least image: permute each zero of least H-degree and keep the
+        # lexicographic minimum; e_i = r_src[i], so z.r = 0 gives c_i = z_src[i].
+        block_first = [{0: least}, {fiber: least}]
+        for m, src in minus_ones:
+            low = lowest[m - _FIBER_COLUMN - 1]
+            block_first.append(
+                {0: DivisorClass(min(tuple(z[i] for i in src) for z in low))} if low else {}
+            )
+        blocks.append((start, size, fiber))
+        counts.append(tuple([{0: size}, {fiber: size}] + shape_counts))
+        first.append(tuple(block_first))
     return _DotProfile(
-        classes, tuple(curves), tuple(columns), tuple(counts), tuple(first)
+        tuple(blocks), tuple(curves), tuple(columns), tuple(counts), tuple(first)
     )
-
-
-def _fiber_degree(counts: list[dict[int, int]] | tuple[dict[int, int], ...]) -> int:
-    """The one value of c.F over an orbit block.  It must be positive: the
-    scan reads each block's smallest pairing at its smallest c.e."""
-    values = sorted(counts[_FIBER_COLUMN])
-    if len(values) != 1 or values[0] <= 0:
-        raise ValueError(f"orbit block has c.F values {values}, not one positive value")
-    return values[0]
 
 
 def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
@@ -433,16 +391,19 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     x*c^[n] + b_negative_ray(n) for c in a Weyl orbit, where x = n/(c.F) is
     shared by the block.  A pairing with a curve e is x*(c.e), plus ray.e in
     an orthogonal block, so it grows with t = c.e.  The per-degree
-    `_dot_profile` holds the distinct values of t with their counts per block
-    and column (the contracted curve, the fiber curve, one S9 orbit of
-    (-1)-curves), and each curve's first index per value, so the minimum and
-    zero count of a column and the first witness of a curve, in candidate
-    order, come from a few exact operations per block and n, and ray.e from
-    one `pair_hilb` per column.  On a (-1)-curve ray.e = 0 (checked here), so
-    a zero needs t = 0 whatever n is.  c.F is one value per block, so one
-    identity x*(c.F) + ray.F_[n] = 0 checks that a whole orthogonal block
-    kills the induced fiber curve.  A candidate is built only to print it.
-    `pairings_checked` counts the (candidate, curve) pairs certified.
+    `_dot_profile`, built from each orbit's S9 representatives, holds the
+    distinct values of t with their counts per block and column (the
+    contracted curve, the fiber curve, one S9 orbit of (-1)-curves), and each
+    curve's witness class per value, so the minimum and zero count of a
+    column and the first witness of a curve, in candidate order, come from a
+    few exact operations per block and n, and ray.e from one `pair_hilb` per
+    column.  On a (-1)-curve ray.e = 0 (checked here), so a zero needs t = 0
+    whatever n is.  c.F is one value per block, so one identity
+    x*(c.F) + ray.F_[n] = 0 checks that a whole orthogonal block kills the
+    induced fiber curve.  A candidate is built only to print it, and a block
+    is listed (`weyl_orbit`) only when the scan fails on it, to print its
+    offenders.  `pairings_checked` counts the (candidate, curve) pairs
+    certified.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
@@ -462,22 +423,22 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     blocks = []
     offset = 0
     for k, orthogonal in ((0, False), (1, False), (2, False), (1, True), (2, True)):
-        x = Fraction(1)
-        if orthogonal:
-            x = _orthogonal_scale(_fiber_degree(profile.counts[k]), n)
+        _, size, fiber = profile.blocks[k]
+        x = _orthogonal_scale(fiber, n) if orthogonal else Fraction(1)
         blocks.append((offset, k, x, orthogonal))
-        offset += len(profile.classes[k])
+        offset += size
 
-    def locate(index: int) -> tuple[bool, DivisorClass]:
-        first_idx, k, _, orthogonal = next(b for b in reversed(blocks) if index >= b[0])
-        return orthogonal, profile.classes[k][index - first_idx]
-
-    def candidate(index: int) -> HilbDivisor:
-        orthogonal, c = locate(index)
+    def candidate(c: DivisorClass, orthogonal: bool) -> HilbDivisor:
         return fiber_orthogonal_lift(c, n) if orthogonal else lift(c)
 
+    def listed(block) -> list[tuple[int, HilbDivisor]]:
+        """A block's candidates with their indices, in candidate order."""
+        first_idx, k, _, orthogonal = block
+        orbit = weyl_orbit(profile.blocks[k][0], max_h_degree)
+        return [(i, candidate(c, orthogonal)) for i, c in enumerate(orbit, first_idx)]
+
     # Per column: the minimum, the zero count, and the first block with a
-    # zero (its first index, orbit block and t = c.e).
+    # zero (its orbit block, orthogonal flag and t = c.e).
     summaries = []
     negative = []  # (block, column) with some negative pairing
     for m, s_m in enumerate(ray_pairings):
@@ -485,7 +446,7 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
         zero_count = 0
         hit = None
         for block in blocks:
-            first_idx, k, x, orthogonal = block
+            _, k, x, orthogonal = block
             counts = profile.counts[k][m]
             s = s_m if orthogonal else 0
             value = x * min(counts) + s
@@ -497,7 +458,7 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
             if t_zero.denominator == 1 and t_zero.numerator in counts:
                 zero_count += counts[t_zero.numerator]
                 if hit is None:
-                    hit = (first_idx, k, t_zero.numerator)
+                    hit = (k, orthogonal, t_zero.numerator)
         summaries.append((low, zero_count, hit))
 
     rows = []
@@ -505,17 +466,16 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
         low, zero_count, hit = summaries[profile.columns[j]]
         witness = None
         if hit is not None:
-            first_idx, k, t = hit
-            witness = str(candidate(first_idx + profile.first[k][j][t]))
+            k, orthogonal, t = hit
+            witness = str(candidate(profile.first[k][j][t], orthogonal))
         rows.append(CurveRow(label, low, zero_count, witness))
 
-    # Only a falsified scan builds and pairs a block's candidates, to list
+    # Only a falsified scan lists a block and pairs its candidates, to print
     # each offender in candidate-major, then curve order.
     offenders = []
-    for (first_idx, k, _, _), m in negative:
+    for block, m in negative:
         curves = [j for j, col in enumerate(profile.columns) if col == m]
-        for idx in range(first_idx, first_idx + len(profile.classes[k])):
-            d = candidate(idx)
+        for idx, d in listed(block):
             for j in curves:
                 value = pair_hilb(d, profile.curves[j][1], n)
                 if value < 0:
@@ -525,11 +485,12 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
 
     # One identity per orthogonal block, as c.F is constant on it.
     ray_fiber = ray_pairings[_FIBER_COLUMN]
-    for first_idx, k, x, orthogonal in blocks:
-        if orthogonal and x * _fiber_degree(profile.counts[k]) + ray_fiber != 0:
+    for block in blocks:
+        _, k, x, orthogonal = block
+        if orthogonal and x * profile.blocks[k][2] + ray_fiber != 0:
             violations += [
-                f"{candidate(idx)} is not orthogonal to the induced fiber curve"
-                for idx in range(first_idx, first_idx + len(profile.classes[k]))
+                f"{d} is not orthogonal to the induced fiber curve"
+                for _, d in listed(block)
             ]
 
     rows = tuple(rows)

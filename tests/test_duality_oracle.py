@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbnef import hilb
+from hilbnef import hilb, weyl
 from hilbnef.hilb import (
     C0,
     ContractedCurve,
@@ -167,23 +167,28 @@ def oracle_dot_profile(max_h_degree):
 
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_profile_rows_match_oracle_profile(degree):
-    """Per (block, curve): the same values and counts of t = c.e, hence the
-    same minimum and zero count, and the same first zero (the witness); the
-    contracted and fiber rows keep every first index."""
+    """Per block: the listed block's size and its one fiber degree.  Per
+    (block, curve): the same values and counts of t = c.e, hence the same
+    minimum and zero count, and the same first zero (the witness class); the
+    contracted and fiber rows keep the witness of every value."""
     classes, curves, rows = oracle_dot_profile(degree)
     profile = hilb._dot_profile(degree)
-    assert profile.classes == classes
+    assert [start for start, _, _ in profile.blocks] == [F, H, H - E[0]]
+    for (_, size, fiber), block in zip(profile.blocks, classes):
+        assert size == len(block)
+        assert {dot_int(c.nums, F.nums) for c in block} == {fiber}
     assert profile.curves == curves
     for k, block in enumerate(rows):
         for j, old in enumerate(block):
             counts = profile.counts[k][profile.columns[j]]
             first = profile.first[k][j]
+            witnesses = {t: classes[k][i] for t, (_, i) in old.items()}
             assert counts == {t: count for t, (count, _) in old.items()}
             assert min(counts) == min(old)
             if j < 2:
-                assert first == {t: i for t, (_, i) in old.items()}
+                assert first == witnesses
             else:
-                assert first == ({0: old[0][1]} if 0 in old else {})
+                assert first == ({0: witnesses[0]} if 0 in old else {})
 
 
 def s9_orbit(c: DivisorClass) -> list[DivisorClass]:
@@ -203,15 +208,24 @@ def s9_orbit(c: DivisorClass) -> list[DivisorClass]:
 
 @pytest.fixture
 def injected_orbits(monkeypatch):
-    """Weyl orbits with the S9 orbit of one non-nef class added to each, for
-    the profile and for the oracle alike.  The profile pairs each block once
-    per S9 orbit of curves, so a block must stay a union of S9 orbits."""
-    extra = {H: s9_orbit(BAD_H), H - E[0]: s9_orbit(BAD_RULING)}
-    real_orbit = weyl_orbit
+    """Weyl orbits with the S9 orbit of one non-nef class added to each: its
+    sorted representative joins the profile's representatives, and its
+    classes join the block that a falsified scan lists and the oracle's."""
+    extra = {H: BAD_H, H - E[0]: BAD_RULING}
+    real_representatives, real_orbit = hilb._representatives, weyl_orbit
+
+    def representatives(start, max_h_degree):
+        reps = real_representatives(start, max_h_degree)
+        if start in extra:
+            a, *e = extra[start].nums
+            reps += ((a, tuple(sorted((-x for x in e), reverse=True))),)
+        return reps
 
     def orbit(start, max_h_degree):
-        return sorted(real_orbit(start, max_h_degree) + extra[start])
+        classes = real_orbit(start, max_h_degree)
+        return sorted(classes + s9_orbit(extra[start])) if start in extra else classes
 
+    monkeypatch.setattr(hilb, "_representatives", representatives)
     here = sys.modules[__name__]
     for module in (hilb, here):
         monkeypatch.setattr(module, "weyl_orbit", orbit)
@@ -257,50 +271,6 @@ def test_falsified_scan_lists_offenders_candidate_major(injected_orbits):
     assert report.min_pairing == Fraction(-3, 2)
 
 
-def test_block_with_two_fiber_degrees_is_rejected(monkeypatch):
-    real_orbit = weyl_orbit
-
-    def orbit(start, max_h_degree):
-        return real_orbit(start, max_h_degree) + [H - E[0]]  # c.F = 2 beside 3
-
-    monkeypatch.setattr(hilb, "weyl_orbit", orbit)
-    hilb._dot_profile.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="c.F values"):
-            cone_duality_check(3, 1)
-    finally:
-        hilb._dot_profile.cache_clear()
-
-
-@pytest.mark.parametrize(
-    "start,tamper,message",
-    [
-        (H, lambda classes: classes + [BAD_H], "holds 1 of the 9 permutations of 2H-3E1"),
-        (
-            H - E[0],
-            lambda classes: sorted(classes + s9_orbit(BAD_RULING)[1:]),
-            "holds 71 of the 72 permutations",
-        ),
-        (H - E[0], lambda classes: classes[::-1], "not strictly increasing"),
-    ],
-    ids=["one-class", "orbit-less-one", "reversed"],
-)
-def test_block_not_a_union_of_s9_orbits_is_rejected(monkeypatch, start, tamper, message):
-    real_orbit = weyl_orbit
-
-    def orbit(s, max_h_degree):
-        classes = real_orbit(s, max_h_degree)
-        return tamper(classes) if s == start else classes
-
-    monkeypatch.setattr(hilb, "weyl_orbit", orbit)
-    hilb._dot_profile.cache_clear()
-    try:
-        with pytest.raises(ValueError, match=message):
-            cone_duality_check(3, 1)
-    finally:
-        hilb._dot_profile.cache_clear()
-
-
 def test_ray_pairing_nonzero_with_a_minus_one_curve_is_rejected(monkeypatch):
     # n F^[n] - B/2 pairs n - (n - 1) = 1 with every induced (-1)-curve
     monkeypatch.setattr(hilb, "b_negative_ray", lambda n: HilbDivisor(n * F, Fraction(-1)))
@@ -331,7 +301,8 @@ def test_wrong_orthogonal_scale_matches_oracle(doubled_scale, n):
 
 
 def test_passing_scan_builds_only_printed_candidates(monkeypatch):
-    calls = {"fiber_orthogonal_lift": 0, "pair_hilb": 0}
+    calls = {"fiber_orthogonal_lift": 0, "pair_hilb": 0, "weyl_orbit": 0}
+    listed = []  # the start of every Weyl orbit listed
 
     def counted(name):
         real = getattr(hilb, name)
@@ -342,8 +313,17 @@ def test_passing_scan_builds_only_printed_candidates(monkeypatch):
 
         return wrapper
 
-    report = cone_duality_check(3, 3)  # warms the profile
-    for name in calls:
+    real_listing = weyl._orbit_cached
+    monkeypatch.setattr(
+        weyl, "_orbit_cached", lambda start, k: listed.append(start) or real_listing(start, k)
+    )
+    monkeypatch.setattr(hilb, "weyl_orbit", counted("weyl_orbit"))
+    hilb._dot_profile.cache_clear()
+    report = cone_duality_check(3, 3)  # a cold profile build
+    # the blocks come from S9 representatives; only the (-1)-curves are listed
+    assert calls["weyl_orbit"] == 0
+    assert set(listed) == {E[8]}
+    for name in ("fiber_orthogonal_lift", "pair_hilb"):
         monkeypatch.setattr(hilb, name, counted(name))
     assert cone_duality_check(3, 3) == report
     assert report.passed
