@@ -354,14 +354,15 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:
             d = d + coeff * generator(rng.randrange(len(classes)))
         reduced_surf, steps, _, hit_cap = reduce_surface_class(d.surf)
         reduced = HilbDivisor(reduced_surf, d.b_half)
-        # degree of the nef part: the t * b_negative_ray summand is move-invariant
-        nef_h = nef_part(reduced, cfg.n).h
-        stalled = hit_cap or nef_h > STALL_DEGREE
         try:
-            bounding_cone_decompose(reduced, cfg.n, cfg.max_h_degree)
+            part, _ = bounding_cone_decompose(reduced, cfg.n, cfg.max_h_degree)
             decomposed = True
         except DecompositionError:
+            part = nef_part(reduced, cfg.n)
             decomposed = False
+        # degree of the nef part: the t * b_negative_ray summand is move-invariant
+        nef_h = part.h
+        stalled = hit_cap or nef_h > STALL_DEGREE
         if decomposed:
             successes += 1
         if stalled:
