@@ -66,8 +66,8 @@ MAX_ORBIT_CLASSES = 100_000  # --start H --max-degree 9 lists 99,838 classes
 # over their sorted representatives and hardly depends on the divisor; the
 # cap keeps the run near half of a 4 s budget (250: 3.4-3.7 s, 28 MB).
 MAX_NEF_DEGREE = 200  # surface nef --divisor H or H-E1-E2: 1.7-2.1 s, 22 MB
-MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.9 s, 31 MB
-MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 1.7 s, 31 MB
+MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.44-0.50 s, 25 MB
+MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 1.0-1.3 s, 24 MB
 MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 0.42-0.52 s, 23 MB
 MAX_COVER_SAMPLES = 10_000  # coneconj cover --n 3 --max-degree 6: 6.6-6.9 s, 43 MB
 

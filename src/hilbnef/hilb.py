@@ -26,7 +26,12 @@ from .lattice import (
     intersect,
 )
 from .surface_cones import is_nef_up_to_degree
-from .weyl import _permutations, _representatives, enumerate_minus_one_classes, weyl_orbit
+from .weyl import (
+    _permutations,
+    _representatives,
+    enumerate_minus_one_classes,
+    weyl_orbit,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -324,7 +329,7 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
     curves = [("contracted", C0), ("fiber", InducedCurve(F))]
     columns = [0, _FIBER_COLUMN]
     shapes: dict[tuple[int, ...], int] = {}
-    minus_ones = []  # (column, source of each coordinate in the shape) per (-1)-curve
+    minus_ones = []  # (column, source in the shape of each coordinate) per (-1)-curve
     for e_cls in enumerate_minus_one_classes(max_h_degree):
         e = e_cls.nums
         order = sorted(range(1, RANK), key=e.__getitem__)
@@ -362,14 +367,14 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
         # For a (-1)-curve e = sigma(r), with r its sorted shape, the values
         # c.e over the block are its values c.r, and its classes with c.e = 0
         # are the images under sigma of those with c.r = 0.  The witness is
-        # the least image: permute each zero of least H-degree and keep the
+        # the least image.  sigma keeps the H-degree first, so only the zeros
+        # of least H-degree can give it: permute each and keep the
         # lexicographic minimum; e_i = r_src[i], so z.r = 0 gives c_i = z_src[i].
         block_first = [{0: least}, {fiber: least}]
         for m, src in minus_ones:
             low = lowest[m - _FIBER_COLUMN - 1]
-            block_first.append(
-                {0: DivisorClass(min(tuple(z[i] for i in src) for z in low))} if low else {}
-            )
+            witness = low and min(tuple(z[i] for i in src) for z in low)
+            block_first.append({0: DivisorClass(witness)} if witness else {})
         blocks.append((start, size, fiber))
         counts.append(tuple([{0: size}, {fiber: size}] + shape_counts))
         first.append(tuple(block_first))
