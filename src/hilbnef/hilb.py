@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .lattice import (
     RANK,
@@ -436,8 +436,10 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     def candidate(c: DivisorClass, orthogonal: bool) -> HilbDivisor:
         return fiber_orthogonal_lift(c, n) if orthogonal else lift(c)
 
+    @cache
     def listed(block) -> list[tuple[int, HilbDivisor]]:
-        """A block's candidates with their indices, in candidate order."""
+        """A block's candidates with their indices, in candidate order; each
+        block is listed and lifted at most once."""
         first_idx, k, _, orthogonal = block
         orbit = weyl_orbit(profile.blocks[k][0], max_h_degree)
         return [(i, candidate(c, orthogonal)) for i, c in enumerate(orbit, first_idx)]
@@ -445,7 +447,7 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     # Per column: the minimum, the zero count, and the first block with a
     # zero (its orbit block, orthogonal flag and t = c.e).
     summaries = []
-    negative = []  # (block, column) with some negative pairing
+    negative: dict[tuple, list[int]] = {}  # block -> columns with a negative pairing
     for m, s_m in enumerate(ray_pairings):
         low: Fraction | None = None
         zero_count = 0
@@ -458,7 +460,7 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
             if low is None or value < low:
                 low = value
             if value < 0:
-                negative.append((block, m))
+                negative.setdefault(block, []).append(m)
             t_zero = -s / x
             if t_zero.denominator == 1 and t_zero.numerator in counts:
                 zero_count += counts[t_zero.numerator]
@@ -478,8 +480,8 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     # Only a falsified scan lists a block and pairs its candidates, to print
     # each offender in candidate-major, then curve order.
     offenders = []
-    for block, m in negative:
-        curves = [j for j, col in enumerate(profile.columns) if col == m]
+    for block, columns in negative.items():
+        curves = [j for j, col in enumerate(profile.columns) if col in columns]
         for idx, d in listed(block):
             for j in curves:
                 value = pair_hilb(d, profile.curves[j][1], n)

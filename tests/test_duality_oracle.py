@@ -331,3 +331,27 @@ def test_passing_scan_builds_only_printed_candidates(monkeypatch):
     assert report.nef_candidate_count == 1 + 2 * (715 + 639)
     assert calls["pair_hilb"] <= 425  # ray.e, once per curve
     assert calls["fiber_orthogonal_lift"] <= 425  # printed witnesses only
+
+
+def test_falsified_scan_lists_each_block_once(injected_orbits, monkeypatch):
+    # the four blocks (c^[n] and the orthogonal lifts over W.H and W.(H-E1))
+    # each pair negatively with more than one column
+    listings, lifts = [], Counter()
+    real_orbit, real_lift = hilb.weyl_orbit, hilb.fiber_orthogonal_lift
+
+    def orbit(start, max_h_degree):
+        listings.append(start)
+        return real_orbit(start, max_h_degree)
+
+    def lifted(c, n):
+        lifts[c] += 1
+        return real_lift(c, n)
+
+    monkeypatch.setattr(hilb, "weyl_orbit", orbit)
+    monkeypatch.setattr(hilb, "fiber_orthogonal_lift", lifted)
+    assert not cone_duality_check(3, 2).passed
+    # one listing per block: each Weyl orbit for its c^[n] and its lifts
+    assert Counter(listings) == {H: 2, H - E[0]: 2}
+    # each orthogonal candidate lifted once, and nothing else lifted
+    orthogonal = real_orbit(H, 2) + real_orbit(H - E[0], 2)
+    assert lifts == Counter(orthogonal)
