@@ -17,8 +17,9 @@ The rank-1 candidate pool is held as orbits of the permutations of E2..E9,
 which fix both slices, the twist and every filter and wall: one
 representative per orbit (E1, E9, or aH - sum b_i E_i with b2 >= ... >= b9)
 carries its orbit size, and the filters and walls run once per orbit.  The
-shape-by-shape candidate list is expanded in pool order only when iterated;
-the certificate's report renders it from one row layout per orbit.
+shape-by-shape candidate list is walked in pool order, in runs of shapes
+that share b1..b6, only when iterated or printed; the certificate's report
+renders it from one row layout per orbit, a run at a time.
 """
 
 from __future__ import annotations
@@ -371,34 +372,53 @@ def _orbit_code(coords: tuple[int, ...]) -> int:
     return -coords[1] * 16 ** (a + 1) + sum(16 ** -e for e in coords[2:])
 
 
-def _degree_shapes(a: int):
-    """The shapes (a, -b1, ..., -b9) with 0 <= b_i <= a and sum b_i <= 3a, for
-    a >= 1, in itertools.product order of (b1, ..., b9), each with its
-    _orbit_code and its text str(DivisorClass(shape)), both built by prefix."""
-    digit = [16**k for k in range(a + 1)]
-    terms = [  # terms[i][k]: the text of -k E_(i+1)
-        [""] + [f"-{'' if k == 1 else k}{name}" for k in range(1, a + 1)]
+@lru_cache(maxsize=16)
+def _terms(a: int) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]:
+    """(digit, terms) at degree a: digit[k] = 16**k is the _orbit_code digit
+    of a b_i = k, and terms[i][k] the text of -k E_(i+1)."""
+    digit = tuple(16**k for k in range(a + 1))
+    terms = tuple(
+        ("",) + tuple(f"-{'' if k == 1 else k}{name}" for k in range(1, a + 1))
         for name in _E_TEXTS
+    )
+    return digit, terms
+
+
+@lru_cache(maxsize=64)
+def _suffixes(a: int, left: int) -> tuple[tuple[int, ...], tuple[str, ...], tuple]:
+    """The (b7, b8, b9) with 0 <= b_i <= a and b7 + b8 + b9 <= left, in
+    itertools.product order, as three columns: each one's _orbit_code
+    digits, its text tail and its coordinate tail (-b7, -b8, -b9)."""
+    digit, (*_, term7, term8, term9) = _terms(a)
+    rows = [
+        (digit[i] + digit[j] + digit[k], term7[i] + term8[j] + term9[k], (-i, -j, -k))
+        for i, j, k in itertools.product(range(a + 1), repeat=3)
+        if i + j + k <= left
     ]
+    return tuple(zip(*rows))
+
+
+def _degree_runs(a: int):
+    """The shapes (a, -b1, ..., -b9) with 0 <= b_i <= a and sum b_i <= 3a, for
+    a >= 1, in itertools.product order of (b1, ..., b9), in runs that share
+    b1..b6: per run the prefix's coordinates (a, -b1, ..., -b6), its
+    _orbit_code and text (both built by prefix, the text that of
+    str(DivisorClass)), and the _suffixes table of the b7..b9 its budget
+    leaves."""
+    digit, terms = _terms(a)
     head = "H" if a == 1 else f"{a}H"
     rows = [
         ((a, -b1), 3 * a - b1, b1 * 16 ** (a + 1), head + terms[0][b1])
         for b1 in range(a + 1)
     ]
-    for term in terms[1:7]:  # b2..b7
+    for term in terms[1:6]:  # b2..b6
         rows = [
             (coords + (-k,), left - k, code + digit[k], text + term[k])
             for coords, left, code, text in rows
             for k in range(min(a, left) + 1)
         ]
-    # b8 and b9 in loops, so that no list holds the b1..b8 prefixes
-    term8, term9 = terms[7], terms[8]
     for coords, left, code, text in rows:
-        for k in range(min(a, left) + 1):
-            coords8, left8 = coords + (-k,), left - k
-            code8, text8 = code + digit[k], text + term8[k]
-            for j in range(min(a, left8) + 1):
-                yield coords8 + (-j,), code8 + digit[j], text8 + term9[j]
+        yield coords, code, text, _suffixes(a, left)
 
 
 def _is_fiber_multiple(coords: tuple[int, ...]) -> bool:
@@ -415,9 +435,11 @@ class CandidatePool:
 
     orbits pairs each orbit's representative candidate (its sorted shape,
     filter verdict and wall) with the orbit size.  len() is the number of
-    shapes; iterating expands every shape in pool order, each row reusing
-    its orbit's filter name and Wall object.  row_table() lists the same
-    rows for the report: one layout per orbit, filled with each shape's text.
+    shapes.  One walk, _runs, lists the shapes in pool order, in runs that
+    share b1..b6.  Iterating expands it into every shape's candidate, each
+    reusing its orbit's filter name and Wall object; row_table() reads only
+    its orbit indices and texts, for the report: one layout per orbit,
+    filled with each shape's text.
     """
 
     max_h_degree: int
@@ -426,33 +448,44 @@ class CandidatePool:
     def __len__(self) -> int:
         return sum(size for _, size in self.orbits)
 
-    def _expand(self):
-        """(orbit index, shape, shape text) for every shape, in pool order."""
-        for i in range(9):  # E1 is orbit 0, E2..E9 orbit 1
-            yield min(i, 1), _E_SHAPES[i], _E_TEXTS[i]
+    def _runs(self):
+        """The shapes in pool order, in runs that share a prefix: per run the
+        orbit index of each shape, the prefix's coordinates and text, and the
+        columns of the shapes' text tails and coordinate tails.  The E_i are
+        one run (E1 is orbit 0, E2..E9 orbit 1); at each degree a >= 1 a run
+        is a _degree_runs prefix, its orbit indices read from the codes."""
+        yield (0,) + (1,) * 8, (), "", _E_TEXTS, _E_SHAPES
         for a in range(1, self.max_h_degree + 1):
             index = {
                 _orbit_code(rep.shape): k
                 for k, (rep, _) in enumerate(self.orbits)
                 if rep.shape[0] == a
             }
-            for coords, code, text in _degree_shapes(a):
-                yield index[code], coords, text
+            # a prefix's code fixes b1 and the multiset of b2..b6, hence its
+            # suffix table, so the orbit indices are read once per code
+            keys_of: dict[int, list[int]] = {}
+            for coords, code, text, (deltas, tails, tail_coords) in _degree_runs(a):
+                keys = keys_of.get(code)
+                if keys is None:
+                    keys = keys_of[code] = [index[code + d] for d in deltas]
+                yield keys, coords, text, tails, tail_coords
 
     def __iter__(self):
-        for k, coords, _ in self._expand():
-            rep = self.orbits[k][0]
-            yield WallCandidate(coords, rep.filtered_by, rep.wall)
+        orbits = self.orbits
+        for keys, coords, _, _, tail_coords in self._runs():
+            for k, tail in zip(keys, tail_coords):
+                rep = orbits[k][0]
+                yield WallCandidate(coords + tail, rep.filtered_by, rep.wall)
 
     def row_table(self) -> RowTable:
         """The candidate rows of the report: one layout per orbit, its
         representative's to_json, filled with each shape's text."""
         layouts = tuple(rep.to_json for rep, _ in self.orbits)
-        return RowTable(layouts, self._shape_rows)
+        return RowTable(layouts, self._text_runs)
 
-    def _shape_rows(self):
-        for k, _, text in self._expand():
-            yield k, (text,)
+    def _text_runs(self):
+        for keys, _, text, tails, _ in self._runs():
+            yield keys, ([text + tail for tail in tails],)
 
 
 def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:

@@ -23,7 +23,6 @@ walk or class count, both read from the start, is over its cap.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import traceback
@@ -40,12 +39,13 @@ from .rowtable import RowTable
 
 # `walls gieseker` lists every candidate shape, about 90 bytes of JSON each
 # (89.5 at degree 4, 90.0 at degree 5).  --slice A2 --n 3 at degree 4
-# (227,112 shapes, 20 MB) runs in 0.6 s and 72 MB, at degree 5 (1,104,956
-# shapes, 99 MB) in 2.1-2.8 s and 244 MB, 2.5 bytes of RSS per byte written.
+# (227,112 shapes, 20 MB) runs in 0.4-0.5 s and 60 MB, at degree 5 (1,104,956
+# shapes, 99 MB) in 1.1-1.5 s and 217 MB, 2.2 bytes of RSS per byte written:
+# the report's rendered blocks and their join, each about one report.
 # Degree 6 would list 4,305,881 shapes, about 390 MB of JSON and, at that
-# ratio, 1 GB of RSS.  The count is summed by whole degrees, so every cap from
-# degree 5's count to just below degree 6's allows the same runs; 2,000,000
-# rows (about 180 MB of JSON) is one of them.
+# ratio, 860 MB of RSS.  The count is summed by whole degrees, so every cap
+# from degree 5's count to just below degree 6's allows the same runs;
+# 2,000,000 rows (about 180 MB of JSON) is one of them.
 MAX_LISTED_CANDIDATES = 2_000_000
 
 # Caps on the other commands, checked before any work.  Each comment gives one
@@ -148,17 +148,34 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
     return payload, 0
 
 
+# `weyl orbit` hands its classes to the report in runs of this many rows, one
+# block of about 45 KB each.  Larger blocks leave a larger heap: runs of 4,096
+# raise the peak of `--start H --max-degree 9` by about 2 MB.
+_CLASS_RUN = 256
+
+
+class _IntTexts(dict):
+    """str(x) for each int x looked up, built on its first lookup (a lookup
+    here takes half as long as one through functools.cache)."""
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = str(x)
+        return text
+
+
 def _class_rows(classes: list[DivisorClass]) -> RowTable:
     """The to_json rows of integral classes: one layout, whose strings are the
-    ten numerators (the denominator is 1).  The rows share one text per
-    distinct numerator, which the report holds until it is joined."""
-    text = functools.cache(str)
+    ten numerators (the denominator is 1), given per run of classes as ten
+    columns.  The rows share one text per distinct numerator."""
+    text = _IntTexts().__getitem__
 
-    def rows():
-        for c in classes:
-            yield 0, tuple(map(text, c.nums))
+    def runs():
+        for start in range(0, len(classes), _CLASS_RUN):
+            run = classes[start : start + _CLASS_RUN]
+            numerators = zip(*(c.nums for c in run))
+            yield [0] * len(run), [list(map(text, column)) for column in numerators]
 
-    return RowTable((class_json,), rows)
+    return RowTable((class_json,), runs)
 
 
 def cmd_surface_nef(args) -> tuple[dict, int]:
@@ -302,12 +319,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The report is written in slices of this many characters, so that the text
+# stream encodes one slice at a time, not a second copy of the whole report.
+WRITE_SLICE = 1 << 20
+
+
+def _write(stream, text: str) -> None:
+    for start in range(0, len(text), WRITE_SLICE):
+        stream.write(text[start : start + WRITE_SLICE])
+
+
 def _write_stdout(text: str) -> bool:
     """Write and flush the report.  On a closed or unwritable stdout, print an
     error line, point stdout's descriptor at the null device so that the
     interpreter's flush at exit cannot fail again, and return False."""
     try:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
         sys.stdout.flush()
         return True
     except OSError as exc:
@@ -338,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write(fh, text)
         except OSError as exc:
             print(f"error: cannot write --out: {exc}", file=sys.stderr)
             return 2

@@ -3,9 +3,12 @@
 A certificate can list hundreds of thousands of rows that differ only in a
 few strings: each candidate shape of `walls gieseker` shares its filter and
 wall with the rest of its E2..E9 orbit, and every class of `weyl orbit` has
-the same layout.  A RowTable holds such a list without a dict per row;
-`reporting.dumps_json` renders each layout once and splices every row's
-strings into it, giving the bytes json.dumps prints for the list of dicts.
+the same layout.  A RowTable holds such a list without a dict or a tuple per
+row: it hands its rows over in runs, each run a column of layout indices and
+one column per string (a `walls gieseker` run is the shapes that share
+b1..b6, a `weyl orbit` run 256 classes).  `reporting.dumps_json` renders
+each layout once and turns each run into one block of text with one join,
+giving the bytes json.dumps prints for the list of dicts.
 """
 
 from __future__ import annotations
@@ -13,14 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+# A run of rows: keys[r] is the layout of row r, columns[i][r] its i-th string.
+Run = tuple[Sequence[int], Sequence[Sequence[str]]]
+
 
 @dataclass(frozen=True)
 class RowTable:
     """layouts[k](*strings) is the JSON value of a row of layout k whose
-    varying string values are `strings`; rows() yields (k, strings) for each
-    row, in list order.  Each string stands for a whole JSON string value and
-    is spliced in as it is, so it must need no JSON escaping: printable ASCII
-    without a quote or backslash, as divisor and rational texts are."""
+    varying string values are `strings`; runs() yields the rows in list order
+    as runs (keys, columns), where keys[r] is the layout of the run's row r
+    and columns[i][r] is its i-th string.  Every layout takes len(columns)
+    strings and must place them in the same order in its JSON text.  Each
+    string stands for a whole JSON string value and is spliced in as it is,
+    so it must need no JSON escaping: printable ASCII without a quote or
+    backslash, as divisor and rational texts are."""
 
     layouts: Sequence[Callable[..., object]]
-    rows: Callable[[], Iterator[tuple[int, tuple[str, ...]]]]
+    runs: Callable[[], Iterator[Run]]

@@ -191,11 +191,38 @@ def test_orbit_pool_matches_per_shape_oracle(label, n, degree):
 
 
 def test_shape_texts_match_divisor_strings():
-    # every shape up to degree 4, in pool order, against str(DivisorClass)
+    # every shape up to degree 4, in pool order, against str(DivisorClass),
+    # and its row's layout against its E2..E9 orbit's representative
     pool = rank1_candidates(slice_a2(3), 4)
     table = pool.row_table()
-    for (_, strings), cand in zip(table.rows(), pool, strict=True):
-        assert strings == (str(DivisorClass(cand.shape)),)
+    rows = (
+        (k, text)
+        for keys, (texts,) in table.runs()
+        for k, text in zip(keys, texts, strict=True)
+    )
+    for (k, text), cand in zip(rows, pool, strict=True):
+        assert text == str(DivisorClass(cand.shape))
+        rep = pool.orbits[k][0]
+        assert table.layouts[k] == rep.to_json
+        assert rep.shape == cand.shape[:2] + tuple(sorted(cand.shape[2:]))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4])
+@pytest.mark.parametrize("label,n", [("A1", 3), ("A2", 4)])
+def test_report_matches_per_shape_rows(label, n, degree):
+    # the whole `walls gieseker` report, its candidate rows rendered in runs
+    # and blocks, against json.dumps of one dict per shape, the shapes in
+    # the oracle's order; degree 0 lists only the E_i and degree 1 has the
+    # head "H"
+    wall, cert = gieseker_wall(SLICES[label](n), degree)
+    data = {"wall": wall.to_json(), "certificate": cert.to_json(include_candidates=False)}
+    shapes = [row[0] for row in oracle_shape_pool(degree)]
+    rows = data["certificate"]["candidates"] = []
+    for shape, cand in zip(shapes, cert.candidates, strict=True):
+        assert cand.shape == shape
+        rows.append(cand.to_json(str(DivisorClass(shape))))
+    expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert dumps_json({"wall": wall.to_json(), "certificate": cert.to_json()}) == expected
 
 
 POOL_COUNTS = {0: 9, 1: 139, 2: 3200, 3: 34162, 4: 227112}

@@ -76,15 +76,25 @@ def _point(x: str, y: str) -> dict:
     return {"x": [x, "0"], "w": y, "tag": "point"}
 
 
-def _pair(x: str) -> dict:
-    return {"x": x, "nested": {"empty": [], "none": None}}
+def _pair(x: str, y: str) -> dict:
+    # a second layout with its strings in the same text order as _point's
+    return {"x": x, "nested": {"empty": [], "none": None}, "w": [y]}
 
 
 POINTS = [("1", "-2"), ("3/4", "0"), ("E1", "-2H+E9")]
 
 
-def _table(rows) -> RowTable:
-    return RowTable((_point, _pair), lambda: iter(rows))
+def _table(rows, run: int = 2) -> RowTable:
+    """The rows (layout, strings) as a table handing them over `run` at a
+    time, after an empty run."""
+
+    def runs():
+        yield [], [(), ()]
+        for start in range(0, len(rows), run):
+            part = rows[start : start + run]
+            yield [k for k, _ in part], list(zip(*(strings for _, strings in part)))
+
+    return RowTable((_point, _pair), runs)
 
 
 def _expanded(rows) -> list:
@@ -95,29 +105,37 @@ def _expanded(rows) -> list:
     "rows",
     [
         [(0, p) for p in POINTS],
-        [(1, ("a",)), (0, POINTS[0]), (1, ("b",)), (0, POINTS[2])],
-        [(1, ("only",))],
+        [(1, ("a", "b")), (0, POINTS[0]), (1, ("c", "d")), (0, POINTS[2])],
+        [(1, ("only", "one"))],
         [],
     ],
     ids=["one-layout", "mixed", "single", "empty"],
 )
 def test_row_tables_render_as_json_dumps(rows):
-    # a table anywhere in the report prints as json.dumps of its row dicts
+    # a table anywhere in the report prints as json.dumps of its row dicts,
+    # however its rows fall into runs
     def report(table):
         return {"z": 1, "rows": table, "deep": [{"b": table, "a": [1, {}]}, "s"]}
 
-    expected = json.dumps(report(_expanded(rows)), indent=2, sort_keys=True) + "\n"
-    assert dumps_json(report(_table(rows))) == expected
-    expected = json.dumps(_expanded(rows), indent=2, sort_keys=True) + "\n"
-    assert dumps_json(_table(rows)) == expected
+    nested = json.dumps(report(_expanded(rows)), indent=2, sort_keys=True) + "\n"
+    alone = json.dumps(_expanded(rows), indent=2, sort_keys=True) + "\n"
+    for run in (1, 2, 5):
+        assert dumps_json(report(_table(rows, run))) == nested
+        assert dumps_json(_table(rows, run)) == alone
 
 
 def test_row_table_errors():
     with pytest.raises(TypeError):
         dumps_json({1: _table([])})  # a dict holding a table needs string keys
-    twice = RowTable((lambda s: {"a": s, "b": s},), lambda: iter([(0, ("x",))]))
+    twice = RowTable((lambda s: {"a": s, "b": s},), lambda: iter([([0], [["x"]])]))
     with pytest.raises(ValueError):
         dumps_json(twice)
+    # the layouts of one table must place its strings in one order
+    swapped = RowTable(
+        (_point, lambda x, y: {"a": x, "b": y}), lambda: iter([([0], [["x"], ["y"]])])
+    )
+    with pytest.raises(ValueError):
+        dumps_json(swapped)
     with pytest.raises(TypeError):
         dumps_json({"a": object()})
 
