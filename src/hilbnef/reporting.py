@@ -191,7 +191,7 @@ def dumps_json(data) -> str:
     a RowTable are laid out here the way json.dumps lays them out; their keys
     must be strings.  The report is one str joined from the blocks at the
     end, so the peak holds the report about twice: the 20 MB `walls gieseker`
-    report at degree 4 peaks at 61 MB.
+    report at degree 4 peaks at 60 MB.
     """
     chunks: list[str] = []
     _encode(data, "", chunks)

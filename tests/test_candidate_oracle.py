@@ -210,10 +210,10 @@ def test_shape_texts_match_divisor_strings():
 @pytest.mark.parametrize("degree", [0, 1, 4])
 @pytest.mark.parametrize("label,n", [("A1", 3), ("A2", 4)])
 def test_report_matches_per_shape_rows(label, n, degree):
-    # the whole `walls gieseker` report, its candidate rows rendered in runs
-    # and blocks, against json.dumps of one dict per shape, the shapes in
-    # the oracle's order; degree 0 lists only the E_i and degree 1 has the
-    # head "H"
+    # the whole `walls gieseker` report, its candidate rows rendered a run at
+    # a time, against json.dumps of one dict per shape, the shapes in the
+    # oracle's order; degree 0 lists only the E_i and degree 1 has the head
+    # "H"
     wall, cert = gieseker_wall(SLICES[label](n), degree)
     data = {"wall": wall.to_json(), "certificate": cert.to_json(include_candidates=False)}
     shapes = [row[0] for row in oracle_shape_pool(degree)]
