@@ -19,16 +19,17 @@ representative per orbit (E1, E9, or aH - sum b_i E_i with b2 >= ... >= b9)
 carries its orbit size, and the filters and walls run once per orbit.  The
 shape-by-shape candidate list is walked in pool order, in runs of shapes
 that share b1..b6, only when iterated or printed; the certificate's report
-renders it from one row layout per orbit, a run at a time.
+renders it from one row layout per distinct filter and wall, a run at a
+time.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
+from typing import Sequence
 
 from .lattice import (
     RANK,
@@ -42,21 +43,23 @@ from .lattice import (
     self_intersection,
 )
 from .hilb import HilbDivisor
+from .record import Record, _set
 from .rowtable import RowTable
 from .surface_cones import a1_polarization, a2_polarization
 
 
-@dataclass(frozen=True)
-class ChernChar:
+class ChernChar(Record):
     """Numerical Chern character (ch0, ch1, ch2)."""
 
+    __slots__ = ("rank", "c1", "ch2")
     rank: int
     c1: DivisorClass
     ch2: Fraction
 
-    def __post_init__(self) -> None:
-        if type(self.ch2) is not Fraction:
-            object.__setattr__(self, "ch2", Fraction(self.ch2))
+    def __init__(self, rank: int, c1: DivisorClass, ch2: Fraction | int) -> None:
+        _set(self, "rank", rank)
+        _set(self, "c1", c1)
+        _set(self, "ch2", ch2 if type(ch2) is Fraction else Fraction(ch2))
 
     def to_json(self) -> dict:
         return {
@@ -92,34 +95,58 @@ def line_bundle_char(c1: DivisorClass, points: int = 0) -> ChernChar:
     return ChernChar(1, c1, self_intersection(c1) / 2 - points)
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(Record):
     """The (A, P) half-plane of stability conditions for the n-point problem.
 
     quoted_self_intersection is the closed-form value of A.A that circulates
     with this polarization; for the H-family it disagrees with the exact
     self-intersection (see reporting.discrepancy_table) and is kept only so
-    the rank-2 radius bound can be replayed with either value.
+    the rank-2 radius bound can be replayed with either value.  a_squared,
+    the exact A.A, is computed on construction.
     """
 
+    __slots__ = (
+        "label",
+        "polarization",
+        "twist",
+        "n",
+        "quoted_self_intersection",
+        "ruling_based",
+        "a_squared",
+    )
     label: str
     polarization: DivisorClass
     twist: DivisorClass
     n: int
     quoted_self_intersection: Fraction
     ruling_based: bool
+    a_squared: Fraction
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
+    def __init__(
+        self,
+        label: str,
+        polarization: DivisorClass,
+        twist: DivisorClass,
+        n: int,
+        quoted_self_intersection: Fraction,
+        ruling_based: bool,
+    ) -> None:
+        if n < 3:
             raise ValueError("n >= 3 required")
-        if self.a_squared <= 0:
+        a_squared = self_intersection(polarization)
+        if a_squared <= 0:
             raise ValueError("polarization must have positive self-intersection")
-        if intersect(self.polarization, F) <= 0:
+        if intersect(polarization, F) <= 0:
             raise ValueError("polarization must meet the fiber positively")
-
-    @cached_property
-    def a_squared(self) -> Fraction:
-        return self_intersection(self.polarization)
+        super().__init__(
+            label,
+            polarization,
+            twist,
+            n,
+            quoted_self_intersection,
+            ruling_based,
+            a_squared,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -162,11 +189,11 @@ def mu_ap(sl: Slice, ch: ChernChar) -> Fraction | None:
     return _slope_and_discriminant(sl, ch)[0]
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Record):
     """Semicircular wall: (s - center)^2 + t^2 = radius_sq.  Empty if
     radius_sq <= 0 (the locus needs t > 0)."""
 
+    __slots__ = ("center", "radius_sq")
     center: Fraction
     radius_sq: Fraction
 
@@ -187,10 +214,10 @@ class Wall:
         )
 
 
-@dataclass(frozen=True)
-class VerticalWall:
+class VerticalWall(Record):
     """Degenerate wall: the vertical line s = const (equal slopes)."""
 
+    __slots__ = ("s",)
     s: Fraction
 
     def to_json(self) -> dict:
@@ -200,10 +227,10 @@ class VerticalWall:
         return f"vertical wall s = {format_rational(self.s)}"
 
 
-@dataclass(frozen=True)
-class DegenerateWall:
+class DegenerateWall(Record):
     """Proportional charges (everywhere) or an unsatisfiable equation (empty)."""
 
+    __slots__ = ("everywhere",)
     everywhere: bool
 
     def to_json(self) -> dict:
@@ -305,15 +332,23 @@ def quoted_rank_one_center(sl: Slice, l: DivisorClass, points: int = 0) -> Fract
 # -- rank-1 candidate search -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WallCandidate:
+class WallCandidate(Record):
     """One antieffective candidate O(l) with l = -shape.  shape is stored as
     integer coordinates; filtered_by is the first eliminating filter or None
     for survivors, which carry their wall."""
 
+    __slots__ = ("shape", "filtered_by", "wall")
     shape: tuple[int, ...]
     filtered_by: str | None
     wall: NumericalWall | None
+
+    # written out, as iterating a pool builds one per shape
+    def __init__(
+        self, shape: tuple[int, ...], filtered_by: str | None, wall: NumericalWall | None
+    ) -> None:
+        _set(self, "shape", shape)
+        _set(self, "filtered_by", filtered_by)
+        _set(self, "wall", wall)
 
     def shape_class(self) -> DivisorClass:
         return DivisorClass(self.shape)
@@ -321,7 +356,8 @@ class WallCandidate:
     def to_json(self, shape_text: str) -> dict:
         """The candidate's report row, with shape_text as the text of its
         shape.  Called on an orbit representative, it is the layout of the
-        rows of the whole E2..E9 orbit (see CandidatePool.row_table)."""
+        rows of every shape with the same filter and wall (see
+        CandidatePool.row_table)."""
         row: dict = {"shape": shape_text}
         row["filter"] = self.filtered_by
         if self.wall is not None:
@@ -429,8 +465,7 @@ def _is_fiber_multiple(coords: tuple[int, ...]) -> bool:
     return all(e == -k for e in coords[1:])
 
 
-@dataclass(frozen=True)
-class CandidatePool:
+class CandidatePool(Record):
     """The rank-1 candidates of one slice, held as E2..E9 orbits.
 
     orbits pairs each orbit's representative candidate (its sorted shape,
@@ -438,54 +473,67 @@ class CandidatePool:
     shapes.  One walk, _runs, lists the shapes in pool order, in runs that
     share b1..b6.  Iterating expands it into every shape's candidate, each
     reusing its orbit's filter name and Wall object; row_table() reads only
-    its orbit indices and texts, for the report: one layout per orbit,
-    filled with each shape's text.
+    its layout indices and texts, for the report: one layout per distinct
+    (filter, wall), filled with each shape's text.
     """
 
+    __slots__ = ("max_h_degree", "orbits")
     max_h_degree: int
     orbits: tuple[tuple[WallCandidate, int], ...]
 
     def __len__(self) -> int:
         return sum(size for _, size in self.orbits)
 
-    def _runs(self):
+    def _runs(self, labels: Sequence[int]):
         """The shapes in pool order, in runs that share a prefix: per run the
-        orbit index of each shape, the prefix's coordinates and text, and the
-        columns of the shapes' text tails and coordinate tails.  The E_i are
-        one run (E1 is orbit 0, E2..E9 orbit 1); at each degree a >= 1 a run
-        is a _degree_runs prefix, its orbit indices read from the codes."""
-        yield (0,) + (1,) * 8, (), "", _E_TEXTS, _E_SHAPES
+        label of each shape's orbit (labels[k] for orbit k), the prefix's
+        coordinates and text, and the columns of the shapes' text tails and
+        coordinate tails.  The E_i are one run (E1 is orbit 0, E2..E9 orbit
+        1); at each degree a >= 1 a run is a _degree_runs prefix, its labels
+        read from the codes."""
+        yield (labels[0],) + (labels[1],) * 8, (), "", _E_TEXTS, _E_SHAPES
         for a in range(1, self.max_h_degree + 1):
-            index = {
-                _orbit_code(rep.shape): k
+            label_of = {
+                _orbit_code(rep.shape): labels[k]
                 for k, (rep, _) in enumerate(self.orbits)
                 if rep.shape[0] == a
             }
             # a prefix's code fixes b1 and the multiset of b2..b6, hence its
-            # suffix table, so the orbit indices are read once per code
+            # suffix table, so the labels are read once per code
             keys_of: dict[int, list[int]] = {}
             for coords, code, text, (deltas, tails, tail_coords) in _degree_runs(a):
                 keys = keys_of.get(code)
                 if keys is None:
-                    keys = keys_of[code] = [index[code + d] for d in deltas]
+                    keys = keys_of[code] = [label_of[code + d] for d in deltas]
                 yield keys, coords, text, tails, tail_coords
 
     def __iter__(self):
         orbits = self.orbits
-        for keys, coords, _, _, tail_coords in self._runs():
+        for keys, coords, _, _, tail_coords in self._runs(range(len(orbits))):
             for k, tail in zip(keys, tail_coords):
                 rep = orbits[k][0]
                 yield WallCandidate(coords + tail, rep.filtered_by, rep.wall)
 
     def row_table(self) -> RowTable:
-        """The candidate rows of the report: one layout per orbit, its
-        representative's to_json, filled with each shape's text."""
-        layouts = tuple(rep.to_json for rep, _ in self.orbits)
-        return RowTable(layouts, self._text_runs)
+        """The candidate rows of the report.  A row's JSON depends on its
+        orbit only through the filter and the wall, so each distinct
+        (filter, wall) is one layout, the to_json of its first orbit's
+        representative, filled with each shape's text."""
+        layout_of: dict = {}
+        layouts = []
+        labels = []
+        for rep, _ in self.orbits:
+            key = (rep.filtered_by, rep.wall)
+            if key not in layout_of:
+                layout_of[key] = len(layouts)
+                layouts.append(rep.to_json)
+            labels.append(layout_of[key])
 
-    def _text_runs(self):
-        for keys, _, text, tails, _ in self._runs():
-            yield keys, ([text + tail for tail in tails],)
+        def runs():
+            for keys, _, text, tails, _ in self._runs(labels):
+                yield keys, ([text + tail for tail in tails],)
+
+        return RowTable(tuple(layouts), runs)
 
 
 def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
@@ -557,8 +605,23 @@ class GiesekerFalsified(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class GiesekerCertificate:
+class GiesekerCertificate(Record):
+    __slots__ = (
+        "slice_label",
+        "n",
+        "degree_bound",
+        "fiber_wall",
+        "candidate_count",
+        "eliminated",
+        "survivor_count",
+        "empty_survivor_walls",
+        "min_survivor_center",
+        "walls_equal_to_fiber_wall",
+        "rank2_bound_quoted",
+        "rank2_bound_exact",
+        "certified",
+        "candidates",
+    )
     slice_label: str
     n: int
     degree_bound: int

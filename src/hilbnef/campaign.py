@@ -9,9 +9,8 @@ the report verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .lattice import E, H
+from .record import Record
 from .hilb import cone_duality_check, fiber_orthogonal_lift
 from .bridgeland import GiesekerFalsified, gieseker_wall, nef_from_wall, slice_for
 from .surface_cones import ample_family
@@ -25,12 +24,21 @@ class CampaignUsageError(ValueError):
     """Bad campaign parameters; maps to CLI exit code 2."""
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(Record):
+    __slots__ = ("n_start", "n_end", "max_h_degree", "slices")
     n_start: int
     n_end: int
-    max_h_degree: int = 3
-    slices: tuple[str, ...] = ("A1", "A2")
+    max_h_degree: int
+    slices: tuple[str, ...]
+
+    def __init__(
+        self,
+        n_start: int,
+        n_end: int,
+        max_h_degree: int = 3,
+        slices: tuple[str, ...] = ("A1", "A2"),
+    ) -> None:
+        super().__init__(n_start, n_end, max_h_degree, slices)
 
 
 def validate_campaign(c: Campaign) -> None:
@@ -47,8 +55,8 @@ def validate_campaign(c: Campaign) -> None:
         raise CampaignUsageError("slices must not repeat")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("n", "name", "passed", "detail")
     n: int
     name: str
     passed: bool
@@ -58,11 +66,11 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(Record):
+    __slots__ = ("campaign", "checks", "discrepancies")
     campaign: Campaign
     checks: tuple[CheckResult, ...]
-    discrepancies: dict = field(default_factory=dict)
+    discrepancies: dict
 
     @property
     def all_passed(self) -> bool:

@@ -10,9 +10,8 @@ or the class induced by a curve on the surface (n points moving on it).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, total_ordering
 
 from .lattice import (
     RANK,
@@ -25,6 +24,7 @@ from .lattice import (
     format_rational,
     intersect,
 )
+from .record import Record, _set
 from .surface_cones import is_nef_up_to_degree
 from .weyl import (
     _permutations,
@@ -34,14 +34,22 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class HilbDivisor:
+@total_ordering
+class HilbDivisor(Record):
+    """surf^[n] + b_half*(B/2); divisors order by (surf, b_half)."""
+
+    __slots__ = ("surf", "b_half")
     surf: DivisorClass
     b_half: Fraction
 
-    def __post_init__(self) -> None:
-        if type(self.b_half) is not Fraction:
-            object.__setattr__(self, "b_half", Fraction(self.b_half))
+    def __init__(self, surf: DivisorClass, b_half: Fraction | int) -> None:
+        _set(self, "surf", surf)
+        _set(self, "b_half", b_half if type(b_half) is Fraction else Fraction(b_half))
+
+    def __lt__(self, other: "HilbDivisor") -> bool:
+        if other.__class__ is not HilbDivisor:
+            return NotImplemented
+        return (self.surf, self.b_half) < (other.surf, other.b_half)
 
     def __add__(self, other: "HilbDivisor") -> "HilbDivisor":
         return HilbDivisor(self.surf + other.surf, self.b_half + other.b_half)
@@ -74,15 +82,16 @@ def lift(surf: DivisorClass) -> HilbDivisor:
     return HilbDivisor(surf, Fraction(0))
 
 
-@dataclass(frozen=True)
-class ContractedCurve:
+class ContractedCurve(Record):
     """The Hilbert-Chow contracted curve: pairs 0 with every surf^[n], -2 with B."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class InducedCurve:
+
+class InducedCurve(Record):
     """n points moving along a curve of class c on the surface."""
 
+    __slots__ = ("c",)
     c: DivisorClass
 
 
@@ -130,11 +139,21 @@ def fiber_orthogonal_lift(c: DivisorClass, n: int) -> HilbDivisor:
     return HilbDivisor(x * c + ray.surf, ray.b_half)
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(Record):
     """Pairings of a divisor against the contracted curve, the induced fiber
     curve, and every induced (-1)-curve up to the degree bound."""
 
+    __slots__ = (
+        "divisor",
+        "n",
+        "degree_bound",
+        "in_cone",
+        "contracted_pairing",
+        "fiber_pairing",
+        "min_curve_pairing",
+        "min_curve_witness",
+        "violations",
+    )
     divisor: HilbDivisor
     n: int
     degree_bound: int
@@ -243,11 +262,11 @@ def recompose(nef_part: DivisorClass, t: Fraction, n: int) -> HilbDivisor:
     return lift(nef_part) + t * b_negative_ray(n)
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(Record):
     """Per-curve summary of the duality scan: the smallest pairing seen, how
     many nef candidates hit zero, and one of them as extremality witness."""
 
+    __slots__ = ("curve", "min_pairing", "zero_count", "witness")
     curve: str
     min_pairing: Fraction
     zero_count: int
@@ -262,11 +281,22 @@ class CurveRow:
         }
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(Record):
     """Exhaustive degree-bounded scan of candidate nef generators against
     candidate curve generators, with orthogonality witnesses for extremality."""
 
+    __slots__ = (
+        "n",
+        "degree_bound",
+        "nef_candidate_count",
+        "curve_candidate_count",
+        "pairings_checked",
+        "violations",
+        "unwitnessed_curves",
+        "min_pairing",
+        "passed",
+        "curve_rows",
+    )
     n: int
     degree_bound: int
     nef_candidate_count: int
@@ -298,8 +328,7 @@ class DualityReport:
 _FIBER_COLUMN = 1  # the induced fiber curve follows the contracted curve
 
 
-@dataclass(frozen=True)
-class _DotProfile:
+class _DotProfile(Record):
     """The n-independent part of the duality scan at one degree bound.
 
     The orbit blocks are {F}, the Weyl orbit of H and the Weyl orbit of H-E1,
@@ -317,6 +346,7 @@ class _DotProfile:
     zero pairing there needs c.e = 0 for every n.
     """
 
+    __slots__ = ("blocks", "curves", "columns", "counts", "first")
     blocks: tuple[tuple[DivisorClass, int, int], ...]
     curves: tuple[tuple[str, CurveClass], ...]
     columns: tuple[int, ...]

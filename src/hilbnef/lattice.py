@@ -10,11 +10,12 @@ its integer value.  There is no floating point anywhere in this package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
 from typing import Iterable
+
+from .record import Record, _set
 
 RANK = 10
 
@@ -51,8 +52,7 @@ def dot_int(u: tuple[int, ...], v: tuple[int, ...]) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """The class (n0 H + n1 E1 + ... + n9 E9) / den for nums = (n0, ..., n9).
 
     nums are ints and den is a positive int, reduced to lowest terms on
@@ -61,22 +61,32 @@ class DivisorClass:
     read-only Fraction views.  Classes order by their rational coordinates.
     """
 
+    __slots__ = ("nums", "den")
     nums: tuple[int, ...]
-    den: int = 1
+    den: int
 
-    def __post_init__(self) -> None:
-        nums = tuple(self.nums)
+    def __init__(self, nums: Iterable[int], den: int = 1) -> None:
+        nums = tuple(nums)
         if len(nums) != RANK:
             raise ValueError(f"expected {RANK} coordinates, got {len(nums)}")
-        if type(self.den) is not int or not all(type(x) is int for x in nums):
+        if type(den) is not int or not all(type(x) is int for x in nums):
             raise TypeError("numerators and denominator must be ints")
-        if self.den < 1:
+        if den < 1:
             raise ValueError("denominator must be positive")
-        g = gcd(self.den, *nums)
+        g = gcd(den, *nums)
         if g != 1:
             nums = tuple(x // g for x in nums)
-            object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "nums", nums)
+            den //= g
+        _set(self, "nums", nums)
+        _set(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -208,10 +218,13 @@ _NAMED.update({f"E{i}": E[i - 1] for i in range(1, RANK)})
 
 
 def parse_divisor(text: str) -> DivisorClass:
-    """Parse "2H-E1-E2", "3/2F+H", "E9", or the JSON dict encoding."""
+    """Parse "2H-E1-E2", "3/2F+H", "E9", "0" (the text of ZERO), or the JSON
+    dict encoding."""
     text = text.strip()
     if not text:
         raise ValueError("empty divisor expression")
+    if text == "0":
+        return ZERO
     if text.startswith("{"):
         import json
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from .lattice import E, F, H, format_rational, intersect
+from .record import Record
 from .rowtable import RowTable
 from .weyl import reflect, root_basis
 from .hilb import fiber_orthogonal_lift
@@ -34,8 +34,8 @@ from .bridgeland import (
 )
 
 
-@dataclass(frozen=True)
-class DiscrepancyRow:
+class DiscrepancyRow(Record):
+    __slots__ = ("quantity", "quoted_formula", "quoted", "recomputed", "agrees", "note")
     quantity: str
     quoted_formula: str
     quoted: str

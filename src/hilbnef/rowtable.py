@@ -13,15 +13,15 @@ giving the bytes json.dumps prints for the list of dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
+
+from .record import Record
 
 # A run of rows: keys[r] is the layout of row r, columns[i][r] its i-th string.
 Run = tuple[Sequence[int], Sequence[Sequence[str]]]
 
 
-@dataclass(frozen=True)
-class RowTable:
+class RowTable(Record):
     """layouts[k](*strings) is the JSON value of a row of layout k whose
     varying string values are `strings`; runs() yields the rows in list order
     as runs (keys, columns), where keys[r] is the layout of the run's row r
@@ -31,5 +31,6 @@ class RowTable:
     so it must need no JSON escaping: printable ASCII without a quote or
     backslash, as divisor and rational texts are."""
 
+    __slots__ = ("layouts", "runs")
     layouts: Sequence[Callable[..., object]]
     runs: Callable[[], Iterator[Run]]

@@ -10,25 +10,33 @@ closed-form ampleness tests against the full, unbounded set of (-1)-curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import DivisorClass, E, F, H, dot_int, self_intersection
+from .record import Record
 from .weyl import _representatives, orbit_size
 
 
-@dataclass(frozen=True)
-class NefCertificate:
+class NefCertificate(Record):
     """How many Mori generators the check covered, the smallest pairing, and
     the first negative one with its generator."""
 
+    __slots__ = (
+        "divisor",
+        "degree_bound",
+        "nef_up_to_bound",
+        "generators_checked",
+        "lowest_pairing",
+        "witness",
+        "witness_pairing",
+    )
     divisor: DivisorClass
     degree_bound: int
     nef_up_to_bound: bool
     generators_checked: int
     lowest_pairing: Fraction
-    witness: DivisorClass | None = None
-    witness_pairing: Fraction | None = None
+    witness: DivisorClass | None
+    witness_pairing: Fraction | None
 
     def min_pairing(self) -> Fraction:
         return self.lowest_pairing
@@ -117,11 +125,19 @@ def _least_negative_arrangement(
     return tuple(chosen)
 
 
-@dataclass(frozen=True)
-class AmplenessReport:
+class AmplenessReport(Record):
     """Exact ampleness decision for the pencil families, with the minimized
     pairings that prove it.  A value of None marks an infimum of -infinity."""
 
+    __slots__ = (
+        "ample",
+        "family",
+        "divisor",
+        "fiber_pairing",
+        "min_exceptional_pairing",
+        "inf_section_family",
+        "self_intersection",
+    )
     ample: bool
     family: str
     divisor: DivisorClass

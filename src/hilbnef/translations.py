@@ -12,7 +12,6 @@ scheme's bounding cone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -32,6 +31,7 @@ from .lattice import (
     is_minus_one_class,
     self_intersection,
 )
+from .record import Record, _set
 from .weyl import enumerate_minus_one_classes, root_basis, weyl_orbit
 from .hilb import (
     DecompositionError,
@@ -43,20 +43,20 @@ from .hilb import (
 )
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(Record):
     """Integer 10x10 matrix of a lattice endomorphism: rows[i][j] is
     coordinate i of the image of basis class j."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        rows = tuple(tuple(r) for r in rows)
         if len(rows) != RANK or any(len(r) != RANK for r in rows):
             raise ValueError("expected a 10x10 matrix")
         if not all(type(x) is int for r in rows for x in r):
             raise TypeError("matrix entries must be ints")
-        object.__setattr__(self, "rows", rows)
+        _set(self, "rows", rows)
 
     @classmethod
     def from_basis_images(cls, images: Iterable[DivisorClass]) -> "LatticeMap":
@@ -122,10 +122,10 @@ def _section_move(p: DivisorClass) -> tuple[tuple[int, ...], int]:
     return v.nums, int(c)
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(Record):
     """A section class together with its transvection on the lattice."""
 
+    __slots__ = ("section", "map")
     section: DivisorClass
     map: LatticeMap
 
@@ -172,8 +172,8 @@ def weyl_condition_failures(
     return tuple(failures)
 
 
-@dataclass(frozen=True)
-class TranslationReport:
+class TranslationReport(Record):
+    __slots__ = ("section", "determinant", "failures", "passed")
     section: DivisorClass
     determinant: int
     failures: tuple[str, ...]
@@ -258,18 +258,31 @@ def reduce_surface_class(
     return DivisorClass(ints, surf.den), steps, tuple(labels), hit_cap
 
 
-@dataclass(frozen=True)
-class CoverageConfig:
+class CoverageConfig(Record):
     """Parameters of the bounding-cone coverage experiment."""
 
+    __slots__ = ("n", "samples", "seed", "max_h_degree")
     n: int
-    samples: int = 100
-    seed: int = 0
-    max_h_degree: int = 3
+    samples: int
+    seed: int
+    max_h_degree: int
+
+    def __init__(
+        self, n: int, samples: int = 100, seed: int = 0, max_h_degree: int = 3
+    ) -> None:
+        super().__init__(n, samples, seed, max_h_degree)
 
 
-@dataclass(frozen=True)
-class CoverageTrial:
+class CoverageTrial(Record):
+    __slots__ = (
+        "index",
+        "terms",
+        "start_h",
+        "reduced_h",
+        "steps",
+        "stalled",
+        "decomposed",
+    )
     index: int
     terms: int
     start_h: Fraction
@@ -290,8 +303,15 @@ class CoverageTrial:
         }
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Record):
+    __slots__ = (
+        "config",
+        "successes",
+        "stalled_count",
+        "max_reduced_h",
+        "passed",
+        "trials",
+    )
     config: CoverageConfig
     successes: int
     stalled_count: int

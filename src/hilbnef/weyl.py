@@ -9,28 +9,29 @@ S9 representatives, not searched: see `weyl_orbit`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import Counter
 from functools import lru_cache
 from math import factorial, isqrt
 from typing import Iterable, Iterator
 
 from .lattice import DivisorClass, E, F, divisor, dot_int, intersect
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Record):
     """A (-2)-class orthogonal to the fiber class."""
 
+    __slots__ = ("cls",)
     cls: DivisorClass
 
-    def __post_init__(self) -> None:
-        if intersect(self.cls, self.cls) != -2:
-            raise ValueError(f"not a root (square != -2): {self.cls}")
-        if intersect(self.cls, F) != 0:
-            raise ValueError(f"root must pair to zero with the fiber: {self.cls}")
-        if not self.cls.is_integral():
-            raise ValueError(f"root must be integral: {self.cls}")
+    def __init__(self, cls: DivisorClass) -> None:
+        if intersect(cls, cls) != -2:
+            raise ValueError(f"not a root (square != -2): {cls}")
+        if intersect(cls, F) != 0:
+            raise ValueError(f"root must pair to zero with the fiber: {cls}")
+        if not cls.is_integral():
+            raise ValueError(f"root must be integral: {cls}")
+        _set(self, "cls", cls)
 
 
 def root_basis() -> tuple[Root, ...]:

@@ -192,7 +192,7 @@ def test_orbit_pool_matches_per_shape_oracle(label, n, degree):
 
 def test_shape_texts_match_divisor_strings():
     # every shape up to degree 4, in pool order, against str(DivisorClass),
-    # and its row's layout against its E2..E9 orbit's representative
+    # and its row's layout against the shape's own row
     pool = rank1_candidates(slice_a2(3), 4)
     table = pool.row_table()
     rows = (
@@ -202,9 +202,17 @@ def test_shape_texts_match_divisor_strings():
     )
     for (k, text), cand in zip(rows, pool, strict=True):
         assert text == str(DivisorClass(cand.shape))
-        rep = pool.orbits[k][0]
-        assert table.layouts[k] == rep.to_json
-        assert rep.shape == cand.shape[:2] + tuple(sorted(cand.shape[2:]))
+        assert table.layouts[k](text) == cand.to_json(text)
+
+
+@pytest.mark.parametrize("label,n,degree", [("A1", 3, 4), ("A2", 3, 4), ("A2", 4, 3)])
+def test_one_layout_per_distinct_filter_and_wall(label, n, degree):
+    pool = rank1_candidates(SLICES[label](n), degree)
+    distinct = {(rep.filtered_by, rep.wall) for rep, _ in pool.orbits}
+    layouts = pool.row_table().layouts
+    assert len(layouts) == len(distinct) < len(pool.orbits)
+    rows = [json.dumps(layout("x"), sort_keys=True) for layout in layouts]
+    assert len(set(rows)) == len(rows)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 4])

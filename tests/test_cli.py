@@ -74,6 +74,15 @@ def test_surface_nef_rejects_with_witness(capsys):
     assert data["witness"] == {"h": "1", "e": ["-1", "-1", "0", "0", "0", "0", "0", "0", "0"]}
 
 
+def test_surface_nef_accepts_the_zero_class_as_printed(capsys):
+    # str(ZERO) is "0"; it reads back as the class "0H" names
+    _, zero_h, _ = run_cli(capsys, ["surface", "nef", "--divisor", "0H"])
+    code, out, _ = run_cli(capsys, ["surface", "nef", "--divisor", "0"])
+    assert code == 0
+    assert out == zero_h
+    assert json.loads(out)["divisor"] == {"h": "0", "e": ["0"] * 9}
+
+
 def test_surface_nef_json_divisor_argument(capsys):
     arg = json.dumps({"h": "1", "e": ["0"] * 9})
     code, out, _ = run_cli(capsys, ["surface", "nef", "--divisor", arg])
@@ -423,6 +432,22 @@ def test_closed_stdout_exits_two_in_process(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error:") and "Broken pipe" in err
     assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_class_generator():
+    # -S keeps site-packages' start-up hooks out of the module list
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, hilbnef.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_closed_stdout_exits_two_in_subprocess():
