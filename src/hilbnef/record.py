@@ -11,7 +11,8 @@ own `__eq__` and `__hash__`.
 The classes are written out, not generated by a class decorator: generating
 them execs new methods for every class when its module is imported, and the
 generator's module loads `inspect`, `ast` and `dis`.  That was most of the
-package's import time, paid by every command (README, design notes).
+package's import time, paid by every command (README, "Conventions worth
+knowing").
 """
 
 from __future__ import annotations

@@ -437,7 +437,10 @@ def test_closed_stdout_exits_two_in_process(capsys, monkeypatch):
 def test_cli_import_loads_no_class_generator():
     # -S keeps site-packages' start-up hooks out of the module list
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    probe = "import sys, hilbnef.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = (
+        "import sys, hilbnef.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         cwd=ROOT,

@@ -35,7 +35,7 @@ def _hashed_values():
             Wall(Fraction(-1), Fraction(1)),
             VerticalWall(Fraction(2, 3)),
             DegenerateWall(True),
-            WallCandidate((1, 0, -1, 0, 0, 0, 0, 0, 0, 0), None, Wall(Fraction(-1), Fraction(1))),
+            WallCandidate((1, 0, -1) + (0,) * 7, None, Wall(Fraction(-1), Fraction(1))),
             InducedCurve(F),
             ContractedCurve(),
             LatticeMap(translation(H - E[1] - E[2]).map.rows),
