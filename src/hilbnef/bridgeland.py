@@ -26,10 +26,10 @@ time.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
 
 from .lattice import (
     RANK,

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 
 from .lattice import DivisorClass, class_json, dot_int, parse_divisor
 from .weyl import orbit_counts_by_degree, orbit_size, weyl_orbit
@@ -359,6 +358,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback  # loaded only on a crash: it costs every start a few ms
+
         traceback.print_exc()
         print(f"error: internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -10,10 +10,10 @@ its integer value.  There is no floating point anywhere in this package.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Iterable
 
 from .record import Record, _set
 
@@ -146,10 +146,15 @@ class DivisorClass(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "DivisorClass":
-        e = data["e"]
-        if len(e) != RANK - 1:
-            raise ValueError("expected 9 exceptional coordinates")
-        return divisor(data["h"], e)
+        """The class of {"h": x, "e": [x1, ..., x9]} whose coordinates are
+        rational texts or ints; a float or bool, not read exactly, is refused."""
+        h, e = data["h"], data["e"]
+        if type(e) is not list or len(e) != RANK - 1:
+            raise ValueError("expected a list of 9 exceptional coordinates")
+        for x in (h, *e):
+            if type(x) not in (str, int):
+                raise ValueError(f"coordinate {x!r} is neither a rational text nor an int")
+        return divisor(h, e)
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -184,62 +184,33 @@ def dumps_json(data) -> str:
     """Canonical report serialization: sorted keys, two-space indent, and a
     trailing newline, so identical runs produce identical bytes.
 
-    Every value goes through json.dumps(..., indent=2, sort_keys=True) except
-    a RowTable, which is rendered as the list json.dumps would print for its
-    rows: each row layout is rendered once, and each run of rows is joined
-    into one block of text as it is rendered.  The dicts and lists that hold
-    a RowTable are laid out here the way json.dumps lays them out; their keys
-    must be strings.  The report is one str joined from the blocks at the
-    end, so the peak holds the report about twice: the 20 MB `walls gieseker`
-    report at degree 4 peaks at 60 MB.
+    One json.dumps(..., indent=2, sort_keys=True) lays out the report with a
+    mark string for each RowTable, and each table is spliced in at its mark,
+    at that line's indent, as the list json.dumps would print for its rows:
+    each row layout rendered once, each run of rows joined into one block.  A
+    report string that spells a mark raises ValueError.  The blocks are
+    joined at the end, so the peak holds the report about twice: the 20 MB
+    `walls gieseker` report at degree 4 peaks at 60 MB.
     """
-    chunks: list[str] = []
-    _encode(data, "", chunks)
+    tables: list[RowTable] = []
+
+    def mark_table(value):
+        if isinstance(value, RowTable):
+            tables.append(value)
+            return _mark(len(tables) - 1)
+        raise TypeError(f"{type(value).__name__} object is not JSON serializable")
+
+    parts = _MARK.split(json.dumps(data, indent=2, sort_keys=True, default=mark_table))
+    if parts[1::2] != [str(i) for i in range(len(tables))]:
+        raise ValueError("a report string spells the mark of a row table")
+    chunks = [parts[0]]
+    for table, after in zip(tables, parts[2::2]):
+        chunks[-1] = before = chunks[-1][:-1]  # the quotes around a mark go with it
+        line = before[before.rfind("\n") + 1 :]
+        _render_rows(table, line[: len(line) - len(line.lstrip(" "))], chunks)
+        chunks.append(after[1:])
     chunks.append("\n")
     return "".join(chunks)
-
-
-class _HoldsRows(Exception):
-    """json.dumps met a RowTable: the value around it is walked instead."""
-
-
-def _refuse_rows(value):
-    if isinstance(value, RowTable):
-        raise _HoldsRows
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _encode(value, pad: str, chunks: list[str]) -> None:
-    """Append value as json.dumps(value, indent=2, sort_keys=True) prints it
-    nested at indent pad."""
-    if isinstance(value, RowTable):
-        _render_rows(value, pad, chunks)
-        return
-    try:
-        text = json.dumps(value, indent=2, sort_keys=True, default=_refuse_rows)
-    except _HoldsRows:
-        pass
-    else:
-        chunks.append(text.replace("\n", "\n" + pad) if pad else text)
-        return
-    inner = pad + "  "
-    if isinstance(value, dict):
-        opening, closing = "{", "}"
-        items = sorted(value.items())
-        if not all(isinstance(key, str) for key, _ in items):
-            raise TypeError("a dict holding a RowTable must have string keys")
-    else:
-        opening, closing = "[", "]"
-        items = [(None, item) for item in value]
-    chunks.append(opening)
-    separator = "\n"
-    for key, item in items:
-        chunks.append(separator + inner)
-        if key is not None:
-            chunks.append(json.dumps(key) + ": ")
-        _encode(item, inner, chunks)
-        separator = ",\n"
-    chunks.append("\n" + pad + closing)
 
 
 def _render_rows(table: RowTable, pad: str, chunks: list[str]) -> None:
@@ -273,11 +244,11 @@ def _layout_pieces(layouts, slots: int, newline: str):
     where its strings go: (heads, ((slot i, text after it per layout), ...)),
     the slots in text order.  A head starts with the comma that ends the row
     before."""
-    marks = [f"\0slot{i}\0" for i in range(slots)]
+    marks = [_mark(i) for i in range(slots)]
     heads, afters, order = [], [], None
     for layout in layouts:
         text = json.dumps(layout(*marks), indent=2, sort_keys=True)
-        parts = _SLOT.split("," + newline + text.replace("\n", newline))
+        parts = _MARK.split("," + newline + text.replace("\n", newline))
         found = [int(i) for i in parts[1::2]]
         if sorted(found) != list(range(slots)):
             raise ValueError(f"row layout {layout!r} must place each string once")
@@ -290,4 +261,8 @@ def _layout_pieces(layouts, slots: int, newline: str):
     return heads, tuple(zip(order or (), zip(*afters)))
 
 
-_SLOT = re.compile(r"\\u0000slot(\d+)\\u0000")  # a mark as json.dumps prints it
+def _mark(i: int) -> str:  # table or slot i until spliced in; report texts hold no NUL
+    return f"\0{i}\0"
+
+
+_MARK = re.compile(r"\\u0000(\d+)\\u0000")  # a mark as json.dumps prints it

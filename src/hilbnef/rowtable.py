@@ -6,14 +6,16 @@ wall with the rest of its E2..E9 orbit, and every class of `weyl orbit` has
 the same layout.  A RowTable holds such a list without a dict or a tuple per
 row: it hands its rows over in runs, each run a column of layout indices and
 one column per string (a `walls gieseker` run is the shapes that share
-b1..b6, a `weyl orbit` run 256 classes).  `reporting.dumps_json` renders
-each layout once and turns each run into one block of text with one join,
-giving the bytes json.dumps prints for the list of dicts.
+b1..b6, a `weyl orbit` run 256 classes).  `reporting.dumps_json` lets
+json.dumps lay out the report with a mark string in the table's place, then
+splices the table in at its mark: it renders each layout once and turns each
+run into one block of text with one join, giving the bytes json.dumps prints
+for the list of dicts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .record import Record
 

@@ -12,9 +12,9 @@ scheme's bounding cone.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .lattice import (
     BASIS,

@@ -10,9 +10,9 @@ S9 representatives, not searched: see `weyl_orbit`.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import factorial, isqrt
-from typing import Iterable, Iterator
 
 from .lattice import DivisorClass, E, F, divisor, dot_int, intersect
 from .record import Record, _set

@@ -201,8 +201,15 @@ def test_rational_strings_everywhere(capsys):
 
 @pytest.mark.parametrize(
     "divisor",
-    [json.dumps({"h": "1/0", "e": ["0"] * 9}), "1/0H"],
-    ids=["json", "text"],
+    [
+        json.dumps({"h": "1/0", "e": ["0"] * 9}),
+        "1/0H",
+        '{"h": Infinity, "e": [0,0,0,0,0,0,0,0,0]}',
+        '{"h": 1e400, "e": [0,0,0,0,0,0,0,0,0]}',
+        '{"h": 0.1, "e": [0,0,0,0,0,0,0,0,0]}',
+        '{"h": true, "e": [0,0,0,0,0,0,0,0,0]}',
+    ],
+    ids=["json", "text", "json-infinity", "json-overflow", "json-float", "json-bool"],
 )
 def test_zero_denominator_divisor_exits_two(capsys, divisor):
     code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", divisor])
@@ -439,7 +446,8 @@ def test_cli_import_loads_no_class_generator():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = (
         "import sys, hilbnef.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'traceback'}"
+        " & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],

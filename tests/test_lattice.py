@@ -225,6 +225,15 @@ def test_json_round_trip(coords):
     assert DivisorClass.from_json(d.to_json()) == d
 
 
+def test_from_json_reads_only_exact_coordinates():
+    mixed = {"h": "1/2", "e": [-1] + ["0"] * 8}
+    assert DivisorClass.from_json(mixed) == divisor(Fraction(1, 2), [-1] + [0] * 8)
+    # a float or bool would enter the exact pipeline as a guess
+    for h, e in [(0.1, [0] * 9), (True, [0] * 9), (float("inf"), [0] * 9), ("1", "0" * 9)]:
+        with pytest.raises(ValueError):
+            DivisorClass.from_json({"h": h, "e": e})
+
+
 def test_integral_coordinate_helpers():
     d = divisor(2, [-1, -1, 0, 0, 0, 0, 0, 0, 0])
     assert d.is_integral()

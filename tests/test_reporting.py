@@ -125,8 +125,16 @@ def test_row_tables_render_as_json_dumps(rows):
 
 
 def test_row_table_errors():
-    with pytest.raises(TypeError):
-        dumps_json({1: _table([])})  # a dict holding a table needs string keys
+    # int keys are fine: the report renders as json.dumps renders its rows
+    rows = [(0, p) for p in POINTS]
+    report = {2: [_table(rows)], 10: "x", 1: _table([])}
+    expanded = {2: [_expanded(rows)], 10: "x", 1: []}
+    assert dumps_json(report) == json.dumps(expanded, indent=2, sort_keys=True) + "\n"
+    # a table's rows are never spliced into a report string that spells a mark
+    for spelled in ("\x000\x00", "\x001\x00", "a\x000\x00b"):
+        for report in ({"a": spelled, "b": _table(rows)}, {spelled: _table(rows)}):
+            with pytest.raises(ValueError):
+                dumps_json(report)
     twice = RowTable((lambda s: {"a": s, "b": s},), lambda: iter([([0], [["x"]])]))
     with pytest.raises(ValueError):
         dumps_json(twice)
