@@ -261,7 +261,7 @@ def _layout_pieces(layouts, slots: int, newline: str):
     return heads, tuple(zip(order or (), zip(*afters)))
 
 
-def _mark(i: int) -> str:  # table or slot i until spliced in; report texts hold no NUL
+def _mark(i: int) -> str:  # stands for table or slot i until it is spliced in
     return f"\0{i}\0"
 
 
