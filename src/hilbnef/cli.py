@@ -67,8 +67,10 @@ MAX_ORBIT_CLASSES = 100_000  # --start H --max-degree 9 lists 99,838 classes
 MAX_NEF_DEGREE = 200  # surface nef --divisor H or H-E1-E2: 1.7-2.1 s, 22 MB
 MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.44-0.50 s, 25 MB
 MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 1.0-1.3 s, 24 MB
-MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 0.42-0.52 s, 23 MB
-MAX_COVER_SAMPLES = 10_000  # coneconj cover --n 3 --max-degree 6: 6.6-6.9 s, 43 MB
+# The cover unranks each generator it draws (`weyl.orbit_class`) and lists
+# no orbit.
+MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 0.11-0.17 s, 16 MB
+MAX_COVER_SAMPLES = 10_000  # coneconj cover --n 3 --max-degree 6: 3.1-3.4 s, 36 MB
 
 
 # An error line quotes at most this many characters of the input and of the

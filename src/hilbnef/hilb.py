@@ -68,7 +68,12 @@ class HilbDivisor(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "HilbDivisor":
-        return cls(DivisorClass.from_json(data["surf"]), Fraction(data["b_half"]))
+        """The divisor of {"surf": class, "b_half": x} with x a rational text
+        or an int; a float or bool, not read exactly, is refused."""
+        b_half = data["b_half"]
+        if type(b_half) not in (str, int):
+            raise ValueError(f"b_half {b_half!r} is neither a rational text nor an int")
+        return cls(DivisorClass.from_json(data["surf"]), Fraction(b_half))
 
     def __str__(self) -> str:
         if self.b_half == 0:
@@ -343,15 +348,19 @@ class _DotProfile(Record):
     classes give it in column m, and `first[k][j]` maps t to the least class
     of block k giving it against curve j, its witness.  On a (-1)-curve,
     first holds t = 0 only: the ray pairs to zero with such a curve, so a
-    zero pairing there needs c.e = 0 for every n.
+    zero pairing there needs c.e = 0 for every n.  `texts[j]` prints curve
+    j's witness c^[n] when a block of lifts c^[n] holds its first zero: those
+    blocks come before the orthogonal ones, and there a zero is t = 0, so the
+    text is the same for every n.
     """
 
-    __slots__ = ("blocks", "curves", "columns", "counts", "first")
+    __slots__ = ("blocks", "curves", "columns", "counts", "first", "texts")
     blocks: tuple[tuple[DivisorClass, int, int], ...]
     curves: tuple[tuple[str, CurveClass], ...]
     columns: tuple[int, ...]
     counts: tuple[tuple[dict[int, int], ...], ...]
     first: tuple[tuple[dict[int, DivisorClass], ...], ...]
+    texts: tuple[str | None, ...]
 
 
 @lru_cache(maxsize=8)
@@ -408,8 +417,17 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
         blocks.append((start, size, fiber))
         counts.append(tuple([{0: size}, {fiber: size}] + shape_counts))
         first.append(tuple(block_first))
+    texts = []
+    for j in range(len(curves)):
+        c = next((f[j][0] for f in first if 0 in f[j]), None)
+        texts.append(None if c is None else str(lift(c)))
     return _DotProfile(
-        tuple(blocks), tuple(curves), tuple(columns), tuple(counts), tuple(first)
+        tuple(blocks),
+        tuple(curves),
+        tuple(columns),
+        tuple(counts),
+        tuple(first),
+        tuple(texts),
     )
 
 
@@ -504,7 +522,10 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
         witness = None
         if hit is not None:
             k, orthogonal, t = hit
-            witness = str(candidate(profile.first[k][j][t], orthogonal))
+            if orthogonal:
+                witness = str(fiber_orthogonal_lift(profile.first[k][j][t], n))
+            else:
+                witness = profile.texts[j]
         rows.append(CurveRow(label, low, zero_count, witness))
 
     # Only a falsified scan lists a block and pairs its candidates, to print

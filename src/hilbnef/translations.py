@@ -32,7 +32,7 @@ from .lattice import (
     self_intersection,
 )
 from .record import Record, _set
-from .weyl import enumerate_minus_one_classes, root_basis, weyl_orbit
+from .weyl import enumerate_minus_one_classes, orbit_class, orbit_size, root_basis
 from .hilb import (
     DecompositionError,
     HilbDivisor,
@@ -107,10 +107,13 @@ class LatticeMap(Record):
 def _transvect(x: tuple[int, ...], v: tuple[int, ...], c: int) -> tuple[int, ...]:
     """x + (x.F) v - [(x.v) + c (x.F)] F on integer numerators.  Linear, so
     it applies to a class's nums over any denominator."""
-    f = F.nums
-    xf = dot_int(x, f)
-    bracket = dot_int(x, v) + c * xf
-    return tuple(xi + xf * vi - bracket * fi for xi, vi, fi in zip(x, v, f))
+    xf = dot_int(x, F.nums)
+    return _shift(x, v, xf, dot_int(x, v) + c * xf)
+
+
+def _shift(x: tuple[int, ...], v: tuple[int, ...], xf: int, bracket: int) -> tuple[int, ...]:
+    """x + xf v - bracket F, the transvection with its two pairings given."""
+    return tuple(xi + xf * vi - bracket * fi for xi, vi, fi in zip(x, v, F.nums))
 
 
 def _section_move(p: DivisorClass) -> tuple[tuple[int, ...], int]:
@@ -235,6 +238,7 @@ def reduce_surface_class(
     so termination is guaranteed; the cap is only a defensive bound.
     """
     moves = _reduction_moves()
+    f0 = F.nums[0]
     ints = surf.nums
     labels: list[str] = []
     steps = 0
@@ -242,11 +246,18 @@ def reduce_surface_class(
     while True:
         best: tuple[int, ...] | None = None
         best_label = ""
+        x0 = ints[0]
+        xf = dot_int(ints, F.nums)
+        # the image's H-numerator x0 + xf v0 - F0 [(x.v) + c xf] screens each
+        # move: the whole image is built only where it can be the least
         for label, v, c in moves:
-            img = _transvect(ints, v, c)
-            if img[0] < ints[0] and (best is None or img < best):
-                best = img
-                best_label = label
+            bracket = dot_int(ints, v) + c * xf
+            h = x0 + xf * v[0] - f0 * bracket
+            if h < x0 and (best is None or h <= best[0]):
+                img = _shift(ints, v, xf, bracket)
+                if best is None or img < best:
+                    best = img
+                    best_label = label
         if best is None:
             break
         if steps >= MAX_STEPS:
@@ -350,16 +361,22 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:
     if cfg.samples < 1:
         raise ValueError("samples must be positive")
     rng = random.Random(cfg.seed)
-    # the generators by index: F, then the orbits of H and H - E1; a
-    # generator is lifted when a trial first draws it
-    classes = [F] + weyl_orbit(H, cfg.max_h_degree)
-    classes += weyl_orbit(H - E[0], cfg.max_h_degree)
-    lifted: list[HilbDivisor | None] = [lift(F)] + [None] * (len(classes) - 1)
+    # the generators by index: F, then the orbits of H and H - E1, each in
+    # weyl_orbit order; a generator is unranked and lifted when a trial first
+    # draws it
+    k = cfg.max_h_degree
+    h_size = orbit_size(H, k)
+    pool_size = 1 + h_size + orbit_size(H - E[0], k)
+    lifted: dict[int, HilbDivisor] = {0: lift(F)}
 
     def generator(i: int) -> HilbDivisor:
-        g = lifted[i]
+        g = lifted.get(i)
         if g is None:
-            g = lifted[i] = fiber_orthogonal_lift(classes[i], cfg.n)
+            if i <= h_size:
+                c = orbit_class(H, k, i - 1)
+            else:
+                c = orbit_class(H - E[0], k, i - 1 - h_size)
+            g = lifted[i] = fiber_orthogonal_lift(c, cfg.n)
         return g
 
     trials: list[CoverageTrial] = []
@@ -371,7 +388,7 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:
         d = HilbDivisor(ZERO, Fraction(0))
         for _ in range(terms):
             coeff = rng.randint(1, MAX_COEFF)
-            d = d + coeff * generator(rng.randrange(len(classes)))
+            d = d + coeff * generator(rng.randrange(pool_size))
         reduced_surf, steps, _, hit_cap = reduce_surface_class(d.surf)
         reduced = HilbDivisor(reduced_surf, d.b_half)
         try:

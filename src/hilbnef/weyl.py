@@ -10,7 +10,7 @@ S9 representatives, not searched: see `weyl_orbit`.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from math import factorial, isqrt
 
@@ -85,7 +85,80 @@ def orbit_size(start: DivisorClass, max_h_degree: int) -> int:
         raise ValueError("max_h_degree must be nonnegative")
     if not start.is_integral():
         raise ValueError("orbit start must be integral")
-    return sum(_arrangements(rep) for _, rep in _representatives(start, max_h_degree))
+    return sum(size for _, size, _ in _degree_groups(start, max_h_degree))
+
+
+def orbit_class(start: DivisorClass, max_h_degree: int, i: int) -> DivisorClass:
+    """weyl_orbit(start, max_h_degree)[i], unranked from the orbit's sorted
+    representatives without listing its classes; the same errors, and
+    IndexError when i is outside [0, orbit_size(start, max_h_degree)).
+
+    The orbit is sorted by degree a first, so whole degrees are skipped by
+    their sizes.  Inside degree a the classes are the distinct arrangements
+    (a, -b_sigma) of its representatives, in lexicographic order: each of the
+    nine entries is the least value v whose completions, summed over the
+    multisets {-b} that still hold v, exceed the remaining index (multiset
+    unranking, Knuth, TAOCP 4A 7.2.1.2).
+    """
+    if max_h_degree < 0:
+        raise ValueError("max_h_degree must be nonnegative")
+    if not start.is_integral():
+        raise ValueError("orbit start must be integral")
+    if i >= 0:
+        for a, size, multisets in _degree_groups(start, max_h_degree):
+            if i < size:
+                return DivisorClass((a,) + _unrank(multisets, i))
+            i -= size
+    raise IndexError("orbit index out of range")
+
+
+@lru_cache(maxsize=32)
+def _degree_groups(
+    start: DivisorClass, max_h_degree: int
+) -> tuple[tuple[int, int, tuple[tuple[dict[int, int], int], ...]], ...]:
+    """(a, classes of degree a, ((multiset of -b, its arrangements), ...))
+    per degree a of the orbit's window, in increasing a.  The multisets are
+    shared by every call and never changed."""
+    groups: dict[int, list[tuple[dict[int, int], int]]] = {}
+    for a, rep in _representatives(start, max_h_degree):
+        groups.setdefault(a, []).append((Counter(-x for x in rep), _arrangements(rep)))
+    return tuple(
+        (a, sum(size for _, size in sets), tuple(sets)) for a, sets in groups.items()
+    )
+
+
+def _unrank(multisets: Sequence[tuple[dict[int, int], int]], i: int) -> tuple[int, ...]:
+    """The i-th tuple, in lexicographic order, among the distinct
+    arrangements of the given disjoint multisets, each paired with its number
+    of arrangements.  Of the `remaining` arrangements of m, m[v] / remaining
+    begin with v."""
+    live = [(dict(m), size) for m, size in multisets]  # copies, changed below
+    out: list[int] = []
+    remaining = sum(multisets[0][0].values())
+    while remaining:
+        if len(live) == 1:  # the usual case, without the sums over multisets
+            m, size = live[0]
+            for v in sorted(m):
+                count = size * m[v] // remaining
+                if i < count:
+                    break
+                i -= count
+            live = [(m, count)]
+        else:
+            for v in sorted({v for m, _ in live for v in m}):
+                holding = [(m, size * m[v] // remaining) for m, size in live if v in m]
+                count = sum(size for _, size in holding)
+                if i < count:
+                    break
+                i -= count
+            live = holding
+        for m, _ in live:
+            m[v] -= 1
+            if not m[v]:
+                del m[v]
+        out.append(v)
+        remaining -= 1
+    return tuple(out)
 
 
 @lru_cache(maxsize=32)

@@ -42,6 +42,16 @@ def test_hilb_divisor_json_round_trip(coords, b_half):
     assert HilbDivisor.from_json(x.to_json()) == x
 
 
+def test_hilb_divisor_from_json_reads_only_exact_b_half():
+    surf = H.to_json()
+    assert HilbDivisor.from_json({"surf": surf, "b_half": "-3/2"}) == HilbDivisor(H, Fraction(-3, 2))
+    assert HilbDivisor.from_json({"surf": surf, "b_half": 2}) == HilbDivisor(H, 2)
+    # a float or bool would enter the exact pipeline as a guess
+    for b_half in (0.1, True, False, float("inf"), float("nan"), None, [1]):
+        with pytest.raises(ValueError):
+            HilbDivisor.from_json({"surf": surf, "b_half": b_half})
+
+
 def test_pairing_table_against_ray():
     d = b_negative_ray(3)
     assert pair_hilb(d, C0, 3) == 1

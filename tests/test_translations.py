@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbnef import translations
+from hilbnef import translations, weyl
 from hilbnef import (
     C0,
     CoverageConfig,
@@ -17,6 +17,7 @@ from hilbnef import (
     InducedCurve,
     K,
     LatticeMap,
+    ZERO,
     bounding_cone_decompose,
     coverage_experiment,
     enumerate_minus_one_classes,
@@ -34,6 +35,7 @@ from hilbnef import (
     weyl_orbit,
 )
 from hilbnef.lattice import BASIS
+from hilbnef.weyl import orbit_class, orbit_size
 
 SECTION_COUNT = 45  # sections of H-degree at most 1
 
@@ -258,6 +260,69 @@ def test_translate_hilb_preserves_pairings():
     assert intersect(moved.surf, F) == intersect(d.surf, F)
 
 
+def oracle_reduce_surface_class(surf: DivisorClass):
+    """The greedy descent with every move's whole image built at each step:
+    the reference for reduce_surface_class, which screens moves by the
+    H-numerator of their image."""
+    ints = surf.nums
+    labels = []
+    hit_cap = False
+    while True:
+        lower = [
+            (translations._transvect(ints, v, c), label)
+            for label, v, c in translations._reduction_moves()
+        ]
+        lower = [(img, label) for img, label in lower if img[0] < ints[0]]
+        if not lower:
+            break
+        if len(labels) >= translations.MAX_STEPS:
+            hit_cap = True
+            break
+        ints, label = min(lower, key=lambda pair: pair[0])
+        labels.append(label)
+    return DivisorClass(ints, surf.den), len(labels), tuple(labels), hit_cap
+
+
+generator_draws = st.lists(
+    st.tuples(st.sampled_from([H, H - E[0]]), st.integers(0, 10**6), st.integers(1, 3)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    generator_draws,
+    st.integers(3, 5),
+    st.lists(st.integers(0, SECTION_COUNT - 1), max_size=4),
+)
+def test_reduce_surface_class_matches_all_moves_oracle(draws, n, word):
+    # a nonnegative combination of fiber-orthogonal lifts, as a coverage
+    # trial draws them: integral when every x = n/(c.F) is, else over den
+    # 2, 3 or 6; then moved by the inverses T_-v of a word of reduction
+    # moves, so that the descent has steps to take
+    surf = ZERO
+    for start, index, coeff in draws:
+        c = orbit_class(start, 4, index % orbit_size(start, 4))
+        surf = surf + coeff * fiber_orthogonal_lift(c, n).surf
+    moves = translations._reduction_moves()
+    nums = surf.nums
+    for i in word:
+        _, v, c = moves[i]
+        nums = translations._transvect(nums, tuple(-x for x in v), c)
+    surf = DivisorClass(nums, surf.den)
+    assert reduce_surface_class(surf) == oracle_reduce_surface_class(surf)
+
+
+def test_reduce_surface_class_matches_oracle_on_translated_lifts():
+    t = translation(H - E[3] - E[8]).map
+    for c in (H, H - E[0], 2 * H - E[0] - E[1] - E[2] - E[3]):
+        surf = fiber_orthogonal_lift(c, 3).surf
+        for _ in range(4):
+            surf = t.apply(surf)
+            assert reduce_surface_class(surf) == oracle_reduce_surface_class(surf)
+
+
 def test_reduce_surface_class_fixture():
     surf = fiber_orthogonal_lift(H, 3).surf
     reduced, steps, labels, hit_cap = reduce_surface_class(surf)
@@ -317,6 +382,22 @@ def test_coverage_pool_lifts_only_drawn_generators(monkeypatch):
     assert coverage_experiment(cfg).to_json() == expected
     assert 0 < len(calls) <= len(drawn) < size // 20
     assert len(set(calls)) == len(calls)
+
+
+def test_coverage_draws_without_listing_the_orbits(monkeypatch):
+    """The pool's generators are unranked by index; no orbit of H or H - E1
+    is listed."""
+    calls = []
+    real = weyl._orbit_cached
+
+    def counted(start, max_h_degree):
+        calls.append(start)
+        return real(start, max_h_degree)
+
+    monkeypatch.setattr(weyl, "_orbit_cached", counted)
+    rep = coverage_experiment(CoverageConfig(3, samples=30, seed=5, max_h_degree=5))
+    assert rep.passed
+    assert H not in calls and H - E[0] not in calls
 
 
 def test_coverage_experiment_deterministic():

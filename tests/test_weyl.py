@@ -3,6 +3,7 @@ Diophantine (-1)-class search that production used before the orbits were
 enumerated from sorted representatives, kept here as oracles."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -28,7 +29,7 @@ from hilbnef import (
     weyl_orbit,
 )
 from hilbnef.lattice import dot_int
-from hilbnef.weyl import _chamber, orbit_size
+from hilbnef.weyl import _chamber, orbit_class, orbit_size
 
 # Reflections can raise the H-degree of intermediate classes; the BFS frontier
 # explores this many degrees above the requested window before pruning.
@@ -245,3 +246,45 @@ def test_every_minus_one_class_descends_to_e9():
     assert len(classes) == 3024
     for c in classes:
         assert _chamber(c.nums[0], sorted((-x for x in c.nums[1:]), reverse=True)) == e9
+
+
+@pytest.mark.parametrize("degree", range(7))
+@pytest.mark.parametrize("name", ["H", "H-E1", "E9", "2F"])
+def test_orbit_class_unranks_the_listed_orbit(name, degree):
+    start = 2 * F if name == "2F" else STARTS[name]
+    orbit = weyl_orbit(start, degree)
+    assert [orbit_class(start, degree, i) for i in range(len(orbit))] == orbit
+    for i in (-1, len(orbit)):
+        with pytest.raises(IndexError):
+            orbit_class(start, degree, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    word=st.lists(st.integers(0, 8), max_size=8),
+    degree=st.integers(0, 6),
+    fractions=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=5),
+)
+def test_orbit_class_of_a_weyl_image_of_h(word, degree, fractions):
+    start = H
+    for i in word:
+        start = reflect(root_basis()[i], start)
+    if start.nums[0] > 6:
+        return  # the listed window would pass degree 6
+    orbit = weyl_orbit(start, degree)
+    for u in fractions:
+        i = int(u * len(orbit))
+        assert orbit_class(start, degree, i) == orbit[i]
+    with pytest.raises(IndexError):
+        orbit_class(start, degree, len(orbit))
+
+
+def test_orbit_class_raises_what_weyl_orbit_raises():
+    with pytest.raises(ValueError, match="nonnegative"):
+        orbit_class(H, -1, 0)
+    with pytest.raises(ValueError, match="integral"):
+        orbit_class(divisor(Fraction(1, 2), [0] * 9), 3, 0)
+    with pytest.raises(ValueError, match="finite orbit window"):
+        orbit_class(E[0] - E[1], 3, 0)
+    with pytest.raises(IndexError):
+        orbit_class(-F, 3, 0)  # an empty window
