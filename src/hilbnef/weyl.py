@@ -85,7 +85,7 @@ def orbit_size(start: DivisorClass, max_h_degree: int) -> int:
         raise ValueError("max_h_degree must be nonnegative")
     if not start.is_integral():
         raise ValueError("orbit start must be integral")
-    return sum(size for _, size, _ in _degree_groups(start, max_h_degree))
+    return sum(_arrangements(rep) for _, rep in _representatives(start, max_h_degree))
 
 
 def orbit_class(start: DivisorClass, max_h_degree: int, i: int) -> DivisorClass:
@@ -131,31 +131,22 @@ def _unrank(multisets: Sequence[tuple[dict[int, int], int]], i: int) -> tuple[in
     """The i-th tuple, in lexicographic order, among the distinct
     arrangements of the given disjoint multisets, each paired with its number
     of arrangements.  Of the `remaining` arrangements of m, m[v] / remaining
-    begin with v."""
+    begin with v; a value used up stays in m with count 0."""
     live = [(dict(m), size) for m, size in multisets]  # copies, changed below
+    values = sorted({v for m, _ in live for v in m})
     out: list[int] = []
     remaining = sum(multisets[0][0].values())
     while remaining:
-        if len(live) == 1:  # the usual case, without the sums over multisets
-            m, size = live[0]
-            for v in sorted(m):
-                count = size * m[v] // remaining
-                if i < count:
-                    break
-                i -= count
-            live = [(m, count)]
-        else:
-            for v in sorted({v for m, _ in live for v in m}):
-                holding = [(m, size * m[v] // remaining) for m, size in live if v in m]
-                count = sum(size for _, size in holding)
-                if i < count:
-                    break
-                i -= count
-            live = holding
+        for v in values:
+            count = 0
+            for m, size in live:
+                count += size * m.get(v, 0) // remaining
+            if i < count:
+                break
+            i -= count
+        live = [(m, size * m[v] // remaining) for m, size in live if m.get(v)]
         for m, _ in live:
             m[v] -= 1
-            if not m[v]:
-                del m[v]
         out.append(v)
         remaining -= 1
     return tuple(out)

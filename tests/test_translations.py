@@ -290,37 +290,54 @@ generator_draws = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    generator_draws,
-    st.integers(3, 5),
-    st.lists(st.integers(0, SECTION_COUNT - 1), max_size=4),
-)
-def test_reduce_surface_class_matches_all_moves_oracle(draws, n, word):
-    # a nonnegative combination of fiber-orthogonal lifts, as a coverage
-    # trial draws them: integral when every x = n/(c.F) is, else over den
-    # 2, 3 or 6; then moved by the inverses T_-v of a word of reduction
-    # moves, so that the descent has steps to take
+@st.composite
+def descent_inputs(draw):
+    """A nonnegative combination of fiber-orthogonal lifts, as a coverage
+    trial draws them: integral when every x = n/(c.F) is, else over den 2, 3
+    or 6; then moved by the inverses T_-v of a word of reduction moves, so
+    that the descent has steps to take."""
+    n = draw(st.integers(3, 5))
     surf = ZERO
-    for start, index, coeff in draws:
+    for start, index, coeff in draw(generator_draws):
         c = orbit_class(start, 4, index % orbit_size(start, 4))
         surf = surf + coeff * fiber_orthogonal_lift(c, n).surf
     moves = translations._reduction_moves()
     nums = surf.nums
-    for i in word:
+    for i in draw(st.lists(st.integers(0, SECTION_COUNT - 1), max_size=4)):
         _, v, c = moves[i]
         nums = translations._transvect(nums, tuple(-x for x in v), c)
-    surf = DivisorClass(nums, surf.den)
-    assert reduce_surface_class(surf) == oracle_reduce_surface_class(surf)
+    return DivisorClass(nums, surf.den)
 
 
-def test_reduce_surface_class_matches_oracle_on_translated_lifts():
+def _translated_lifts() -> list[DivisorClass]:
+    """The n = 3 lifts of H, H-E1 and 2H-E1-E2-E3-E4, each moved one to four
+    times by the translation by H-E4-E9."""
     t = translation(H - E[3] - E[8]).map
+    lifts = []
     for c in (H, H - E[0], 2 * H - E[0] - E[1] - E[2] - E[3]):
         surf = fiber_orthogonal_lift(c, 3).surf
         for _ in range(4):
             surf = t.apply(surf)
-            assert reduce_surface_class(surf) == oracle_reduce_surface_class(surf)
+            lifts.append(surf)
+    return lifts
+
+
+def _with_examples(values):
+    """@example(v) for each v in values."""
+
+    def wrap(test):
+        for v in values:
+            test = example(v)(test)
+        return test
+
+    return wrap
+
+
+@settings(max_examples=60, deadline=None)
+@given(descent_inputs())
+@_with_examples(_translated_lifts())
+def test_reduce_surface_class_matches_all_moves_oracle(surf):
+    assert reduce_surface_class(surf) == oracle_reduce_surface_class(surf)
 
 
 def test_reduce_surface_class_fixture():
