@@ -19,7 +19,6 @@ from .lattice import (
 from .weyl import (
     Root,
     enumerate_minus_one_classes,
-    orbit_counts_by_degree,
     reflect,
     root_basis,
     weyl_orbit,

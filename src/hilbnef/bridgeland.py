@@ -531,7 +531,7 @@ class CandidatePool(Record):
 
         def runs():
             for keys, _, text, tails, _ in self._runs(labels):
-                yield keys, ([text + tail for tail in tails],)
+                yield keys, [text + tail for tail in tails]
 
         return RowTable(tuple(layouts), runs)
 

@@ -17,7 +17,7 @@ work: each command's --max-degree (for `weyl orbit`, the larger of it and the
 H-degree of --start) and `coneconj cover --samples` have a cap (the MAX_*
 constants below), `walls gieseker` refuses a degree that would list more
 than MAX_LISTED_CANDIDATES shapes, and `weyl orbit` refuses a start whose
-walk or class count, both read from the start, is over its cap.
+walk, read from the start, is over its cap.
 """
 
 from __future__ import annotations
@@ -26,15 +26,14 @@ import argparse
 import os
 import sys
 
-from .lattice import DivisorClass, class_json, dot_int, parse_divisor
-from .weyl import orbit_counts_by_degree, orbit_size, weyl_orbit
+from .lattice import DivisorClass, dot_int, parse_divisor
+from .weyl import _arrangements, _representatives
 from .surface_cones import ample_family, is_nef_up_to_degree
 from .hilb import cone_duality_check
 from .bridgeland import GiesekerFalsified, gieseker_wall, shapes_of_degree, slice_for
 from .translations import CoverageConfig, coverage_experiment
 from .campaign import Campaign, CampaignUsageError, run_campaign
 from .reporting import dumps_json
-from .rowtable import RowTable
 
 # `walls gieseker` lists every candidate shape, about 90 bytes of JSON each
 # (89.5 at degree 4, 90.0 at degree 5).  --slice A2 --n 3 at degree 4
@@ -49,18 +48,17 @@ MAX_LISTED_CANDIDATES = 2_000_000
 
 # Caps on the other commands, checked before any work.  Each comment gives one
 # run at the cap (wall time, peak RSS) on a 2-vCPU machine, Python 3.11.7.
-# The orbit cap keeps the run within 2.0 s and 166 MB: degree 10 lists
-# 152,242 classes (27 MB of JSON) in 1.6-2.1 s and 103 MB.  Degree 7 for the
+# `weyl orbit` prints one row per S9 orbit, so its report grows with the
+# sorted representatives, not with the classes: --start H at degree 15 walks
+# 98 representatives in 2-3 ms for 841,168 classes.  Degree 15 is where
+# MAX_ORBIT_SQUARES already stops --start H (16^2 - 1 > 225).  Degree 7 for the
 # duality scan first needs orthogonality witnesses from outside the degree
 # window: at degree 6, 72 (-1)-curves of degree 6 already have none inside it.
-MAX_ORBIT_DEGREE = 9  # weyl orbit --start H: 1.0-1.7 s, 73 MB
+MAX_ORBIT_DEGREE = 15  # weyl orbit --start H: 0.10-0.13 s, 16 MB
 # The orbit's walk visits, at each degree a of the window, the sorted b with
 # sum of squares a^2 - D.D (`weyl.weyl_orbit`), so its cost grows with -D.D
-# too; its report's memory grows with the classes listed, which one orbit of
-# a window within MAX_ORBIT_DEGREE can hold by the million.  Both are checked
-# from the start before any class is listed.
+# too; it is checked from the start before the walk.
 MAX_ORBIT_SQUARES = 225  # window^2 - D.D; one degree's walk: at most 0.08 s
-MAX_ORBIT_CLASSES = 100_000  # --start H --max-degree 9 lists 99,838 classes
 # The nef test reads the (-1)-classes per S9 orbit, so its cost is the walk
 # over their sorted representatives and hardly depends on the divisor; the
 # cap keeps the run near half of a 4 s budget (250: 3.4-3.7 s, 28 MB).
@@ -132,51 +130,28 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
     squares = window * window - dot_int(start.nums, start.nums)
     _check_cap("the orbit walk's window^2 - D.D", squares, MAX_ORBIT_SQUARES)
     try:
-        size = orbit_size(start, degree)
+        reps = _representatives(start, degree)
     except ValueError as exc:  # a start with no finite orbit window
         raise UsageError(str(exc)) from exc
-    _check_cap("the orbit's class count", size, MAX_ORBIT_CLASSES)
-    orbit = weyl_orbit(start, degree)
+    rows = []
+    counts: dict[str, int] = {}
+    for a, b in reps:
+        size = _arrangements(b)
+        counts[str(a)] = counts.get(str(a), 0) + size
+        rows.append(
+            {
+                "arrangements": size,
+                "representative": str(DivisorClass((a,) + tuple(-x for x in b))),
+            }
+        )
     payload = {
         "start": str(start),
         "max_degree": degree,
-        "total": len(orbit),
-        "counts_by_degree": {
-            str(d): c for d, c in orbit_counts_by_degree(orbit).items()
-        },
-        "classes": _class_rows(orbit),
+        "total": sum(counts.values()),
+        "counts_by_degree": counts,
+        "representatives": rows,
     }
     return payload, 0
-
-
-# `weyl orbit` hands its classes to the report in runs of this many rows, one
-# block of about 45 KB each.  Larger blocks leave a larger heap: runs of 4,096
-# raise the peak of `--start H --max-degree 9` by about 2 MB.
-_CLASS_RUN = 256
-
-
-class _IntTexts(dict):
-    """str(x) for each int x looked up, built on its first lookup (a lookup
-    here takes half as long as one through functools.cache)."""
-
-    def __missing__(self, x: int) -> str:
-        text = self[x] = str(x)
-        return text
-
-
-def _class_rows(classes: list[DivisorClass]) -> RowTable:
-    """The to_json rows of integral classes: one layout, whose strings are the
-    ten numerators (the denominator is 1), given per run of classes as ten
-    columns.  The rows share one text per distinct numerator."""
-    text = _IntTexts().__getitem__
-
-    def runs():
-        for start in range(0, len(classes), _CLASS_RUN):
-            run = classes[start : start + _CLASS_RUN]
-            numerators = zip(*(c.nums for c in run))
-            yield [0] * len(run), [list(map(text, column)) for column in numerators]
-
-    return RowTable((class_json,), runs)
 
 
 def cmd_surface_nef(args) -> tuple[dict, int]:

@@ -215,21 +215,16 @@ def dumps_json(data) -> str:
 
 def _render_rows(table: RowTable, pad: str, chunks: list[str]) -> None:
     """Append the list json.dumps(indent=2) prints at indent pad for the rows
-    of table.  Each layout is rendered once into text pieces.  Each run of
-    rows becomes one block of text, one join of its rows' layout pieces and
-    the strings in its columns, so no string, tuple or list is kept per
-    row."""
+    of table.  Each layout is rendered once and split at its string into a
+    head and a tail.  Each run of rows becomes one block of text, one join of
+    every row's head, string and tail, so no string, tuple or list is kept
+    per row."""
     newline = "\n" + pad + "  "
-    pieces = None
+    heads, tails = _layout_pieces(table.layouts, newline)
     first = len(chunks)
-    for keys, columns in table.runs():
-        if pieces is None:
-            pieces = _layout_pieces(table.layouts, len(columns), newline)
-        heads, slots = pieces
-        parts = [map(heads.__getitem__, keys)]
-        for i, after in slots:
-            parts += (columns[i], map(after.__getitem__, keys))
-        block = "".join(chain.from_iterable(zip(*parts)))
+    for keys, texts in table.runs():
+        rows = zip(map(heads.__getitem__, keys), texts, map(tails.__getitem__, keys))
+        block = "".join(chain.from_iterable(rows))
         if block:
             chunks.append(block)
     if len(chunks) == first:
@@ -239,29 +234,23 @@ def _render_rows(table: RowTable, pad: str, chunks: list[str]) -> None:
     chunks.append("\n" + pad + "]")
 
 
-def _layout_pieces(layouts, slots: int, newline: str):
+def _layout_pieces(layouts, newline: str) -> tuple[list[str], list[str]]:
     """Every row layout rendered on a new line at its list indent and split
-    where its strings go: (heads, ((slot i, text after it per layout), ...)),
-    the slots in text order.  A head starts with the comma that ends the row
-    before."""
-    marks = [_mark(i) for i in range(slots)]
-    heads, afters, order = [], [], None
+    where its string goes: (heads, tails), one of each per layout.  A head
+    starts with the comma that ends the row before."""
+    mark = _mark(0)
+    heads, tails = [], []
     for layout in layouts:
-        text = json.dumps(layout(*marks), indent=2, sort_keys=True)
+        text = json.dumps(layout(mark), indent=2, sort_keys=True)
         parts = _MARK.split("," + newline + text.replace("\n", newline))
-        found = [int(i) for i in parts[1::2]]
-        if sorted(found) != list(range(slots)):
-            raise ValueError(f"row layout {layout!r} must place each string once")
-        if order is None:
-            order = found
-        elif found != order:
-            raise ValueError("a table's layouts must place its strings in one order")
+        if parts[1::2] != ["0"]:
+            raise ValueError(f"row layout {layout!r} must place its string once")
         heads.append(parts[0])
-        afters.append(parts[2::2])
-    return heads, tuple(zip(order or (), zip(*afters)))
+        tails.append(parts[2])
+    return heads, tails
 
 
-def _mark(i: int) -> str:  # stands for table or slot i until it is spliced in
+def _mark(i: int) -> str:  # stands for table i, or a row's string, until spliced in
     return f"\0{i}\0"
 
 

@@ -231,15 +231,24 @@ def reduce_surface_class(
 ) -> tuple[DivisorClass, int, tuple[str, ...], bool]:
     """Greedy descent of the H-degree under the section transvections.
 
-    Each step applies the move giving the lexicographically least image
-    among those that strictly drop the H-coefficient, so runs are
-    reproducible.  Returns (reduced class, steps, move labels, hit_cap).
-    The degree is a nonneg integer multiple of 1/den and strictly drops,
-    so termination is guaranteed; the cap is only a defensive bound.
+    The class x must have x.F > 0 or be a multiple of F; any other class
+    raises ValueError.  Each step applies the move giving the
+    lexicographically least image among those that strictly drop the
+    H-coefficient, so runs are reproducible.  Returns (reduced class, steps,
+    move labels, hit_cap).  The moves fix F, so a multiple of F returns at
+    once with 0 steps.  When x.F > 0, Cauchy-Schwarz on the E-coefficients
+    bounds the H-coefficient below by (x.F^2 + 9 x.x) / (6 x.F), both kept by
+    the moves; it is an integer multiple of 1/den and strictly drops, so the
+    descent terminates and the cap is only a defensive bound.
     """
     moves = _reduction_moves()
     f0 = F.nums[0]
     ints = surf.nums
+    fiber = dot_int(ints, F.nums)
+    if fiber < 0 or (fiber == 0 and dot_int(ints, ints) != 0):
+        raise ValueError(
+            f"reduce_surface_class needs x.F > 0 or a multiple of F, got {surf}"
+        )
     labels: list[str] = []
     steps = 0
     hit_cap = False
@@ -330,8 +339,8 @@ class CoverageReport(Record):
     passed: bool
     trials: tuple[CoverageTrial, ...]
 
-    def to_json(self, include_trials: bool = True) -> dict:
-        data = {
+    def to_json(self) -> dict:
+        return {
             "n": self.config.n,
             "samples": self.config.samples,
             "seed": self.config.seed,
@@ -341,10 +350,8 @@ class CoverageReport(Record):
             "stalled": self.stalled_count,
             "max_reduced_h": format_rational(self.max_reduced_h),
             "passed": self.passed,
+            "trials": [t.to_json() for t in self.trials],
         }
-        if include_trials:
-            data["trials"] = [t.to_json() for t in self.trials]
-        return data
 
 
 def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:

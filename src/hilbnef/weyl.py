@@ -10,7 +10,7 @@ S9 representatives, not searched: see `weyl_orbit`.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import factorial, isqrt
 
@@ -242,10 +242,3 @@ def _permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         for rest in _permutations(items[:i] + items[i + 1 :]):
             yield (v,) + rest
 
-
-def orbit_counts_by_degree(orbit: Iterable[DivisorClass]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for c in orbit:
-        d = int(c.h)
-        counts[d] = counts.get(d, 0) + 1
-    return dict(sorted(counts.items()))

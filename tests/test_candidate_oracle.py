@@ -197,7 +197,7 @@ def test_shape_texts_match_divisor_strings():
     table = pool.row_table()
     rows = (
         (k, text)
-        for keys, (texts,) in table.runs()
+        for keys, texts in table.runs()
         for k, text in zip(keys, texts, strict=True)
     )
     for (k, text), cand in zip(rows, pool, strict=True):

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from hilbnef import cli, reporting
+from hilbnef import cli, reporting, weyl
 from hilbnef.bridgeland import shapes_of_degree
-from hilbnef.lattice import H
-from hilbnef.weyl import orbit_size
+from hilbnef.lattice import E, F, H, parse_divisor
+from hilbnef.weyl import weyl_orbit
 from hilbnef.cli import main
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -33,7 +33,11 @@ def test_weyl_orbit_command(capsys):
     data = json.loads(out)
     assert data["total"] == 171
     assert data["counts_by_degree"] == {"0": 9, "1": 36, "2": 126}
-    assert len(data["classes"]) == 171
+    assert data["representatives"] == [
+        {"arrangements": 9, "representative": "E9"},
+        {"arrangements": 36, "representative": "H-E1-E2"},
+        {"arrangements": 126, "representative": "2H-E1-E2-E3-E4-E5"},
+    ]
 
 
 def test_weyl_orbit_fixed_class(capsys):
@@ -46,8 +50,60 @@ def test_weyl_orbit_empty_class_list(capsys):
     # -F is a negative multiple of F: its orbit has no class of degree >= 0
     code, out, _ = run_cli(capsys, ["weyl", "orbit", "--start=-F"])
     assert code == 0
-    assert '\n  "classes": [],\n' in out
+    assert '\n  "representatives": [],\n' in out
     assert json.loads(out)["total"] == 0
+
+
+def _distinct_arrangements(values: list[int]) -> list[tuple[int, ...]]:
+    """The distinct orderings of values, each once."""
+    if not values:
+        return [()]
+    out = []
+    for v in sorted(set(values)):
+        rest = list(values)
+        rest.remove(v)
+        out += [(v,) + tail for tail in _distinct_arrangements(rest)]
+    return out
+
+
+ORBIT_STARTS = {"H": H, "H-E1": H - E[0], "E9": E[8], "2F": 2 * F}
+
+
+@pytest.mark.parametrize("degree", range(10))
+@pytest.mark.parametrize("name", sorted(ORBIT_STARTS))
+def test_weyl_orbit_rows_expand_to_the_listed_orbit(capsys, name, degree):
+    # each row stands for the distinct arrangements of its representative's
+    # E-part, and the representative is the least of them
+    code, out, _ = run_cli(
+        capsys, ["weyl", "orbit", "--start", name, "--max-degree", str(degree)]
+    )
+    assert code == 0
+    data = json.loads(out)
+    expanded = []
+    for row in data["representatives"]:
+        rep = parse_divisor(row["representative"])
+        classes = [(rep.nums[0],) + e for e in _distinct_arrangements(list(rep.nums[1:]))]
+        assert row["arrangements"] == len(classes)
+        assert min(classes) == rep.nums
+        expanded += classes
+    orbit = weyl_orbit(ORBIT_STARTS[name], degree)
+    assert sorted(expanded) == [c.nums for c in orbit]
+    counts = {}
+    for c in orbit:
+        counts[str(c.nums[0])] = counts.get(str(c.nums[0]), 0) + 1
+    assert data["total"] == len(orbit)
+    assert data["counts_by_degree"] == counts
+
+
+def test_weyl_orbit_lists_no_orbit(capsys, monkeypatch):
+    def listed(*args):
+        raise AssertionError("weyl orbit listed the orbit")
+
+    monkeypatch.setattr(weyl, "_orbit_cached", listed)
+    code, out, _ = run_cli(capsys, ["weyl", "orbit", "--start", "H", "--max-degree", "9"])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["total"], len(data["representatives"])) == (99_838, 27)
 
 
 @pytest.mark.parametrize("start", ["--start=E1-E2", "--start=-H"])
@@ -260,9 +316,8 @@ def test_crash_exits_three_not_falsified(capsys, monkeypatch):
     "args",
     [
         ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "1"],
-        ["weyl", "orbit", "--start", "H", "--max-degree", "1"],
     ],
-    ids=["walls", "orbit"],
+    ids=["walls"],
 )
 def test_row_rendering_crash_exits_three_and_writes_nothing(
     capsys, monkeypatch, tmp_path, args
@@ -333,7 +388,7 @@ def test_walls_gieseker_lists_degree_five(capsys, monkeypatch):
 
 # (argv before the capped value, flag, cap, the cli name doing the work)
 CAPPED = [
-    (["weyl", "orbit", "--start", "H"], "--max-degree", "MAX_ORBIT_DEGREE", "weyl_orbit"),
+    (["weyl", "orbit", "--start", "H"], "--max-degree", "MAX_ORBIT_DEGREE", "_representatives"),
     (
         ["surface", "nef", "--divisor", "H"],
         "--max-degree",
@@ -385,15 +440,9 @@ def test_cap_refuses_before_any_work(capsys, monkeypatch, prefix, flag, cap, wor
     assert "_WorkReached" in err
 
 
-def test_orbit_class_cap_admits_the_degree_cap():
-    # --start H lists 99,838 classes at degree 9 and 152,242 at degree 10
-    assert orbit_size(H, cli.MAX_ORBIT_DEGREE) <= cli.MAX_ORBIT_CLASSES
-    assert orbit_size(H, cli.MAX_ORBIT_DEGREE + 1) > cli.MAX_ORBIT_CLASSES
-
-
 def test_orbit_cap_covers_the_start_degree(capsys, monkeypatch):
     # the orbit window is max(--max-degree, H-degree of --start)
-    monkeypatch.setattr(cli, "weyl_orbit", _no_work)
+    monkeypatch.setattr(cli, "_representatives", _no_work)
     start = f"{cli.MAX_ORBIT_DEGREE + 1}H"
     code, out, err = run_cli(
         capsys, ["weyl", "orbit", "--start", start, "--max-degree", "0"]
@@ -411,18 +460,16 @@ def test_orbit_cap_covers_the_start_degree(capsys, monkeypatch):
     [
         # H+1000E1 has degree 1, but its walk covers sum b_i^2 = 10^6
         ("H+1000E1", "MAX_ORBIT_SQUARES"),
-        # H+5E1-5E2 lists 2,556,108 classes of degree at most 1
-        ("H+5E1-5E2", "MAX_ORBIT_CLASSES"),
     ],
 )
 def test_orbit_walk_and_size_caps_refuse_before_listing(capsys, monkeypatch, over, cap):
-    monkeypatch.setattr(cli, "weyl_orbit", _no_work)
+    monkeypatch.setattr(cli, "_representatives", _no_work)
     limit = getattr(cli, cap)
     code, out, err = run_cli(capsys, ["weyl", "orbit", "--start", over, "--max-degree", "0"])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and f"cap of {limit}" in err
     assert "Traceback" not in err
-    # H+15E1 walks exactly MAX_ORBIT_SQUARES = 225 and lists 9 classes
+    # H+15E1 walks exactly MAX_ORBIT_SQUARES = 225
     code, _, err = run_cli(capsys, ["weyl", "orbit", "--start", "H+15E1", "--max-degree", "1"])
     assert code == 3 and "_WorkReached" in err
 

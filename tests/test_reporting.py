@@ -71,42 +71,42 @@ def test_dumps_json_canonical():
     assert text.endswith("\n")
 
 
-def _point(x: str, y: str) -> dict:
-    # sorted keys put y's text before x's
-    return {"x": [x, "0"], "w": y, "tag": "point"}
+def _point(x: str) -> dict:
+    # the string sits inside a list, between other keys
+    return {"x": [x, "0"], "w": "-2", "tag": "point"}
 
 
-def _pair(x: str, y: str) -> dict:
-    # a second layout with its strings in the same text order as _point's
-    return {"x": x, "nested": {"empty": [], "none": None}, "w": [y]}
+def _pair(x: str) -> dict:
+    # a second layout, with empty and null values after its string
+    return {"x": x, "nested": {"empty": [], "none": None}, "a": [1]}
 
 
-POINTS = [("1", "-2"), ("3/4", "0"), ("E1", "-2H+E9")]
+POINTS = ["1", "3/4", "-2H+E9"]
 
 
 def _table(rows, run: int = 2) -> RowTable:
-    """The rows (layout, strings) as a table handing them over `run` at a
+    """The rows (layout, string) as a table handing them over `run` at a
     time, after an empty run."""
 
     def runs():
-        yield [], [(), ()]
+        yield [], []
         for start in range(0, len(rows), run):
             part = rows[start : start + run]
-            yield [k for k, _ in part], list(zip(*(strings for _, strings in part)))
+            yield [k for k, _ in part], [text for _, text in part]
 
     return RowTable((_point, _pair), runs)
 
 
 def _expanded(rows) -> list:
-    return [(_point, _pair)[k](*strings) for k, strings in rows]
+    return [(_point, _pair)[k](text) for k, text in rows]
 
 
 @pytest.mark.parametrize(
     "rows",
     [
         [(0, p) for p in POINTS],
-        [(1, ("a", "b")), (0, POINTS[0]), (1, ("c", "d")), (0, POINTS[2])],
-        [(1, ("only", "one"))],
+        [(1, "a"), (0, POINTS[0]), (1, "c"), (0, POINTS[2])],
+        [(1, "only")],
         [],
     ],
     ids=["one-layout", "mixed", "single", "empty"],
@@ -135,15 +135,10 @@ def test_row_table_errors():
         for report in ({"a": spelled, "b": _table(rows)}, {spelled: _table(rows)}):
             with pytest.raises(ValueError):
                 dumps_json(report)
-    twice = RowTable((lambda s: {"a": s, "b": s},), lambda: iter([([0], [["x"]])]))
-    with pytest.raises(ValueError):
-        dumps_json(twice)
-    # the layouts of one table must place its strings in one order
-    swapped = RowTable(
-        (_point, lambda x, y: {"a": x, "b": y}), lambda: iter([([0], [["x"], ["y"]])])
-    )
-    with pytest.raises(ValueError):
-        dumps_json(swapped)
+    # a layout must place its string exactly once
+    for layout in (lambda s: {"a": s, "b": s}, lambda s: {"a": "x"}):
+        with pytest.raises(ValueError):
+            dumps_json(RowTable((layout,), lambda: iter([([0], ["x"])])))
     with pytest.raises(TypeError):
         dumps_json({"a": object()})
 

@@ -349,6 +349,22 @@ def test_reduce_surface_class_fixture():
     assert not hit_cap
 
 
+@pytest.mark.parametrize(
+    "surf",
+    [DivisorClass((20, -24, -24, -24, 16, 9, -25, -1, 18, -12)), E[0] - E[1]],
+    ids=["negative-fiber-degree", "fiber-orthogonal-root"],
+)
+def test_reduce_surface_class_refuses_a_class_without_positive_fiber_degree(surf):
+    # x.F = -7 and x.F = 0 with x.x = -2: the H-degree has no lower bound
+    with pytest.raises(ValueError, match="multiple of F"):
+        reduce_surface_class(surf)
+
+
+def test_reduce_surface_class_fixes_a_fiber_multiple():
+    # a trial that draws only generator 0, lift(F), reduces a multiple of F
+    assert reduce_surface_class(2 * F) == (2 * F, 0, (), False)
+
+
 def test_reduce_monotone_on_translated_class():
     t = translation(H - E[3] - E[8])
     surf = t.map.apply(fiber_orthogonal_lift(H, 3).surf)
