@@ -10,7 +10,8 @@ only when the output is meant to change.  The degree-3 `walls gieseker`
 certificates (about 3 MB each) are pinned by their SHA-256 digest instead, and
 so are the degree-5 and degree-6 outputs in DEEP_DIGESTS, which were recorded
 from the CLI while the Weyl orbits still came from a breadth-first search and
-the duality scan still paired every orbit class with every curve.
+the duality scan still paired every orbit class with every curve (all but the
+`weyl orbit` reports, whose recording the DEEP_DIGESTS comment gives).
 """
 
 import hashlib
@@ -80,9 +81,12 @@ def test_degree3_walls_match_golden_digest(capsys, label, digest, size):
 # (name, argv, exit code, SHA-256 of stdout, stdout bytes).  `hilb check-theorem` at
 # degree 6 exits 1: 72 (-1)-curves of degree 6 have no orthogonality witness
 # inside the window, so this pins the window-edge output.  The degree-4 and
-# degree-5 `walls gieseker` certificates and the degree-8 `weyl orbit --start H`
-# report were recorded while the JSON writer still built one dict per row; the
-# A2 degree-4 digest is the `walls` workload's in perfbench/expected.json.  The
+# degree-5 `walls gieseker` certificates were recorded while the JSON writer
+# still built one dict per row; the A2 degree-4 digest is the `walls`
+# workload's in perfbench/expected.json.  The three `weyl orbit` reports were
+# recorded when it began to print one row per sorted S9 representative with
+# its arrangement count instead of every class; each row expands to the
+# listed orbit in tests/test_cli.py.  The
 # degree-25 and degree-6 `surface nef` and the larger `coneconj cover` outputs
 # were recorded while the nef test still paired the divisor with every listed
 # (-1)-class and the coverage pool still lifted every orbit class up front.
@@ -105,15 +109,15 @@ DEEP_DIGESTS = [
         "weyl_orbit_h_deg6",
         ["weyl", "orbit", "--start", "H", "--max-degree", "6"],
         0,
-        "40d4b8aff306068e56cb8768a8e8317f19dc10b4d2134caddb96161318442612",
-        2873678,
+        "92498c4a3a7a4107141eafe5326f6498380a50061d00a7a1e0dd0039f9297fd9",
+        1181,
     ),
     (
         "weyl_orbit_e9_deg6",
         ["weyl", "orbit", "--start", "E9", "--max-degree", "6"],
         0,
-        "20ab5cb21c7a91da4b8f07d1b0c4d6179de669e721ed2778f1a27eed1cd0d131",
-        527230,
+        "3832e634ca7439a8f9d76ee3c318360048840a71478ce14f54ef3aa548164f3c",
+        1115,
     ),
     (
         "coneconj_cover_n3_deg5_seed0",
@@ -147,8 +151,8 @@ DEEP_DIGESTS = [
         "weyl_orbit_h_deg8",
         ["weyl", "orbit", "--start", "H", "--max-degree", "8"],
         0,
-        "c2bada185bd7641a5f9be0c7bdb4648e680a103fe31f8e4057c37fe8d4474144",
-        10238254,
+        "5c4da3109a8e7ac2070dd572c212a95f7b7989fe2321cb00e4b797b28043094d",
+        2220,
     ),
     (
         "surface_nef_h_deg25",
