@@ -133,17 +133,14 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
         reps = _representatives(start, degree)
     except ValueError as exc:  # a start with no finite orbit window
         raise UsageError(str(exc)) from exc
+    # one row per S9 orbit: its sorted representative, the least of its classes
     rows = []
     counts: dict[str, int] = {}
     for a, b in reps:
         size = _arrangements(b)
         counts[str(a)] = counts.get(str(a), 0) + size
-        rows.append(
-            {
-                "arrangements": size,
-                "representative": str(DivisorClass((a,) + tuple(-x for x in b))),
-            }
-        )
+        rep = DivisorClass((a,) + tuple(-x for x in b))
+        rows.append({"arrangements": size, "representative": str(rep)})
     payload = {
         "start": str(start),
         "max_degree": degree,
