@@ -51,9 +51,10 @@ MAX_LISTED_CANDIDATES = 2_000_000
 # `weyl orbit` prints one row per S9 orbit, so its report grows with the
 # sorted representatives, not with the classes: --start H at degree 15 walks
 # 98 representatives in 2-3 ms for 841,168 classes.  Degree 15 is where
-# MAX_ORBIT_SQUARES already stops --start H (16^2 - 1 > 225).  Degree 7 for the
-# duality scan first needs orthogonality witnesses from outside the degree
-# window: at degree 6, 72 (-1)-curves of degree 6 already have none inside it.
+# MAX_ORBIT_SQUARES already stops --start H (16^2 - H.H = 255 > 225).
+# Degree 7 for the duality scan first needs orthogonality witnesses from
+# outside the degree window: at degree 6, 72 (-1)-curves of degree 6 already
+# have none inside it.
 MAX_ORBIT_DEGREE = 15  # weyl orbit --start H: 0.10-0.13 s, 16 MB
 # The orbit's walk visits, at each degree a of the window, the sorted b with
 # sum of squares a^2 - D.D (`weyl.weyl_orbit`), so its cost grows with -D.D
