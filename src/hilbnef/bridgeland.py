@@ -29,7 +29,6 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .lattice import (
     RANK,
@@ -46,6 +45,7 @@ from .hilb import HilbDivisor
 from .record import Record, _set
 from .rowtable import RowTable
 from .surface_cones import a1_polarization, a2_polarization
+from .weyl import _arrangements
 
 
 class ChernChar(Record):
@@ -369,7 +369,6 @@ FILTER_ORDER = ("slope", "fiber_degree", "fiber_component", "ruling_excess")
 
 _E_SHAPES = tuple(tuple(int(j == i + 1) for j in range(RANK)) for i in range(9))
 _E_TEXTS = tuple(f"E{i}" for i in range(1, RANK))
-_ORBIT_PERMUTATIONS = factorial(8)
 
 
 @lru_cache(maxsize=16)
@@ -377,7 +376,7 @@ def _degree_orbits(a: int) -> tuple[tuple[tuple[int, ...], int, int, int, int], 
     """The E2..E9 orbits of candidate shapes -l of H-degree a: the E_i for
     a = 0 ({E1} and {E2..E9}), else aH - sum b_i E_i with 0 <= b_i <= a and
     sum b_i <= 3a (effectivity caps).  Rows are (representative shape with
-    e2 <= ... <= e9, orbit size 8!/prod m_k!, fiber_degree, b1, sum of
+    e2 <= ... <= e9, orbit size 8!/prod m_k! (`weyl._arrangements`), fiber_degree, b1, sum of
     b_2..b_9)."""
     if a == 0:
         return ((_E_SHAPES[0], 1, 1, 0, 0), (_E_SHAPES[8], 8, 1, 0, 0))
@@ -387,17 +386,9 @@ def _degree_orbits(a: int) -> tuple[tuple[tuple[int, ...], int, int, int, int], 
             rest = sum(tail)
             if b1 + rest > 3 * a:
                 continue
-            size = _ORBIT_PERMUTATIONS
-            for _, run in itertools.groupby(tail):
-                size //= factorial(len(tuple(run)))
             coords = (a, -b1) + tuple(-x for x in tail)
-            rows.append((coords, size, 3 * a - b1 - rest, b1, rest))
+            rows.append((coords, _arrangements(tail), 3 * a - b1 - rest, b1, rest))
     return tuple(rows)
-
-
-def shapes_of_degree(a: int) -> int:
-    """Number of candidate shapes of H-degree exactly a, from the orbit sizes."""
-    return sum(row[1] for row in _degree_orbits(a))
 
 
 def _orbit_code(coords: tuple[int, ...]) -> int:

@@ -15,9 +15,8 @@ error: line and no traceback.
 Parameters that would run too long are usage errors, refused before any
 work: each command's --max-degree (for `weyl orbit`, the larger of it and the
 H-degree of --start) and `coneconj cover --samples` have a cap (the MAX_*
-constants below), `walls gieseker` refuses a degree that would list more
-than MAX_LISTED_CANDIDATES shapes, and `weyl orbit` refuses a start whose
-walk, read from the start, is over its cap.
+constants below), and `weyl orbit` refuses a start whose walk, read from the
+start, is over its cap.
 """
 
 from __future__ import annotations
@@ -30,24 +29,20 @@ from .lattice import DivisorClass, dot_int, parse_divisor
 from .weyl import _arrangements, _representatives
 from .surface_cones import ample_family, is_nef_up_to_degree
 from .hilb import cone_duality_check
-from .bridgeland import GiesekerFalsified, gieseker_wall, shapes_of_degree, slice_for
+from .bridgeland import GiesekerFalsified, gieseker_wall, slice_for
 from .translations import CoverageConfig, coverage_experiment
 from .campaign import Campaign, CampaignUsageError, run_campaign
 from .reporting import dumps_json
 
+# Caps, checked before any work.  Each comment gives one run at the cap (wall
+# time, peak RSS) on a 2-vCPU machine, Python 3.11.7.
 # `walls gieseker` lists every candidate shape, about 90 bytes of JSON each
-# (89.5 at degree 4, 90.0 at degree 5).  --slice A2 --n 3 at degree 4
-# (227,112 shapes, 20 MB) runs in 0.4-0.5 s and 60 MB, at degree 5 (1,104,956
-# shapes, 99 MB) in 1.1-1.5 s and 217 MB, 2.2 bytes of RSS per byte written:
-# the report's rendered blocks and their join, each about one report.
-# Degree 6 would list 4,305,881 shapes, about 390 MB of JSON and, at that
-# ratio, 860 MB of RSS.  The count is summed by whole degrees, so every cap
-# from degree 5's count to just below degree 6's allows the same runs;
-# 2,000,000 rows (about 180 MB of JSON) is one of them.
-MAX_LISTED_CANDIDATES = 2_000_000
-
-# Caps on the other commands, checked before any work.  Each comment gives one
-# run at the cap (wall time, peak RSS) on a 2-vCPU machine, Python 3.11.7.
+# (89.5 at degree 4, 90.0 at degree 5): --slice A2 --n 3 at degree 4 (227,112
+# shapes, 20 MB) runs in 0.4-0.5 s and 60 MB.  RSS is 2.2 bytes per byte
+# written (the report's rendered blocks and their join, each about one
+# report), so degree 6 (4,305,881 shapes, about 390 MB of JSON) would need
+# about 860 MB.
+MAX_WALLS_DEGREE = 5  # --slice A2 --n 3: 1,104,956 shapes, 99 MB, 1.1-1.5 s, 217 MB
 # `weyl orbit` prints one row per S9 orbit, so its report grows with the
 # sorted representatives, not with the classes: --start H at degree 15 walks
 # 98 representatives in 2-3 ms for 841,168 classes.  Degree 15 is where
@@ -110,17 +105,6 @@ def _check_n(value: int) -> int:
     return value
 
 
-def _check_listable(degree: int) -> None:
-    listed = 0
-    for a in range(degree + 1):
-        listed += shapes_of_degree(a)
-        if listed > MAX_LISTED_CANDIDATES:
-            raise UsageError(
-                f"--max-degree {degree} would list more than "
-                f"{MAX_LISTED_CANDIDATES} candidates; use --max-degree {a - 1} or less"
-            )
-
-
 def cmd_weyl_orbit(args) -> tuple[dict, int]:
     start = _parse_divisor_arg(args.start)
     if not start.is_integral():
@@ -175,8 +159,7 @@ def cmd_hilb_check_theorem(args) -> tuple[dict, int]:
 
 def cmd_walls_gieseker(args) -> tuple[dict, int]:
     n = _check_n(args.n)
-    degree = _check_degree(args.max_degree)
-    _check_listable(degree)
+    degree = _check_degree(args.max_degree, MAX_WALLS_DEGREE)
     sl = slice_for(args.slice, n)
     try:
         wall, cert = gieseker_wall(sl, degree)

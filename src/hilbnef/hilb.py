@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cache, lru_cache, total_ordering
 
 from .lattice import (
-    RANK,
     DivisorClass,
     E,
     F,
@@ -25,13 +24,8 @@ from .lattice import (
     intersect,
 )
 from .record import Record, _set
-from .surface_cones import is_nef_up_to_degree
-from .weyl import (
-    _permutations,
-    _representatives,
-    enumerate_minus_one_classes,
-    weyl_orbit,
-)
+from .surface_cones import _least_minus_one_pairings, is_nef_up_to_degree
+from .weyl import _arrangements, _permutations, _representatives, weyl_orbit
 
 
 @total_ordering
@@ -146,7 +140,8 @@ def fiber_orthogonal_lift(c: DivisorClass, n: int) -> HilbDivisor:
 
 class MembershipCertificate(Record):
     """Pairings of a divisor against the contracted curve, the induced fiber
-    curve, and every induced (-1)-curve up to the degree bound."""
+    curve, and the least one against an induced (-1)-curve up to the degree
+    bound."""
 
     __slots__ = (
         "divisor",
@@ -156,7 +151,6 @@ class MembershipCertificate(Record):
         "contracted_pairing",
         "fiber_pairing",
         "min_curve_pairing",
-        "min_curve_witness",
         "violations",
     )
     divisor: HilbDivisor
@@ -166,7 +160,6 @@ class MembershipCertificate(Record):
     contracted_pairing: Fraction
     fiber_pairing: Fraction
     min_curve_pairing: Fraction
-    min_curve_witness: DivisorClass | None
     violations: tuple[str, ...]
 
     def to_json(self) -> dict:
@@ -187,16 +180,15 @@ class MembershipCertificate(Record):
 def bounding_cone_membership(
     d: HilbDivisor, n: int, max_h_degree: int = 3
 ) -> MembershipCertificate:
-    """Check nonnegativity against the known curve classes (degree-bounded)."""
+    """Check nonnegativity against the known curve classes (degree-bounded).
+
+    A (-1)-curve e has genus 0, so d pairs with its induced curve to
+    e.surf + b_half*(n - 1): the least of these takes each S9 orbit's least
+    e.surf (`surface_cones._least_minus_one_pairings`)."""
     c0_val = pair_hilb(d, C0, n)
     fib_val = pair_hilb(d, InducedCurve(F), n)
-    min_val: Fraction | None = None
-    min_witness: DivisorClass | None = None
-    for e_cls in enumerate_minus_one_classes(max_h_degree):
-        v = pair_hilb(d, InducedCurve(e_cls), n)
-        if min_val is None or v < min_val:
-            min_val = v
-            min_witness = e_cls
+    least = min(p for _, _, p in _least_minus_one_pairings(d.surf.nums, max_h_degree))
+    min_val = Fraction(least, d.surf.den) + d.b_half * (n - 1)
     violations = []
     if c0_val < 0:
         violations.append("not nef: negative against the contracted curve")
@@ -216,7 +208,6 @@ def bounding_cone_membership(
         contracted_pairing=c0_val,
         fiber_pairing=fib_val,
         min_curve_pairing=min_val,
-        min_curve_witness=min_witness,
         violations=tuple(violations),
     )
 
@@ -268,17 +259,24 @@ def recompose(nef_part: DivisorClass, t: Fraction, n: int) -> HilbDivisor:
 
 
 class CurveRow(Record):
-    """Per-curve summary of the duality scan: the smallest pairing seen, how
-    many nef candidates hit zero, and one of them as extremality witness."""
+    """Summary of the duality scan for one curve and, for a (-1)-curve, every
+    curve of its S9 orbit: the curve (the orbit's representative, its least
+    class), how many curves the row stands for, the smallest pairing of one
+    of them, how many nef candidates pair zero with one of them, and the
+    first such candidate for the curve itself as extremality witness.
+    Permuting E1..E9 maps the candidates onto themselves, so every curve of
+    the orbit has the same smallest pairing and zero count."""
 
-    __slots__ = ("curve", "min_pairing", "zero_count", "witness")
+    __slots__ = ("curve", "arrangements", "min_pairing", "zero_count", "witness")
     curve: str
+    arrangements: int
     min_pairing: Fraction
     zero_count: int
     witness: str | None
 
     def to_json(self) -> dict:
         return {
+            "arrangements": self.arrangements,
             "curve": self.curve,
             "min_pairing": format_rational(self.min_pairing),
             "zero_count": self.zero_count,
@@ -339,96 +337,60 @@ class _DotProfile(Record):
     The orbit blocks are {F}, the Weyl orbit of H and the Weyl orbit of H-E1,
     each read from its sorted S9 representatives (`weyl._representatives`)
     and never listed: `blocks[k]` is (start, size, start.F), and every class
-    of block k has c.F = start.F.  `curves` are (label, curve) for the
-    contracted curve, the induced fiber curve and every induced (-1)-curve.
-    Curves with the same values t = c.e over every block share a column:
-    column 0 is the contracted curve (t = 0 throughout), column 1 the fiber
-    curve, then one column per S9 orbit of (-1)-curves; `columns[j]` is curve
-    j's column.  `counts[k][m]` maps each distinct t over block k to how many
-    classes give it in column m, and `first[k][j]` maps t to the least class
-    of block k giving it against curve j, its witness.  On a (-1)-curve,
-    first holds t = 0 only: the ray pairs to zero with such a curve, so a
-    zero pairing there needs c.e = 0 for every n.  `texts[j]` prints curve
-    j's witness c^[n] when a block of lifts c^[n] holds its first zero: those
-    blocks come before the orthogonal ones, and there a zero is t = 0, so the
-    text is the same for every n.
+    of block k has c.F = start.F.  The columns are the contracted curve, the
+    induced fiber curve, then one induced (-1)-curve per S9 orbit, the
+    orbit's representative e (its least class, read from
+    `weyl._representatives(E9, k)`): `curves[m]` is (label, curve, number of
+    curves in its orbit).  Permuting E1..E9 maps each block onto itself and
+    fixes F, so the values t = c.e over a block, with their counts, are the
+    same for every curve of the orbit.  `counts[k][m]` maps each distinct t
+    over block k to how many classes give it in column m, and `first[k][m]`
+    is the least class of block k at the one value of t that can pair zero
+    with column m's curve, its witness, or None when no class has it: t is
+    constant on a block for the contracted and the fiber curve, and the ray
+    pairs to zero with a (-1)-curve, so a zero pairing there needs t = 0 for
+    every n.
     """
 
-    __slots__ = ("blocks", "curves", "columns", "counts", "first", "texts")
+    __slots__ = ("blocks", "curves", "counts", "first")
     blocks: tuple[tuple[DivisorClass, int, int], ...]
-    curves: tuple[tuple[str, CurveClass], ...]
-    columns: tuple[int, ...]
+    curves: tuple[tuple[str, CurveClass, int], ...]
     counts: tuple[tuple[dict[int, int], ...], ...]
-    first: tuple[tuple[dict[int, DivisorClass], ...], ...]
-    texts: tuple[str | None, ...]
+    first: tuple[tuple[DivisorClass | None, ...], ...]
 
 
 @lru_cache(maxsize=8)
 def _dot_profile(max_h_degree: int) -> _DotProfile:
-    curves = [("contracted", C0), ("fiber", InducedCurve(F))]
-    columns = [0, _FIBER_COLUMN]
-    shapes: dict[tuple[int, ...], int] = {}
-    minus_ones = []  # (column, source in the shape of each coordinate) per (-1)-curve
-    for e_cls in enumerate_minus_one_classes(max_h_degree):
-        e = e_cls.nums
-        order = sorted(range(1, RANK), key=e.__getitem__)
-        r = (e[0],) + tuple(e[i] for i in order)
-        m = shapes.setdefault(r, _FIBER_COLUMN + 1 + len(shapes))
-        curves.append((str(e_cls), InducedCurve(e_cls)))
-        columns.append(m)
-        src = [0] * RANK
-        for j, i in enumerate(order, 1):
-            src[i] = j
-        minus_ones.append((m, src))
+    curves = [("contracted", C0, 1), ("fiber", InducedCurve(F), 1)]
+    for a, b in _representatives(E[8], max_h_degree):
+        e = DivisorClass((a,) + tuple(-x for x in b))
+        curves.append((str(e), InducedCurve(e), _arrangements(b)))
+    shapes = [curve.c.nums for _, curve, _ in curves[_FIBER_COLUMN + 1 :]]
     blocks, counts, first = [], [], []
     for start in (F, H, H - E[0]):
         # Each representative (a, b) expands to its distinct arrangements
         # (a, -b_sigma), least first, so the block is a union of S9 orbits
-        # and its least class, the witness of the contracted and the fiber
-        # curve, is the least representative's (a, -b1, ..., -b9).
+        # and its least class is the least representative's (a, -b1, ..., -b9).
         reps = _representatives(start, max_h_degree)
         least = DivisorClass(min((a,) + tuple(-x for x in b) for a, b in reps))
         fiber = dot_int(start.nums, F.nums)
         size = 0
         shape_counts = [Counter() for _ in shapes]
-        zeros: list[list[tuple[int, ...]]] = [[] for _ in shapes]
+        zeros: list[tuple[int, ...] | None] = [None] * len(shapes)
         for a, b in reps:
             arrangements = [(a,) + p for p in _permutations(tuple(-x for x in b))]
             size += len(arrangements)
-            for r, shape_count, found in zip(shapes, shape_counts, zeros):
-                dots = [dot_int(c, r) for c in arrangements]
-                shape_count.update(dots)
-                found += [c for c, t in zip(arrangements, dots) if t == 0]
-        lowest = []  # per shape, its zeros of least H-degree
-        for found in zeros:
-            low = min((z[0] for z in found), default=None)
-            lowest.append([z for z in found if z[0] == low])
-        # For a (-1)-curve e = sigma(r), with r its sorted shape, the values
-        # c.e over the block are its values c.r, and its classes with c.e = 0
-        # are the images under sigma of those with c.r = 0.  The witness is
-        # the least image.  sigma keeps the H-degree first, so only the zeros
-        # of least H-degree can give it: permute each and keep the
-        # lexicographic minimum; e_i = r_src[i], so z.r = 0 gives c_i = z_src[i].
-        block_first = [{0: least}, {fiber: least}]
-        for m, src in minus_ones:
-            low = lowest[m - _FIBER_COLUMN - 1]
-            witness = low and min(tuple(z[i] for i in src) for z in low)
-            block_first.append({0: DivisorClass(witness)} if witness else {})
+            for i, e in enumerate(shapes):
+                dots = [dot_int(c, e) for c in arrangements]
+                shape_counts[i].update(dots)
+                if 0 in dots:  # the least arrangement with c.e = 0
+                    z = arrangements[dots.index(0)]
+                    if zeros[i] is None or z < zeros[i]:
+                        zeros[i] = z
         blocks.append((start, size, fiber))
         counts.append(tuple([{0: size}, {fiber: size}] + shape_counts))
-        first.append(tuple(block_first))
-    texts = []
-    for j in range(len(curves)):
-        c = next((f[j][0] for f in first if 0 in f[j]), None)
-        texts.append(None if c is None else str(lift(c)))
-    return _DotProfile(
-        tuple(blocks),
-        tuple(curves),
-        tuple(columns),
-        tuple(counts),
-        tuple(first),
-        tuple(texts),
-    )
+        first.append((least, least) + tuple(z and DivisorClass(z) for z in zeros))
+    return _DotProfile(tuple(blocks), tuple(curves), tuple(counts), tuple(first))
 
 
 def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
@@ -438,36 +400,35 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     and the fiber-orthogonal lift of each Weyl image.  Curve candidates: the
     contracted curve, the induced fiber curve, and every induced (-1)-curve
     up to the bound.  Passing means no negative pairing and, for every curve,
-    some nef candidate pairing to exactly zero.
+    some nef candidate pairing to exactly zero.  The report has one row per
+    column of `_dot_profile`: the contracted curve, the fiber curve and one
+    S9 orbit of (-1)-curves, labelled by its representative.
 
     The candidates form five blocks: c^[n] for c in an orbit block, then
     x*c^[n] + b_negative_ray(n) for c in a Weyl orbit, where x = n/(c.F) is
     shared by the block.  A pairing with a curve e is x*(c.e), plus ray.e in
     an orthogonal block, so it grows with t = c.e.  The per-degree
     `_dot_profile`, built from each orbit's S9 representatives, holds the
-    distinct values of t with their counts per block and column (the
-    contracted curve, the fiber curve, one S9 orbit of (-1)-curves), and each
-    curve's witness class per value, so the minimum and zero count of a
-    column and the first witness of a curve, in candidate order, come from a
-    few exact operations per block and n, and ray.e from one `pair_hilb` per
-    column.  On a (-1)-curve ray.e = 0 (checked here), so a zero needs t = 0
-    whatever n is.  c.F is one value per block, so one identity
+    distinct values of t with their counts per block and column, and each
+    column's witness class per block, so the minimum and zero count of a
+    column and the first witness of its curve, in candidate order, come from
+    a few exact operations per block and n, and ray.e from one `pair_hilb`
+    per column.  On a (-1)-curve ray.e = 0 (checked here), so a zero needs
+    t = 0 whatever n is.  c.F is one value per block, so one identity
     x*(c.F) + ray.F_[n] = 0 checks that a whole orthogonal block kills the
     induced fiber curve.  A candidate is built only to print it, and a block
-    is listed (`weyl_orbit`) only when the scan fails on it, to print its
-    offenders.  `pairings_checked` counts the (candidate, curve) pairs
-    certified.
+    is listed (`weyl_orbit`), with the curves of its negative columns, only
+    when the scan fails on it, to print its offenders.  `curve_candidates`
+    counts curves, not rows, and `pairings_checked` the (candidate, curve)
+    pairs certified.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
     profile = _dot_profile(max_h_degree)
     ray = b_negative_ray(n)
     # ray.e per column: permuting E1..E9 fixes F, so e.F and the genus of e,
-    # hence ray.e, are one value on a column
-    ray_pairings = [
-        pair_hilb(ray, profile.curves[profile.columns.index(m)][1], n)
-        for m in range(len(profile.counts[0]))
-    ]
+    # hence ray.e, are one value on an S9 orbit
+    ray_pairings = [pair_hilb(ray, curve, n) for _, curve, _ in profile.curves]
     if any(ray_pairings[_FIBER_COLUMN + 1 :]):
         raise ValueError("the B-negative ray pairs nonzero with an induced (-1)-curve")
 
@@ -492,14 +453,15 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
         orbit = weyl_orbit(profile.blocks[k][0], max_h_degree)
         return [(i, candidate(c, orthogonal)) for i, c in enumerate(orbit, first_idx)]
 
-    # Per column: the minimum, the zero count, and the first block with a
-    # zero (its orbit block, orthogonal flag and t = c.e).
-    summaries = []
+    # Per column: the minimum, the zero count, and the witness of the first
+    # block with a zero.
+    rows = []
     negative: dict[tuple, list[int]] = {}  # block -> columns with a negative pairing
-    for m, s_m in enumerate(ray_pairings):
+    for m, (label, _, arrangements) in enumerate(profile.curves):
+        s_m = ray_pairings[m]
         low: Fraction | None = None
         zero_count = 0
-        hit = None
+        witness = None
         for block in blocks:
             _, k, x, orthogonal = block
             counts = profile.counts[k][m]
@@ -512,33 +474,31 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
             t_zero = -s / x
             if t_zero.denominator == 1 and t_zero.numerator in counts:
                 zero_count += counts[t_zero.numerator]
-                if hit is None:
-                    hit = (k, orthogonal, t_zero.numerator)
-        summaries.append((low, zero_count, hit))
+                if witness is None:
+                    witness = str(candidate(profile.first[k][m], orthogonal))
+        rows.append(CurveRow(label, arrangements, low, zero_count, witness))
 
-    rows = []
-    for j, (label, _) in enumerate(profile.curves):
-        low, zero_count, hit = summaries[profile.columns[j]]
-        witness = None
-        if hit is not None:
-            k, orthogonal, t = hit
-            if orthogonal:
-                witness = str(fiber_orthogonal_lift(profile.first[k][j][t], n))
-            else:
-                witness = profile.texts[j]
-        rows.append(CurveRow(label, low, zero_count, witness))
-
-    # Only a falsified scan lists a block and pairs its candidates, to print
-    # each offender in candidate-major, then curve order.
+    # Only a falsified scan lists a block and pairs its candidates with every
+    # curve of its negative columns, to print each offender in
+    # candidate-major, then curve order: the contracted curve, the fiber
+    # curve, then the (-1)-curves by class.
     offenders = []
     for block, columns in negative.items():
-        curves = [j for j, col in enumerate(profile.columns) if col in columns]
+        curves = []  # (order key, label, curve)
+        for m in columns:
+            label, curve, _ = profile.curves[m]
+            if m <= _FIBER_COLUMN:
+                curves.append(((m,), label, curve))
+            else:  # every arrangement of the representative, keyed by class
+                a, *e = curve.c.nums
+                for p in _permutations(tuple(e)):
+                    c = DivisorClass((a,) + p)
+                    curves.append(((_FIBER_COLUMN + 1, *c.nums), str(c), InducedCurve(c)))
         for idx, d in listed(block):
-            for j in curves:
-                value = pair_hilb(d, profile.curves[j][1], n)
+            for order, label, curve in curves:
+                value = pair_hilb(d, curve, n)
                 if value < 0:
-                    label = profile.curves[j][0]
-                    offenders.append((idx, j, f"{d} against {label}: {value}"))
+                    offenders.append((idx, order, f"{d} against {label}: {value}"))
     violations = [line for _, _, line in sorted(offenders)]
 
     # One identity per orthogonal block, as c.F is constant on it.
@@ -553,12 +513,13 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
 
     rows = tuple(rows)
     unwitnessed = tuple(row.curve for row in rows if row.witness is None)
+    curve_count = sum(row.arrangements for row in rows)
     return DualityReport(
         n=n,
         degree_bound=max_h_degree,
         nef_candidate_count=offset,
-        curve_candidate_count=len(profile.curves),
-        pairings_checked=offset * len(profile.curves),
+        curve_candidate_count=curve_count,
+        pairings_checked=offset * curve_count,
         violations=tuple(violations),
         unwitnessed_curves=unwitnessed,
         min_pairing=min(row.min_pairing for row in rows),

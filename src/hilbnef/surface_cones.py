@@ -60,11 +60,8 @@ class NefCertificate(Record):
 def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
     """Pair d against the fiber and every (-1)-class up to the degree bound.
 
-    The (-1)-classes are read per S9 orbit from their sorted representatives
-    (a, b), b nonincreasing: the class with numerators (a, -b_s(1), ...,
-    -b_s(9)) pairs with d's numerators to d0*a + sum d_i*b_s(i), so by the
-    rearrangement inequality the orbit's least pairing puts b against d's
-    E-numerators in ascending order.  The witness, when the check fails, is
+    The (-1)-classes are read per S9 orbit, each with its least pairing
+    (`_least_minus_one_pairings`).  The witness, when the check fails, is
     the first violating generator in the enumeration order (fiber first, then
     the classes in numerator order): the fiber if it pairs negatively, else
     the least class of the lowest degree whose orbit goes negative, found by
@@ -73,11 +70,9 @@ def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
     """
     checked = 1 + orbit_size(E[8], max_h_degree)
     nums = d.nums
-    ascending = sorted(nums[1:])
     lowest = fiber = dot_int(nums, F.nums)
     first: tuple[int, ...] | None = None  # numerators of the first negative class
-    for a, b in _representatives(E[8], max_h_degree):  # by nondecreasing degree
-        least = nums[0] * a + sum(x * y for x, y in zip(ascending, b))
+    for a, b, least in _least_minus_one_pairings(nums, max_h_degree):
         lowest = min(lowest, least)
         if least < 0 and (first is None or first[0] == a):
             found = (a,) + _least_negative_arrangement(nums, a, b)
@@ -97,6 +92,25 @@ def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
             None if witness is None else Fraction(dot_int(nums, witness.nums), d.den)
         ),
     )
+
+
+def _least_minus_one_pairings(
+    nums: tuple[int, ...], max_h_degree: int
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """(a, b, least) per S9 orbit of (-1)-classes up to the degree bound, by
+    nondecreasing degree: the orbit's sorted representative (a, b), b
+    nonincreasing, and the least dot product of the numerators nums with a
+    class of the orbit.  The class with numerators (a, -b_s(1), ...,
+    -b_s(9)) pairs with nums to nums0*a + sum nums_i*b_s(i), so by the
+    rearrangement inequality the least pairing puts b against nums's
+    E-numerators in ascending order."""
+    if max_h_degree < 0:
+        raise ValueError("max_h_degree must be nonnegative")
+    ascending = sorted(nums[1:])
+    return [
+        (a, b, nums[0] * a + sum(x * y for x, y in zip(ascending, b)))
+        for a, b in _representatives(E[8], max_h_degree)
+    ]
 
 
 def _least_negative_arrangement(

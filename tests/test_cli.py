@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hilbnef import cli, reporting, weyl
-from hilbnef.bridgeland import shapes_of_degree
+from hilbnef.bridgeland import _degree_orbits
 from hilbnef.lattice import E, F, H, parse_divisor
 from hilbnef.weyl import weyl_orbit
 from hilbnef.cli import main
@@ -162,7 +162,8 @@ def test_hilb_check_theorem(capsys):
     assert data["curve_candidates"] == 173
     assert data["pairings_checked"] == 76293
     assert data["min_pairing"] == "0"
-    assert len(data["curves"]) == 173
+    # contracted, fiber, and the S9 orbits of E9, H-E1-E2 and 2H-E1-...-E5
+    assert [row["arrangements"] for row in data["curves"]] == [1, 1, 9, 36, 126]
     for row in data["curves"]:
         assert RATIONAL.match(row["min_pairing"])
 
@@ -361,23 +362,10 @@ def _no_walls(*args, **kwargs):
     raise _WallsReached
 
 
-@pytest.mark.parametrize("degree", ["6", "1000"])
-def test_walls_gieseker_refuses_unlistable_degree(capsys, monkeypatch, degree):
-    # the candidate count comes from the orbit sizes: no wall is computed
-    monkeypatch.setattr(cli, "gieseker_wall", _no_walls)
-    code, out, err = run_cli(
-        capsys, ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", degree]
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert "--max-degree 5 or less" in err
-
-
 def test_walls_gieseker_lists_degree_five(capsys, monkeypatch):
-    # degree 5 (1,104,956 shapes) passes the check and goes on to the walls
-    assert sum(shapes_of_degree(a) for a in range(6)) == 1_104_956
-    assert sum(shapes_of_degree(a) for a in range(7)) > cli.MAX_LISTED_CANDIDATES
+    # degree 5 (1,104,956 shapes) is the cap and goes on to the walls
+    assert cli.MAX_WALLS_DEGREE == 5
+    assert sum(row[1] for a in range(6) for row in _degree_orbits(a)) == 1_104_956
     monkeypatch.setattr(cli, "gieseker_wall", _no_walls)
     code, out, err = run_cli(
         capsys, ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "5"]
@@ -402,6 +390,12 @@ CAPPED = [
         "cone_duality_check",
     ),
     (["campaign", "run"], "--max-degree", "MAX_CAMPAIGN_DEGREE", "run_campaign"),
+    (
+        ["walls", "gieseker", "--slice", "A2", "--n", "3"],
+        "--max-degree",
+        "MAX_WALLS_DEGREE",
+        "gieseker_wall",
+    ),
     (
         ["coneconj", "cover", "--n", "3"],
         "--max-degree",

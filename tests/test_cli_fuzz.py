@@ -45,8 +45,7 @@ GRAMMAR = {
     ("walls", "gieseker"): {
         "--slice": ("A2", SLICES),
         "--n": (3, _ints()),
-        # degree 6 is the first one listing more than MAX_LISTED_CANDIDATES
-        "--max-degree": (1, _ints(5)),
+        "--max-degree": (1, _ints(cli.MAX_WALLS_DEGREE)),
     },
     ("coneconj", "cover"): {
         "--n": (3, _ints()),

@@ -5,7 +5,8 @@ before the per-degree dot profile: it pairs every candidate with every curve
 and is kept here, unchanged apart from its name, as the independent reference.
 `oracle_dot_profile` is the profile production built before it paired each
 orbit block once per S9 orbit of (-1)-curves: one row per curve, every class
-paired with every curve.
+paired with every curve.  Production prints one row per S9 orbit of
+(-1)-curves; `by_orbit` groups the oracle's per-curve rows that way.
 """
 
 import sys
@@ -27,7 +28,7 @@ from hilbnef.hilb import (
     lift,
     pair_hilb,
 )
-from hilbnef.lattice import DivisorClass, E, F, H, divisor, dot_int
+from hilbnef.lattice import DivisorClass, E, F, H, divisor, dot_int, parse_divisor
 from hilbnef.weyl import enumerate_minus_one_classes, weyl_orbit
 
 
@@ -99,6 +100,7 @@ def oracle_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     rows = tuple(
         CurveRow(
             curve=label,
+            arrangements=1,
             min_pairing=Fraction(*cmin[idx]),
             zero_count=zero_counts[idx],
             witness=str(nef_candidates[witness_at[idx]])
@@ -122,11 +124,46 @@ def oracle_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     )
 
 
+def representative(c: DivisorClass) -> DivisorClass:
+    """The least class of the S9 orbit of c: its E-numerators ascending."""
+    a, *e = c.nums
+    return DivisorClass((a, *sorted(e)))
+
+
+def by_orbit(report: DualityReport) -> DualityReport:
+    """The oracle's report with its (-1)-curve rows grouped by S9 orbit, in
+    representative order.  Every row of an orbit must have the same
+    min_pairing and zero count; the orbit keeps its representative's row,
+    with the orbit's size as its arrangement count."""
+    rows = list(report.curve_rows[:2])
+    orbits: dict[DivisorClass, list[CurveRow]] = {}
+    for row in report.curve_rows[2:]:
+        orbits.setdefault(representative(parse_divisor(row.curve)), []).append(row)
+    for rep, group in sorted(orbits.items()):
+        assert len({(row.min_pairing, row.zero_count) for row in group}) == 1
+        (own,) = [row for row in group if row.curve == str(rep)]
+        rows.append(
+            CurveRow(own.curve, len(group), own.min_pairing, own.zero_count, own.witness)
+        )
+    return DualityReport(
+        n=report.n,
+        degree_bound=report.degree_bound,
+        nef_candidate_count=report.nef_candidate_count,
+        curve_candidate_count=report.curve_candidate_count,
+        pairings_checked=report.pairings_checked,
+        violations=report.violations,
+        unwitnessed_curves=tuple(row.curve for row in rows if row.witness is None),
+        min_pairing=report.min_pairing,
+        passed=report.passed,
+        curve_rows=tuple(rows),
+    )
+
+
 @pytest.mark.parametrize(
     "n,degree", [(n, 2) for n in range(3, 13)] + [(3, 3), (7, 3), (12, 3)]
 )
 def test_scan_matches_oracle(n, degree):
-    assert cone_duality_check(n, degree) == oracle_duality_check(n, degree)
+    assert cone_duality_check(n, degree) == by_orbit(oracle_duality_check(n, degree))
 
 
 # Not nef: 2H-3E1 pairs -1 with every line H-E1-Ej (c.F = 3, as on the orbit of
@@ -168,27 +205,36 @@ def oracle_dot_profile(max_h_degree):
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_profile_rows_match_oracle_profile(degree):
     """Per block: the listed block's size and its one fiber degree.  Per
-    (block, curve): the same values and counts of t = c.e, hence the same
-    minimum and zero count, and the same first zero (the witness class); the
-    contracted and fiber rows keep the witness of every value."""
+    column: the contracted curve, the fiber curve, then one S9 orbit of
+    (-1)-curves per column, labelled by its representative, with the orbit's
+    size.  Per (block, curve): the same values and counts of t = c.e as the
+    curve's column, hence the same minimum and zero count.  Per (block,
+    column): the witness is the oracle's first class at the one value of t
+    that can pair zero with the column's curve: any value for the contracted
+    and fiber curves, where t is constant, and t = 0 for a (-1)-curve."""
     classes, curves, rows = oracle_dot_profile(degree)
     profile = hilb._dot_profile(degree)
     assert [start for start, _, _ in profile.blocks] == [F, H, H - E[0]]
     for (_, size, fiber), block in zip(profile.blocks, classes):
         assert size == len(block)
         assert {dot_int(c.nums, F.nums) for c in block} == {fiber}
-    assert profile.curves == curves
+    # each oracle curve's column, and each column's curve among the oracle's
+    reps = sorted({representative(curve.c) for _, curve in curves[2:]})
+    column = [0, 1] + [2 + reps.index(representative(curve.c)) for _, curve in curves[2:]]
+    own = [column.index(m) for m in range(len(profile.curves))]
+    assert [curves[j] for j in own] == [(label, curve) for label, curve, _ in profile.curves]
+    assert [column.count(m) for m in range(len(own))] == [
+        size for _, _, size in profile.curves
+    ]
     for k, block in enumerate(rows):
         for j, old in enumerate(block):
-            counts = profile.counts[k][profile.columns[j]]
-            first = profile.first[k][j]
-            witnesses = {t: classes[k][i] for t, (_, i) in old.items()}
-            assert counts == {t: count for t, (count, _) in old.items()}
-            assert min(counts) == min(old)
-            if j < 2:
-                assert first == witnesses
+            assert profile.counts[k][column[j]] == {t: count for t, (count, _) in old.items()}
+        for m, j in enumerate(own):
+            witnesses = {t: classes[k][i] for t, (_, i) in block[j].items()}
+            if m < 2:
+                assert list(witnesses.values()) == [profile.first[k][m]]
             else:
-                assert first == ({0: witnesses[0]} if 0 in old else {})
+                assert profile.first[k][m] == witnesses.get(0)
 
 
 def s9_orbit(c: DivisorClass) -> list[DivisorClass]:
@@ -206,12 +252,11 @@ def s9_orbit(c: DivisorClass) -> list[DivisorClass]:
     return sorted(DivisorClass(v) for v in seen)
 
 
-@pytest.fixture
-def injected_orbits(monkeypatch):
-    """Weyl orbits with the S9 orbit of one non-nef class added to each: its
-    sorted representative joins the profile's representatives, and its
-    classes join the block that a falsified scan lists and the oracle's."""
-    extra = {H: BAD_H, H - E[0]: BAD_RULING}
+def inject(monkeypatch, extra):
+    """Weyl orbits with the S9 orbit of the non-nef class extra[start] added
+    to the orbit of each start in extra: its sorted representative joins the
+    profile's representatives, and its classes join the block that a
+    falsified scan lists and the oracle's."""
     real_representatives, real_orbit = hilb._representatives, weyl_orbit
 
     def representatives(start, max_h_degree):
@@ -230,6 +275,11 @@ def injected_orbits(monkeypatch):
     for module in (hilb, here):
         monkeypatch.setattr(module, "weyl_orbit", orbit)
     hilb._dot_profile.cache_clear()
+
+
+@pytest.fixture
+def injected_orbits(monkeypatch):
+    inject(monkeypatch, {H: BAD_H, H - E[0]: BAD_RULING})
     yield
     hilb._dot_profile.cache_clear()
 
@@ -237,7 +287,7 @@ def injected_orbits(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 12])
 def test_falsified_scan_matches_oracle(injected_orbits, n):
     report = cone_duality_check(n, 2)
-    assert report == oracle_duality_check(n, 2)
+    assert report == by_orbit(oracle_duality_check(n, 2))
     assert not report.passed
 
 
@@ -271,6 +321,34 @@ def test_falsified_scan_lists_offenders_candidate_major(injected_orbits):
     assert report.min_pairing == Fraction(-3, 2)
 
 
+def test_falsified_scan_orders_offending_curves_across_orbits(monkeypatch):
+    # 5H-4E1-4E2-E3-...-E9 (c.F = 0, so it joins the block {F}) pairs
+    # negatively with curves of both S9 orbits of degree 4, 4H-3E1-E2-...-E9
+    # and 4H-2E1-2E2-2E3-E4-...-E8, whose classes interleave in class order;
+    # each candidate's lines follow the curve order of the listed (-1)-classes
+    bad = divisor(5, [-4, -4, -1, -1, -1, -1, -1, -1, -1])
+    inject(monkeypatch, {F: bad})
+    try:
+        report = cone_duality_check(3, 4)
+    finally:
+        hilb._dot_profile.cache_clear()
+    curves = [(str(e), InducedCurve(e)) for e in enumerate_minus_one_classes(4)]
+    expected = []
+    for c in s9_orbit(bad):
+        d = lift(c)
+        expected += [
+            f"{d} against {label}: {pair_hilb(d, curve, 3)}"
+            for label, curve in curves
+            if pair_hilb(d, curve, 3) < 0
+        ]
+    assert list(report.violations) == expected
+    # the first candidate's offending curves of degree 4 switch orbits twice
+    first = [line for line in expected if line.startswith(f"{lift(bad)} against 4H")]
+    orbits = [representative(parse_divisor(line.split(" against ")[1].split(":")[0]))
+              for line in first]
+    assert sum(a != b for a, b in zip(orbits, orbits[1:])) >= 2
+
+
 def test_ray_pairing_nonzero_with_a_minus_one_curve_is_rejected(monkeypatch):
     # n F^[n] - B/2 pairs n - (n - 1) = 1 with every induced (-1)-curve
     monkeypatch.setattr(hilb, "b_negative_ray", lambda n: HilbDivisor(n * F, Fraction(-1)))
@@ -290,7 +368,7 @@ def doubled_scale(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 12])
 def test_wrong_orthogonal_scale_matches_oracle(doubled_scale, n):
     report = cone_duality_check(n, 2)
-    assert report == oracle_duality_check(n, 2)
+    assert report == by_orbit(oracle_duality_check(n, 2))
     assert not report.passed
     lifts = [fiber_orthogonal_lift(c, n) for c in weyl_orbit(H, 2)]
     lifts += [fiber_orthogonal_lift(c, n) for c in weyl_orbit(H - E[0], 2)]
@@ -320,17 +398,19 @@ def test_passing_scan_builds_only_printed_candidates(monkeypatch):
     monkeypatch.setattr(hilb, "weyl_orbit", counted("weyl_orbit"))
     hilb._dot_profile.cache_clear()
     report = cone_duality_check(3, 3)  # a cold profile build
-    # the blocks come from S9 representatives; only the (-1)-curves are listed
+    # the blocks and the (-1)-curves come from S9 representatives: no orbit is listed
     assert calls["weyl_orbit"] == 0
-    assert set(listed) == {E[8]}
+    assert listed == []
     for name in ("fiber_orthogonal_lift", "pair_hilb"):
         monkeypatch.setattr(hilb, name, counted(name))
     assert cone_duality_check(3, 3) == report
     assert report.passed
     assert report.curve_candidate_count == 425
     assert report.nef_candidate_count == 1 + 2 * (715 + 639)
-    assert calls["pair_hilb"] <= 425  # ray.e, once per curve
-    assert calls["fiber_orthogonal_lift"] <= 425  # printed witnesses only
+    columns = len(report.curve_rows)
+    assert columns == 6
+    assert calls["pair_hilb"] <= columns  # ray.e, once per column
+    assert calls["fiber_orthogonal_lift"] <= columns  # printed witnesses only
 
 
 def test_falsified_scan_lists_each_block_once(injected_orbits, monkeypatch):

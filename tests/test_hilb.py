@@ -17,6 +17,8 @@ from hilbnef import (
     bounding_cone_decompose,
     divisor,
     bounding_cone_membership,
+    cone_duality_check,
+    enumerate_minus_one_classes,
     fiber_orthogonal_lift,
     intersect,
     lift,
@@ -28,6 +30,13 @@ from hilbnef import (
 DUALITY_NEF_CANDIDATES = 2709
 DUALITY_CURVES = 425
 DUALITY_PAIRINGS = 1151325
+# one row per S9 orbit of (-1)-curves: (representative, orbit size)
+DUALITY_ORBITS = [
+    ("E9", 9),
+    ("H-E1-E2", 36),
+    ("2H-E1-E2-E3-E4-E5", 126),
+    ("3H-2E1-E2-E3-E4-E5-E6-E7", 252),
+]
 
 B = HilbDivisor(ZERO, 2)  # the class of the nonreduced locus, b_half = 2
 
@@ -123,6 +132,50 @@ def test_membership_rejects_positive_b():
     assert any("contracted" in v for v in cert.to_json()["violations"])
 
 
+def oracle_min_curve_pairing(d, n, max_h_degree):
+    """The least pairing of d with an induced (-1)-curve, from every listed
+    (-1)-class: the loop bounding_cone_membership ran before it read the
+    classes per S9 orbit."""
+    min_val = None
+    for e_cls in enumerate_minus_one_classes(max_h_degree):
+        v = pair_hilb(d, InducedCurve(e_cls), n)
+        if min_val is None or v < min_val:
+            min_val = v
+    return min_val
+
+
+def test_membership_min_curve_pairing_matches_listing_oracle():
+    rng = random.Random(1)
+    for n in (3, 5):
+        pool = [
+            lift(F),
+            fiber_orthogonal_lift(H, n),
+            fiber_orthogonal_lift(H - E[0], n),
+            b_negative_ray(n),
+            lift(2 * F) + Fraction(1, 2) * B,
+        ]
+        combos = []
+        for _ in range(4):
+            d = HilbDivisor(ZERO, Fraction(0))
+            for p in pool:
+                d = d + Fraction(rng.randint(0, 6), rng.randint(1, 4)) * p
+            combos.append(d)
+        for k in range(6):
+            for d in pool + combos:
+                cert = bounding_cone_membership(d, n, k)
+                assert cert.min_curve_pairing == oracle_min_curve_pairing(d, n, k), (d, n, k)
+                assert cert.in_cone == (
+                    -d.b_half >= 0
+                    and pair_hilb(d, InducedCurve(F), n) >= 0
+                    and cert.min_curve_pairing >= 0
+                )
+
+
+def test_membership_refuses_a_negative_degree():
+    with pytest.raises(ValueError):
+        bounding_cone_membership(lift(F), 3, -1)
+
+
 def test_decompose_fixture_classes():
     nef_part, t = bounding_cone_decompose(fiber_orthogonal_lift(H, 3), 3)
     assert nef_part == H
@@ -182,16 +235,33 @@ def test_duality_report_frozen_counts(duality_3):
 
 def test_duality_rows_cover_every_curve(duality_3):
     rows = duality_3.curve_rows
-    assert len(rows) == DUALITY_CURVES
+    assert [(row.curve, row.arrangements) for row in rows] == [
+        ("contracted", 1),
+        ("fiber", 1),
+    ] + DUALITY_ORBITS
+    assert sum(row.arrangements for row in rows) == DUALITY_CURVES
     for row in rows:
         assert row.min_pairing >= 0
         assert row.zero_count >= 1
         assert row.witness is not None
 
 
+def test_duality_at_the_degree_cap_has_one_unwitnessed_orbit():
+    # the 72 arrangements of 6H-3E1-2E2-...-2E8 have no orthogonality witness
+    # inside the degree-6 window
+    rep = cone_duality_check(3, 6)
+    assert not rep.passed
+    assert rep.violations == ()
+    assert len(rep.curve_rows) == 12
+    assert rep.unwitnessed_curves == ("6H-3E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8",)
+    (row,) = [row for row in rep.curve_rows if row.witness is None]
+    assert (row.curve, row.arrangements, row.zero_count) == (rep.unwitnessed_curves[0], 72, 0)
+
+
 def test_duality_json_shapes(duality_3):
     full = duality_3.to_json()
-    assert len(full["curves"]) == DUALITY_CURVES
+    assert len(full["curves"]) == 2 + len(DUALITY_ORBITS)
+    assert sum(row["arrangements"] for row in full["curves"]) == DUALITY_CURVES
     slim = duality_3.to_json(include_curves=False)
     assert "curves" not in slim
     assert slim["min_pairing"] == "0"

@@ -81,23 +81,23 @@ def test_records_of_different_types_with_the_same_fields_are_unequal():
     assert Root(beta) != InducedCurve(beta)
     assert Wall(Fraction(1), Fraction(2)) != (Fraction(1), Fraction(2))
     assert VerticalWall(Fraction(0)) != DegenerateWall(Fraction(0))
-    assert CurveRow("F", Fraction(0), 1, None) != ("F", Fraction(0), 1, None)
+    assert CurveRow("F", 1, Fraction(0), 1, None) != ("F", 1, Fraction(0), 1, None)
     assert C0 == ContractedCurve() and C0 != ()
     assert ZERO != ((0,) * 10, 1)
 
 
 def test_construction_checks_its_fields():
-    assert CurveRow("F", Fraction(0), 1, None) == CurveRow(
-        "F", Fraction(0), zero_count=1, witness=None
+    assert CurveRow("F", 1, Fraction(0), 1, None) == CurveRow(
+        "F", 1, Fraction(0), zero_count=1, witness=None
     )
     with pytest.raises(TypeError):
-        CurveRow("F", Fraction(0), 1)
+        CurveRow("F", 1, Fraction(0), 1)
     with pytest.raises(TypeError):
-        CurveRow("F", Fraction(0), 1, None, "extra")
+        CurveRow("F", 1, Fraction(0), 1, None, "extra")
     with pytest.raises(TypeError):
-        CurveRow("F", Fraction(0), 1, None, curve="F")
+        CurveRow("F", 1, Fraction(0), 1, None, curve="F")
     with pytest.raises(TypeError):
-        CurveRow("F", Fraction(0), 1, witness=None, note="")
+        CurveRow("F", 1, Fraction(0), 1, witness=None, note="")
 
 
 classes = st.builds(
