@@ -3,7 +3,11 @@
 The files under tests/golden/ were written by the CLI before the duality scan
 moved to per-degree dot profiles, before the rank-1 shape pool moved to E2..E9
 orbits and (the `coneconj cover` file) before the section transvections moved
-to one integer formula; any change to the certificate bytes fails here.  Regenerate
+to one integer formula; any change to the certificate bytes fails here.  The
+two `hilb check-theorem` files were written again when the scan began to print
+one curve row per S9 orbit of (-1)-curves, labelled by its representative
+with its arrangement count; each row is the earlier per-curve row of its
+representative plus that count.  Regenerate
 one with, e.g.,
 `PYTHONPATH=src python -m hilbnef hilb check-theorem --n 3 > tests/golden/hilb_check_theorem_n3.json`
 only when the output is meant to change.  The degree-3 `walls gieseker`
@@ -11,7 +15,8 @@ certificates (about 3 MB each) are pinned by their SHA-256 digest instead, and
 so are the degree-5 and degree-6 outputs in DEEP_DIGESTS, which were recorded
 from the CLI while the Weyl orbits still came from a breadth-first search and
 the duality scan still paired every orbit class with every curve (all but the
-`weyl orbit` reports, whose recording the DEEP_DIGESTS comment gives).
+`weyl orbit` reports and the degree-6 `hilb check-theorem` report, whose
+recording the DEEP_DIGESTS comment gives).
 """
 
 import hashlib
@@ -79,8 +84,10 @@ def test_degree3_walls_match_golden_digest(capsys, label, digest, size):
 
 
 # (name, argv, exit code, SHA-256 of stdout, stdout bytes).  `hilb check-theorem` at
-# degree 6 exits 1: 72 (-1)-curves of degree 6 have no orthogonality witness
-# inside the window, so this pins the window-edge output.  The degree-4 and
+# degree 6 exits 1: 72 (-1)-curves of degree 6, the S9 orbit of
+# 6H-3E1-2E2-...-2E8, have no orthogonality witness inside the window, so this
+# pins the window-edge output; it was recorded again when the scan began to
+# print one curve row per S9 orbit.  The degree-4 and
 # degree-5 `walls gieseker` certificates were recorded while the JSON writer
 # still built one dict per row; the A2 degree-4 digest is the `walls`
 # workload's in perfbench/expected.json.  The three `weyl orbit` reports were
@@ -102,8 +109,8 @@ DEEP_DIGESTS = [
         "hilb_check_theorem_n3_deg6",
         ["hilb", "check-theorem", "--n", "3", "--max-degree", "6"],
         1,
-        "d32a6ac60ecf0c79c969f3965ac396948221f579d5d9172ec4e4c165f3e5279f",
-        553460,
+        "75bbc49a606aa722c1fa04fddd930bf86c9d2da3c52c423a7d2d1a65dbd2e4a2",
+        2600,
     ),
     (
         "weyl_orbit_h_deg6",
