@@ -11,14 +11,16 @@ trees alternately, PAIRS pairs, the side that runs first alternating from
 pair to pair.  Each tree first runs one small command, untimed, so that its
 bytecode cache is written before the first timed run.  A run's stdout goes
 to a file, its wall time is read around the process and its peak RSS from
-`os.wait4`.
+`os.wait4`.  Linux carries the spawning process's own peak RSS over into
+the child's, so this script never holds a report in memory (it hashes the
+file in slices) and records its own peak, the floor under every sample.
 
 SCALING_<label>.json, written at the root of the checkout, holds per command
 its arguments and, per side, the wall-time and peak-RSS samples with their
 median and quartiles, and every run's exit code, stdout size and stdout
 SHA-256; per command whether the two sides printed the same bytes with the
-same exit code; and the Python version, nproc, both commits and the
-settings.
+same exit code; and the Python version, nproc, both commits, the settings
+and the script's own peak RSS.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -73,13 +76,16 @@ def run_once(tree: Path, args: list[str], out: Path) -> dict:
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)  # already reaped
-    data = out.read_bytes()
+    digest = hashlib.sha256()
+    with open(out, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
     return {
         "wall_s": round(wall, 4),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),  # ru_maxrss is in KiB
         "exit_code": proc.returncode,
-        "stdout_bytes": len(data),
-        "stdout_sha256": hashlib.sha256(data).hexdigest(),
+        "stdout_bytes": out.stat().st_size,
+        "stdout_sha256": digest.hexdigest(),
     }
 
 
@@ -122,6 +128,9 @@ def main() -> int:
             }
             entry["same_output"] = outputs["parent"] == outputs["change"]
             report["commands"][name] = entry
+    report["runner_peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2
+    )
     path = ROOT / f"SCALING_{args.label}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)
