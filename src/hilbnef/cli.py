@@ -42,14 +42,11 @@ from .reporting import dumps_json
 # written (the report's rendered blocks and their join, each about one
 # report), so degree 6 (4,305,881 shapes, about 390 MB of JSON) would need
 # about 860 MB.
-MAX_WALLS_DEGREE = 5  # --slice A2 --n 3: 1,104,956 shapes, 99 MB, 1.1-1.5 s, 217 MB
+MAX_WALLS_DEGREE = 5  # --slice A2 --n 3: 1,104,956 shapes, 99 MB, 1.0-1.2 s, 216 MB
 # `weyl orbit` prints one row per S9 orbit, so its report grows with the
 # sorted representatives, not with the classes: --start H at degree 15 walks
 # 98 representatives in 2-3 ms for 841,168 classes.  Degree 15 is where
 # MAX_ORBIT_SQUARES already stops --start H (16^2 - H.H = 255 > 225).
-# Degree 7 for the duality scan first needs orthogonality witnesses from
-# outside the degree window: at degree 6, 72 (-1)-curves of degree 6 already
-# have none inside it.
 MAX_ORBIT_DEGREE = 15  # weyl orbit --start H: 0.10-0.13 s, 16 MB
 # The orbit's walk visits, at each degree a of the window, the sorted b with
 # sum of squares a^2 - D.D (`weyl.weyl_orbit`), so its cost grows with -D.D
@@ -59,7 +56,11 @@ MAX_ORBIT_SQUARES = 225  # window^2 - D.D; one degree's walk: at most 0.08 s
 # over their sorted representatives and hardly depends on the divisor; the
 # cap keeps the run near half of a 4 s budget (250: 3.4-3.7 s, 28 MB).
 MAX_NEF_DEGREE = 200  # surface nef --divisor H or H-E1-E2: 1.7-2.1 s, 22 MB
-MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.44-0.50 s, 25 MB
+# The duality scan prints one row per S9 orbit of curves (12 at degree 6, for
+# 3,026 curves).  Degree 7 would first need orthogonality witnesses from
+# outside the degree window: at degree 6 the orbit of 6H-3E1-2E2-...-2E8 (72
+# curves) already has none inside it.
+MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.35-0.41 s, 20 MB
 MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 1.0-1.3 s, 24 MB
 # The cover unranks each generator it draws (`weyl.orbit_class`) and lists
 # no orbit.

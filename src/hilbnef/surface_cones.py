@@ -10,6 +10,7 @@ closed-form ampleness tests against the full, unbounded set of (-1)-curves.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .lattice import DivisorClass, E, F, H, dot_int, self_intersection
@@ -96,7 +97,7 @@ def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
 
 def _least_minus_one_pairings(
     nums: tuple[int, ...], max_h_degree: int
-) -> list[tuple[int, tuple[int, ...], int]]:
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """(a, b, least) per S9 orbit of (-1)-classes up to the degree bound, by
     nondecreasing degree: the orbit's sorted representative (a, b), b
     nonincreasing, and the least dot product of the numerators nums with a
@@ -107,10 +108,8 @@ def _least_minus_one_pairings(
     if max_h_degree < 0:
         raise ValueError("max_h_degree must be nonnegative")
     ascending = sorted(nums[1:])
-    return [
-        (a, b, nums[0] * a + sum(x * y for x, y in zip(ascending, b)))
-        for a, b in _representatives(E[8], max_h_degree)
-    ]
+    for a, b in _representatives(E[8], max_h_degree):
+        yield a, b, nums[0] * a + sum(x * y for x, y in zip(ascending, b))
 
 
 def _least_negative_arrangement(
