@@ -376,8 +376,8 @@ def _degree_orbits(a: int) -> tuple[tuple[tuple[int, ...], int, int, int, int], 
     """The E2..E9 orbits of candidate shapes -l of H-degree a: the E_i for
     a = 0 ({E1} and {E2..E9}), else aH - sum b_i E_i with 0 <= b_i <= a and
     sum b_i <= 3a (effectivity caps).  Rows are (representative shape with
-    e2 <= ... <= e9, orbit size 8!/prod m_k! (`weyl._arrangements`), fiber_degree, b1, sum of
-    b_2..b_9)."""
+    e2 <= ... <= e9, orbit size 8!/prod m_k! (`weyl._arrangements`),
+    fiber_degree, b1, sum of b_2..b_9)."""
     if a == 0:
         return ((_E_SHAPES[0], 1, 1, 0, 0), (_E_SHAPES[8], 8, 1, 0, 0))
     rows = []

@@ -389,7 +389,9 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
                         zeros[i] = z
         blocks.append((start, size, fiber))
         counts.append(tuple([{0: size}, {fiber: size}] + shape_counts))
-        first.append((least, least) + tuple(z and DivisorClass(z) for z in zeros))
+        first.append(
+            (least, least) + tuple(None if z is None else DivisorClass(z) for z in zeros)
+        )
     return _DotProfile(tuple(blocks), tuple(curves), tuple(counts), tuple(first))
 
 
