@@ -11,16 +11,18 @@ trees alternately, PAIRS pairs, the side that runs first alternating from
 pair to pair.  Each tree first runs one small command, untimed, so that its
 bytecode cache is written before the first timed run.  A run's stdout goes
 to a file, its wall time is read around the process and its peak RSS from
-`os.wait4`.  Linux carries the spawning process's own peak RSS over into
-the child's, so this script never holds a report in memory (it hashes the
-file in slices) and records its own peak, the floor under every sample.
+`os.wait4`.  Linux reports a child's peak RSS as at least the peak of the
+memory it was spawned from, which for this script, after the exports, is
+about 20 MB, more than some commands use.  So every run is spawned by a
+small helper process (SPAWNER), started before the exports; its own peak,
+the floor under every sample, is recorded too.
 
 SCALING_<label>.json, written at the root of the checkout, holds per command
 its arguments and, per side, the wall-time and peak-RSS samples with their
 median and quartiles, and every run's exit code, stdout size and stdout
 SHA-256; per command whether the two sides printed the same bytes with the
 same exit code; and the Python version, nproc, both commits, the settings
-and the script's own peak RSS.
+and the spawner's peak RSS.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ import argparse
 import hashlib
 import json
 import os
-import resource
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from bench import ROOT, SIDES, export, git, summary
@@ -63,27 +63,43 @@ COMMANDS = [
 ]
 WARM_UP = ["weyl", "orbit", "--start", "E9", "--max-degree", "0"]
 
+# Reads one JSON job [argv, env, stdout path] per line, runs it and answers
+# [wall seconds, peak RSS in KiB, exit code]; at the end of its input it
+# answers with the peak RSS of its own memory (VmHWM, in KiB), the one its
+# children are spawned from.
+SPAWNER = r"""
+import json, os, sys, time
+for line in sys.stdin:
+    argv, env, out = json.loads(line)
+    actions = [
+        (os.POSIX_SPAWN_OPEN, 1, out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644),
+        (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0),
+    ]
+    start = time.perf_counter()
+    pid = os.posix_spawn(argv[0], argv, env, file_actions=actions)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    print(json.dumps([wall, usage.ru_maxrss, os.waitstatus_to_exitcode(status)]), flush=True)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), flush=True)
+"""
 
-def run_once(tree: Path, args: list[str], out: Path) -> dict:
-    """One `python -m hilbnef` process in `tree`, stdout to `out`."""
+
+def run_once(spawner: subprocess.Popen, tree: Path, args: list[str], out: Path) -> dict:
+    """One `python -m hilbnef` process from `tree`, stdout to `out`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-m", "hilbnef", *args]
-    with open(out, "wb") as fh:
-        start = time.perf_counter()
-        proc = subprocess.Popen(
-            argv, cwd=tree, env=env, stdout=fh, stderr=subprocess.DEVNULL
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)  # already reaped
+    job = [[sys.executable, "-m", "hilbnef", *args], env, str(out)]
+    spawner.stdin.write(json.dumps(job) + "\n")
+    spawner.stdin.flush()
+    wall, rss_kib, code = json.loads(spawner.stdout.readline())
     digest = hashlib.sha256()
     with open(out, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return {
         "wall_s": round(wall, 4),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),  # ru_maxrss is in KiB
-        "exit_code": proc.returncode,
+        "peak_rss_mb": round(rss_kib / 1024, 2),
+        "exit_code": code,
         "stdout_bytes": out.stat().st_size,
         "stdout_sha256": digest.hexdigest(),
     }
@@ -103,16 +119,22 @@ def main() -> int:
         "settings": {"command": "python -m hilbnef", "pairs": PAIRS},
         "commands": {},
     }
+    spawner = subprocess.Popen(
+        [sys.executable, "-S", "-c", SPAWNER],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
     with tempfile.TemporaryDirectory(prefix="hilbnef-scaling-") as tmp:
         trees = {side: export(commits[side], Path(tmp) / side) for side in SIDES}
         out = Path(tmp) / "stdout"
         for side in SIDES:
-            run_once(trees[side], WARM_UP, out)
+            run_once(spawner, trees[side], WARM_UP, out)
         for name, argv in COMMANDS:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for i in range(PAIRS):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    run = run_once(trees[side], argv, out)
+                    run = run_once(spawner, trees[side], argv, out)
                     runs[side].append(run)
                     print(f"{name} pair {i} {side}: {run}", file=sys.stderr)
             entry: dict = {"argv": argv}
@@ -128,9 +150,9 @@ def main() -> int:
             }
             entry["same_output"] = outputs["parent"] == outputs["change"]
             report["commands"][name] = entry
-    report["runner_peak_rss_mb"] = round(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2
-    )
+    spawner.stdin.close()
+    report["spawner_peak_rss_mb"] = round(int(spawner.stdout.readline()) / 1024, 2)
+    spawner.wait()
     path = ROOT / f"SCALING_{args.label}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)
