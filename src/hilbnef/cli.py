@@ -42,7 +42,7 @@ from .reporting import dumps_json
 # written (the report's rendered blocks and their join, each about one
 # report), so degree 6 (4,305,881 shapes, about 390 MB of JSON) would need
 # about 860 MB.
-MAX_WALLS_DEGREE = 5  # --slice A2 --n 3: 1,104,956 shapes, 99 MB, 1.0-1.2 s, 216 MB
+MAX_WALLS_DEGREE = 5  # --slice A2 --n 3: 1,104,956 shapes, 99 MB, 1.0-1.2 s, 214 MB
 # `weyl orbit` prints one row per S9 orbit, so its report grows with the
 # sorted representatives, not with the classes: --start H at degree 15 walks
 # 98 representatives in 2-3 ms for 841,168 classes.  Degree 15 is where
@@ -60,8 +60,8 @@ MAX_NEF_DEGREE = 200  # surface nef --divisor H or H-E1-E2: 1.7-2.1 s, 22 MB
 # 3,026 curves).  Degree 7 would first need orthogonality witnesses from
 # outside the degree window: at degree 6 the orbit of 6H-3E1-2E2-...-2E8 (72
 # curves) already has none inside it.
-MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.35-0.41 s, 20 MB
-MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 1.0-1.3 s, 24 MB
+MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.33-0.41 s, 17 MB
+MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 0.63-0.81 s, 19 MB
 # The cover unranks each generator it draws (`weyl.orbit_class`) and lists
 # no orbit.
 MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 0.11-0.17 s, 16 MB
