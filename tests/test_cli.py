@@ -362,6 +362,19 @@ def _no_walls(*args, **kwargs):
     raise _WallsReached
 
 
+@pytest.mark.parametrize("degree", ["6", "1000"])
+def test_walls_gieseker_refuses_unlistable_degree(capsys, monkeypatch, degree):
+    # the degree is checked against MAX_WALLS_DEGREE: no wall is computed
+    monkeypatch.setattr(cli, "gieseker_wall", _no_walls)
+    code, out, err = run_cli(
+        capsys, ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", degree]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"--max-degree is {degree}, over this command's cap of 5" in err
+
+
 def test_walls_gieseker_lists_degree_five(capsys, monkeypatch):
     # degree 5 (1,104,956 shapes) is the cap and goes on to the walls
     assert cli.MAX_WALLS_DEGREE == 5
