@@ -18,14 +18,15 @@ which fix both slices, the twist and every filter and wall: one
 representative per orbit (E1, E9, or aH - sum b_i E_i with b2 >= ... >= b9)
 carries its orbit size, and the filters and walls run once per orbit.  The
 shape-by-shape candidate list is walked in pool order, in runs of shapes
-that share b1..b6, only when iterated or printed; the certificate's report
-renders it from one row layout per distinct filter and wall, a run at a
-time.
+that share b1..b6, only when iterated or printed.  The pool prints its own
+report rows (`CandidatePool.json_blocks`): one row rendered per distinct
+filter and wall, filled with each shape's text, one block of text per run.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +44,6 @@ from .lattice import (
 )
 from .hilb import HilbDivisor
 from .record import Record, _set
-from .rowtable import RowTable
 from .surface_cones import a1_polarization, a2_polarization
 from .weyl import _arrangements
 
@@ -355,9 +355,9 @@ class WallCandidate(Record):
 
     def to_json(self, shape_text: str) -> dict:
         """The candidate's report row, with shape_text as the text of its
-        shape.  Called on an orbit representative, it is the layout of the
-        rows of every shape with the same filter and wall (see
-        CandidatePool.row_table)."""
+        shape.  Rendered once on an orbit representative, it gives the rows
+        of every shape with the same filter and wall (see
+        CandidatePool.json_blocks)."""
         row: dict = {"shape": shape_text}
         row["filter"] = self.filtered_by
         if self.wall is not None:
@@ -463,9 +463,9 @@ class CandidatePool(Record):
     filter verdict and wall) with the orbit size.  len() is the number of
     shapes.  One walk, _runs, lists the shapes in pool order, in runs that
     share b1..b6.  Iterating expands it into every shape's candidate, each
-    reusing its orbit's filter name and Wall object; row_table() reads only
-    its layout indices and texts, for the report: one layout per distinct
-    (filter, wall), filled with each shape's text.
+    reusing its orbit's filter name and Wall object; json_blocks() reads
+    only each shape's orbit and text, and prints the report's candidate list
+    from one rendered row per distinct (filter, wall).
     """
 
     __slots__ = ("max_h_degree", "orbits")
@@ -505,26 +505,39 @@ class CandidatePool(Record):
                 rep = orbits[k][0]
                 yield WallCandidate(coords + tail, rep.filtered_by, rep.wall)
 
-    def row_table(self) -> RowTable:
-        """The candidate rows of the report.  A row's JSON depends on its
-        orbit only through the filter and the wall, so each distinct
-        (filter, wall) is one layout, the to_json of its first orbit's
-        representative, filled with each shape's text."""
-        layout_of: dict = {}
-        layouts = []
-        labels = []
+    def json_blocks(self, pad: str) -> list[str]:
+        """The candidate list as json.dumps(indent=2, sort_keys=True) prints
+        the list of every shape's to_json at the indent pad, in one block of
+        text per run, to be joined.  A row's JSON depends on its orbit only
+        through the filter and the wall, so each distinct (filter, wall) is
+        rendered once, from its first orbit's representative, and split
+        around the shape text into a head, which starts with the comma that
+        ends the row before, and a tail.  A run is one join of every row's
+        head, text and tail, so no string, tuple or list is kept per row.
+        Divisor texts need no JSON escaping, so they go in as they are."""
+        newline = "\n" + pad + "  "
+        piece_of: dict = {}
+        heads, tails, labels = [], [], []
         for rep, _ in self.orbits:
             key = (rep.filtered_by, rep.wall)
-            if key not in layout_of:
-                layout_of[key] = len(layouts)
-                layouts.append(rep.to_json)
-            labels.append(layout_of[key])
-
-        def runs():
-            for keys, _, text, tails, _ in self._runs(labels):
-                yield keys, [text + tail for tail in tails]
-
-        return RowTable(tuple(layouts), runs)
+            if key not in piece_of:
+                piece_of[key] = len(heads)
+                row = json.dumps(rep.to_json("\0"), indent=2, sort_keys=True)
+                head, tail = ("," + newline + row.replace("\n", newline)).split(
+                    "\\u0000"
+                )
+                heads.append(head)
+                tails.append(tail)
+            labels.append(piece_of[key])
+        blocks = []
+        for keys, _, text, text_tails, _ in self._runs(labels):
+            texts = [text + tail for tail in text_tails]
+            rows = zip(map(heads.__getitem__, keys), texts, map(tails.__getitem__, keys))
+            blocks.append("".join(itertools.chain.from_iterable(rows)))
+        # the first run holds the nine E_i, so the list is never empty
+        blocks[0] = "[" + blocks[0][1:]
+        blocks.append("\n" + pad + "]")
+        return blocks
 
 
 def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
@@ -629,8 +642,8 @@ class GiesekerCertificate(Record):
     candidates: CandidatePool
 
     def to_json(self, include_candidates: bool = True) -> dict:
-        """The certificate's report.  Its candidate list is a RowTable, for
-        reporting.dumps_json to render."""
+        """The certificate's report.  Its candidate list is the pool itself,
+        which reporting.dumps_json splices in from CandidatePool.json_blocks."""
         data = {
             "slice": self.slice_label,
             "n": self.n,
@@ -651,7 +664,7 @@ class GiesekerCertificate(Record):
             "certified": self.certified,
         }
         if include_candidates:
-            data["candidates"] = self.candidates.row_table()
+            data["candidates"] = self.candidates
         return data
 
 

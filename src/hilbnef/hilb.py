@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, lru_cache, total_ordering
+from functools import lru_cache, total_ordering
 
 from .lattice import (
     DivisorClass,
@@ -24,8 +24,12 @@ from .lattice import (
     intersect,
 )
 from .record import Record, _set
-from .surface_cones import _least_minus_one_pairings, is_nef_up_to_degree
-from .weyl import _arrangements, _permutations, _representatives, weyl_orbit
+from .surface_cones import (
+    _least_minus_one_pairings,
+    _least_pairing,
+    is_nef_up_to_degree,
+)
+from .weyl import _arrangements, _permutations, _representatives
 
 
 @total_ordering
@@ -418,11 +422,12 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     per column.  On a (-1)-curve ray.e = 0 (checked here), so a zero needs
     t = 0 whatever n is.  c.F is one value per block, so one identity
     x*(c.F) + ray.F_[n] = 0 checks that a whole orthogonal block kills the
-    induced fiber curve.  A candidate is built only to print it, and a block
-    is listed (`weyl_orbit`), with the curves of its negative columns, only
-    when the scan fails on it, to print its offenders.  `curve_candidates`
-    counts curves, not rows, and `pairings_checked` the (candidate, curve)
-    pairs certified.
+    induced fiber curve.  A candidate is built only to print it.  Only a
+    falsified scan expands classes: for each block with a negative column,
+    the S9 orbits of the block that can pair negatively with it, each with
+    the curves of those columns, to print its offenders, and a whole
+    orthogonal block whose identity fails.  `curve_candidates` counts curves,
+    not rows, and `pairings_checked` the (candidate, curve) pairs certified.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
@@ -434,45 +439,40 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     if any(ray_pairings[_FIBER_COLUMN + 1 :]):
         raise ValueError("the B-negative ray pairs nonzero with an induced (-1)-curve")
 
-    # (first candidate index, orbit block, x, orthogonal): c^[n] over each
-    # orbit block, then the fiber-orthogonal lifts of the two Weyl orbits
+    # (orbit block, x, orthogonal) in candidate order: c^[n] over each orbit
+    # block, then the fiber-orthogonal lifts of the two Weyl orbits
     blocks = []
     offset = 0
     for k, orthogonal in ((0, False), (1, False), (2, False), (1, True), (2, True)):
         _, size, fiber = profile.blocks[k]
         x = _orthogonal_scale(fiber, n) if orthogonal else Fraction(1)
-        blocks.append((offset, k, x, orthogonal))
+        blocks.append((k, x, orthogonal))
         offset += size
 
     def candidate(c: DivisorClass, orthogonal: bool) -> HilbDivisor:
         return fiber_orthogonal_lift(c, n) if orthogonal else lift(c)
 
-    @cache
-    def listed(block) -> list[tuple[int, HilbDivisor]]:
-        """A block's candidates with their indices, in candidate order; each
-        block is listed and lifted at most once."""
-        first_idx, k, _, orthogonal = block
-        orbit = weyl_orbit(profile.blocks[k][0], max_h_degree)
-        return [(i, candidate(c, orthogonal)) for i, c in enumerate(orbit, first_idx)]
+    def orbit(a: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The numerators of the classes of the S9 orbit of (a, -b)."""
+        return [(a,) + p for p in _permutations(tuple(-v for v in b))]
 
     # Per column: the minimum, the zero count, and the witness of the first
     # block with a zero.
     rows = []
-    negative: dict[tuple, list[int]] = {}  # block -> columns with a negative pairing
+    negative: dict[int, list[int]] = {}  # block position -> negative columns
     for m, (label, _, arrangements) in enumerate(profile.curves):
         s_m = ray_pairings[m]
         low: Fraction | None = None
         zero_count = 0
         witness = None
-        for block in blocks:
-            _, k, x, orthogonal = block
+        for j, (k, x, orthogonal) in enumerate(blocks):
             counts = profile.counts[k][m]
             s = s_m if orthogonal else 0
             value = x * min(counts) + s
             if low is None or value < low:
                 low = value
             if value < 0:
-                negative.setdefault(block, []).append(m)
+                negative.setdefault(j, []).append(m)
             t_zero = -s / x
             if t_zero.denominator == 1 and t_zero.numerator in counts:
                 zero_count += counts[t_zero.numerator]
@@ -480,37 +480,51 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
                     witness = str(candidate(profile.first[k][m], orthogonal))
         rows.append(CurveRow(label, arrangements, low, zero_count, witness))
 
-    # Only a falsified scan lists a block and pairs its candidates with every
-    # curve of its negative columns, to print each offender in
-    # candidate-major, then curve order: the contracted curve, the fiber
-    # curve, then the (-1)-curves by class.
+    # Only a falsified scan expands candidates, pairing each with every curve
+    # of the negative columns its S9 orbit can fail, to print each offender
+    # in candidate-major, then curve order: the contracted curve, the fiber
+    # curve, then the (-1)-curves by class.  On the contracted and the fiber
+    # curve t is constant on a block, so every orbit fails a negative one.
+    # On a (-1)-curve ray.e = 0, so the orbit's least pairing with the
+    # column's orbit is x times the rearrangement bound (`_least_pairing`).
     offenders = []
-    for block, columns in negative.items():
-        curves = []  # (order key, label, curve)
-        for m in columns:
-            label, curve, _ = profile.curves[m]
-            if m <= _FIBER_COLUMN:
-                curves.append(((m,), label, curve))
-            else:  # every arrangement of the representative, keyed by class
-                a, *e = curve.c.nums
-                for p in _permutations(tuple(e)):
-                    c = DivisorClass((a,) + p)
-                    curves.append(((_FIBER_COLUMN + 1, *c.nums), str(c), InducedCurve(c)))
-        for idx, d in listed(block):
-            for order, label, curve in curves:
-                value = pair_hilb(d, curve, n)
-                if value < 0:
-                    offenders.append((idx, order, f"{d} against {label}: {value}"))
-    violations = [line for _, _, line in sorted(offenders)]
+    for j, columns in negative.items():
+        k, x, orthogonal = blocks[j]
+        for a, b in _representatives(profile.blocks[k][0], max_h_degree):
+            curves = []  # (order key, label, curve)
+            for m in columns:
+                label, curve, _ = profile.curves[m]
+                if m <= _FIBER_COLUMN:
+                    curves.append(((m,), label, curve))
+                elif x * _least_pairing(curve.c.nums, a, b) < 0:
+                    # every arrangement of the representative, keyed by class
+                    e0, *e = curve.c.nums
+                    for p in _permutations(tuple(e)):
+                        c = DivisorClass((e0,) + p)
+                        curves.append(
+                            ((_FIBER_COLUMN + 1, *c.nums), str(c), InducedCurve(c))
+                        )
+            if not curves:
+                continue
+            for c in orbit(a, b):
+                d = candidate(DivisorClass(c), orthogonal)
+                for order, label, curve in curves:
+                    value = pair_hilb(d, curve, n)
+                    if value < 0:
+                        offenders.append(((j, c, order), f"{d} against {label}: {value}"))
+    violations = [line for _, line in sorted(offenders)]
 
     # One identity per orthogonal block, as c.F is constant on it.
     ray_fiber = ray_pairings[_FIBER_COLUMN]
-    for block in blocks:
-        _, k, x, orthogonal = block
-        if orthogonal and x * profile.blocks[k][2] + ray_fiber != 0:
+    for k, x, orthogonal in blocks:
+        start, _, fiber = profile.blocks[k]
+        if orthogonal and x * fiber + ray_fiber != 0:
+            reps = _representatives(start, max_h_degree)
+            # numerator order is class order, the order of a Weyl orbit
             violations += [
-                f"{d} is not orthogonal to the induced fiber curve"
-                for _, d in listed(block)
+                f"{candidate(DivisorClass(c), True)} is not orthogonal to the "
+                "induced fiber curve"
+                for c in sorted(c for a, b in reps for c in orbit(a, b))
             ]
 
     rows = tuple(rows)

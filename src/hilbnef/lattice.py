@@ -103,9 +103,6 @@ class DivisorClass(Record):
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def _over_common_den(
         self, other: "DivisorClass"
     ) -> tuple[tuple[int, ...], tuple[int, ...], int]:

@@ -14,14 +14,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain
 
 from .lattice import E, F, H, format_rational, intersect
 from .record import Record
-from .rowtable import RowTable
 from .weyl import reflect, root_basis
 from .hilb import fiber_orthogonal_lift
 from .bridgeland import (
+    CandidatePool,
     GiesekerFalsified,
     Wall,
     gieseker_wall,
@@ -185,73 +184,33 @@ def dumps_json(data) -> str:
     trailing newline, so identical runs produce identical bytes.
 
     One json.dumps(..., indent=2, sort_keys=True) lays out the report with a
-    mark string for each RowTable, and each table is spliced in at its mark,
-    at that line's indent, as the list json.dumps would print for its rows:
-    each row layout rendered once, each run of rows joined into one block.  A
-    report string that spells a mark raises ValueError.  The blocks are
-    joined at the end, so the peak holds the report about twice: the 20 MB
-    `walls gieseker` report at degree 4 peaks at 60 MB.
+    mark string for each CandidatePool, and each pool's list is spliced in
+    at its mark, at that line's indent, from CandidatePool.json_blocks: the
+    list json.dumps would print for its rows, one block of text per run.  A
+    report string that spells a mark raises ValueError, and any other object
+    json.dumps cannot print raises TypeError.  The blocks are joined at the
+    end, so the peak holds the report about twice: the 20 MB `walls
+    gieseker` report at degree 4 peaks at 60 MB.
     """
-    tables: list[RowTable] = []
+    pools: list[CandidatePool] = []
 
-    def mark_table(value):
-        if isinstance(value, RowTable):
-            tables.append(value)
-            return _mark(len(tables) - 1)
+    def mark_pool(value):
+        if isinstance(value, CandidatePool):
+            pools.append(value)
+            return f"\0{len(pools) - 1}\0"
         raise TypeError(f"{type(value).__name__} object is not JSON serializable")
 
-    parts = _MARK.split(json.dumps(data, indent=2, sort_keys=True, default=mark_table))
-    if parts[1::2] != [str(i) for i in range(len(tables))]:
-        raise ValueError("a report string spells the mark of a row table")
+    parts = _MARK.split(json.dumps(data, indent=2, sort_keys=True, default=mark_pool))
+    if parts[1::2] != [str(i) for i in range(len(pools))]:
+        raise ValueError("a report string spells the mark of a candidate pool")
     chunks = [parts[0]]
-    for table, after in zip(tables, parts[2::2]):
+    for pool, after in zip(pools, parts[2::2]):
         chunks[-1] = before = chunks[-1][:-1]  # the quotes around a mark go with it
         line = before[before.rfind("\n") + 1 :]
-        _render_rows(table, line[: len(line) - len(line.lstrip(" "))], chunks)
+        chunks += pool.json_blocks(line[: len(line) - len(line.lstrip(" "))])
         chunks.append(after[1:])
     chunks.append("\n")
     return "".join(chunks)
-
-
-def _render_rows(table: RowTable, pad: str, chunks: list[str]) -> None:
-    """Append the list json.dumps(indent=2) prints at indent pad for the rows
-    of table.  Each layout is rendered once and split at its string into a
-    head and a tail.  Each run of rows becomes one block of text, one join of
-    every row's head, string and tail, so no string, tuple or list is kept
-    per row."""
-    newline = "\n" + pad + "  "
-    heads, tails = _layout_pieces(table.layouts, newline)
-    first = len(chunks)
-    for keys, texts in table.runs():
-        rows = zip(map(heads.__getitem__, keys), texts, map(tails.__getitem__, keys))
-        block = "".join(chain.from_iterable(rows))
-        if block:
-            chunks.append(block)
-    if len(chunks) == first:
-        chunks.append("[]")
-        return
-    chunks[first] = "[" + chunks[first][1:]  # the first row's head has no comma
-    chunks.append("\n" + pad + "]")
-
-
-def _layout_pieces(layouts, newline: str) -> tuple[list[str], list[str]]:
-    """Every row layout rendered on a new line at its list indent and split
-    where its string goes: (heads, tails), one of each per layout.  A head
-    starts with the comma that ends the row before."""
-    mark = _mark(0)
-    heads, tails = [], []
-    for layout in layouts:
-        text = json.dumps(layout(mark), indent=2, sort_keys=True)
-        parts = _MARK.split("," + newline + text.replace("\n", newline))
-        if parts[1::2] != ["0"]:
-            raise ValueError(f"row layout {layout!r} must place its string once")
-        heads.append(parts[0])
-        tails.append(parts[2])
-    return heads, tails
-
-
-def _mark(i: int) -> str:  # stands for table i, or a row's string, until spliced in
-    return f"\0{i}\0"
 
 
 _MARK = re.compile(r"\\u0000(\d+)\\u0000")  # a mark as json.dumps prints it

@@ -39,9 +39,6 @@ class NefCertificate(Record):
     witness: DivisorClass | None
     witness_pairing: Fraction | None
 
-    def min_pairing(self) -> Fraction:
-        return self.lowest_pairing
-
     def to_json(self) -> dict:
         from .lattice import format_rational
 
@@ -49,7 +46,7 @@ class NefCertificate(Record):
             "divisor": self.divisor.to_json(),
             "degree_bound": self.degree_bound,
             "verdict": "nef_up_to_bound" if self.nef_up_to_bound else "not_nef",
-            "min_pairing": format_rational(self.min_pairing()),
+            "min_pairing": format_rational(self.lowest_pairing),
             "generators_checked": self.generators_checked,
         }
         if self.witness is not None:
@@ -101,15 +98,21 @@ def _least_minus_one_pairings(
     """(a, b, least) per S9 orbit of (-1)-classes up to the degree bound, by
     nondecreasing degree: the orbit's sorted representative (a, b), b
     nonincreasing, and the least dot product of the numerators nums with a
-    class of the orbit.  The class with numerators (a, -b_s(1), ...,
-    -b_s(9)) pairs with nums to nums0*a + sum nums_i*b_s(i), so by the
-    rearrangement inequality the least pairing puts b against nums's
-    E-numerators in ascending order."""
+    class of the orbit (`_least_pairing`)."""
     if max_h_degree < 0:
         raise ValueError("max_h_degree must be nonnegative")
-    ascending = sorted(nums[1:])
     for a, b in _representatives(E[8], max_h_degree):
-        yield a, b, nums[0] * a + sum(x * y for x, y in zip(ascending, b))
+        yield a, b, _least_pairing(nums, a, b)
+
+
+def _least_pairing(nums: tuple[int, ...], a: int, b: tuple[int, ...]) -> int:
+    """The least dot product of the numerators nums with a class (a,
+    -b_s(1), ..., -b_s(9)) over the arrangements s of b (nonincreasing):
+    that class pairs with nums to nums0*a + sum nums_i*b_s(i), least, by the
+    rearrangement inequality, with b against nums's E-numerators ascending.
+    It is also the least pairing over both S9 orbits, of nums and of the
+    class, since permuting both alike keeps a pairing."""
+    return nums[0] * a + sum(x * y for x, y in zip(sorted(nums[1:]), b))
 
 
 def _least_negative_arrangement(

@@ -48,13 +48,21 @@ def reflect(beta: Root | DivisorClass, d: DivisorClass) -> DivisorClass:
     return d + intersect(d, b) * b
 
 
+def _check_window(start: DivisorClass, max_h_degree: int) -> None:
+    """The ValueError of every orbit listing: a negative degree bound or a
+    start that is not integral."""
+    if max_h_degree < 0:
+        raise ValueError("max_h_degree must be nonnegative")
+    if not start.is_integral():
+        raise ValueError("orbit start must be integral")
+
+
 def enumerate_minus_one_classes(max_h_degree: int) -> list[DivisorClass]:
     """All integral C with C.C = -1, C.K = -1 and 0 <= C.H <= max_h_degree.
 
     These are exactly the classes of the Weyl orbit of E9 in that window.
     """
-    if max_h_degree < 0:
-        raise ValueError("max_h_degree must be nonnegative")
+    _check_window(E[8], max_h_degree)
     return list(_orbit_cached(E[8], max_h_degree))
 
 
@@ -71,20 +79,14 @@ def weyl_orbit(start: DivisorClass, max_h_degree: int) -> list[DivisorClass]:
     permutations.  The walk at degree a visits sorted b with sum of squares
     a^2 - D.D, so its cost grows with -D.D as well as with the window.
     """
-    if max_h_degree < 0:
-        raise ValueError("max_h_degree must be nonnegative")
-    if not start.is_integral():
-        raise ValueError("orbit start must be integral")
+    _check_window(start, max_h_degree)
     return list(_orbit_cached(start, max_h_degree))
 
 
 def orbit_size(start: DivisorClass, max_h_degree: int) -> int:
     """len(weyl_orbit(start, max_h_degree)), counted from the orbit's sorted
     representatives without listing its classes; same errors."""
-    if max_h_degree < 0:
-        raise ValueError("max_h_degree must be nonnegative")
-    if not start.is_integral():
-        raise ValueError("orbit start must be integral")
+    _check_window(start, max_h_degree)
     return sum(_arrangements(rep) for _, rep in _representatives(start, max_h_degree))
 
 
@@ -100,10 +102,7 @@ def orbit_class(start: DivisorClass, max_h_degree: int, i: int) -> DivisorClass:
     multisets {-b} that still hold v, exceed the remaining index (multiset
     unranking, Knuth, TAOCP 4A 7.2.1.2).
     """
-    if max_h_degree < 0:
-        raise ValueError("max_h_degree must be nonnegative")
-    if not start.is_integral():
-        raise ValueError("orbit start must be integral")
+    _check_window(start, max_h_degree)
     if i >= 0:
         for a, size, multisets in _degree_groups(start, max_h_degree):
             if i < size:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from hilbnef import cli, reporting, weyl
-from hilbnef.bridgeland import _degree_orbits
+from hilbnef import cli, weyl
+from hilbnef.bridgeland import CandidatePool, _degree_orbits
 from hilbnef.lattice import E, F, H, parse_divisor
 from hilbnef.weyl import weyl_orbit
 from hilbnef.cli import main
@@ -326,7 +326,7 @@ def test_row_rendering_crash_exits_three_and_writes_nothing(
     def broken(*a, **k):
         raise RuntimeError("row renderer bug")
 
-    monkeypatch.setattr(reporting, "_render_rows", broken)
+    monkeypatch.setattr(CandidatePool, "json_blocks", broken)
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(capsys, args + ["--out", str(out_path)])
     assert code == 3

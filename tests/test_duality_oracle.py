@@ -255,8 +255,8 @@ def s9_orbit(c: DivisorClass) -> list[DivisorClass]:
 def inject(monkeypatch, extra):
     """Weyl orbits with the S9 orbit of the non-nef class extra[start] added
     to the orbit of each start in extra: its sorted representative joins the
-    profile's representatives, and its classes join the block that a
-    falsified scan lists and the oracle's."""
+    representatives that the profile and a falsified scan read, and its
+    classes join the oracle's orbit."""
     real_representatives, real_orbit = hilb._representatives, weyl_orbit
 
     def representatives(start, max_h_degree):
@@ -271,9 +271,7 @@ def inject(monkeypatch, extra):
         return sorted(classes + s9_orbit(extra[start])) if start in extra else classes
 
     monkeypatch.setattr(hilb, "_representatives", representatives)
-    here = sys.modules[__name__]
-    for module in (hilb, here):
-        monkeypatch.setattr(module, "weyl_orbit", orbit)
+    monkeypatch.setattr(sys.modules[__name__], "weyl_orbit", orbit)
     hilb._dot_profile.cache_clear()
 
 
@@ -349,6 +347,32 @@ def test_falsified_scan_orders_offending_curves_across_orbits(monkeypatch):
     assert sum(a != b for a, b in zip(orbits, orbits[1:])) >= 2
 
 
+def test_falsified_scan_expands_only_orbits_that_can_fail(monkeypatch):
+    # 2H-5E1-5E2+E3+...+E9 (c.F = 3, as on the orbit of H) pairs negatively
+    # with (-1)-curves of several S9 orbits up to degree 4, both as c^[n] and
+    # as its fiber-orthogonal lift; the scan expands its 36 classes, not the
+    # whole blocks of W.H, so it stays fast at degree 4
+    bad = divisor(2, [-5, -5, 1, 1, 1, 1, 1, 1, 1])
+    inject(monkeypatch, {H: bad})
+    try:
+        report = cone_duality_check(3, 4)
+    finally:
+        hilb._dot_profile.cache_clear()
+    curves = [("contracted", C0), ("fiber", InducedCurve(F))]
+    curves += [(str(e), InducedCurve(e)) for e in enumerate_minus_one_classes(4)]
+    expected = []
+    for build in (lift, lambda c: fiber_orthogonal_lift(c, 3)):
+        for c in s9_orbit(bad):
+            d = build(c)
+            expected += [
+                f"{d} against {label}: {pair_hilb(d, curve, 3)}"
+                for label, curve in curves
+                if pair_hilb(d, curve, 3) < 0
+            ]
+    assert list(report.violations) == expected
+    assert len(expected) == 10296
+
+
 def test_ray_pairing_nonzero_with_a_minus_one_curve_is_rejected(monkeypatch):
     # n F^[n] - B/2 pairs n - (n - 1) = 1 with every induced (-1)-curve
     monkeypatch.setattr(hilb, "b_negative_ray", lambda n: HilbDivisor(n * F, Fraction(-1)))
@@ -379,7 +403,7 @@ def test_wrong_orthogonal_scale_matches_oracle(doubled_scale, n):
 
 
 def test_passing_scan_builds_only_printed_candidates(monkeypatch):
-    calls = {"fiber_orthogonal_lift": 0, "pair_hilb": 0, "weyl_orbit": 0}
+    calls = {"fiber_orthogonal_lift": 0, "pair_hilb": 0, "_permutations": 0}
     listed = []  # the start of every Weyl orbit listed
 
     def counted(name):
@@ -395,13 +419,11 @@ def test_passing_scan_builds_only_printed_candidates(monkeypatch):
     monkeypatch.setattr(
         weyl, "_orbit_cached", lambda start, k: listed.append(start) or real_listing(start, k)
     )
-    monkeypatch.setattr(hilb, "weyl_orbit", counted("weyl_orbit"))
     hilb._dot_profile.cache_clear()
     report = cone_duality_check(3, 3)  # a cold profile build
     # the blocks and the (-1)-curves come from S9 representatives: no orbit is listed
-    assert calls["weyl_orbit"] == 0
     assert listed == []
-    for name in ("fiber_orthogonal_lift", "pair_hilb"):
+    for name in calls:
         monkeypatch.setattr(hilb, name, counted(name))
     assert cone_duality_check(3, 3) == report
     assert report.passed
@@ -409,29 +431,35 @@ def test_passing_scan_builds_only_printed_candidates(monkeypatch):
     assert report.nef_candidate_count == 1 + 2 * (715 + 639)
     columns = len(report.curve_rows)
     assert columns == 6
+    assert calls["_permutations"] == 0  # no class of a block or a column expanded
     assert calls["pair_hilb"] <= columns  # ray.e, once per column
     assert calls["fiber_orthogonal_lift"] <= columns  # printed witnesses only
 
 
 def test_falsified_scan_lists_each_block_once(injected_orbits, monkeypatch):
     # the four blocks (c^[n] and the orthogonal lifts over W.H and W.(H-E1))
-    # each pair negatively with more than one column
-    listings, lifts = [], Counter()
-    real_orbit, real_lift = hilb.weyl_orbit, hilb.fiber_orthogonal_lift
+    # each pair negatively with more than one column, but only the injected
+    # S9 orbits can: only their classes are expanded, each once per block
+    lifts, lifted = Counter(), Counter()
+    real_lift, real_orthogonal = hilb.lift, hilb.fiber_orthogonal_lift
 
-    def orbit(start, max_h_degree):
-        listings.append(start)
-        return real_orbit(start, max_h_degree)
+    def lifting(c):
+        lifted[c] += 1
+        return real_lift(c)
 
-    def lifted(c, n):
+    def orthogonal(c, n):
         lifts[c] += 1
-        return real_lift(c, n)
+        return real_orthogonal(c, n)
 
-    monkeypatch.setattr(hilb, "weyl_orbit", orbit)
-    monkeypatch.setattr(hilb, "fiber_orthogonal_lift", lifted)
-    assert not cone_duality_check(3, 2).passed
-    # one listing per block: each Weyl orbit for its c^[n] and its lifts
-    assert Counter(listings) == {H: 2, H - E[0]: 2}
-    # each orthogonal candidate lifted once, and nothing else lifted
-    orthogonal = real_orbit(H, 2) + real_orbit(H - E[0], 2)
-    assert lifts == Counter(orthogonal)
+    monkeypatch.setattr(hilb, "lift", lifting)
+    monkeypatch.setattr(hilb, "fiber_orthogonal_lift", orthogonal)
+    report = cone_duality_check(3, 2)
+    assert not report.passed
+    bad = Counter(s9_orbit(BAD_H) + s9_orbit(BAD_RULING))
+    assert len(bad) == 9 + 72
+    # each orthogonal candidate of the injected orbits lifted once, and
+    # nothing else lifted
+    assert lifts == bad
+    # the same classes as c^[n], besides at most one printed witness per column
+    assert lifted & bad == bad
+    assert sum((lifted - bad).values()) <= len(report.curve_rows)

@@ -12,7 +12,8 @@ from hilbnef import (
     run_campaign,
     validate_campaign,
 )
-from hilbnef.rowtable import RowTable
+from hilbnef.bridgeland import rank1_candidates, slice_for
+from hilbnef.lattice import DivisorClass
 
 # the three wall-value rows, as (quoted, recomputed) exact rationals at n=3
 WALL_ROWS_N3 = {
@@ -71,74 +72,40 @@ def test_dumps_json_canonical():
     assert text.endswith("\n")
 
 
-def _point(x: str) -> dict:
-    # the string sits inside a list, between other keys
-    return {"x": [x, "0"], "w": "-2", "tag": "point"}
-
-
-def _pair(x: str) -> dict:
-    # a second layout, with empty and null values after its string
-    return {"x": x, "nested": {"empty": [], "none": None}, "a": [1]}
-
-
-POINTS = ["1", "3/4", "-2H+E9"]
-
-
-def _table(rows, run: int = 2) -> RowTable:
-    """The rows (layout, string) as a table handing them over `run` at a
-    time, after an empty run."""
-
-    def runs():
-        yield [], []
-        for start in range(0, len(rows), run):
-            part = rows[start : start + run]
-            yield [k for k, _ in part], [text for _, text in part]
-
-    return RowTable((_point, _pair), runs)
-
-
-def _expanded(rows) -> list:
-    return [(_point, _pair)[k](text) for k, text in rows]
+def _pool_and_rows(label: str, n: int, degree: int):
+    """A candidate pool and its rows as json.dumps prints them: one dict per
+    shape, in pool order."""
+    pool = rank1_candidates(slice_for(label, n), degree)
+    return pool, [cand.to_json(str(DivisorClass(cand.shape))) for cand in pool]
 
 
 @pytest.mark.parametrize(
-    "rows",
-    [
-        [(0, p) for p in POINTS],
-        [(1, "a"), (0, POINTS[0]), (1, "c"), (0, POINTS[2])],
-        [(1, "only")],
-        [],
-    ],
-    ids=["one-layout", "mixed", "single", "empty"],
+    "label,n,degree", [("A1", 3, 0), ("A2", 4, 1), ("A1", 5, 2), ("A2", 3, 2)]
 )
-def test_row_tables_render_as_json_dumps(rows):
-    # a table anywhere in the report prints as json.dumps of its row dicts,
-    # however its rows fall into runs
-    def report(table):
-        return {"z": 1, "rows": table, "deep": [{"b": table, "a": [1, {}]}, "s"]}
+def test_pools_render_as_json_dumps(label, n, degree):
+    # a pool at the top level, or two levels deep between other keys, prints
+    # as json.dumps of its rows
+    pool, rows = _pool_and_rows(label, n, degree)
 
-    nested = json.dumps(report(_expanded(rows)), indent=2, sort_keys=True) + "\n"
-    alone = json.dumps(_expanded(rows), indent=2, sort_keys=True) + "\n"
-    for run in (1, 2, 5):
-        assert dumps_json(report(_table(rows, run))) == nested
-        assert dumps_json(_table(rows, run)) == alone
+    def report(value):
+        return {"z": 1, "rows": value, "deep": [{"b": value, "a": [1, {}]}, "s"]}
+
+    assert dumps_json(pool) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    nested = json.dumps(report(rows), indent=2, sort_keys=True) + "\n"
+    assert dumps_json(report(pool)) == nested
 
 
-def test_row_table_errors():
+def test_pool_splice_errors():
     # int keys are fine: the report renders as json.dumps renders its rows
-    rows = [(0, p) for p in POINTS]
-    report = {2: [_table(rows)], 10: "x", 1: _table([])}
-    expanded = {2: [_expanded(rows)], 10: "x", 1: []}
+    pool, rows = _pool_and_rows("A1", 3, 0)
+    report = {2: [pool], 10: "x", 1: pool}
+    expanded = {2: [rows], 10: "x", 1: rows}
     assert dumps_json(report) == json.dumps(expanded, indent=2, sort_keys=True) + "\n"
-    # a table's rows are never spliced into a report string that spells a mark
+    # a pool's rows are never spliced into a report string that spells a mark
     for spelled in ("\x000\x00", "\x001\x00", "a\x000\x00b"):
-        for report in ({"a": spelled, "b": _table(rows)}, {spelled: _table(rows)}):
+        for report in ({"a": spelled, "b": pool}, {spelled: pool}):
             with pytest.raises(ValueError):
                 dumps_json(report)
-    # a layout must place its string exactly once
-    for layout in (lambda s: {"a": s, "b": s}, lambda s: {"a": "x"}):
-        with pytest.raises(ValueError):
-            dumps_json(RowTable((layout,), lambda: iter([([0], ["x"])])))
     with pytest.raises(TypeError):
         dumps_json({"a": object()})
 

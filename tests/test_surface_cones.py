@@ -110,7 +110,7 @@ def test_nef_examples():
     for name in ("H", "F", "H-E1", "K+2F"):
         cert = is_nef_up_to_degree(parse_divisor(name), 3)
         assert cert.nef_up_to_bound, name
-        assert cert.min_pairing() >= 0
+        assert cert.lowest_pairing >= 0
 
 
 def test_not_nef_witness():
@@ -122,7 +122,7 @@ def test_not_nef_witness():
 
 def test_nef_certificate_min_pairing():
     cert = is_nef_up_to_degree(H, 3)
-    assert cert.min_pairing() == 0  # H is orthogonal to every E_i
+    assert cert.lowest_pairing == 0  # H is orthogonal to every E_i
 
 
 @pytest.mark.parametrize("n", range(3, 13))
