@@ -507,8 +507,8 @@ class CandidatePool(Record):
 
     def json_blocks(self, pad: str) -> list[str]:
         """The candidate list as json.dumps(indent=2, sort_keys=True) prints
-        the list of every shape's to_json at the indent pad, in one block of
-        text per run, to be joined.  A row's JSON depends on its orbit only
+        the list of every shape's to_json at the indent pad, to be joined:
+        one block of text per run, then the closing bracket.  A row's JSON depends on its orbit only
         through the filter and the wall, so each distinct (filter, wall) is
         rendered once, from its first orbit's representative, and split
         around the shape text into a head, which starts with the comma that

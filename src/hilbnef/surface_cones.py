@@ -107,11 +107,11 @@ def _least_minus_one_pairings(
 
 def _least_pairing(nums: tuple[int, ...], a: int, b: tuple[int, ...]) -> int:
     """The least dot product of the numerators nums with a class (a,
-    -b_s(1), ..., -b_s(9)) over the arrangements s of b (nonincreasing):
-    that class pairs with nums to nums0*a + sum nums_i*b_s(i), least, by the
-    rearrangement inequality, with b against nums's E-numerators ascending.
-    It is also the least pairing over both S9 orbits, of nums and of the
-    class, since permuting both alike keeps a pairing."""
+    -b_s(1), ..., -b_s(9)) over the arrangements s of b (nonincreasing).
+    That class pairs with nums to nums0*a + sum nums_i*b_s(i), so by the
+    rearrangement inequality the least pairing puts b against nums's
+    E-numerators in ascending order.  Permuting both classes alike keeps a
+    pairing, so it is also the least pairing between their S9 orbits."""
     return nums[0] * a + sum(x * y for x, y in zip(sorted(nums[1:]), b))
 
 
