@@ -17,17 +17,15 @@ The rank-1 candidate pool is held as orbits of the permutations of E2..E9,
 which fix both slices, the twist and every filter and wall: one
 representative per orbit (E1, E9, or aH - sum b_i E_i with b2 >= ... >= b9)
 carries its orbit size, and the filters and walls run once per orbit.  The
-shape-by-shape candidate list is walked in pool order, in runs of shapes
-that share b1..b6, only when iterated or printed.  The pool prints its own
-report rows (`CandidatePool.json_blocks`): one row rendered per distinct
-filter and wall, filled with each shape's text, one block of text per run.
+report lists one candidate row per orbit, as `weyl orbit` lists one row per
+S9 orbit: the representative's text, the orbit size (`arrangements`), the
+filter and the wall.  The shape-by-shape list is walked, in pool order, only
+when the pool is iterated.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -353,13 +351,10 @@ class WallCandidate(Record):
     def shape_class(self) -> DivisorClass:
         return DivisorClass(self.shape)
 
-    def to_json(self, shape_text: str) -> dict:
-        """The candidate's report row, with shape_text as the text of its
-        shape.  Rendered once on an orbit representative, it gives the rows
-        of every shape with the same filter and wall (see
-        CandidatePool.json_blocks)."""
-        row: dict = {"shape": shape_text}
-        row["filter"] = self.filtered_by
+    def to_json(self) -> dict:
+        """The filter and, for a survivor, the wall: the part of a report row
+        that an orbit's shapes share (see CandidatePool.to_json)."""
+        row: dict = {"filter": self.filtered_by}
         if self.wall is not None:
             row["wall"] = self.wall.to_json()
         return row
@@ -368,7 +363,6 @@ class WallCandidate(Record):
 FILTER_ORDER = ("slope", "fiber_degree", "fiber_component", "ruling_excess")
 
 _E_SHAPES = tuple(tuple(int(j == i + 1) for j in range(RANK)) for i in range(9))
-_E_TEXTS = tuple(f"E{i}" for i in range(1, RANK))
 
 
 @lru_cache(maxsize=16)
@@ -391,63 +385,6 @@ def _degree_orbits(a: int) -> tuple[tuple[tuple[int, ...], int, int, int, int], 
     return tuple(rows)
 
 
-def _orbit_code(coords: tuple[int, ...]) -> int:
-    """The orbit of a shape aH - sum b_i E_i (a >= 1) as one integer: base-16
-    digit k counts the b_2..b_9 equal to k (at most 8 of them), and b1 sits
-    above digit a."""
-    a = coords[0]
-    return -coords[1] * 16 ** (a + 1) + sum(16 ** -e for e in coords[2:])
-
-
-@lru_cache(maxsize=16)
-def _terms(a: int) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]:
-    """(digit, terms) at degree a: digit[k] = 16**k is the _orbit_code digit
-    of a b_i = k, and terms[i][k] the text of -k E_(i+1)."""
-    digit = tuple(16**k for k in range(a + 1))
-    terms = tuple(
-        ("",) + tuple(f"-{'' if k == 1 else k}{name}" for k in range(1, a + 1))
-        for name in _E_TEXTS
-    )
-    return digit, terms
-
-
-@lru_cache(maxsize=64)
-def _suffixes(a: int, left: int) -> tuple[tuple[int, ...], tuple[str, ...], tuple]:
-    """The (b7, b8, b9) with 0 <= b_i <= a and b7 + b8 + b9 <= left, in
-    itertools.product order, as three columns: each one's _orbit_code
-    digits, its text tail and its coordinate tail (-b7, -b8, -b9)."""
-    digit, (*_, term7, term8, term9) = _terms(a)
-    rows = [
-        (digit[i] + digit[j] + digit[k], term7[i] + term8[j] + term9[k], (-i, -j, -k))
-        for i, j, k in itertools.product(range(a + 1), repeat=3)
-        if i + j + k <= left
-    ]
-    return tuple(zip(*rows))
-
-
-def _degree_runs(a: int):
-    """The shapes (a, -b1, ..., -b9) with 0 <= b_i <= a and sum b_i <= 3a, for
-    a >= 1, in itertools.product order of (b1, ..., b9), in runs that share
-    b1..b6: per run the prefix's coordinates (a, -b1, ..., -b6), its
-    _orbit_code and text (both built by prefix, the text that of
-    str(DivisorClass)), and the _suffixes table of the b7..b9 its budget
-    leaves."""
-    digit, terms = _terms(a)
-    head = "H" if a == 1 else f"{a}H"
-    rows = [
-        ((a, -b1), 3 * a - b1, b1 * 16 ** (a + 1), head + terms[0][b1])
-        for b1 in range(a + 1)
-    ]
-    for term in terms[1:6]:  # b2..b6
-        rows = [
-            (coords + (-k,), left - k, code + digit[k], text + term[k])
-            for coords, left, code, text in rows
-            for k in range(min(a, left) + 1)
-        ]
-    for coords, left, code, text in rows:
-        yield coords, code, text, _suffixes(a, left)
-
-
 def _is_fiber_multiple(coords: tuple[int, ...]) -> bool:
     a = coords[0]
     if a <= 0 or a % 3:
@@ -461,11 +398,8 @@ class CandidatePool(Record):
 
     orbits pairs each orbit's representative candidate (its sorted shape,
     filter verdict and wall) with the orbit size.  len() is the number of
-    shapes.  One walk, _runs, lists the shapes in pool order, in runs that
-    share b1..b6.  Iterating expands it into every shape's candidate, each
-    reusing its orbit's filter name and Wall object; json_blocks() reads
-    only each shape's orbit and text, and prints the report's candidate list
-    from one rendered row per distinct (filter, wall).
+    shapes.  The report lists one row per orbit (to_json); iterating expands
+    the pool into every shape's candidate, in pool order.
     """
 
     __slots__ = ("max_h_degree", "orbits")
@@ -475,69 +409,39 @@ class CandidatePool(Record):
     def __len__(self) -> int:
         return sum(size for _, size in self.orbits)
 
-    def _runs(self, labels: Sequence[int]):
-        """The shapes in pool order, in runs that share a prefix: per run the
-        label of each shape's orbit (labels[k] for orbit k), the prefix's
-        coordinates and text, and the columns of the shapes' text tails and
-        coordinate tails.  The E_i are one run (E1 is orbit 0, E2..E9 orbit
-        1); at each degree a >= 1 a run is a _degree_runs prefix, its labels
-        read from the codes."""
-        yield (labels[0],) + (labels[1],) * 8, (), "", _E_TEXTS, _E_SHAPES
-        for a in range(1, self.max_h_degree + 1):
-            label_of = {
-                _orbit_code(rep.shape): labels[k]
-                for k, (rep, _) in enumerate(self.orbits)
-                if rep.shape[0] == a
-            }
-            # a prefix's code fixes b1 and the multiset of b2..b6, hence its
-            # suffix table, so the labels are read once per code
-            keys_of: dict[int, list[int]] = {}
-            for coords, code, text, (deltas, tails, tail_coords) in _degree_runs(a):
-                keys = keys_of.get(code)
-                if keys is None:
-                    keys = keys_of[code] = [label_of[code + d] for d in deltas]
-                yield keys, coords, text, tails, tail_coords
-
     def __iter__(self):
-        orbits = self.orbits
-        for keys, coords, _, _, tail_coords in self._runs(range(len(orbits))):
-            for k, tail in zip(keys, tail_coords):
-                rep = orbits[k][0]
-                yield WallCandidate(coords + tail, rep.filtered_by, rep.wall)
+        """Every shape's candidate in pool order, each reusing its orbit's
+        filter name and Wall object: the E_i, then degree by degree the
+        shapes aH - sum b_i E_i with (b1, ..., b9) in itertools.product
+        order.  A shape's orbit is the one whose representative has its
+        E-coefficients after the first sorted."""
+        orbit_of = {rep.shape: rep for rep, _ in self.orbits}
+        for i, shape in enumerate(_E_SHAPES):
+            rep = orbit_of[_E_SHAPES[8 if i else 0]]
+            yield WallCandidate(shape, rep.filtered_by, rep.wall)
+        for a in range(1, self.max_h_degree + 1):
+            coefficients = range(0, -a - 1, -1)  # -b for b = 0..a
+            for head in itertools.product(coefficients, repeat=8):
+                left = 3 * a + sum(head)  # what sum b_i <= 3a leaves b9
+                for e9 in range(0, -min(a, left) - 1, -1):
+                    shape = (a,) + head + (e9,)
+                    rep = orbit_of[shape[:2] + tuple(sorted(shape[2:]))]
+                    yield WallCandidate(shape, rep.filtered_by, rep.wall)
 
-    def json_blocks(self, pad: str) -> list[str]:
-        """The candidate list as json.dumps(indent=2, sort_keys=True) prints
-        the list of every shape's to_json at the indent pad, to be joined:
-        one block of text per run, then the closing bracket.  A row's JSON depends on its orbit only
-        through the filter and the wall, so each distinct (filter, wall) is
-        rendered once, from its first orbit's representative, and split
-        around the shape text into a head, which starts with the comma that
-        ends the row before, and a tail.  A run is one join of every row's
-        head, text and tail, so no string, tuple or list is kept per row.
-        Divisor texts need no JSON escaping, so they go in as they are."""
-        newline = "\n" + pad + "  "
-        piece_of: dict = {}
-        heads, tails, labels = [], [], []
-        for rep, _ in self.orbits:
+    def to_json(self) -> list[dict]:
+        """The report's candidate list: one row per orbit, in the order of
+        orbits, with the orbit size as arrangements and the representative's
+        text.  Rows with the same filter and wall share one wall dict."""
+        verdicts: dict = {}
+        rows = []
+        for rep, size in self.orbits:
             key = (rep.filtered_by, rep.wall)
-            if key not in piece_of:
-                piece_of[key] = len(heads)
-                row = json.dumps(rep.to_json("\0"), indent=2, sort_keys=True)
-                head, tail = ("," + newline + row.replace("\n", newline)).split(
-                    "\\u0000"
-                )
-                heads.append(head)
-                tails.append(tail)
-            labels.append(piece_of[key])
-        blocks = []
-        for keys, _, text, text_tails, _ in self._runs(labels):
-            texts = [text + tail for tail in text_tails]
-            rows = zip(map(heads.__getitem__, keys), texts, map(tails.__getitem__, keys))
-            blocks.append("".join(itertools.chain.from_iterable(rows)))
-        # the first run holds the nine E_i, so the list is never empty
-        blocks[0] = "[" + blocks[0][1:]
-        blocks.append("\n" + pad + "]")
-        return blocks
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = rep.to_json()
+            text = str(rep.shape_class())
+            rows.append({"arrangements": size, "representative": text, **verdict})
+        return rows
 
 
 def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
@@ -642,8 +546,7 @@ class GiesekerCertificate(Record):
     candidates: CandidatePool
 
     def to_json(self, include_candidates: bool = True) -> dict:
-        """The certificate's report.  Its candidate list is the pool itself,
-        which reporting.dumps_json splices in from CandidatePool.json_blocks."""
+        """The certificate's report, with one candidate row per E2..E9 orbit."""
         data = {
             "slice": self.slice_label,
             "n": self.n,
@@ -664,7 +567,7 @@ class GiesekerCertificate(Record):
             "certified": self.certified,
         }
         if include_candidates:
-            data["candidates"] = self.candidates
+            data["candidates"] = self.candidates.to_json()
         return data
 
 

@@ -36,13 +36,11 @@ from .reporting import dumps_json
 
 # Caps, checked before any work.  Each comment gives one run at the cap (wall
 # time, peak RSS) on a 2-vCPU machine, Python 3.11.7.
-# `walls gieseker` lists every candidate shape, about 90 bytes of JSON each
-# (89.5 at degree 4, 90.0 at degree 5): --slice A2 --n 3 at degree 4 (227,112
-# shapes, 20 MB) runs in 0.4-0.5 s and 60 MB.  RSS is 2.2 bytes per byte
-# written (the report's rendered blocks and their join, each about one
-# report), so degree 6 (4,305,881 shapes, about 390 MB of JSON) would need
-# about 860 MB.
-MAX_WALLS_DEGREE = 5  # --slice A2 --n 3: 1,104,956 shapes, 99 MB, 1.0-1.2 s, 214 MB
+# `walls gieseker` prints one candidate row per E2..E9 orbit (55,013 rows at
+# degree 9, for 107,622,237 shapes), so its report grows with the orbits.
+# Degree 10 (--slice A2 --n 3: 14 MB, 3.8 s, 166 MB) would take nearly the
+# whole 4 s budget of the other caps and over four times their memory.
+MAX_WALLS_DEGREE = 9  # --slice A2 --n 3: 7.2 MB of JSON, 1.5-2.1 s, 92 MB
 # `weyl orbit` prints one row per S9 orbit, so its report grows with the
 # sorted representatives, not with the classes: --start H at degree 15 walks
 # 98 representatives in 2-3 ms for 841,168 classes.  Degree 15 is where
@@ -277,22 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The report is written in slices of this many characters, so that the text
-# stream encodes one slice at a time, not a second copy of the whole report.
-WRITE_SLICE = 1 << 20
-
-
-def _write(stream, text: str) -> None:
-    for start in range(0, len(text), WRITE_SLICE):
-        stream.write(text[start : start + WRITE_SLICE])
-
-
 def _write_stdout(text: str) -> bool:
     """Write and flush the report.  On a closed or unwritable stdout, print an
     error line, point stdout's descriptor at the null device so that the
     interpreter's flush at exit cannot fail again, and return False."""
     try:
-        _write(sys.stdout, text)
+        sys.stdout.write(text)
         sys.stdout.flush()
         return True
     except OSError as exc:
@@ -325,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                _write(fh, text)
+                fh.write(text)
         except OSError as exc:
             print(f"error: cannot write --out: {exc}", file=sys.stderr)
             return 2

@@ -12,7 +12,6 @@ values, so every disagreement here is survivable by construction.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .lattice import E, F, H, format_rational, intersect
@@ -20,7 +19,6 @@ from .record import Record
 from .weyl import reflect, root_basis
 from .hilb import fiber_orthogonal_lift
 from .bridgeland import (
-    CandidatePool,
     GiesekerFalsified,
     Wall,
     gieseker_wall,
@@ -181,36 +179,6 @@ def dominance_under_recomputed(n: int, max_h_degree: int = 3) -> bool:
 
 def dumps_json(data) -> str:
     """Canonical report serialization: sorted keys, two-space indent, and a
-    trailing newline, so identical runs produce identical bytes.
-
-    One json.dumps(..., indent=2, sort_keys=True) lays out the report with a
-    mark string for each CandidatePool, and each pool's list is spliced in
-    at its mark, at that line's indent, from CandidatePool.json_blocks: the
-    list json.dumps would print for its rows, one block of text per run.  A
-    report string that spells a mark raises ValueError, and any other object
-    json.dumps cannot print raises TypeError.  The blocks are joined at the
-    end, so the peak holds the report about twice: the 20 MB `walls
-    gieseker` report at degree 4 peaks at 60 MB.
-    """
-    pools: list[CandidatePool] = []
-
-    def mark_pool(value):
-        if isinstance(value, CandidatePool):
-            pools.append(value)
-            return f"\0{len(pools) - 1}\0"
-        raise TypeError(f"{type(value).__name__} object is not JSON serializable")
-
-    parts = _MARK.split(json.dumps(data, indent=2, sort_keys=True, default=mark_pool))
-    if parts[1::2] != [str(i) for i in range(len(pools))]:
-        raise ValueError("a report string spells the mark of a candidate pool")
-    chunks = [parts[0]]
-    for pool, after in zip(pools, parts[2::2]):
-        chunks[-1] = before = chunks[-1][:-1]  # the quotes around a mark go with it
-        line = before[before.rfind("\n") + 1 :]
-        chunks += pool.json_blocks(line[: len(line) - len(line.lstrip(" "))])
-        chunks.append(after[1:])
-    chunks.append("\n")
-    return "".join(chunks)
-
-
-_MARK = re.compile(r"\\u0000(\d+)\\u0000")  # a mark as json.dumps prints it
+    trailing newline, so identical runs produce identical bytes.  An object
+    json.dumps cannot print raises TypeError."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -210,7 +210,9 @@ def test_gieseker_json_toggle(gieseker_a1_3):
     slim = cert.to_json(include_candidates=False)
     assert "candidates" not in slim
     full = json.loads(dumps_json(cert.to_json()))
-    assert len(full["candidates"]) == CANDIDATE_TOTAL
+    # one row per E2..E9 orbit, the orbit sizes summing to the shape count
+    assert sum(row["arrangements"] for row in full["candidates"]) == CANDIDATE_TOTAL
+    assert len(full["candidates"]) == len(cert.candidates.orbits)
     assert slim["fiber_wall"] == {"center": "-1", "radius_sq": "1"}
 
 

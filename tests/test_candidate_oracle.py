@@ -8,12 +8,13 @@ from their names and from calling `bridgeland.wall_oracle` through the module
 computes each candidate wall with the closed form `numerical_wall`, so the
 equality tests also compare the two wall formulas on every surviving shape.
 
-The certificate's candidate list is rendered from one row layout per orbit
-and the shape texts built by prefix; its reference is json.dumps of the
-per-shape `WallCandidate.to_json` dicts, given str(DivisorClass(shape)) as
-the shape text.
+The certificate lists one candidate row per orbit: the representative's
+text, the orbit size (`arrangements`), the filter and the wall.  The tests
+expand each row into the distinct arrangements of its b2..b9 and compare the
+shapes, with the row's filter and wall, against the oracle's per-shape list.
 """
 
+import heapq
 import itertools
 import json
 from fractions import Fraction
@@ -38,7 +39,8 @@ from hilbnef.bridgeland import (
     slice_a1,
     slice_a2,
 )
-from hilbnef.lattice import RANK, DivisorClass, F, dot_int, format_rational
+from hilbnef.lattice import RANK, DivisorClass, F, dot_int, format_rational, parse_divisor
+from hilbnef.cli import main
 from hilbnef.reporting import dumps_json
 
 SLICES = {"A1": slice_a1, "A2": slice_a2}
@@ -47,19 +49,17 @@ SLICES = {"A1": slice_a1, "A2": slice_a2}
 def oracle_shape_pool(max_h_degree: int):
     """All candidate shapes -l: the E_i plus aH - sum b_i E_i with
     1 <= a <= bound, 0 <= b_i <= a, sum b_i <= 3a (effectivity caps).
-    Rows are (coords, fiber_degree, a, b1, sum of b_2..b_9)."""
-    rows = []
+    Yields rows (coords, fiber_degree, a, b1, sum of b_2..b_9)."""
     for i in range(9):
         coords = tuple(1 if j == i + 1 else 0 for j in range(RANK))
-        rows.append((coords, 1, 0, 0, 0))
+        yield coords, 1, 0, 0, 0
     for a in range(1, max_h_degree + 1):
         for b in itertools.product(range(a + 1), repeat=9):
             total = sum(b)
             if total > 3 * a:
                 continue
             coords = (a,) + tuple(-x for x in b)
-            rows.append((coords, 3 * a - total, a, b[0], total - b[0]))
-    return tuple(rows)
+            yield coords, 3 * a - total, a, b[0], total - b[0]
 
 
 def oracle_is_fiber_multiple(coords: tuple[int, ...]) -> bool:
@@ -70,13 +70,13 @@ def oracle_is_fiber_multiple(coords: tuple[int, ...]) -> bool:
     return all(e == -k for e in coords[1:])
 
 
-def oracle_rank1_candidates(sl, max_h_degree: int = 3) -> list[WallCandidate]:
+def oracle_rank1_candidates(sl, max_h_degree: int = 3):
+    """Yields every shape's WallCandidate, in oracle_shape_pool order."""
     if max_h_degree < 0:
         raise ValueError("max_h_degree >= 0 required")
     a_ints = sl.polarization.nums
     slope_cap = sl.n * sl.polarization.den
     ideal = ideal_points_char(sl.n)
-    out: list[WallCandidate] = []
     for coords, f_deg, a, b1, rest in oracle_shape_pool(max_h_degree):
         if dot_int(coords, a_ints) > slope_cap:
             filtered = "slope"
@@ -92,8 +92,7 @@ def oracle_rank1_candidates(sl, max_h_degree: int = 3) -> list[WallCandidate]:
         if filtered is None:
             l_cls = -1 * DivisorClass(coords)
             wall = bridgeland.wall_oracle(sl, line_bundle_char(l_cls), ideal)
-        out.append(WallCandidate(coords, filtered, wall))
-    return out
+        yield WallCandidate(coords, filtered, wall)
 
 
 def oracle_gieseker_wall(sl, max_h_degree: int = 3):
@@ -107,7 +106,7 @@ def oracle_gieseker_wall(sl, max_h_degree: int = 3):
             f"wall formulas disagree on the fiber wall: {fiber_wall} vs {oracle_fiber}"
         )
 
-    candidates = oracle_rank1_candidates(sl, max_h_degree)
+    candidates = list(oracle_rank1_candidates(sl, max_h_degree))
     eliminated = {name: 0 for name in FILTER_ORDER}
     survivors = 0
     empty_walls = 0
@@ -166,11 +165,53 @@ def oracle_gieseker_wall(sl, max_h_degree: int = 3):
     return fiber_wall, cert
 
 
-def oracle_certificate_text(cert) -> str:
-    """The certificate as json.dumps prints it with one dict per shape."""
-    data = cert.to_json(include_candidates=False)
-    data["candidates"] = [cand.to_json(str(cand.shape_class())) for cand in cert.candidates]
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def oracle_rows(candidates):
+    """(shape, filter, wall JSON or None) of each per-shape candidate."""
+    for cand in candidates:
+        wall = None if cand.wall is None else cand.wall.to_json()
+        yield cand.shape, cand.filtered_by, wall
+
+
+def _lex_arrangements(values):
+    """The distinct orderings of values, in lexicographic order (the next
+    permutation of each is found by the usual swap and reversal)."""
+    b = sorted(values)
+    while True:
+        yield tuple(b)
+        i = len(b) - 2
+        while i >= 0 and b[i] >= b[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(b) - 1
+        while b[j] <= b[i]:
+            j -= 1
+        b[i], b[j] = b[j], b[i]
+        b[i + 1 :] = reversed(b[i + 1 :])
+
+
+def _row_shapes(row):
+    """One orbit row's shapes, the distinct arrangements of its b2..b9, as
+    ((a, b1, ..., b9), (shape, filter, wall)) in lexicographic order; checks
+    that there are `arrangements` of them and that the representative is the
+    arrangement with e2 <= ... <= e9."""
+    nums = parse_divisor(row["representative"]).nums
+    assert list(nums[2:]) == sorted(nums[2:])
+    a, b1 = nums[0], -nums[1]
+    count = 0
+    for tail in _lex_arrangements([-e for e in nums[2:]]):
+        count += 1
+        shape = (a, -b1) + tuple(-x for x in tail)
+        yield (a, b1) + tail, (shape, row["filter"], row.get("wall"))
+    assert count == row["arrangements"]
+
+
+def expand_rows(rows):
+    """The shapes of every orbit row, each with its row's filter and wall, in
+    oracle_shape_pool order: the E_i, then (a, b1, ..., b9) lexicographic.
+    With b = -(E-coefficients) the E_i sort first and in index order too."""
+    for _, expanded in heapq.merge(*map(_row_shapes, rows)):
+        yield expanded
 
 
 CASES = [(label, n, 2) for label in SLICES for n in range(3, 13)]
@@ -186,49 +227,80 @@ def test_orbit_pool_matches_per_shape_oracle(label, n, degree):
     assert list(pool) == list(oracle_cert.candidates)
     wall, cert = gieseker_wall(sl, degree)
     assert wall == oracle_wall
-    assert dumps_json(cert.to_json()) == oracle_certificate_text(oracle_cert)
+    data = cert.to_json()
+    rows = data.pop("candidates")
+    assert data == oracle_cert.to_json(include_candidates=False)
+    assert list(expand_rows(rows)) == list(oracle_rows(oracle_cert.candidates))
+
+
+# degree 5 (1,104,956 shapes, about 20 s a case) on one n per slice
+EXPAND_CASES = [(label, n, d) for label in SLICES for n in (3, 5) for d in (0, 2)]
+EXPAND_CASES += [("A1", 5, 5), ("A2", 3, 5)]
+
+
+@pytest.mark.parametrize("label,n,degree", EXPAND_CASES)
+def test_orbit_rows_expand_to_oracle_shapes(label, n, degree):
+    # the printed rows, expanded shape by shape and merged into pool order,
+    # against the oracle's candidates, streamed so that no pool is held in
+    # memory
+    sl = SLICES[label](n)
+    cert = json.loads(dumps_json(gieseker_wall(sl, degree)[1].to_json()))
+    rows = cert["candidates"]
+    expanded = expand_rows(rows)
+    oracle = oracle_rows(oracle_rank1_candidates(sl, degree))
+    for got, want in zip(expanded, oracle, strict=True):
+        assert got == want
+    assert sum(row["arrangements"] for row in rows) == cert["candidate_count"]
+    survivors = sum(row["arrangements"] for row in rows if row["filter"] is None)
+    assert survivors == cert["survivor_count"]
 
 
 def test_shape_texts_match_divisor_strings():
-    # every shape up to degree 4, in pool order, against str(DivisorClass),
-    # and its rendered row against the shape's own row
+    # every orbit up to degree 4: its row names str(DivisorClass) of the
+    # representative, which reads back as that shape
     pool = rank1_candidates(slice_a2(3), 4)
-    rows = json.loads(dumps_json(pool))
-    for row, cand in zip(rows, pool, strict=True):
-        text = str(DivisorClass(cand.shape))
-        assert row["shape"] == text
-        assert row == cand.to_json(text)
+    rows = json.loads(dumps_json(pool.to_json()))
+    for row, (rep, size) in zip(rows, pool.orbits, strict=True):
+        text = str(DivisorClass(rep.shape))
+        assert row["representative"] == text
+        assert parse_divisor(text).nums == rep.shape
+        assert row == {"arrangements": size, "representative": text, **rep.to_json()}
 
 
 @pytest.mark.parametrize("label,n,degree", [("A1", 3, 4), ("A2", 3, 4), ("A2", 4, 3)])
 def test_one_layout_per_distinct_filter_and_wall(label, n, degree):
-    # the rendered rows without their shapes: one distinct row per distinct
-    # (filter, wall), fewer than the orbits
+    # the rows without their orbit: one distinct row per distinct (filter,
+    # wall), fewer than the orbits, and the rows of one wall share its dict
     pool = rank1_candidates(SLICES[label](n), degree)
     distinct = {(rep.filtered_by, rep.wall) for rep, _ in pool.orbits}
+    rows = pool.to_json()
     layouts = {
-        json.dumps({**row, "shape": None}, sort_keys=True)
-        for row in json.loads(dumps_json(pool))
+        json.dumps({**row, "arrangements": None, "representative": None}, sort_keys=True)
+        for row in rows
     }
     assert len(layouts) == len(distinct) < len(pool.orbits)
+    wall_dicts = {id(row["wall"]) for row in rows if "wall" in row}
+    assert len(wall_dicts) == sum(wall is not None for _, wall in distinct)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 4])
 @pytest.mark.parametrize("label,n", [("A1", 3), ("A2", 4)])
-def test_report_matches_per_shape_rows(label, n, degree):
-    # the whole `walls gieseker` report, its candidate rows rendered a run at
-    # a time, against json.dumps of one dict per shape, the shapes in the
-    # oracle's order; degree 0 lists only the E_i and degree 1 has the head
-    # "H"
-    wall, cert = gieseker_wall(SLICES[label](n), degree)
-    data = {"wall": wall.to_json(), "certificate": cert.to_json(include_candidates=False)}
-    shapes = [row[0] for row in oracle_shape_pool(degree)]
-    rows = data["certificate"]["candidates"] = []
-    for shape, cand in zip(shapes, cert.candidates, strict=True):
-        assert cand.shape == shape
-        rows.append(cand.to_json(str(DivisorClass(shape))))
-    expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    assert dumps_json({"wall": wall.to_json(), "certificate": cert.to_json()}) == expected
+def test_report_matches_per_shape_rows(capsys, label, n, degree):
+    # the whole `walls gieseker` report: the oracle certificate's fields, and
+    # candidate rows that expand into the oracle's per-shape rows; degree 0
+    # lists only the E_i and degree 1 has the representative "H"
+    oracle_wall, oracle_cert = oracle_gieseker_wall(SLICES[label](n), degree)
+    args = ["walls", "gieseker", "--slice", label, "--n", str(n)]
+    assert main(args + ["--max-degree", str(degree)]) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert dumps_json(data) == out
+    rows = data["certificate"].pop("candidates")
+    assert data == {
+        "wall": oracle_wall.to_json(),
+        "certificate": oracle_cert.to_json(include_candidates=False),
+    }
+    assert list(expand_rows(rows)) == list(oracle_rows(oracle_cert.candidates))
 
 
 POOL_COUNTS = {0: 9, 1: 139, 2: 3200, 3: 34162, 4: 227112}
@@ -236,7 +308,7 @@ POOL_COUNTS = {0: 9, 1: 139, 2: 3200, 3: 34162, 4: 227112}
 
 @pytest.mark.parametrize("degree,count", sorted(POOL_COUNTS.items()))
 def test_orbit_sizes_sum_to_pool_count(degree, count):
-    assert len(oracle_shape_pool(degree)) == count
+    assert sum(1 for _ in oracle_shape_pool(degree)) == count
     pool = rank1_candidates(slice_a2(3), degree)
     assert sum(size for _, size in pool.orbits) == count
     sizes = [row[1] for a in range(degree + 1) for row in bridgeland._degree_orbits(a)]

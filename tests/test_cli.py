@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hilbnef import cli, weyl
-from hilbnef.bridgeland import CandidatePool, _degree_orbits
+from hilbnef.bridgeland import WallCandidate, _degree_orbits
 from hilbnef.lattice import E, F, H, parse_divisor
 from hilbnef.weyl import weyl_orbit
 from hilbnef.cli import main
@@ -326,7 +326,7 @@ def test_row_rendering_crash_exits_three_and_writes_nothing(
     def broken(*a, **k):
         raise RuntimeError("row renderer bug")
 
-    monkeypatch.setattr(CandidatePool, "json_blocks", broken)
+    monkeypatch.setattr(WallCandidate, "to_json", broken)
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(capsys, args + ["--out", str(out_path)])
     assert code == 3
@@ -362,7 +362,7 @@ def _no_walls(*args, **kwargs):
     raise _WallsReached
 
 
-@pytest.mark.parametrize("degree", ["6", "1000"])
+@pytest.mark.parametrize("degree", ["10", "1000"])
 def test_walls_gieseker_refuses_unlistable_degree(capsys, monkeypatch, degree):
     # the degree is checked against MAX_WALLS_DEGREE: no wall is computed
     monkeypatch.setattr(cli, "gieseker_wall", _no_walls)
@@ -372,19 +372,31 @@ def test_walls_gieseker_refuses_unlistable_degree(capsys, monkeypatch, degree):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    assert f"--max-degree is {degree}, over this command's cap of 5" in err
+    assert f"--max-degree is {degree}, over this command's cap of 9" in err
 
 
-def test_walls_gieseker_lists_degree_five(capsys, monkeypatch):
-    # degree 5 (1,104,956 shapes) is the cap and goes on to the walls
-    assert cli.MAX_WALLS_DEGREE == 5
-    assert sum(row[1] for a in range(6) for row in _degree_orbits(a)) == 1_104_956
+def test_walls_gieseker_lists_degree_nine(capsys, monkeypatch):
+    # degree 9 (107,622,237 shapes) is the cap and goes on to the walls
+    assert cli.MAX_WALLS_DEGREE == 9
+    assert sum(row[1] for a in range(10) for row in _degree_orbits(a)) == 107_622_237
     monkeypatch.setattr(cli, "gieseker_wall", _no_walls)
     code, out, err = run_cli(
-        capsys, ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "5"]
+        capsys, ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "9"]
     )
     assert (code, out) == (3, "")  # the stub's exception surfaces as a crash
     assert "_WallsReached" in err
+
+
+def test_walls_gieseker_lists_degree_five(capsys):
+    # one row per E2..E9 orbit: 1,943 rows for 1,104,956 shapes
+    code, out, _ = run_cli(
+        capsys, ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "5"]
+    )
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    rows = cert["candidates"]
+    assert len(rows) == 1943
+    assert sum(row["arrangements"] for row in rows) == cert["candidate_count"] == 1_104_956
 
 
 # (argv before the capped value, flag, cap, the cli name doing the work)

@@ -73,41 +73,50 @@ def test_dumps_json_canonical():
 
 
 def _pool_and_rows(label: str, n: int, degree: int):
-    """A candidate pool and its rows as json.dumps prints them: one dict per
-    shape, in pool order."""
+    """A candidate pool and its report rows built here: one dict per E2..E9
+    orbit, in the order of pool.orbits."""
     pool = rank1_candidates(slice_for(label, n), degree)
-    return pool, [cand.to_json(str(DivisorClass(cand.shape))) for cand in pool]
+    rows = []
+    for rep, size in pool.orbits:
+        row = {
+            "arrangements": size,
+            "filter": rep.filtered_by,
+            "representative": str(DivisorClass(rep.shape)),
+        }
+        if rep.wall is not None:
+            row["wall"] = rep.wall.to_json()
+        rows.append(row)
+    return pool, rows
 
 
 @pytest.mark.parametrize(
     "label,n,degree", [("A1", 3, 0), ("A2", 4, 1), ("A1", 5, 2), ("A2", 3, 2)]
 )
 def test_pools_render_as_json_dumps(label, n, degree):
-    # a pool at the top level, or two levels deep between other keys, prints
-    # as json.dumps of its rows
+    # a pool's rows at the top level, or two levels deep between other keys,
+    # print as json.dumps of rows built one dict per orbit
     pool, rows = _pool_and_rows(label, n, degree)
 
     def report(value):
         return {"z": 1, "rows": value, "deep": [{"b": value, "a": [1, {}]}, "s"]}
 
-    assert dumps_json(pool) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert pool.to_json() == rows
+    assert dumps_json(pool.to_json()) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
     nested = json.dumps(report(rows), indent=2, sort_keys=True) + "\n"
-    assert dumps_json(report(pool)) == nested
+    assert dumps_json(report(pool.to_json())) == nested
 
 
-def test_pool_splice_errors():
-    # int keys are fine: the report renders as json.dumps renders its rows
+def test_dumps_json_prints_any_string_and_refuses_objects():
+    # int keys print as json.dumps prints them, and strings that hold NULs
+    # are plain strings
     pool, rows = _pool_and_rows("A1", 3, 0)
-    report = {2: [pool], 10: "x", 1: pool}
-    expanded = {2: [rows], 10: "x", 1: rows}
-    assert dumps_json(report) == json.dumps(expanded, indent=2, sort_keys=True) + "\n"
-    # a pool's rows are never spliced into a report string that spells a mark
-    for spelled in ("\x000\x00", "\x001\x00", "a\x000\x00b"):
-        for report in ({"a": spelled, "b": pool}, {spelled: pool}):
-            with pytest.raises(ValueError):
-                dumps_json(report)
-    with pytest.raises(TypeError):
-        dumps_json({"a": object()})
+    report = {2: [pool.to_json()], 10: "a\x000\x00b", 1: rows}
+    assert dumps_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    marks = {"\x000\x00": "\x001\x00"}
+    assert json.loads(dumps_json(marks)) == marks
+    for value in (object(), pool):
+        with pytest.raises(TypeError):
+            dumps_json({"a": value})
 
 
 def test_validate_campaign_bounds():

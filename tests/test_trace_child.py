@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ARGS = [
     ["campaign", "run", "--n-start", "3", "--n-end", "3", "--max-degree", "1"],
     ["coneconj", "cover", "--n", "3", "--samples", "2", "--max-degree", "1"],
+    ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "2"],
 ]
 
 
@@ -42,3 +43,9 @@ def test_tracer_keeps_cli_stdout(args):
     metrics = json.loads(traced.stderr.strip().splitlines()[-1])
     assert metrics["cli.self_s"] >= 0
     assert "translations.reduce_steps" in metrics
+    if args[0] == "walls":
+        # the tracer walks the pool shape by shape; the certificate sums the
+        # orbit sizes of its rows
+        cert = json.loads(plain.stdout)["certificate"]
+        assert metrics["bridgeland.shapes"] == cert["candidate_count"]
+        assert metrics["bridgeland.survivors"] == cert["survivor_count"]
