@@ -10,13 +10,17 @@ with its arrangement count; each row is the earlier per-curve row of its
 representative plus that count.  Regenerate
 one with, e.g.,
 `PYTHONPATH=src python -m hilbnef hilb check-theorem --n 3 > tests/golden/hilb_check_theorem_n3.json`
-only when the output is meant to change.  The degree-3 `walls gieseker`
-certificates (about 3 MB each) are pinned by their SHA-256 digest instead, and
+only when the output is meant to change.  The two `walls gieseker` files, the
+degree-3 `walls gieseker` digests and the three `walls_*` DEEP_DIGESTS were
+written again when the certificate began to list one candidate row per
+E2..E9 orbit, with its arrangement count, in place of one row per shape.
+The degree-3 `walls gieseker` certificates are pinned by their SHA-256
+digest instead of a file, and
 so are the degree-5 and degree-6 outputs in DEEP_DIGESTS, which were recorded
 from the CLI while the Weyl orbits still came from a breadth-first search and
 the duality scan still paired every orbit class with every curve (all but the
-`weyl orbit` reports and the degree-6 `hilb check-theorem` report, whose
-recording the DEEP_DIGESTS comment gives).
+`weyl orbit` and `walls gieseker` reports and the degree-6 `hilb
+check-theorem` report, whose recording the DEEP_DIGESTS comment gives).
 """
 
 import hashlib
@@ -56,13 +60,13 @@ CASES = [
 DIGESTS = [
     (
         "A1",
-        "ac1e799a03372214c88ccd42dd388712b22e766c237a902406176bdfd5dd8b28",
-        2967751,
+        "e8faa5a7d9c1b53021cc15c03e07c981791befbee9eaf027cb643aea70d7a280",
+        23997,
     ),
     (
         "A2",
-        "967bfd8a70e6cab70f5f7f41b0037647555d4893802478efebd9778a30ba35e8",
-        3066516,
+        "ca658accd16d052763df216aa3d48942dbffebe8b78840cf49238c6cf269d1f5",
+        24840,
     ),
 ]
 
@@ -88,9 +92,10 @@ def test_degree3_walls_match_golden_digest(capsys, label, digest, size):
 # 6H-3E1-2E2-...-2E8, have no orthogonality witness inside the window, so this
 # pins the window-edge output; it was recorded again when the scan began to
 # print one curve row per S9 orbit.  The degree-4 and
-# degree-5 `walls gieseker` certificates were recorded while the JSON writer
-# still built one dict per row; the A2 degree-4 digest is the `walls`
-# workload's in perfbench/expected.json.  The three `weyl orbit` reports were
+# degree-5 `walls gieseker` certificates were recorded again when the
+# certificate began to list one candidate row per E2..E9 orbit; the A2
+# degree-4 one is the `walls` workload's output, whose digest in
+# perfbench/expected.json still pins the earlier per-shape bytes.  The three `weyl orbit` reports were
 # recorded when it began to print one row per sorted S9 representative with
 # its arrangement count instead of every class; each row expands to the
 # listed orbit in tests/test_cli.py.  The
@@ -137,22 +142,22 @@ DEEP_DIGESTS = [
         "walls_a2_n3_deg4",
         ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "4"],
         0,
-        "416c8aea30e54fc4a42cb4e34b92b0638d262ddcc217c23acdb486480dfba25c",
-        20325500,
+        "41a1513ee70336c343925612f0ca582817a60e6caf0316974cce7cc241ee709c",
+        83698,
     ),
     (
         "walls_a2_n3_deg5",
         ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "5"],
         0,
-        "192a5ecfb4006d1d7cc0a46ae3d3ac0b4cd682c9a235ca0ac1668aad27c89659",
-        99424319,
+        "be73a6b42b9021871685b5b0b8815cb85148f775b5d1251d02f22f2471dc568c",
+        246043,
     ),
     (
         "walls_a1_n5_deg4",
         ["walls", "gieseker", "--slice", "A1", "--n", "5", "--max-degree", "4"],
         0,
-        "66b8765b2f7079e2e1fdb792cd43ddc145f35d0d56c4e4eb451b38b6bdad47cd",
-        19452345,
+        "390f07c2860fdb3c70f339d8895a924b679459447d859c63b7461360623beedb",
+        80747,
     ),
     (
         "weyl_orbit_h_deg8",
