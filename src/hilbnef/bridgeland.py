@@ -385,6 +385,18 @@ def _degree_orbits(a: int) -> tuple[tuple[tuple[int, ...], int, int, int, int], 
     return tuple(rows)
 
 
+def _pool_shapes(max_h_degree: int):
+    """Every candidate shape in pool order: the E_i, then degree by degree the
+    aH - sum b_i E_i with (b1, ..., b9) in itertools.product order."""
+    yield from _E_SHAPES
+    for a in range(1, max_h_degree + 1):
+        coefficients = range(0, -a - 1, -1)  # -b for b = 0..a
+        for head in itertools.product(coefficients, repeat=8):
+            left = 3 * a + sum(head)  # what sum b_i <= 3a leaves b9
+            for e9 in range(0, -min(a, left) - 1, -1):
+                yield (a,) + head + (e9,)
+
+
 def _is_fiber_multiple(coords: tuple[int, ...]) -> bool:
     a = coords[0]
     if a <= 0 or a % 3:
@@ -410,23 +422,13 @@ class CandidatePool(Record):
         return sum(size for _, size in self.orbits)
 
     def __iter__(self):
-        """Every shape's candidate in pool order, each reusing its orbit's
-        filter name and Wall object: the E_i, then degree by degree the
-        shapes aH - sum b_i E_i with (b1, ..., b9) in itertools.product
-        order.  A shape's orbit is the one whose representative has its
-        E-coefficients after the first sorted."""
+        """Every shape's candidate in pool order (_pool_shapes), each reusing
+        its orbit's filter name and Wall object."""
         orbit_of = {rep.shape: rep for rep, _ in self.orbits}
-        for i, shape in enumerate(_E_SHAPES):
-            rep = orbit_of[_E_SHAPES[8 if i else 0]]
+        for shape in _pool_shapes(self.max_h_degree):
+            # the representative has the shape's a and e1, and e2 <= ... <= e9
+            rep = orbit_of[shape[:2] + tuple(sorted(shape[2:]))]
             yield WallCandidate(shape, rep.filtered_by, rep.wall)
-        for a in range(1, self.max_h_degree + 1):
-            coefficients = range(0, -a - 1, -1)  # -b for b = 0..a
-            for head in itertools.product(coefficients, repeat=8):
-                left = 3 * a + sum(head)  # what sum b_i <= 3a leaves b9
-                for e9 in range(0, -min(a, left) - 1, -1):
-                    shape = (a,) + head + (e9,)
-                    rep = orbit_of[shape[:2] + tuple(sorted(shape[2:]))]
-                    yield WallCandidate(shape, rep.filtered_by, rep.wall)
 
     def to_json(self) -> list[dict]:
         """The report's candidate list: one row per orbit, in the order of

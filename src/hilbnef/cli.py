@@ -40,7 +40,7 @@ from .reporting import dumps_json
 # degree 9, for 107,622,237 shapes), so its report grows with the orbits.
 # Degree 10 (--slice A2 --n 3: 14 MB, 3.8 s, 166 MB) would take nearly the
 # whole 4 s budget of the other caps and over four times their memory.
-MAX_WALLS_DEGREE = 9  # --slice A2 --n 3: 7.2 MB of JSON, 1.5-2.1 s, 92 MB
+MAX_WALLS_DEGREE = 9  # --slice A2 --n 3: 7.2 MB of JSON, 1.5-2.0 s, 92 MB
 # `weyl orbit` prints one row per S9 orbit, so its report grows with the
 # sorted representatives, not with the classes: --start H at degree 15 walks
 # 98 representatives in 2-3 ms for 841,168 classes.  Degree 15 is where
