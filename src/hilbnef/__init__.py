@@ -12,7 +12,6 @@ from .lattice import (
     divisor,
     format_rational,
     intersect,
-    is_minus_one_class,
     parse_divisor,
     self_intersection,
 )
@@ -40,15 +39,12 @@ from .hilb import (
     DualityReport,
     HilbDivisor,
     InducedCurve,
-    MembershipCertificate,
     b_negative_ray,
     bounding_cone_decompose,
-    bounding_cone_membership,
     cone_duality_check,
     fiber_orthogonal_lift,
     lift,
     pair_hilb,
-    recompose,
 )
 from .bridgeland import (
     CandidatePool,
@@ -63,7 +59,6 @@ from .bridgeland import (
     gieseker_wall,
     ideal_points_char,
     line_bundle_char,
-    mu_ap,
     nef_from_wall,
     numerical_wall,
     rank1_candidates,
@@ -80,19 +75,12 @@ from .translations import (
     CoverageConfig,
     CoverageReport,
     CoverageTrial,
-    LatticeMap,
-    Translation,
     coverage_experiment,
-    low_degree_sections,
     reduce_surface_class,
-    translation,
-    verify_weyl_necessary_conditions,
-    weyl_condition_failures,
 )
 from .reporting import (
     DiscrepancyRow,
     discrepancy_table,
-    dominance_under_recomputed,
     dumps_json,
 )
 from .campaign import (

@@ -59,16 +59,6 @@ class ChernChar(Record):
         _set(self, "c1", c1)
         _set(self, "ch2", ch2 if type(ch2) is Fraction else Fraction(ch2))
 
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "c1": self.c1.to_json(),
-            "ch2": format_rational(self.ch2),
-        }
-
-    def __str__(self) -> str:
-        return f"({self.rank}, {self.c1}, {format_rational(self.ch2)})"
-
 
 def twist(ch: ChernChar, q: DivisorClass) -> ChernChar:
     """exp(-q)-twisted character: (r, c1 - r q, ch2 - q.c1 + r q^2/2)."""
@@ -146,14 +136,6 @@ class Slice(Record):
             a_squared,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "polarization": self.polarization.to_json(),
-            "twist": self.twist.to_json(),
-            "n": self.n,
-        }
-
 
 def slice_a1(n: int) -> Slice:
     """Slice on the H-family polarization (n/3)H + (n - 3/2)F, twist -F."""
@@ -178,13 +160,6 @@ def _slope_and_discriminant(sl: Slice, ch: ChernChar) -> tuple[Fraction, Fractio
     scale = sl.a_squared * ch.rank
     mu = intersect(sl.polarization, tw.c1) / scale
     return mu, mu * mu / 2 - tw.ch2 / scale
-
-
-def mu_ap(sl: Slice, ch: ChernChar) -> Fraction | None:
-    """Twisted slope A.ch1^P / (A^2 ch0).  None encodes +infinity (rank 0)."""
-    if ch.rank == 0:
-        return None
-    return _slope_and_discriminant(sl, ch)[0]
 
 
 class Wall(Record):
@@ -218,9 +193,6 @@ class VerticalWall(Record):
     __slots__ = ("s",)
     s: Fraction
 
-    def to_json(self) -> dict:
-        return {"vertical_at": format_rational(self.s)}
-
     def __str__(self) -> str:
         return f"vertical wall s = {format_rational(self.s)}"
 
@@ -230,9 +202,6 @@ class DegenerateWall(Record):
 
     __slots__ = ("everywhere",)
     everywhere: bool
-
-    def to_json(self) -> dict:
-        return {"degenerate": "everywhere" if self.everywhere else "empty"}
 
     def __str__(self) -> str:
         return "degenerate wall (everywhere)" if self.everywhere else "empty wall locus"

@@ -24,11 +24,7 @@ from .lattice import (
     intersect,
 )
 from .record import Record, _set
-from .surface_cones import (
-    _least_minus_one_pairings,
-    _least_pairing,
-    is_nef_up_to_degree,
-)
+from .surface_cones import _least_pairing, is_nef_up_to_degree
 from .weyl import _arrangements, _permutations, _representatives
 
 
@@ -60,18 +56,6 @@ class HilbDivisor(Record):
         return HilbDivisor(s * self.surf, s * self.b_half)
 
     __rmul__ = __mul__
-
-    def to_json(self) -> dict:
-        return {"surf": self.surf.to_json(), "b_half": format_rational(self.b_half)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HilbDivisor":
-        """The divisor of {"surf": class, "b_half": x} with x a rational text
-        or an int; a float or bool, not read exactly, is refused."""
-        b_half = data["b_half"]
-        if type(b_half) not in (str, int):
-            raise ValueError(f"b_half {b_half!r} is neither a rational text nor an int")
-        return cls(DivisorClass.from_json(data["surf"]), Fraction(b_half))
 
     def __str__(self) -> str:
         if self.b_half == 0:
@@ -142,80 +126,6 @@ def fiber_orthogonal_lift(c: DivisorClass, n: int) -> HilbDivisor:
     return HilbDivisor(x * c + ray.surf, ray.b_half)
 
 
-class MembershipCertificate(Record):
-    """Pairings of a divisor against the contracted curve, the induced fiber
-    curve, and the least one against an induced (-1)-curve up to the degree
-    bound."""
-
-    __slots__ = (
-        "divisor",
-        "n",
-        "degree_bound",
-        "in_cone",
-        "contracted_pairing",
-        "fiber_pairing",
-        "min_curve_pairing",
-        "violations",
-    )
-    divisor: HilbDivisor
-    n: int
-    degree_bound: int
-    in_cone: bool
-    contracted_pairing: Fraction
-    fiber_pairing: Fraction
-    min_curve_pairing: Fraction
-    violations: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "divisor": self.divisor.to_json(),
-            "n": self.n,
-            "degree_bound": self.degree_bound,
-            "in_cone": self.in_cone,
-            "pairings": {
-                "contracted_curve": format_rational(self.contracted_pairing),
-                "induced_fiber": format_rational(self.fiber_pairing),
-                "min_induced_minus_one": format_rational(self.min_curve_pairing),
-            },
-            "violations": list(self.violations),
-        }
-
-
-def bounding_cone_membership(
-    d: HilbDivisor, n: int, max_h_degree: int = 3
-) -> MembershipCertificate:
-    """Check nonnegativity against the known curve classes (degree-bounded).
-
-    A (-1)-curve e has genus 0, so d pairs with its induced curve to
-    e.surf + b_half*(n - 1): the least of these takes each S9 orbit's least
-    e.surf (`surface_cones._least_minus_one_pairings`)."""
-    c0_val = pair_hilb(d, C0, n)
-    fib_val = pair_hilb(d, InducedCurve(F), n)
-    least = min(p for _, _, p in _least_minus_one_pairings(d.surf.nums, max_h_degree))
-    min_val = Fraction(least, d.surf.den) + d.b_half * (n - 1)
-    violations = []
-    if c0_val < 0:
-        violations.append("not nef: negative against the contracted curve")
-    if fib_val < 0:
-        violations.append(
-            f"not nef: pairs {format_rational(fib_val)} with the induced fiber curve"
-        )
-    if min_val < 0:
-        violations.append(
-            f"not nef: pairs {format_rational(min_val)} with an induced (-1)-curve"
-        )
-    return MembershipCertificate(
-        divisor=d,
-        n=n,
-        degree_bound=max_h_degree,
-        in_cone=not violations,
-        contracted_pairing=c0_val,
-        fiber_pairing=fib_val,
-        min_curve_pairing=min_val,
-        violations=tuple(violations),
-    )
-
-
 class DecompositionError(ValueError):
     """Raised when a divisor cannot be written as nef part plus B-negative ray."""
 
@@ -256,10 +166,6 @@ def bounding_cone_decompose(
             pairing=cert.witness_pairing,
         )
     return part, -d.b_half
-
-
-def recompose(nef_part: DivisorClass, t: Fraction, n: int) -> HilbDivisor:
-    return lift(nef_part) + t * b_negative_ray(n)
 
 
 class CurveRow(Record):

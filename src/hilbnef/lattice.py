@@ -206,13 +206,6 @@ def arithmetic_genus(c: DivisorClass) -> Fraction:
     return 1 + (intersect(c, c) + intersect(c, K)) / 2
 
 
-def is_minus_one_class(c: DivisorClass) -> bool:
-    """C.C = -1 and C.K = -1; such classes have C.F = 1 and genus 0."""
-    if not c.is_integral():
-        return False
-    return intersect(c, c) == -1 and intersect(c, K) == -1
-
-
 _TERM_RE = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*\*?\s*(H|F|K|E[1-9])\s*")
 
 _NAMED: dict[str, DivisorClass] = {"H": H, "F": F, "K": K}

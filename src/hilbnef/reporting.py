@@ -19,9 +19,7 @@ from .record import Record
 from .weyl import reflect, root_basis
 from .hilb import fiber_orthogonal_lift
 from .bridgeland import (
-    GiesekerFalsified,
     Wall,
-    gieseker_wall,
     ideal_points_char,
     line_bundle_char,
     numerical_wall,
@@ -164,17 +162,6 @@ def discrepancy_table(n: int) -> tuple[DiscrepancyRow, ...]:
     )
 
     return tuple(rows)
-
-
-def dominance_under_recomputed(n: int, max_h_degree: int = 3) -> bool:
-    """True when the extremal-wall certificate goes through on both slices
-    using only recomputed values (the quoted centers would break it)."""
-    for sl in (slice_a1(n), slice_a2(n)):
-        try:
-            gieseker_wall(sl, max_h_degree)
-        except GiesekerFalsified:
-            return False
-    return True
 
 
 def dumps_json(data) -> str:

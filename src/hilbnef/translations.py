@@ -3,36 +3,30 @@
 Every (-1)-class P with P.F = 1 determines an integral isometry
     T(x) = x + (x.F) v - [(x.v) + (v.v/2)(x.F)] F,   v = P - E1,
 fixing F and K and carrying E1 to P.  These are the candidates for the
-automorphisms furnished by fiberwise translation; this module stores each
-as an integer `LatticeMap`, checks the lattice-level necessary conditions
-and runs the fundamental-domain reduction experiment on the Hilbert
-scheme's bounding cone.
+automorphisms furnished by fiberwise translation.  This module keeps the 45
+sections of H-degree at most 1 as integer moves (v, v.v/2), descends a
+class's H-degree with them, and runs the fundamental-domain reduction
+experiment on the Hilbert scheme's bounding cone.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import (
-    BASIS,
-    RANK,
     DivisorClass,
     E,
     F,
     H,
-    K,
     ZERO,
     dot_int,
     format_rational,
-    intersect,
-    is_minus_one_class,
     self_intersection,
 )
-from .record import Record, _set
-from .weyl import enumerate_minus_one_classes, orbit_class, orbit_size, root_basis
+from .record import Record
+from .weyl import enumerate_minus_one_classes, orbit_class, orbit_size
 from .hilb import (
     DecompositionError,
     HilbDivisor,
@@ -43,76 +37,10 @@ from .hilb import (
 )
 
 
-class LatticeMap(Record):
-    """Integer 10x10 matrix of a lattice endomorphism: rows[i][j] is
-    coordinate i of the image of basis class j."""
-
-    __slots__ = ("rows",)
-    rows: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != RANK or any(len(r) != RANK for r in rows):
-            raise ValueError("expected a 10x10 matrix")
-        if not all(type(x) is int for r in rows for x in r):
-            raise TypeError("matrix entries must be ints")
-        _set(self, "rows", rows)
-
-    @classmethod
-    def from_basis_images(cls, images: Iterable[DivisorClass]) -> "LatticeMap":
-        """Build from the integral images of H, E1, ..., E9 (column data)."""
-        images = list(images)
-        if len(images) != RANK:
-            raise ValueError("need 10 basis images")
-        for img in images:
-            if img.den != 1:
-                raise ValueError(f"basis image is not integral: {img}")
-        return cls(tuple(zip(*(img.nums for img in images))))
-
-    def apply(self, d: DivisorClass) -> DivisorClass:
-        """The matrix times d's numerators, over d's denominator."""
-        return DivisorClass(
-            tuple(sum(x * y for x, y in zip(r, d.nums)) for r in self.rows), d.den
-        )
-
-    def is_isometry(self) -> bool:
-        """M b_i . M b_j = b_i . b_j for every pair of basis classes."""
-        cols = tuple(zip(*self.rows))
-        return all(
-            dot_int(cols[i], cols[j]) == dot_int(BASIS[i].nums, BASIS[j].nums)
-            for i in range(RANK)
-            for j in range(i, RANK)
-        )
-
-    def determinant(self) -> int:
-        """Exact, by fraction-free (Bareiss) elimination: every division is
-        exact, and the last pivot is the determinant up to row swaps."""
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(RANK - 1):
-            if m[k][k] == 0:
-                pivot = next((r for r in range(k + 1, RANK) if m[r][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, RANK):
-                for j in range(k + 1, RANK):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[-1][-1]
-
-
-def _transvect(x: tuple[int, ...], v: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """x + (x.F) v - [(x.v) + c (x.F)] F on integer numerators.  Linear, so
-    it applies to a class's nums over any denominator."""
-    xf = dot_int(x, F.nums)
-    return _shift(x, v, xf, dot_int(x, v) + c * xf)
-
-
 def _shift(x: tuple[int, ...], v: tuple[int, ...], xf: int, bracket: int) -> tuple[int, ...]:
-    """x + xf v - bracket F, the transvection with its two pairings given."""
+    """x + xf v - bracket F: the transvection T(x) on integer numerators,
+    given xf = x.F and bracket = (x.v) + c (x.F).  Linear, so it applies to
+    a class's nums over any denominator."""
     return tuple(xi + xf * vi - bracket * fi for xi, vi, fi in zip(x, v, F.nums))
 
 
@@ -125,89 +53,7 @@ def _section_move(p: DivisorClass) -> tuple[tuple[int, ...], int]:
     return v.nums, int(c)
 
 
-class Translation(Record):
-    """A section class together with its transvection on the lattice."""
-
-    __slots__ = ("section", "map")
-    section: DivisorClass
-    map: LatticeMap
-
-    def __str__(self) -> str:
-        return f"translation by {self.section}"
-
-
-def translation(p: DivisorClass) -> Translation:
-    """Transvection sending E1 to p; p = E1 gives the identity."""
-    if not is_minus_one_class(p):
-        raise ValueError(f"section must be a (-1)-class: {p}")
-    if intersect(p, F) != 1:
-        raise ValueError(f"section must meet the fiber once: {p}")
-    v, c = _section_move(p)
-    images = [DivisorClass(_transvect(b.nums, v, c)) for b in BASIS]
-    return Translation(p, LatticeMap.from_basis_images(images))
-
-
-def weyl_condition_failures(
-    m: LatticeMap, section: DivisorClass | None = None
-) -> tuple[str, ...]:
-    """Necessary conditions for m to come from a fibration automorphism:
-    isometry, fixes F and K, unit determinant, preserves the root lattice
-    (a LatticeMap is integral by construction).  section, when given, must
-    be the image of E1.  These do not certify that an automorphism exists;
-    they can only rule one out."""
-    failures: list[str] = []
-    if not m.is_isometry():
-        failures.append("map is not an isometry")
-    if m.apply(F) != F:
-        failures.append("map does not fix the fiber class")
-    if m.apply(K) != K:
-        failures.append("map does not fix the canonical class")
-    if abs(m.determinant()) != 1:
-        failures.append("determinant is not a unit")
-    for root in root_basis():
-        img = m.apply(root.cls)
-        if intersect(img, F) != 0:
-            failures.append(f"image of root {root.cls} leaves the fiber-orthogonal")
-        elif self_intersection(img) != -2:
-            failures.append(f"image of root {root.cls} is not a root")
-    if section is not None and m.apply(E[0]) != section:
-        failures.append("map does not send E1 to the section")
-    return tuple(failures)
-
-
-class TranslationReport(Record):
-    __slots__ = ("section", "determinant", "failures", "passed")
-    section: DivisorClass
-    determinant: int
-    failures: tuple[str, ...]
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "section": str(self.section),
-            "determinant": str(self.determinant),
-            "failures": list(self.failures),
-            "passed": self.passed,
-        }
-
-
-def verify_weyl_necessary_conditions(t: Translation) -> TranslationReport:
-    failures = weyl_condition_failures(t.map, section=t.section)
-    return TranslationReport(
-        section=t.section,
-        determinant=t.map.determinant(),
-        failures=failures,
-        passed=not failures,
-    )
-
-
 # -- fundamental-domain reduction ---------------------------------------------
-
-
-def low_degree_sections(max_h_degree: int = 1) -> list[DivisorClass]:
-    """Sections usable as reduction moves; degree <= 1 gives the 45 classes
-    E_i and H - E_i - E_j."""
-    return enumerate_minus_one_classes(max_h_degree)
 
 
 # Knobs of the coverage experiment.  A reduced nef part above STALL_DEGREE
@@ -222,8 +68,9 @@ MAX_STEPS = 256
 
 @lru_cache(maxsize=1)
 def _reduction_moves() -> tuple[tuple[str, tuple[int, ...], int], ...]:
-    """(label, v, c) of each low-degree section's transvection, built once."""
-    return tuple((str(p), *_section_move(p)) for p in low_degree_sections())
+    """(label, v, c) of the transvection of each section of H-degree at most
+    1, the 45 classes E_i and H - E_i - E_j, built once."""
+    return tuple((str(p), *_section_move(p)) for p in enumerate_minus_one_classes(1))
 
 
 def reduce_surface_class(
@@ -286,11 +133,6 @@ class CoverageConfig(Record):
     samples: int
     seed: int
     max_h_degree: int
-
-    def __init__(
-        self, n: int, samples: int = 100, seed: int = 0, max_h_degree: int = 3
-    ) -> None:
-        super().__init__(n, samples, seed, max_h_degree)
 
 
 class CoverageTrial(Record):

@@ -6,22 +6,25 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from hilbnef import (
     C0,
     CoverageConfig,
+    DecompositionError,
     E,
     F,
     H,
     HilbDivisor,
+    K,
     Wall,
     ZERO,
+    b_negative_ray,
     bounding_cone_decompose,
-    bounding_cone_membership,
     cone_duality_check,
     coverage_experiment,
     discrepancy_table,
     divisor,
-    dominance_under_recomputed,
     enumerate_minus_one_classes,
     fiber_orthogonal_lift,
     gieseker_wall,
@@ -29,23 +32,21 @@ from hilbnef import (
     intersect,
     lift,
     line_bundle_char,
-    low_degree_sections,
-    mu_ap,
     nef_from_wall,
     numerical_wall,
     pair_hilb,
     rank2_radius_bound,
-    recompose,
     reflect,
     root_basis,
     self_intersection,
     slice_a1,
     slice_a2,
-    translation,
-    verify_weyl_necessary_conditions,
     wall_oracle,
     weyl_orbit,
 )
+from hilbnef.bridgeland import _slope_and_discriminant
+from hilbnef.translations import _reduction_moves
+from test_translations import basis_images, determinant, move_image, preserves_form
 
 N_RANGE = range(3, 13)
 DEGREE_BOUND = 3
@@ -134,7 +135,8 @@ def test_criterion_6_wall_formula_against_oracle(capsys):
             while compared < 100:
                 c1 = divisor(rng.randint(-3, 3), [rng.randint(-2, 2) for _ in range(9)])
                 ch = line_bundle_char(c1, rng.randint(0, 4))
-                if mu_ap(sl, ch) == mu_ap(sl, ideal):
+                slope = _slope_and_discriminant(sl, ch)[0]
+                if slope == _slope_and_discriminant(sl, ideal)[0]:
                     continue
                 assert numerical_wall(sl, ch, ideal) == wall_oracle(sl, ch, ideal)
                 compared += 1
@@ -156,7 +158,10 @@ def test_criterion_7_discrepancy_report(capsys):
             assert not row.agrees
             assert Fraction(row.quoted) == quoted
             assert Fraction(row.recomputed) == recomputed
-        assert dominance_under_recomputed(3) is True
+        # the certificate goes through on both slices with the recomputed
+        # values only (the quoted centers would break it): no GiesekerFalsified
+        for make in (slice_a1, slice_a2):
+            assert gieseker_wall(make(3))[1].certified
 
 
 def test_criterion_8_decompose_recompose(capsys):
@@ -173,22 +178,23 @@ def test_criterion_8_decompose_recompose(capsys):
             for p in pool:
                 d = d + rng.randint(0, 3) * p
             nef_part, t = bounding_cone_decompose(d, 3)
-            assert recompose(nef_part, t, 3) == d
+            assert lift(nef_part) + t * b_negative_ray(3) == d
         bad = HilbDivisor(2 * F, Fraction(1))
-        cert = bounding_cone_membership(bad, 3)
-        assert not cert.in_cone
+        with pytest.raises(DecompositionError):
+            bounding_cone_decompose(bad, 3)
         assert pair_hilb(bad, C0, 3) < 0
 
 
 def test_criterion_9_translation_coverage(capsys):
     with criterion(capsys, 9, "section translations verify and cover the samples"):
-        sections = low_degree_sections(1)
-        assert len(sections) == 45
-        for s in sections:
-            rep = verify_weyl_necessary_conditions(translation(s))
-            assert rep.passed, s
-        t = translation(E[1])
-        assert t.map.apply(E[0]) == E[1]
-        report = coverage_experiment(CoverageConfig(3, samples=100, seed=0))
+        moves = _reduction_moves()
+        assert len(moves) == 45
+        for label, *move in moves:
+            images = basis_images(move)
+            assert preserves_form(images), label  # the Gram matrix, by dot_int
+            assert move_image(move, F) == F and move_image(move, K) == K, label
+            assert str(images[1]) == label  # E1 goes to the section
+            assert determinant(images) == 1, label  # by oracle_determinant
+        report = coverage_experiment(CoverageConfig(3, samples=100, seed=0, max_h_degree=3))
         assert report.successes == 100
         assert report.passed

@@ -16,7 +16,6 @@ from hilbnef import (
     divisor,
     format_rational,
     intersect,
-    is_minus_one_class,
     parse_divisor,
     self_intersection,
 )
@@ -153,14 +152,6 @@ def test_arithmetic_genus_values():
     assert arithmetic_genus(F) == 1
     # smooth plane cubic through no points has genus 1
     assert arithmetic_genus(divisor(3, [0] * 9)) == 1
-
-
-def test_minus_one_class_predicate():
-    assert is_minus_one_class(E[3])
-    assert is_minus_one_class(H - E[0] - E[1])
-    assert not is_minus_one_class(H)
-    assert not is_minus_one_class(F)
-    assert not is_minus_one_class(ZERO)
 
 
 def test_parse_divisor_forms():

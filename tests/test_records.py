@@ -18,7 +18,7 @@ from hilbnef.bridgeland import (
 )
 from hilbnef.hilb import C0, ContractedCurve, CurveRow, HilbDivisor, InducedCurve
 from hilbnef.lattice import ZERO, DivisorClass, E, F, H, divisor
-from hilbnef.translations import CoverageConfig, LatticeMap, translation
+from hilbnef.translations import CoverageConfig
 from hilbnef.weyl import Root
 
 
@@ -38,8 +38,7 @@ def _hashed_values():
             WallCandidate((1, 0, -1) + (0,) * 7, None, Wall(Fraction(-1), Fraction(1))),
             InducedCurve(F),
             ContractedCurve(),
-            LatticeMap(translation(H - E[1] - E[2]).map.rows),
-            CoverageConfig(3),
+            CoverageConfig(3, 100, 0, 3),
         ]
 
     return list(zip(build(), build()))

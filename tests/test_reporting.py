@@ -7,7 +7,6 @@ from hilbnef import (
     Campaign,
     CampaignUsageError,
     discrepancy_table,
-    dominance_under_recomputed,
     dumps_json,
     run_campaign,
     validate_campaign,
@@ -56,8 +55,11 @@ def test_discrepancy_table_n_dependence():
     assert Fraction(center.recomputed) == -1
 
 
-def test_dominance_under_recomputed():
-    assert dominance_under_recomputed(3) is True
+def test_dominance_under_recomputed(gieseker_a1_3, gieseker_a2_3):
+    # the extremal-wall certificate goes through on both slices with the
+    # recomputed values only (the quoted centers would break it): the
+    # fixtures raise no GiesekerFalsified
+    assert gieseker_a1_3[1].certified and gieseker_a2_3[1].certified
 
 
 def test_row_json_round_trip():

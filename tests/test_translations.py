@@ -1,3 +1,11 @@
+"""Section transvections, the reduction descent and the coverage experiment.
+
+The 45 reduction moves are checked as tuples, through `translations._shift`:
+against the transvection formula in Fraction arithmetic, as isometries fixing
+F and K with determinant 1 (by Gaussian elimination over Fraction), and
+under the group law t_p t_q = t_{t_p(q)}.
+"""
+
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -16,25 +24,21 @@ from hilbnef import (
     HilbDivisor,
     InducedCurve,
     K,
-    LatticeMap,
     ZERO,
     bounding_cone_decompose,
     coverage_experiment,
     enumerate_minus_one_classes,
     fiber_orthogonal_lift,
     intersect,
-    low_degree_sections,
     pair_hilb,
     reduce_surface_class,
     reflect,
     root_basis,
     self_intersection,
-    translation,
-    verify_weyl_necessary_conditions,
-    weyl_condition_failures,
     weyl_orbit,
 )
-from hilbnef.lattice import BASIS
+from hilbnef.lattice import BASIS, dot_int
+from hilbnef.translations import _section_move, _shift
 from hilbnef.weyl import orbit_class, orbit_size
 
 SECTION_COUNT = 45  # sections of H-degree at most 1
@@ -49,25 +53,46 @@ def oracle_transvection(p: DivisorClass, x: DivisorClass) -> DivisorClass:
     return x + xf * v - (intersect(x, v) + half_v_sq * xf) * F
 
 
+def transvect(x: tuple[int, ...], move) -> tuple[int, ...]:
+    """The transvection of move = (v, c) on integer numerators: `_shift` with
+    x.F and (x.v) + c (x.F)."""
+    v, c = move
+    xf = dot_int(x, F.nums)
+    return _shift(x, v, xf, dot_int(x, v) + c * xf)
+
+
+def move_image(move, x: DivisorClass) -> DivisorClass:
+    """The transvection of move = (v, c) applied to the class x."""
+    return DivisorClass(transvect(x.nums, move), x.den)
+
+
+def basis_images(move) -> list[DivisorClass]:
+    """The images of H, E1, ..., E9: the columns of the move's matrix."""
+    return [move_image(move, b) for b in BASIS]
+
+
+def preserves_form(images) -> bool:
+    """The images of H, E1, ..., E9 have the basis's Gram matrix."""
+    return all(
+        dot_int(images[i].nums, images[j].nums) == dot_int(BASIS[i].nums, BASIS[j].nums)
+        for i in range(10)
+        for j in range(i, 10)
+    )
+
+
 @lru_cache(maxsize=1)
-def _section_maps():
-    """(section, its Translation, its reduction move (v, c)) for all 45."""
+def _section_moves():
+    """(section, its reduction move (v, c)) for all 45."""
     moves = {label: (v, c) for label, v, c in translations._reduction_moves()}
     assert len(moves) == SECTION_COUNT
-    return tuple((p, translation(p), moves[str(p)]) for p in low_degree_sections(1))
-
-
-def _move_image(move, x: DivisorClass) -> DivisorClass:
-    image = translations._transvect(x.nums, *move)
-    return DivisorClass(image, x.den)
+    return tuple((p, moves[str(p)]) for p in enumerate_minus_one_classes(1))
 
 
 def test_transvections_match_oracle_on_basis():
-    for p, t, move in _section_maps():
-        for b in (H,) + E:
-            expected = oracle_transvection(p, b)
-            assert t.map.apply(b) == expected, (p, b)
-            assert _move_image(move, b) == expected, (p, b)
+    for p, move in _section_moves():
+        assert move == _section_move(p)
+        for b in BASIS:
+            assert move_image(move, b) == oracle_transvection(p, b), (p, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,15 +104,13 @@ def test_transvections_match_oracle_on_half_integer_classes(h2, e2):
     # h is an odd multiple of 1/2, so the reduction runs with den = 2
     x = DivisorClass((2 * h2 + 1,) + tuple(e2), 2)
     assert x.den == 2
-    for p, t, move in _section_maps():
-        expected = oracle_transvection(p, x)
-        assert t.map.apply(x) == expected, p
-        assert _move_image(move, x) == expected, p
+    for p, move in _section_moves():
+        assert move_image(move, x) == oracle_transvection(p, x), p
 
 
 def oracle_determinant(rows) -> Fraction:
-    """Gaussian elimination over Fraction rows: the reference for the
-    integer (Bareiss) determinant of LatticeMap."""
+    """Gaussian elimination over Fraction rows: the reference determinant
+    that the section moves are checked against."""
     m = [[Fraction(x) for x in r] for r in rows]
     det = Fraction(1)
     for col in range(len(m)):
@@ -106,154 +129,108 @@ def oracle_determinant(rows) -> Fraction:
     return det
 
 
-matrices = st.lists(
-    st.lists(st.integers(-3, 3), min_size=10, max_size=10), min_size=10, max_size=10
-)
+def determinant(images) -> Fraction:
+    """The determinant of the matrix whose columns are the images."""
+    return oracle_determinant(zip(*(x.nums for x in images)))
+
+
 # a cyclic shift of the ten coordinates: a zero leading pivot, determinant -1
 ZERO_PIVOT = [[int(j == (i + 1) % 10) for j in range(10)] for i in range(10)]
 # rows i and i + 4 agree
 SINGULAR = [[(i + j) % 4 - 1 for j in range(10)] for i in range(10)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrices)
-@example(ZERO_PIVOT)
-@example(SINGULAR)
-@example([[0] * 10 for _ in range(10)])
-def test_determinant_matches_fraction_oracle(rows):
-    det = LatticeMap(rows).determinant()
-    assert type(det) is int
-    assert det == oracle_determinant(rows)
-
-
 def test_determinant_oracle_examples():
     assert oracle_determinant(ZERO_PIVOT) == -1
-    assert LatticeMap(ZERO_PIVOT).determinant() == -1
-    assert LatticeMap(SINGULAR).determinant() == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    matrices,
-    st.lists(st.integers(-40, 40), min_size=10, max_size=10),
-    st.integers(1, 12),
-)
-def test_apply_matches_fraction_sum(rows, nums, den):
-    d = DivisorClass(tuple(nums), den)
-    expected = tuple(
-        sum((Fraction(x) * y for x, y in zip(r, d.coords)), Fraction(0)) for r in rows
-    )
-    assert LatticeMap(rows).apply(d).coords == expected
+    assert oracle_determinant(SINGULAR) == 0
+    assert oracle_determinant([[0] * 10 for _ in range(10)]) == 0
 
 
 def test_reflection_matrix_has_determinant_minus_one():
-    m = LatticeMap.from_basis_images(reflect(root_basis()[3], b) for b in BASIS)
-    assert m.is_isometry()
-    assert m.determinant() == -1
-
-
-def test_lattice_map_rejects_non_integers():
-    rows = [[int(i == j) for j in range(10)] for i in range(10)]
-    rows[2][7] = Fraction(1, 2)
-    with pytest.raises(TypeError):
-        LatticeMap(rows)
-    images = list(BASIS)
-    images[4] = DivisorClass(images[4].nums, 2)
-    with pytest.raises(ValueError):
-        LatticeMap.from_basis_images(images)
+    images = [reflect(root_basis()[3], b) for b in BASIS]
+    assert preserves_form(images)
+    assert determinant(images) == -1
 
 
 def test_translation_moves_base_section():
-    t = translation(E[1])
-    assert t.map.apply(E[0]) == E[1]
-    assert t.map.apply(F) == F
-    assert t.map.apply(K) == K
-    assert t.map.determinant() == 1
+    move = _section_move(E[1])
+    assert move_image(move, E[0]) == E[1]
+    assert move_image(move, F) == F
+    assert move_image(move, K) == K
+    assert determinant(basis_images(move)) == 1
 
 
 def test_translation_by_base_section_is_identity():
-    t = translation(E[0])
-    assert t.map == LatticeMap.from_basis_images(BASIS)
-
-
-def test_translation_rejects_non_sections():
-    with pytest.raises(ValueError):
-        translation(H)  # H.F = 3
-    with pytest.raises(ValueError):
-        translation(F)
-    with pytest.raises(ValueError):
-        translation(2 * E[0] - E[1])
+    move = _section_move(E[0])
+    assert move == ((0,) * 10, 0)
+    assert basis_images(move) == list(BASIS)
 
 
 def test_low_degree_sections_census():
-    secs = low_degree_sections(1)
-    assert len(secs) == SECTION_COUNT
-    for s in secs:
+    sections = [p for p, _ in _section_moves()]
+    assert len(set(sections)) == SECTION_COUNT
+    for s in sections:
         assert intersect(s, F) == 1
 
 
 def test_all_low_degree_translations_pass():
-    for s in low_degree_sections(1):
-        t = translation(s)
-        rep = verify_weyl_necessary_conditions(t)
-        assert rep.passed, s
-        assert rep.failures == ()
-        assert rep.determinant == 1
+    for p, move in _section_moves():
+        images = basis_images(move)
+        assert preserves_form(images), p
+        assert move_image(move, F) == F and move_image(move, K) == K, p
+        assert determinant(images) == 1, p
+        for root in root_basis():
+            img = move_image(move, root.cls)
+            assert intersect(img, F) == 0 and self_intersection(img) == -2, (p, root)
 
 
 def test_corrupted_map_fails_conditions():
-    t = translation(E[1])
-    rows = [list(r) for r in t.map.rows]
-    rows[3][5] += 1
-    broken = LatticeMap(tuple(tuple(r) for r in rows))
-    failures = weyl_condition_failures(broken)
-    assert failures
-    assert any("isometry" in f for f in failures)
+    images = basis_images(_section_move(E[1]))
+    images[5] = images[5] + E[2]
+    assert not preserves_form(images)
 
 
-def _compose(a: LatticeMap, b: LatticeMap) -> LatticeMap:
-    """a after b, built from the images of the basis."""
-    return LatticeMap.from_basis_images(a.apply(b.apply(x)) for x in BASIS)
+def _compose(p: DivisorClass, q: DivisorClass) -> list[DivisorClass]:
+    """The basis images of t_p after t_q."""
+    mp, mq = _section_move(p), _section_move(q)
+    return [move_image(mp, move_image(mq, b)) for b in BASIS]
 
 
 def test_translation_squared_is_not_identity():
-    t = translation(E[1])
-    twice = _compose(t.map, t.map)
-    assert twice != LatticeMap.from_basis_images(BASIS)
-    assert twice.apply(F) == F  # still fixes the fiber
+    twice = _compose(E[1], E[1])
+    assert twice != list(BASIS)
+    move = _section_move(E[1])
+    assert move_image(move, move_image(move, F)) == F  # still fixes the fiber
 
 
 def test_composition_stays_in_group():
-    t1 = translation(E[1])
-    t2 = translation(H - E[0] - E[1])
-    composed = _compose(t1.map, t2.map)
-    assert weyl_condition_failures(composed) == ()
-    assert composed.determinant() == 1
+    composed = _compose(E[1], H - E[0] - E[1])
+    assert preserves_form(composed)
+    assert determinant(composed) == 1
 
 
 def test_translation_group_law():
     """t_p after t_q is the translation by t_p(q), for 200 seeded pairs of
-    sections of degree at most 2, and the composite passes the conditions."""
+    sections of degree at most 2, and the composite is an isometry fixing F
+    and K with determinant 1 that sends E1 to t_p(q)."""
     sections = enumerate_minus_one_classes(2)
     assert len(sections) == 171
     rng = random.Random(6)
     pairs = [(rng.choice(sections), rng.choice(sections)) for _ in range(200)]
     pairs.append((E[1], E[1]))  # t_{E2} squared is not the identity
-    identity = LatticeMap.from_basis_images(BASIS)
     for p, q in pairs:
-        t_p, t_q = translation(p), translation(q)
-        composite = _compose(t_p.map, t_q.map)
-        section = t_p.map.apply(q)
-        assert translation(section).map == composite, (p, q)
-        assert weyl_condition_failures(composite, section=section) == (), (p, q)
-        assert composite.determinant() == 1
-        assert (composite == identity) == (section == E[0]), (p, q)
+        composite = _compose(p, q)
+        section = move_image(_section_move(p), q)
+        assert basis_images(_section_move(section)) == composite, (p, q)
+        assert composite[1] == section, (p, q)
+        assert preserves_form(composite), (p, q)
+        assert determinant(composite) == 1, (p, q)
+        assert (composite == list(BASIS)) == (section == E[0]), (p, q)
 
 
 def test_translate_hilb_preserves_pairings():
-    t = translation(E[1])
     d = fiber_orthogonal_lift(H - E[0], 3)
-    moved = HilbDivisor(t.map.apply(d.surf), d.b_half)
+    moved = HilbDivisor(move_image(_section_move(E[1]), d.surf), d.b_half)
     assert moved.b_half == d.b_half
     assert pair_hilb(moved, C0, 3) == pair_hilb(d, C0, 3)
     assert pair_hilb(moved, InducedCurve(F), 3) == 0  # stays fiber-orthogonal
@@ -269,7 +246,7 @@ def oracle_reduce_surface_class(surf: DivisorClass):
     hit_cap = False
     while True:
         lower = [
-            (translations._transvect(ints, v, c), label)
+            (transvect(ints, (v, c)), label)
             for label, v, c in translations._reduction_moves()
         ]
         lower = [(img, label) for img, label in lower if img[0] < ints[0]]
@@ -305,19 +282,19 @@ def descent_inputs(draw):
     nums = surf.nums
     for i in draw(st.lists(st.integers(0, SECTION_COUNT - 1), max_size=4)):
         _, v, c = moves[i]
-        nums = translations._transvect(nums, tuple(-x for x in v), c)
+        nums = transvect(nums, (tuple(-x for x in v), c))
     return DivisorClass(nums, surf.den)
 
 
 def _translated_lifts() -> list[DivisorClass]:
     """The n = 3 lifts of H, H-E1 and 2H-E1-E2-E3-E4, each moved one to four
     times by the translation by H-E4-E9."""
-    t = translation(H - E[3] - E[8]).map
+    move = _section_move(H - E[3] - E[8])
     lifts = []
     for c in (H, H - E[0], 2 * H - E[0] - E[1] - E[2] - E[3]):
         surf = fiber_orthogonal_lift(c, 3).surf
         for _ in range(4):
-            surf = t.apply(surf)
+            surf = move_image(move, surf)
             lifts.append(surf)
     return lifts
 
@@ -366,8 +343,8 @@ def test_reduce_surface_class_fixes_a_fiber_multiple():
 
 
 def test_reduce_monotone_on_translated_class():
-    t = translation(H - E[3] - E[8])
-    surf = t.map.apply(fiber_orthogonal_lift(H, 3).surf)
+    move = _section_move(H - E[3] - E[8])
+    surf = move_image(move, fiber_orthogonal_lift(H, 3).surf)
     reduced, steps, labels, hit_cap = reduce_surface_class(surf)
     assert reduced.h <= surf.h
     assert len(labels) == steps
@@ -383,7 +360,7 @@ def test_decompose_after_reduction():
 
 
 def test_coverage_experiment_small():
-    rep = coverage_experiment(CoverageConfig(3, samples=5, seed=0))
+    rep = coverage_experiment(CoverageConfig(3, samples=5, seed=0, max_h_degree=3))
     assert rep.passed
     assert rep.successes == 5
     assert rep.stalled_count == 3
@@ -434,12 +411,12 @@ def test_coverage_draws_without_listing_the_orbits(monkeypatch):
 
 
 def test_coverage_experiment_deterministic():
-    cfg = CoverageConfig(3, samples=4, seed=7)
+    cfg = CoverageConfig(3, samples=4, seed=7, max_h_degree=3)
     assert coverage_experiment(cfg).to_json() == coverage_experiment(cfg).to_json()
 
 
 def test_coverage_config_validation():
     with pytest.raises(ValueError):
-        coverage_experiment(CoverageConfig(2, samples=1, seed=0))
+        coverage_experiment(CoverageConfig(2, samples=1, seed=0, max_h_degree=3))
     with pytest.raises(ValueError):
-        coverage_experiment(CoverageConfig(3, samples=0, seed=0))
+        coverage_experiment(CoverageConfig(3, samples=0, seed=0, max_h_degree=3))

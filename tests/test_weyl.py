@@ -21,7 +21,6 @@ from hilbnef import (
     divisor,
     enumerate_minus_one_classes,
     intersect,
-    is_minus_one_class,
     reflect,
     root_basis,
     self_intersection,
@@ -109,7 +108,8 @@ def test_minus_one_class_counts(degree, count):
 
 def test_minus_one_classes_are_minus_one_sections():
     for c in enumerate_minus_one_classes(2):
-        assert is_minus_one_class(c)
+        assert c.is_integral()
+        assert self_intersection(c) == -1 and intersect(c, K) == -1
         assert intersect(c, F) == 1
 
 
