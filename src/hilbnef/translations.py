@@ -3,9 +3,9 @@
 Every (-1)-class P with P.F = 1 determines an integral isometry
     T(x) = x + (x.F) v - [(x.v) + (v.v/2)(x.F)] F,   v = P - E1,
 fixing F and K and carrying E1 to P.  These are the candidates for the
-automorphisms furnished by fiberwise translation.  This module keeps the 45
-sections of H-degree at most 1 as integer moves (v, v.v/2), descends a
-class's H-degree with them, and runs the fundamental-domain reduction
+automorphisms that translate each fiber by the section P.  This module keeps
+the 45 sections of H-degree at most 1 as integer moves (v, v.v/2), descends
+a class's H-degree with them, and runs the fundamental-domain reduction
 experiment on the Hilbert scheme's bounding cone.
 """
 

@@ -195,6 +195,7 @@ def test_criterion_9_translation_coverage(capsys):
             assert move_image(move, F) == F and move_image(move, K) == K, label
             assert str(images[1]) == label  # E1 goes to the section
             assert determinant(images) == 1, label  # by oracle_determinant
-        report = coverage_experiment(CoverageConfig(3, samples=100, seed=0, max_h_degree=3))
+        cfg = CoverageConfig(3, samples=100, seed=0, max_h_degree=3)
+        report = coverage_experiment(cfg)
         assert report.successes == 100
         assert report.passed
