@@ -366,14 +366,6 @@ def _pool_shapes(max_h_degree: int):
                 yield (a,) + head + (e9,)
 
 
-def _is_fiber_multiple(coords: tuple[int, ...]) -> bool:
-    a = coords[0]
-    if a <= 0 or a % 3:
-        return False
-    k = a // 3
-    return all(e == -k for e in coords[1:])
-
-
 class CandidatePool(Record):
     """The rank-1 candidates of one slice, held as E2..E9 orbits.
 
@@ -443,7 +435,9 @@ def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
                 filtered = "slope"
             elif f_deg >= 2:
                 filtered = "fiber_degree"
-            elif f_deg == 0 and not _is_fiber_multiple(coords):
+            # D.F = 0 and D.D = 0 give D in ZF, as F^perp/F = E8 is definite
+            # and F is primitive
+            elif f_deg == 0 and dot_int(coords, coords) != 0:
                 filtered = "fiber_component"
             elif sl.ruling_based and a == b1 >= 1 and rest > a:
                 filtered = "ruling_excess"

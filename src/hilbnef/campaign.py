@@ -31,15 +31,6 @@ class Campaign(Record):
     max_h_degree: int
     slices: tuple[str, ...]
 
-    def __init__(
-        self,
-        n_start: int,
-        n_end: int,
-        max_h_degree: int = 3,
-        slices: tuple[str, ...] = ("A1", "A2"),
-    ) -> None:
-        super().__init__(n_start, n_end, max_h_degree, slices)
-
 
 def validate_campaign(c: Campaign) -> None:
     if c.n_start < N_FLOOR or c.n_end > N_CAP or c.n_start > c.n_end:

@@ -9,7 +9,6 @@ or the class induced by a curve on the surface (n points moving on it).
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
@@ -24,8 +23,13 @@ from .lattice import (
     intersect,
 )
 from .record import Record, _set
-from .surface_cones import _least_pairing, is_nef_up_to_degree
-from .weyl import _arrangements, _permutations, _representatives
+from .surface_cones import (
+    _least_negative_arrangement,
+    _least_pairing,
+    _least_pairing_count,
+    is_nef_up_to_degree,
+)
+from .weyl import _arrangements, _representatives
 
 
 @total_ordering
@@ -252,11 +256,11 @@ class _DotProfile(Record):
     orbit's representative e (its least class, read from
     `weyl._representatives(E9, k)`): `curves[m]` is (label, curve, number of
     curves in its orbit).  Permuting E1..E9 maps each block onto itself and
-    fixes F, so the values t = c.e over a block, with their counts, are the
-    same for every curve of the orbit.  `counts[k][m]` maps each distinct t
-    over block k to how many classes give it in column m, and `first[k][m]`
-    is the least class of block k at the one value of t that can pair zero
-    with column m's curve, its witness, or None when no class has it: t is
+    fixes F, so the least t = c.e over a block, and how many classes reach
+    it, are the same for every curve of the orbit.  `counts[k][m]` is that
+    (least t, count) for block k and column m, and `first[k][m]` is the
+    least class of block k at the one value of t that can pair zero with
+    column m's curve, its witness, or None when no class has it: t is
     constant on a block for the contracted and the fiber curve, and the ray
     pairs to zero with a (-1)-curve, so a zero pairing there needs t = 0 for
     every n.
@@ -265,12 +269,30 @@ class _DotProfile(Record):
     __slots__ = ("blocks", "curves", "counts", "first")
     blocks: tuple[tuple[DivisorClass, int, int], ...]
     curves: tuple[tuple[str, CurveClass, int], ...]
-    counts: tuple[tuple[dict[int, int], ...], ...]
+    counts: tuple[tuple[tuple[int, int], ...], ...]
     first: tuple[tuple[DivisorClass | None, ...], ...]
 
 
 @lru_cache(maxsize=8)
 def _dot_profile(max_h_degree: int) -> _DotProfile:
+    """The profile, read per (block representative, column) from the
+    rearrangement bound.  It builds no class but each block's least class
+    and the witnesses.
+
+    A class (a, -b_s) of a representative (a, b) pairs with a column's curve
+    e at least `_least_pairing(e, a, b)`, reached by `_least_pairing_count`
+    of its arrangements; the least such class at t = 0 is
+    `_least_negative_arrangement` below 1, as pairings are integers.
+
+    Lemma: no class of a block pairs negatively with a (-1)-class e.  The
+    form is W-invariant, so for c = w(H), c.e = H.(w^-1 e) is the degree of
+    a (-1)-class, and for c = w(H-E1), c.e = a - b1 for the (-1)-class
+    w^-1 e = aH - sum b_i E_i.  Both are >= 0: a (-1)-class is E_i or has
+    sum b = 3a - 1 and sum b^2 = a^2 + 1, and Cauchy-Schwarz on the eight
+    other b_j then forces 0 <= b_i <= a.  And F.e = 1.  A representative
+    that pairs negatively with a (-1)-column contradicts the lemma and
+    raises ArithmeticError.
+    """
     curves = [("contracted", C0, 1), ("fiber", InducedCurve(F), 1)]
     for a, b in _representatives(E[8], max_h_degree):
         e = DivisorClass((a,) + tuple(-x for x in b))
@@ -278,30 +300,34 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
     shapes = [curve.c.nums for _, curve, _ in curves[_FIBER_COLUMN + 1 :]]
     blocks, counts, first = [], [], []
     for start in (F, H, H - E[0]):
-        # Each representative (a, b) expands to its distinct arrangements
-        # (a, -b_sigma), least first, so the block is a union of S9 orbits
-        # and its least class is the least representative's (a, -b1, ..., -b9).
+        # the block is a union of S9 orbits, and its least class is the
+        # least representative's (a, -b1, ..., -b9)
         reps = _representatives(start, max_h_degree)
         least = DivisorClass(min((a,) + tuple(-x for x in b) for a, b in reps))
         fiber = dot_int(start.nums, F.nums)
-        size = 0
-        shape_counts = [Counter() for _ in shapes]
-        zeros: list[tuple[int, ...] | None] = [None] * len(shapes)
-        for a, b in reps:
-            arrangements = [(a,) + p for p in _permutations(tuple(-x for x in b))]
-            size += len(arrangements)
-            for i, e in enumerate(shapes):
-                dots = [dot_int(c, e) for c in arrangements]
-                shape_counts[i].update(dots)
-                if 0 in dots:  # the least arrangement with c.e = 0
-                    z = arrangements[dots.index(0)]
-                    if zeros[i] is None or z < zeros[i]:
-                        zeros[i] = z
+        size = sum(_arrangements(b) for _, b in reps)
+        row = [(0, size), (fiber, size)]
+        zeros: list[DivisorClass | None] = []
+        for e in shapes:
+            bounds = [(_least_pairing(e, a, b), a, b) for a, b in reps]
+            low = min(t for t, _, _ in bounds)
+            if low < 0:
+                raise ArithmeticError(
+                    f"a class of W.({start}) pairs {low} with the (-1)-class "
+                    f"{DivisorClass(e)}"
+                )
+            reaching = [(a, b) for t, a, b in bounds if t == low]
+            row.append((low, sum(_least_pairing_count(e, b) for _, b in reaching)))
+            zeros.append(
+                None
+                if low
+                else DivisorClass(
+                    min((a,) + _least_negative_arrangement(e, a, b, 1) for a, b in reaching)
+                )
+            )
         blocks.append((start, size, fiber))
-        counts.append(tuple([{0: size}, {fiber: size}] + shape_counts))
-        first.append(
-            (least, least) + tuple(None if z is None else DivisorClass(z) for z in zeros)
-        )
+        counts.append(tuple(row))
+        first.append((least, least) + tuple(zeros))
     return _DotProfile(tuple(blocks), tuple(curves), tuple(counts), tuple(first))
 
 
@@ -317,23 +343,23 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     S9 orbit of (-1)-curves, labelled by its representative.
 
     The candidates form five blocks: c^[n] for c in an orbit block, then
-    x*c^[n] + b_negative_ray(n) for c in a Weyl orbit, where x = n/(c.F) is
-    shared by the block.  A pairing with a curve e is x*(c.e), plus ray.e in
-    an orthogonal block, so it grows with t = c.e.  The per-degree
-    `_dot_profile`, built from each orbit's S9 representatives, holds the
-    distinct values of t with their counts per block and column, and each
-    column's witness class per block, so the minimum and zero count of a
-    column and the first witness of its curve, in candidate order, come from
-    a few exact operations per block and n, and ray.e from one `pair_hilb`
-    per column.  On a (-1)-curve ray.e = 0 (checked here), so a zero needs
-    t = 0 whatever n is.  c.F is one value per block, so one identity
+    x*c^[n] + b_negative_ray(n) for c in a Weyl orbit, where x = n/(c.F) > 0
+    is shared by the block.  A pairing with a curve e is x*(c.e), plus ray.e
+    in an orthogonal block, so it grows with t = c.e.  The per-degree
+    `_dot_profile` holds the least t per block and column, with how many
+    classes reach it, and each column's witness class per block, so the
+    minimum and zero count of a column and the first witness of its curve,
+    in candidate order, come from a few exact operations per block and n,
+    and ray.e from one `pair_hilb` per column.  On a (-1)-curve ray.e = 0
+    (checked here) and t >= 0 (the profile's lemma), so a zero needs t = 0
+    whatever n is.  c.F is one value per block, so one identity
     x*(c.F) + ray.F_[n] = 0 checks that a whole orthogonal block kills the
-    induced fiber curve.  A candidate is built only to print it.  Only a
-    falsified scan expands classes: for each block with a negative column,
-    the S9 orbits of the block that can pair negatively with it, each with
-    the curves of those columns, to print its offenders, and a whole
-    orthogonal block whose identity fails.  `curve_candidates` counts curves,
-    not rows, and `pairings_checked` the (candidate, curve) pairs certified.
+    induced fiber curve.  A candidate is built only to print it as a
+    witness.  A falsified scan prints one line per negative (block, column),
+    with its least pairing and how many candidates reach it, then one line
+    per orthogonal block whose identity fails.  `curve_candidates` counts
+    curves, not rows, and `pairings_checked` the (candidate, curve) pairs
+    certified.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
@@ -345,93 +371,49 @@ def cone_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     if any(ray_pairings[_FIBER_COLUMN + 1 :]):
         raise ValueError("the B-negative ray pairs nonzero with an induced (-1)-curve")
 
-    # (orbit block, x, orthogonal) in candidate order: c^[n] over each orbit
-    # block, then the fiber-orthogonal lifts of the two Weyl orbits
+    # (orbit block, x, orthogonal, label) in candidate order: c^[n] over each
+    # orbit block, then the fiber-orthogonal lifts of the two Weyl orbits
     blocks = []
     offset = 0
     for k, orthogonal in ((0, False), (1, False), (2, False), (1, True), (2, True)):
-        _, size, fiber = profile.blocks[k]
+        start, size, fiber = profile.blocks[k]
         x = _orthogonal_scale(fiber, n) if orthogonal else Fraction(1)
-        blocks.append((k, x, orthogonal))
+        kind = "fiber-orthogonal lifts" if orthogonal else "lifts"
+        blocks.append((k, x, orthogonal, f"the {size} {kind} of W.({start})"))
         offset += size
 
-    def candidate(c: DivisorClass, orthogonal: bool) -> HilbDivisor:
-        return fiber_orthogonal_lift(c, n) if orthogonal else lift(c)
-
-    def orbit(a: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The numerators of the classes of the S9 orbit of (a, -b)."""
-        return [(a,) + p for p in _permutations(tuple(-v for v in b))]
-
     # Per column: the minimum, the zero count, and the witness of the first
-    # block with a zero.
+    # block with a zero; each negative (block, column) as a violation, in
+    # block-major order.
     rows = []
-    negative: dict[int, list[int]] = {}  # block position -> negative columns
+    negative = []  # (block position, violation)
     for m, (label, _, arrangements) in enumerate(profile.curves):
         s_m = ray_pairings[m]
         low: Fraction | None = None
         zero_count = 0
         witness = None
-        for j, (k, x, orthogonal) in enumerate(blocks):
-            counts = profile.counts[k][m]
-            s = s_m if orthogonal else 0
-            value = x * min(counts) + s
+        for j, (k, x, orthogonal, block) in enumerate(blocks):
+            t, count = profile.counts[k][m]
+            value = x * t + (s_m if orthogonal else 0)
             if low is None or value < low:
                 low = value
             if value < 0:
-                negative.setdefault(j, []).append(m)
-            t_zero = -s / x
-            if t_zero.denominator == 1 and t_zero.numerator in counts:
-                zero_count += counts[t_zero.numerator]
+                negative.append((j, f"{count} of {block} against {label}: {value}"))
+            elif value == 0:
+                zero_count += count
                 if witness is None:
-                    witness = str(candidate(profile.first[k][m], orthogonal))
+                    c = profile.first[k][m]
+                    witness = str(fiber_orthogonal_lift(c, n) if orthogonal else lift(c))
         rows.append(CurveRow(label, arrangements, low, zero_count, witness))
-
-    # Only a falsified scan expands candidates, pairing each with every curve
-    # of the negative columns its S9 orbit can fail, to print each offender
-    # in candidate-major, then curve order: the contracted curve, the fiber
-    # curve, then the (-1)-curves by class.  On the contracted and the fiber
-    # curve t is constant on a block, so every orbit fails a negative one.
-    # On a (-1)-curve ray.e = 0, so the orbit's least pairing with the
-    # column's orbit is x times the rearrangement bound (`_least_pairing`).
-    offenders = []
-    for j, columns in negative.items():
-        k, x, orthogonal = blocks[j]
-        for a, b in _representatives(profile.blocks[k][0], max_h_degree):
-            curves = []  # (order key, label, curve)
-            for m in columns:
-                label, curve, _ = profile.curves[m]
-                if m <= _FIBER_COLUMN:
-                    curves.append(((m,), label, curve))
-                elif x * _least_pairing(curve.c.nums, a, b) < 0:
-                    # every arrangement of the representative, keyed by class
-                    e0, *e = curve.c.nums
-                    for p in _permutations(tuple(e)):
-                        c = DivisorClass((e0,) + p)
-                        curves.append(
-                            ((_FIBER_COLUMN + 1, *c.nums), str(c), InducedCurve(c))
-                        )
-            if not curves:
-                continue
-            for c in orbit(a, b):
-                d = candidate(DivisorClass(c), orthogonal)
-                for order, label, curve in curves:
-                    value = pair_hilb(d, curve, n)
-                    if value < 0:
-                        offenders.append(((j, c, order), f"{d} against {label}: {value}"))
-    violations = [line for _, line in sorted(offenders)]
+    violations = [line for _, line in sorted(negative, key=lambda item: item[0])]
 
     # One identity per orthogonal block, as c.F is constant on it.
     ray_fiber = ray_pairings[_FIBER_COLUMN]
-    for k, x, orthogonal in blocks:
-        start, _, fiber = profile.blocks[k]
-        if orthogonal and x * fiber + ray_fiber != 0:
-            reps = _representatives(start, max_h_degree)
-            # numerator order is class order, the order of a Weyl orbit
-            violations += [
-                f"{candidate(DivisorClass(c), True)} is not orthogonal to the "
-                "induced fiber curve"
-                for c in sorted(c for a, b in reps for c in orbit(a, b))
-            ]
+    violations += [
+        f"none of {block} is orthogonal to the induced fiber curve"
+        for k, x, orthogonal, block in blocks
+        if orthogonal and x * profile.blocks[k][2] + ray_fiber != 0
+    ]
 
     rows = tuple(rows)
     unwitnessed = tuple(row.curve for row in rows if row.witness is None)

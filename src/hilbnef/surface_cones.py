@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import groupby
 
 from .lattice import DivisorClass, E, F, H, dot_int, self_intersection
 from .record import Record
-from .weyl import _representatives, orbit_size
+from .weyl import _arrangements, _representatives, orbit_size
 
 
 class NefCertificate(Record):
@@ -73,7 +74,7 @@ def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
     for a, b, least in _least_minus_one_pairings(nums, max_h_degree):
         lowest = min(lowest, least)
         if least < 0 and (first is None or first[0] == a):
-            found = (a,) + _least_negative_arrangement(nums, a, b)
+            found = (a,) + _least_negative_arrangement(nums, a, b, 0)
             first = found if first is None else min(first, found)
     if fiber < 0:
         witness = F
@@ -115,15 +116,32 @@ def _least_pairing(nums: tuple[int, ...], a: int, b: tuple[int, ...]) -> int:
     return nums[0] * a + sum(x * y for x, y in zip(sorted(nums[1:]), b))
 
 
+def _least_pairing_count(nums: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """How many distinct arrangements s of b (nonincreasing) reach
+    `_least_pairing(nums, a, b)`.  Where nums_i < nums_j and b_s(i) <
+    b_s(j), swapping the two b values lowers the pairing by (nums_j -
+    nums_i)(b_s(j) - b_s(i)) > 0.  So an arrangement reaches the least
+    pairing exactly when each group of equal E-numerators of nums, taken in
+    ascending order, holds the next slice of b, in any order inside the
+    group."""
+    count, start = 1, 0
+    for _, group in groupby(sorted(nums[1:])):
+        end = start + len(list(group))
+        count *= _arrangements(b[start:end])
+        start = end
+    return count
+
+
 def _least_negative_arrangement(
-    nums: tuple[int, ...], a: int, b: tuple[int, ...]
+    nums: tuple[int, ...], a: int, b: tuple[int, ...], below: int
 ) -> tuple[int, ...]:
     """The least E-numerator tuple (-b_s(1), ..., -b_s(9)) over the
-    arrangements s of b (nonincreasing) whose class pairs negatively with
-    nums; one must exist.  Greedy by position: take the largest remaining
-    b_j, so the smallest numerator, whose placement can still be completed
-    to a negative pairing, which holds exactly when the rearrangement bound
-    (the rest of b against the rest of nums ascending) is negative."""
+    arrangements s of b (nonincreasing) whose class pairs with nums below
+    the threshold `below`; one must exist.  Greedy by position: take the
+    largest remaining b_j, so the smallest numerator, whose placement can
+    still be completed to a pairing below it, which holds exactly when the
+    rearrangement bound (the rest of b against the rest of nums ascending)
+    is below it."""
     partial = nums[0] * a
     rest = list(b)
     chosen: list[int] = []
@@ -133,7 +151,7 @@ def _least_negative_arrangement(
             if j and v == rest[j - 1]:
                 continue
             others = rest[:j] + rest[j + 1 :]
-            if partial + nums[i] * v + sum(x * y for x, y in zip(tail, others)) < 0:
+            if partial + nums[i] * v + sum(x * y for x, y in zip(tail, others)) < below:
                 partial += nums[i] * v
                 chosen.append(-v)
                 rest = others

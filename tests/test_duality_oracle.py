@@ -6,7 +6,10 @@ and is kept here, unchanged apart from its name, as the independent reference.
 `oracle_dot_profile` is the profile production built before it paired each
 orbit block once per S9 orbit of (-1)-curves: one row per curve, every class
 paired with every curve.  Production prints one row per S9 orbit of
-(-1)-curves; `by_orbit` groups the oracle's per-curve rows that way.
+(-1)-curves; `by_orbit` groups the oracle's per-curve rows that way.  A
+falsified scan prints one violation per (candidate, curve) in the oracle and
+one per negative (block, column) or failing block in production, so
+falsified reports are compared field by field apart from their violations.
 """
 
 import sys
@@ -14,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbnef import hilb, weyl
 from hilbnef.hilb import (
@@ -29,6 +33,11 @@ from hilbnef.hilb import (
     pair_hilb,
 )
 from hilbnef.lattice import DivisorClass, E, F, H, divisor, dot_int, parse_divisor
+from hilbnef.surface_cones import (
+    _least_negative_arrangement,
+    _least_pairing,
+    _least_pairing_count,
+)
 from hilbnef.weyl import enumerate_minus_one_classes, weyl_orbit
 
 
@@ -207,11 +216,11 @@ def test_profile_rows_match_oracle_profile(degree):
     """Per block: the listed block's size and its one fiber degree.  Per
     column: the contracted curve, the fiber curve, then one S9 orbit of
     (-1)-curves per column, labelled by its representative, with the orbit's
-    size.  Per (block, curve): the same values and counts of t = c.e as the
-    curve's column, hence the same minimum and zero count.  Per (block,
-    column): the witness is the oracle's first class at the one value of t
-    that can pair zero with the column's curve: any value for the contracted
-    and fiber curves, where t is constant, and t = 0 for a (-1)-curve."""
+    size.  Per (block, curve): the least t = c.e of the curve's column and
+    how many classes reach it.  Per (block, column): the witness is the
+    oracle's first class at the one value of t that can pair zero with the
+    column's curve: any value for the contracted and fiber curves, where t
+    is constant, and t = 0 for a (-1)-curve."""
     classes, curves, rows = oracle_dot_profile(degree)
     profile = hilb._dot_profile(degree)
     assert [start for start, _, _ in profile.blocks] == [F, H, H - E[0]]
@@ -228,13 +237,51 @@ def test_profile_rows_match_oracle_profile(degree):
     ]
     for k, block in enumerate(rows):
         for j, old in enumerate(block):
-            assert profile.counts[k][column[j]] == {t: count for t, (count, _) in old.items()}
+            least = min(old)
+            assert profile.counts[k][column[j]] == (least, old[least][0])
         for m, j in enumerate(own):
             witnesses = {t: classes[k][i] for t, (_, i) in block[j].items()}
             if m < 2:
                 assert list(witnesses.values()) == [profile.first[k][m]]
             else:
                 assert profile.first[k][m] == witnesses.get(0)
+
+
+def distinct_arrangements(b: tuple[int, ...]):
+    """Every distinct ordering of b: each distinct value first, then the
+    orderings of what is left."""
+    if not b:
+        yield ()
+    for v in sorted(set(b)):
+        rest = list(b)
+        rest.remove(v)
+        for tail in distinct_arrangements(tuple(rest)):
+            yield (v,) + tail
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), min_size=10, max_size=10),
+    st.integers(0, 4),
+    st.lists(st.integers(0, 3), min_size=9, max_size=9),
+    st.integers(0, 3),
+)
+def test_rearrangement_closed_forms_match_brute_force(column, a, rep, above):
+    """A column's numerators against a representative (a, b): the least
+    pairing, how many distinct arrangements reach it and the least
+    arrangement below a threshold, against every arrangement paired."""
+    nums, b = tuple(column), tuple(sorted(rep, reverse=True))
+    pairings = {
+        tuple(-v for v in s): dot_int(nums, (a,) + tuple(-v for v in s))
+        for s in distinct_arrangements(b)
+    }
+    low = min(pairings.values())
+    assert _least_pairing(nums, a, b) == low
+    assert _least_pairing_count(nums, b) == list(pairings.values()).count(low)
+    below = low + 1 + above
+    assert _least_negative_arrangement(nums, a, b, below) == min(
+        e for e, t in pairings.items() if t < below
+    )
 
 
 def s9_orbit(c: DivisorClass) -> list[DivisorClass]:
@@ -255,8 +302,8 @@ def s9_orbit(c: DivisorClass) -> list[DivisorClass]:
 def inject(monkeypatch, extra):
     """Weyl orbits with the S9 orbit of the non-nef class extra[start] added
     to the orbit of each start in extra: its sorted representative joins the
-    representatives that the profile and a falsified scan read, and its
-    classes join the oracle's orbit."""
+    representatives that the profile reads, and its classes join the
+    oracle's orbit."""
     real_representatives, real_orbit = hilb._representatives, weyl_orbit
 
     def representatives(start, max_h_degree):
@@ -284,93 +331,14 @@ def injected_orbits(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 12])
 def test_falsified_scan_matches_oracle(injected_orbits, n):
-    report = cone_duality_check(n, 2)
-    assert report == by_orbit(oracle_duality_check(n, 2))
-    assert not report.passed
-
-
-def test_falsified_scan_lists_offenders_candidate_major(injected_orbits):
-    eps_h = "(8H-5E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8-2E9)^[n] - 1*B/2"
-    eps_ruling = "(15/2H-5E1-1/2E2-2E3-2E4-2E5-2E6-2E7-2E8-2E9)^[n] - 1*B/2"
-    assert str(fiber_orthogonal_lift(BAD_H, 3)) == eps_h
-    assert str(fiber_orthogonal_lift(BAD_RULING, 3)) == eps_ruling
-    # 2H-3Ei pairs -1 with the eight lines through Ei; H-2Ei+Ej pairs -1 with
-    # Ej and with the seven lines through Ei but not Ej
-    bad_h = [(2 * H - 3 * E[i], sorted(H - E[i] - E[k] for k in range(9) if k != i))
-             for i in range(9)]
-    bad_ruling = sorted(
-        (H - 2 * E[i] + E[j], sorted([E[j]] + [H - E[i] - E[k] for k in range(9)
-                                               if k not in (i, j)]))
-        for i in range(9) for j in range(9) if i != j
-    )
-
-    def lines(build, rows, value):
-        return [f"{build(c)} against {e}: {value}" for c, curves in rows for e in curves]
-
-    def eps(c):
-        return fiber_orthogonal_lift(c, 3)
-
-    expected = lines(lift, bad_h, -1) + lines(lift, bad_ruling, -1)
-    expected += lines(eps, bad_h, -1) + lines(eps, bad_ruling, "-3/2")
-    report = cone_duality_check(3, 2)
-    assert list(report.violations) == expected
-    assert len(expected) == 2 * (9 + 72) * 8
-    assert expected[:8] == [f"(2H-3E1)^[n] against H-E1-E{j}: -1" for j in range(2, 10)]
-    assert report.min_pairing == Fraction(-3, 2)
-
-
-def test_falsified_scan_orders_offending_curves_across_orbits(monkeypatch):
-    # 5H-4E1-4E2-E3-...-E9 (c.F = 0, so it joins the block {F}) pairs
-    # negatively with curves of both S9 orbits of degree 4, 4H-3E1-E2-...-E9
-    # and 4H-2E1-2E2-2E3-E4-...-E8, whose classes interleave in class order;
-    # each candidate's lines follow the curve order of the listed (-1)-classes
-    bad = divisor(5, [-4, -4, -1, -1, -1, -1, -1, -1, -1])
-    inject(monkeypatch, {F: bad})
-    try:
-        report = cone_duality_check(3, 4)
-    finally:
-        hilb._dot_profile.cache_clear()
-    curves = [(str(e), InducedCurve(e)) for e in enumerate_minus_one_classes(4)]
-    expected = []
-    for c in s9_orbit(bad):
-        d = lift(c)
-        expected += [
-            f"{d} against {label}: {pair_hilb(d, curve, 3)}"
-            for label, curve in curves
-            if pair_hilb(d, curve, 3) < 0
-        ]
-    assert list(report.violations) == expected
-    # the first candidate's offending curves of degree 4 switch orbits twice
-    first = [line for line in expected if line.startswith(f"{lift(bad)} against 4H")]
-    orbits = [representative(parse_divisor(line.split(" against ")[1].split(":")[0]))
-              for line in first]
-    assert sum(a != b for a, b in zip(orbits, orbits[1:])) >= 2
-
-
-def test_falsified_scan_expands_only_orbits_that_can_fail(monkeypatch):
-    # 2H-5E1-5E2+E3+...+E9 (c.F = 3, as on the orbit of H) pairs negatively
-    # with (-1)-curves of several S9 orbits up to degree 4, both as c^[n] and
-    # as its fiber-orthogonal lift; the scan expands its 36 classes, not the
-    # whole blocks of W.H, so it stays fast at degree 4
-    bad = divisor(2, [-5, -5, 1, 1, 1, 1, 1, 1, 1])
-    inject(monkeypatch, {H: bad})
-    try:
-        report = cone_duality_check(3, 4)
-    finally:
-        hilb._dot_profile.cache_clear()
-    curves = [("contracted", C0), ("fiber", InducedCurve(F))]
-    curves += [(str(e), InducedCurve(e)) for e in enumerate_minus_one_classes(4)]
-    expected = []
-    for build in (lift, lambda c: fiber_orthogonal_lift(c, 3)):
-        for c in s9_orbit(bad):
-            d = build(c)
-            expected += [
-                f"{d} against {label}: {pair_hilb(d, curve, 3)}"
-                for label, curve in curves
-                if pair_hilb(d, curve, 3) < 0
-            ]
-    assert list(report.violations) == expected
-    assert len(expected) == 10296
+    # the injected classes pair -1 with (-1)-curves, which no class of W.H or
+    # W.(H-E1) does (the lemma of `_dot_profile`): the oracle lists them as
+    # violations, and the scan refuses its profile
+    oracle = oracle_duality_check(n, 2)
+    assert not oracle.passed
+    assert "(2H-3E1)^[n] against H-E1-E2: -1" in oracle.violations
+    with pytest.raises(ArithmeticError, match=r"W\.\(H\) pairs -1 with the \(-1\)-class H-E1-E2$"):
+        cone_duality_check(n, 2)
 
 
 def test_ray_pairing_nonzero_with_a_minus_one_curve_is_rejected(monkeypatch):
@@ -380,31 +348,47 @@ def test_ray_pairing_nonzero_with_a_minus_one_curve_is_rejected(monkeypatch):
         cone_duality_check(3, 1)
 
 
-@pytest.fixture
-def doubled_scale(monkeypatch):
-    """Every fiber-orthogonal lift built with twice its scale x, so each one
-    pairs n, not 0, with the induced fiber curve; production and oracle see
-    the same lifts."""
+def scaled_lifts(monkeypatch, factor):
+    """Every fiber-orthogonal lift built with factor times its scale x;
+    production and oracle see the same lifts."""
     real_scale = hilb._orthogonal_scale
-    monkeypatch.setattr(hilb, "_orthogonal_scale", lambda cf, n: 2 * real_scale(cf, n))
+    monkeypatch.setattr(hilb, "_orthogonal_scale", lambda cf, n: factor * real_scale(cf, n))
+
+
+def same_but_violations(report: DualityReport, oracle: DualityReport) -> bool:
+    fields = [f for f in DualityReport.__slots__ if f != "violations"]
+    return [getattr(report, f) for f in fields] == [getattr(oracle, f) for f in fields]
+
+
+ORTHOGONAL_BLOCKS = ((H, "W.(H)"), (H - E[0], "W.(H-E1)"))
 
 
 @pytest.mark.parametrize("n", [3, 4, 12])
-def test_wrong_orthogonal_scale_matches_oracle(doubled_scale, n):
+def test_wrong_orthogonal_scale_matches_oracle(monkeypatch, n):
+    # twice its scale: each lift pairs n, not 0, with the induced fiber curve,
+    # so the oracle names every lift and the scan each of the two blocks
+    scaled_lifts(monkeypatch, 2)
     report = cone_duality_check(n, 2)
-    assert report == by_orbit(oracle_duality_check(n, 2))
+    oracle = by_orbit(oracle_duality_check(n, 2))
+    assert same_but_violations(report, oracle)
     assert not report.passed
-    lifts = [fiber_orthogonal_lift(c, n) for c in weyl_orbit(H, 2)]
-    lifts += [fiber_orthogonal_lift(c, n) for c in weyl_orbit(H - E[0], 2)]
+    lifts = [fiber_orthogonal_lift(c, n) for start, _ in ORTHOGONAL_BLOCKS
+             for c in weyl_orbit(start, 2)]
     assert len(lifts) == 220
-    assert list(report.violations) == [
+    assert list(oracle.violations) == [
         f"{d} is not orthogonal to the induced fiber curve" for d in lifts
+    ]
+    assert list(report.violations) == [
+        f"none of the {len(weyl_orbit(start, 2))} fiber-orthogonal lifts of {name} "
+        "is orthogonal to the induced fiber curve"
+        for start, name in ORTHOGONAL_BLOCKS
     ]
 
 
 def test_passing_scan_builds_only_printed_candidates(monkeypatch):
-    calls = {"fiber_orthogonal_lift": 0, "pair_hilb": 0, "_permutations": 0}
+    calls = {"fiber_orthogonal_lift": 0, "pair_hilb": 0}
     listed = []  # the start of every Weyl orbit listed
+    expanded = []  # every multiset expanded into its arrangements
 
     def counted(name):
         real = getattr(hilb, name)
@@ -415,14 +399,21 @@ def test_passing_scan_builds_only_printed_candidates(monkeypatch):
 
         return wrapper
 
-    real_listing = weyl._orbit_cached
+    real_listing, real_permutations = weyl._orbit_cached, weyl._permutations
     monkeypatch.setattr(
         weyl, "_orbit_cached", lambda start, k: listed.append(start) or real_listing(start, k)
     )
+    monkeypatch.setattr(
+        weyl, "_permutations", lambda items: expanded.append(items) or real_permutations(items)
+    )
     hilb._dot_profile.cache_clear()
     report = cone_duality_check(3, 3)  # a cold profile build
-    # the blocks and the (-1)-curves come from S9 representatives: no orbit is listed
+    # the blocks and the (-1)-curves come from S9 representatives: no orbit is
+    # listed, and each column is read from the rearrangement bound, so no class
+    # of a block or a column is expanded
     assert listed == []
+    assert expanded == []
+    assert not hasattr(hilb, "_permutations")
     for name in calls:
         monkeypatch.setattr(hilb, name, counted(name))
     assert cone_duality_check(3, 3) == report
@@ -431,35 +422,35 @@ def test_passing_scan_builds_only_printed_candidates(monkeypatch):
     assert report.nef_candidate_count == 1 + 2 * (715 + 639)
     columns = len(report.curve_rows)
     assert columns == 6
-    assert calls["_permutations"] == 0  # no class of a block or a column expanded
     assert calls["pair_hilb"] <= columns  # ray.e, once per column
     assert calls["fiber_orthogonal_lift"] <= columns  # printed witnesses only
 
 
-def test_falsified_scan_lists_each_block_once(injected_orbits, monkeypatch):
-    # the four blocks (c^[n] and the orthogonal lifts over W.H and W.(H-E1))
-    # each pair negatively with more than one column, but only the injected
-    # S9 orbits can: only their classes are expanded, each once per block
-    lifts, lifted = Counter(), Counter()
-    real_lift, real_orthogonal = hilb.lift, hilb.fiber_orthogonal_lift
-
-    def lifting(c):
-        lifted[c] += 1
-        return real_lift(c)
-
-    def orthogonal(c, n):
-        lifts[c] += 1
-        return real_orthogonal(c, n)
-
-    monkeypatch.setattr(hilb, "lift", lifting)
-    monkeypatch.setattr(hilb, "fiber_orthogonal_lift", orthogonal)
+def test_falsified_scan_lists_each_block_once(monkeypatch):
+    # half its scale: each lift pairs -n/2 with the induced fiber curve.  The
+    # oracle names every lift twice; the scan prints one line per negative
+    # (block, column), with its least pairing and how many candidates reach
+    # it, then one per orthogonal block whose identity fails, and builds no
+    # candidate but the printed witnesses
+    scaled_lifts(monkeypatch, Fraction(1, 2))
+    built = Counter()
+    for name in ("lift", "fiber_orthogonal_lift"):
+        real = getattr(hilb, name)
+        monkeypatch.setattr(
+            hilb, name, lambda *args, name=name, real=real: built.update([name]) or real(*args)
+        )
     report = cone_duality_check(3, 2)
-    assert not report.passed
-    bad = Counter(s9_orbit(BAD_H) + s9_orbit(BAD_RULING))
-    assert len(bad) == 9 + 72
-    # each orthogonal candidate of the injected orbits lifted once, and
-    # nothing else lifted
-    assert lifts == bad
-    # the same classes as c^[n], besides at most one printed witness per column
-    assert lifted & bad == bad
-    assert sum((lifted - bad).values()) <= len(report.curve_rows)
+    oracle = by_orbit(oracle_duality_check(3, 2))
+    assert same_but_violations(report, oracle)
+    assert report.min_pairing == Fraction(-3, 2)
+    sizes = [len(weyl_orbit(start, 2)) for start, _ in ORTHOGONAL_BLOCKS]
+    assert sum(line.endswith("against fiber: -3/2") for line in oracle.violations) == sum(sizes)
+    assert list(report.violations) == [
+        f"{size} of the {size} fiber-orthogonal lifts of {name} against fiber: -3/2"
+        for size, (_, name) in zip(sizes, ORTHOGONAL_BLOCKS)
+    ] + [
+        f"none of the {size} fiber-orthogonal lifts of {name} "
+        "is orthogonal to the induced fiber curve"
+        for size, (_, name) in zip(sizes, ORTHOGONAL_BLOCKS)
+    ]
+    assert sum(built.values()) <= len(report.curve_rows)

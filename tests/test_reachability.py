@@ -51,7 +51,6 @@ ALLOWED = {
     ),
     "bridgeland._pool_shapes": "(a) the pool order of a falsified wall's walk",
     "hilb.DecompositionError.__init__": "(a) a divisor with no nef part plus ray",
-    "hilb.cone_duality_check.orbit": "(a) a falsified scan lists its offenders",
     "record._restore": "(b) Record protocol: copying and unpickling",
     "record.Record.__setattr__": "(b) Record protocol: immutable fields",
     "record.Record.__delattr__": "(b) Record protocol: immutable fields",

@@ -122,22 +122,22 @@ def test_dumps_json_prints_any_string_and_refuses_objects():
 
 
 def test_validate_campaign_bounds():
-    validate_campaign(Campaign(3, 5))
+    validate_campaign(Campaign(3, 5, 3, ("A1", "A2")))
     for bad in (
-        Campaign(2, 3),
-        Campaign(3, 65),
-        Campaign(5, 4),
-        Campaign(3, 3, max_h_degree=-1),
-        Campaign(3, 3, slices=()),
-        Campaign(3, 3, slices=("A1", "A1")),
-        Campaign(3, 3, slices=("A3",)),
+        Campaign(2, 3, 3, ("A1", "A2")),
+        Campaign(3, 65, 3, ("A1", "A2")),
+        Campaign(5, 4, 3, ("A1", "A2")),
+        Campaign(3, 3, -1, ("A1", "A2")),
+        Campaign(3, 3, 3, ()),
+        Campaign(3, 3, 3, ("A1", "A1")),
+        Campaign(3, 3, 3, ("A3",)),
     ):
         with pytest.raises(CampaignUsageError):
             validate_campaign(bad)
 
 
 def test_campaign_single_n():
-    res = run_campaign(Campaign(3, 3))
+    res = run_campaign(Campaign(3, 3, 3, ("A1", "A2")))
     assert res.all_passed
     assert res.verdict == "certified"
     names = [c.name for c in res.checks]
@@ -155,4 +155,4 @@ def test_campaign_single_n():
 
 def test_campaign_rejects_bad_range_at_run():
     with pytest.raises(CampaignUsageError):
-        run_campaign(Campaign(1, 1))
+        run_campaign(Campaign(1, 1, 3, ("A1", "A2")))
