@@ -57,9 +57,11 @@ MAX_NEF_DEGREE = 200  # surface nef --divisor H or H-E1-E2: 1.7-2.1 s, 22 MB
 # The duality scan prints one row per S9 orbit of curves (12 at degree 6, for
 # 3,026 curves).  Degree 7 would first need orthogonality witnesses from
 # outside the degree window: at degree 6 the orbit of 6H-3E1-2E2-...-2E8 (72
-# curves) already has none inside it.
-MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.33-0.41 s, 17 MB
-MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 0.63-0.81 s, 19 MB
+# curves) already has none inside it.  Time does not set these caps: the
+# scan reads each column from the rearrangement bound, and a cold scan at
+# degree 15 takes about 0.07 s.
+MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.11-0.12 s, 16 MB
+MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 0.33-0.43 s, 18.5 MB
 # The cover unranks each generator it draws (`weyl.orbit_class`) and lists
 # no orbit.
 MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 0.11-0.17 s, 16 MB
