@@ -29,7 +29,7 @@ from .surface_cones import (
     _least_pairing_count,
     is_nef_up_to_degree,
 )
-from .weyl import _arrangements, _representatives
+from .weyl import _arrangements, _representatives, orbit_size
 
 
 @total_ordering
@@ -305,7 +305,7 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
         reps = _representatives(start, max_h_degree)
         least = DivisorClass(min((a,) + tuple(-x for x in b) for a, b in reps))
         fiber = dot_int(start.nums, F.nums)
-        size = sum(_arrangements(b) for _, b in reps)
+        size = orbit_size(start, max_h_degree)
         row = [(0, size), (fiber, size)]
         zeros: list[DivisorClass | None] = []
         for e in shapes:
@@ -318,13 +318,14 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
                 )
             reaching = [(a, b) for t, a, b in bounds if t == low]
             row.append((low, sum(_least_pairing_count(e, b) for _, b in reaching)))
-            zeros.append(
-                None
-                if low
-                else DivisorClass(
-                    min((a,) + _least_negative_arrangement(e, a, b, 1) for a, b in reaching)
-                )
+            if low:
+                zeros.append(None)
+                continue
+            top = min(a for a, _ in reaching)  # the least class has the least a
+            witness = min(
+                _least_negative_arrangement(e, top, b, 1) for a, b in reaching if a == top
             )
+            zeros.append(DivisorClass((top,) + witness))
         blocks.append((start, size, fiber))
         counts.append(tuple(row))
         first.append((least, least) + tuple(zeros))

@@ -4,7 +4,9 @@ The group is generated by reflections in the nine roots
 E1-E2, ..., E8-E9, H-E1-E2-E3 (each with square -2 and zero pairing
 against the fiber class), acting by s_b(D) = D + (D.b) b.  The first eight
 generate the permutations S9 of E1..E9.  Orbits are enumerated from sorted
-S9 representatives, not searched: see `weyl_orbit`.
+S9 representatives, not searched: the i-th class of an orbit window is
+unranked from them (`orbit_class`), and `weyl_orbit` lists the classes of
+every rank.
 """
 
 from __future__ import annotations
@@ -62,13 +64,12 @@ def enumerate_minus_one_classes(max_h_degree: int) -> list[DivisorClass]:
 
     These are exactly the classes of the Weyl orbit of E9 in that window.
     """
-    _check_window(E[8], max_h_degree)
-    return list(_orbit_cached(E[8], max_h_degree))
+    return weyl_orbit(E[8], max_h_degree)
 
 
 def weyl_orbit(start: DivisorClass, max_h_degree: int) -> list[DivisorClass]:
     """The classes of W.start with H-degree in [0, max(max_h_degree, deg(start))],
-    sorted.
+    sorted: the `orbit_class` of each rank from 0 to orbit_size - 1.
 
     The start must be integral with start.F > 0, or a multiple of F (fixed by
     W); any other start raises ValueError.  Every class with D.F > 0 has one
@@ -76,23 +77,22 @@ def weyl_orbit(start: DivisorClass, max_h_degree: int) -> list[DivisorClass]:
     D = aH - sum b_i E_i), so the orbit is enumerated exactly: for each degree
     a in the window, every sorted b with the orbit's fiber degree and square
     whose chamber representative is the start's, then its distinct
-    permutations.  The walk at degree a visits sorted b with sum of squares
+    arrangements.  The walk at degree a visits sorted b with sum of squares
     a^2 - D.D, so its cost grows with -D.D as well as with the window.
     """
-    _check_window(start, max_h_degree)
-    return list(_orbit_cached(start, max_h_degree))
+    return [orbit_class(start, max_h_degree, i) for i in range(orbit_size(start, max_h_degree))]
 
 
 def orbit_size(start: DivisorClass, max_h_degree: int) -> int:
-    """len(weyl_orbit(start, max_h_degree)), counted from the orbit's sorted
-    representatives without listing its classes; same errors."""
+    """len(weyl_orbit(start, max_h_degree)), summed from the sizes of its
+    degrees without building a class; same errors."""
     _check_window(start, max_h_degree)
-    return sum(_arrangements(rep) for _, rep in _representatives(start, max_h_degree))
+    return sum(size for _, size, _ in _degree_groups(start, max_h_degree))
 
 
 def orbit_class(start: DivisorClass, max_h_degree: int, i: int) -> DivisorClass:
     """weyl_orbit(start, max_h_degree)[i], unranked from the orbit's sorted
-    representatives without listing its classes; the same errors, and
+    representatives without building any other class; the same errors, and
     IndexError when i is outside [0, orbit_size(start, max_h_degree)).
 
     The orbit is sorted by degree a first, so whole degrees are skipped by
@@ -104,9 +104,9 @@ def orbit_class(start: DivisorClass, max_h_degree: int, i: int) -> DivisorClass:
     """
     _check_window(start, max_h_degree)
     if i >= 0:
-        for a, size, multisets in _degree_groups(start, max_h_degree):
+        for a, size, reps in _degree_groups(start, max_h_degree):
             if i < size:
-                return DivisorClass((a,) + _unrank(multisets, i))
+                return DivisorClass((a,) + _unrank(reps, i))
             i -= size
     raise IndexError("orbit index out of range")
 
@@ -114,27 +114,26 @@ def orbit_class(start: DivisorClass, max_h_degree: int, i: int) -> DivisorClass:
 @lru_cache(maxsize=32)
 def _degree_groups(
     start: DivisorClass, max_h_degree: int
-) -> tuple[tuple[int, int, tuple[tuple[dict[int, int], int], ...]], ...]:
-    """(a, classes of degree a, ((multiset of -b, its arrangements), ...))
-    per degree a of the orbit's window, in increasing a.  The multisets are
-    shared by every call and never changed."""
-    groups: dict[int, list[tuple[dict[int, int], int]]] = {}
-    for a, rep in _representatives(start, max_h_degree):
-        groups.setdefault(a, []).append((Counter(-x for x in rep), _arrangements(rep)))
-    return tuple(
-        (a, sum(size for _, size in sets), tuple(sets)) for a, sets in groups.items()
-    )
+) -> tuple[tuple[int, int, tuple[tuple[tuple[int, ...], int], ...]], ...]:
+    """(a, classes of degree a, ((sorted b, its arrangements), ...)) per
+    degree a of the orbit's window, in increasing a.  The b are the tuples
+    `_representatives` caches, so the table adds one pair per representative."""
+    groups: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for a, b in _representatives(start, max_h_degree):
+        groups.setdefault(a, []).append((b, _arrangements(b)))
+    return tuple((a, sum(size for _, size in reps), tuple(reps)) for a, reps in groups.items())
 
 
-def _unrank(multisets: Sequence[tuple[dict[int, int], int]], i: int) -> tuple[int, ...]:
+def _unrank(reps: Sequence[tuple[tuple[int, ...], int]], i: int) -> tuple[int, ...]:
     """The i-th tuple, in lexicographic order, among the distinct
-    arrangements of the given disjoint multisets, each paired with its number
-    of arrangements.  Of the `remaining` arrangements of m, m[v] / remaining
-    begin with v; a value used up stays in m with count 0."""
-    live = [(dict(m), size) for m, size in multisets]  # copies, changed below
-    values = sorted({v for m, _ in live for v in m})
+    arrangements (-b_sigma) of the given nonincreasing b, each paired with
+    its number of arrangements.  The entries -v ascend as v descends.  Of the
+    `remaining` arrangements of a multiset m, m[v] / remaining begin with v;
+    a value used up stays in m with count 0."""
+    live = [(Counter(b), size) for b, size in reps]  # changed below
+    values = sorted({v for m, _ in live for v in m}, reverse=True)
     out: list[int] = []
-    remaining = sum(multisets[0][0].values())
+    remaining = len(reps[0][0])
     while remaining:
         for v in values:
             count = 0
@@ -146,18 +145,9 @@ def _unrank(multisets: Sequence[tuple[dict[int, int], int]], i: int) -> tuple[in
         live = [(m, size * m[v] // remaining) for m, size in live if m.get(v)]
         for m, _ in live:
             m[v] -= 1
-        out.append(v)
+        out.append(-v)
         remaining -= 1
     return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _orbit_cached(start: DivisorClass, max_h_degree: int) -> tuple[DivisorClass, ...]:
-    found: list[tuple[int, ...]] = []
-    for a, rep in _representatives(start, max_h_degree):
-        found += [(a,) + e for e in _permutations(tuple(-x for x in rep))]
-    # on integral classes, the order of the numerator tuples is the class order
-    return tuple(DivisorClass(vec) for vec in sorted(found))
 
 
 @lru_cache(maxsize=32)
@@ -227,17 +217,3 @@ def _arrangements(b: tuple[int, ...]) -> int:
     for m in Counter(b).values():
         count //= factorial(m)
     return count
-
-
-def _permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The distinct permutations of a nondecreasing tuple, in lexicographic
-    order."""
-    if len(items) <= 1:
-        yield items
-        return
-    for i, v in enumerate(items):
-        if i and v == items[i - 1]:
-            continue
-        for rest in _permutations(items[:i] + items[i + 1 :]):
-            yield (v,) + rest
-

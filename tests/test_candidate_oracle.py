@@ -43,6 +43,8 @@ from hilbnef.lattice import RANK, DivisorClass, F, dot_int, format_rational, par
 from hilbnef.cli import main
 from hilbnef.reporting import dumps_json
 
+from conftest import distinct_permutations
+
 SLICES = {"A1": slice_a1, "A2": slice_a2}
 
 
@@ -172,24 +174,6 @@ def oracle_rows(candidates):
         yield cand.shape, cand.filtered_by, wall
 
 
-def _lex_arrangements(values):
-    """The distinct orderings of values, in lexicographic order (the next
-    permutation of each is found by the usual swap and reversal)."""
-    b = sorted(values)
-    while True:
-        yield tuple(b)
-        i = len(b) - 2
-        while i >= 0 and b[i] >= b[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(b) - 1
-        while b[j] <= b[i]:
-            j -= 1
-        b[i], b[j] = b[j], b[i]
-        b[i + 1 :] = reversed(b[i + 1 :])
-
-
 def _row_shapes(row):
     """One orbit row's shapes, the distinct arrangements of its b2..b9, as
     ((a, b1, ..., b9), (shape, filter, wall)) in lexicographic order; checks
@@ -199,7 +183,7 @@ def _row_shapes(row):
     assert list(nums[2:]) == sorted(nums[2:])
     a, b1 = nums[0], -nums[1]
     count = 0
-    for tail in _lex_arrangements([-e for e in nums[2:]]):
+    for tail in distinct_permutations(-e for e in nums[2:]):
         count += 1
         shape = (a, -b1) + tuple(-x for x in tail)
         yield (a, b1) + tail, (shape, row["filter"], row.get("wall"))

@@ -11,8 +11,9 @@ import pytest
 from hilbnef import cli, weyl
 from hilbnef.bridgeland import WallCandidate, _degree_orbits
 from hilbnef.lattice import E, F, H, parse_divisor
-from hilbnef.weyl import weyl_orbit
 from hilbnef.cli import main
+
+from conftest import distinct_permutations, listed_orbit
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,18 +55,6 @@ def test_weyl_orbit_empty_class_list(capsys):
     assert json.loads(out)["total"] == 0
 
 
-def _distinct_arrangements(values: list[int]) -> list[tuple[int, ...]]:
-    """The distinct orderings of values, each once."""
-    if not values:
-        return [()]
-    out = []
-    for v in sorted(set(values)):
-        rest = list(values)
-        rest.remove(v)
-        out += [(v,) + tail for tail in _distinct_arrangements(rest)]
-    return out
-
-
 ORBIT_STARTS = {"H": H, "H-E1": H - E[0], "E9": E[8], "2F": 2 * F}
 
 
@@ -82,11 +71,11 @@ def test_weyl_orbit_rows_expand_to_the_listed_orbit(capsys, name, degree):
     expanded = []
     for row in data["representatives"]:
         rep = parse_divisor(row["representative"])
-        classes = [(rep.nums[0],) + e for e in _distinct_arrangements(list(rep.nums[1:]))]
+        classes = [(rep.nums[0],) + e for e in distinct_permutations(rep.nums[1:])]
         assert row["arrangements"] == len(classes)
         assert min(classes) == rep.nums
         expanded += classes
-    orbit = weyl_orbit(ORBIT_STARTS[name], degree)
+    orbit = listed_orbit(ORBIT_STARTS[name], degree)
     assert sorted(expanded) == [c.nums for c in orbit]
     counts = {}
     for c in orbit:
@@ -96,12 +85,12 @@ def test_weyl_orbit_rows_expand_to_the_listed_orbit(capsys, name, degree):
 
 
 def test_weyl_orbit_lists_no_orbit(capsys, monkeypatch):
-    def listed(*args):
-        raise AssertionError("weyl orbit listed the orbit")
-
-    monkeypatch.setattr(weyl, "_orbit_cached", listed)
+    # the rows come from the sorted representatives: no class is unranked
+    unranked = []
+    real = weyl._unrank
+    monkeypatch.setattr(weyl, "_unrank", lambda *args: unranked.append(args) or real(*args))
     code, out, _ = run_cli(capsys, ["weyl", "orbit", "--start", "H", "--max-degree", "9"])
-    assert code == 0
+    assert (code, unranked) == (0, [])
     data = json.loads(out)
     assert (data["total"], len(data["representatives"])) == (99_838, 27)
 

@@ -38,7 +38,8 @@ from hilbnef.surface_cones import (
     _least_pairing,
     _least_pairing_count,
 )
-from hilbnef.weyl import enumerate_minus_one_classes, weyl_orbit
+
+from conftest import distinct_permutations, listed_orbit
 
 
 def oracle_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
@@ -52,9 +53,9 @@ def oracle_duality_check(n: int, max_h_degree: int = 3) -> DualityReport:
     """
     if n < 3:
         raise ValueError("n >= 3 required")
-    orbit_h = weyl_orbit(H, max_h_degree)
-    orbit_ruling = weyl_orbit(H - E[0], max_h_degree)
-    minus_ones = enumerate_minus_one_classes(max_h_degree)
+    orbit_h = listed_orbit(H, max_h_degree)
+    orbit_ruling = listed_orbit(H - E[0], max_h_degree)
+    minus_ones = listed_orbit(E[8], max_h_degree)
 
     nef_candidates: list[HilbDivisor] = [lift(F)]
     nef_candidates += [lift(c) for c in orbit_h]
@@ -196,14 +197,14 @@ def oracle_dot_profile(max_h_degree):
     block k to (count, first index)."""
     classes = (
         (F,),
-        tuple(weyl_orbit(H, max_h_degree)),
-        tuple(weyl_orbit(H - E[0], max_h_degree)),
+        listed_orbit(H, max_h_degree),
+        listed_orbit(H - E[0], max_h_degree),
     )
     ints = tuple(tuple(c.nums for c in block) for block in classes)
     curves = [("contracted", C0), ("fiber", InducedCurve(F))]
     curves += [
         (str(e_cls), InducedCurve(e_cls))
-        for e_cls in enumerate_minus_one_classes(max_h_degree)
+        for e_cls in listed_orbit(E[8], max_h_degree)
     ]
     rows = tuple(
         tuple(oracle_dot_row(block, curve) for _, curve in curves) for block in ints
@@ -247,18 +248,6 @@ def test_profile_rows_match_oracle_profile(degree):
                 assert profile.first[k][m] == witnesses.get(0)
 
 
-def distinct_arrangements(b: tuple[int, ...]):
-    """Every distinct ordering of b: each distinct value first, then the
-    orderings of what is left."""
-    if not b:
-        yield ()
-    for v in sorted(set(b)):
-        rest = list(b)
-        rest.remove(v)
-        for tail in distinct_arrangements(tuple(rest)):
-            yield (v,) + tail
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.integers(-4, 4), min_size=10, max_size=10),
@@ -273,7 +262,7 @@ def test_rearrangement_closed_forms_match_brute_force(column, a, rep, above):
     nums, b = tuple(column), tuple(sorted(rep, reverse=True))
     pairings = {
         tuple(-v for v in s): dot_int(nums, (a,) + tuple(-v for v in s))
-        for s in distinct_arrangements(b)
+        for s in distinct_permutations(b)
     }
     low = min(pairings.values())
     assert _least_pairing(nums, a, b) == low
@@ -304,7 +293,7 @@ def inject(monkeypatch, extra):
     to the orbit of each start in extra: its sorted representative joins the
     representatives that the profile reads, and its classes join the
     oracle's orbit."""
-    real_representatives, real_orbit = hilb._representatives, weyl_orbit
+    real_representatives, real_orbit = hilb._representatives, listed_orbit
 
     def representatives(start, max_h_degree):
         reps = real_representatives(start, max_h_degree)
@@ -315,10 +304,12 @@ def inject(monkeypatch, extra):
 
     def orbit(start, max_h_degree):
         classes = real_orbit(start, max_h_degree)
-        return sorted(classes + s9_orbit(extra[start])) if start in extra else classes
+        if start in extra:
+            classes = tuple(sorted([*classes, *s9_orbit(extra[start])]))
+        return classes
 
     monkeypatch.setattr(hilb, "_representatives", representatives)
-    monkeypatch.setattr(sys.modules[__name__], "weyl_orbit", orbit)
+    monkeypatch.setattr(sys.modules[__name__], "listed_orbit", orbit)
     hilb._dot_profile.cache_clear()
 
 
@@ -373,13 +364,13 @@ def test_wrong_orthogonal_scale_matches_oracle(monkeypatch, n):
     assert same_but_violations(report, oracle)
     assert not report.passed
     lifts = [fiber_orthogonal_lift(c, n) for start, _ in ORTHOGONAL_BLOCKS
-             for c in weyl_orbit(start, 2)]
+             for c in listed_orbit(start, 2)]
     assert len(lifts) == 220
     assert list(oracle.violations) == [
         f"{d} is not orthogonal to the induced fiber curve" for d in lifts
     ]
     assert list(report.violations) == [
-        f"none of the {len(weyl_orbit(start, 2))} fiber-orthogonal lifts of {name} "
+        f"none of the {len(listed_orbit(start, 2))} fiber-orthogonal lifts of {name} "
         "is orthogonal to the induced fiber curve"
         for start, name in ORTHOGONAL_BLOCKS
     ]
@@ -387,8 +378,7 @@ def test_wrong_orthogonal_scale_matches_oracle(monkeypatch, n):
 
 def test_passing_scan_builds_only_printed_candidates(monkeypatch):
     calls = {"fiber_orthogonal_lift": 0, "pair_hilb": 0}
-    listed = []  # the start of every Weyl orbit listed
-    expanded = []  # every multiset expanded into its arrangements
+    unranked = []  # every class of a Weyl orbit built
 
     def counted(name):
         real = getattr(hilb, name)
@@ -399,21 +389,14 @@ def test_passing_scan_builds_only_printed_candidates(monkeypatch):
 
         return wrapper
 
-    real_listing, real_permutations = weyl._orbit_cached, weyl._permutations
-    monkeypatch.setattr(
-        weyl, "_orbit_cached", lambda start, k: listed.append(start) or real_listing(start, k)
-    )
-    monkeypatch.setattr(
-        weyl, "_permutations", lambda items: expanded.append(items) or real_permutations(items)
-    )
+    real = weyl._unrank
+    monkeypatch.setattr(weyl, "_unrank", lambda *args: unranked.append(args) or real(*args))
     hilb._dot_profile.cache_clear()
     report = cone_duality_check(3, 3)  # a cold profile build
-    # the blocks and the (-1)-curves come from S9 representatives: no orbit is
-    # listed, and each column is read from the rearrangement bound, so no class
-    # of a block or a column is expanded
-    assert listed == []
-    assert expanded == []
-    assert not hasattr(hilb, "_permutations")
+    # the blocks and the (-1)-curves come from S9 representatives and each
+    # column is read from the rearrangement bound, so no class of a block or
+    # a column is built
+    assert unranked == []
     for name in calls:
         monkeypatch.setattr(hilb, name, counted(name))
     assert cone_duality_check(3, 3) == report
@@ -443,7 +426,7 @@ def test_falsified_scan_lists_each_block_once(monkeypatch):
     oracle = by_orbit(oracle_duality_check(3, 2))
     assert same_but_violations(report, oracle)
     assert report.min_pairing == Fraction(-3, 2)
-    sizes = [len(weyl_orbit(start, 2)) for start, _ in ORTHOGONAL_BLOCKS]
+    sizes = [len(listed_orbit(start, 2)) for start, _ in ORTHOGONAL_BLOCKS]
     assert sum(line.endswith("against fiber: -3/2") for line in oracle.violations) == sum(sizes)
     assert list(report.violations) == [
         f"{size} of the {size} fiber-orthogonal lifts of {name} against fiber: -3/2"

@@ -17,13 +17,14 @@ from hilbnef import (
     bounding_cone_decompose,
     divisor,
     cone_duality_check,
-    enumerate_minus_one_classes,
     fiber_orthogonal_lift,
     intersect,
     lift,
     pair_hilb,
 )
 from hilbnef.surface_cones import _least_minus_one_pairings
+
+from conftest import listed_orbit
 
 # frozen duality scan facts at n=3, degree bound 3
 DUALITY_NEF_CANDIDATES = 2709
@@ -96,7 +97,7 @@ def oracle_min_curve_pairing(d, n, max_h_degree):
     """The least pairing of d with an induced (-1)-curve, from every listed
     (-1)-class."""
     min_val = None
-    for e_cls in enumerate_minus_one_classes(max_h_degree):
+    for e_cls in listed_orbit(E[8], max_h_degree):
         v = pair_hilb(d, InducedCurve(e_cls), n)
         if min_val is None or v < min_val:
             min_val = v

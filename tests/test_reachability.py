@@ -61,7 +61,6 @@ ALLOWED = {
     "lattice.DivisorClass.e": "(b) the Fraction view the lattice oracles compare",
     "hilb.HilbDivisor.__lt__": "(b) value-type operator: divisor order",
     "hilb.HilbDivisor.__sub__": "(b) value-type operator: difference",
-    "weyl.weyl_orbit": "(c) trace_child wraps it as weyl.orbit",
 }
 
 CHILD = """

@@ -19,9 +19,10 @@ from hilbnef import (
     is_nef_up_to_degree,
     parse_divisor,
     self_intersection,
-    weyl_orbit,
 )
 from hilbnef.lattice import dot_int
+
+from conftest import listed_orbit
 
 # fiber class plus (-1)-classes up to each degree
 MORI_COUNTS = {0: 10, 1: 46, 2: 172, 3: 424, 4: 937, 5: 1693, 6: 3025}
@@ -29,7 +30,7 @@ MORI_COUNTS = {0: 10, 1: 46, 2: 172, 3: 424, 4: 937, 5: 1693, 6: 3025}
 
 def mori_generators(max_h_degree: int) -> list[DivisorClass]:
     """Fiber class first, then the listed (-1)-classes in canonical order."""
-    return [F] + enumerate_minus_one_classes(max_h_degree)
+    return [F, *listed_orbit(E[8], max_h_degree)]
 
 
 def oracle_nef(d: DivisorClass, max_h_degree: int) -> NefCertificate:
@@ -58,7 +59,7 @@ def test_mori_generator_counts(degree, count):
 # nef generators of degree at most 3: a multiple of one plus a small, sparse
 # perturbation is near the nef cone's boundary, so both verdicts, fiber
 # witnesses and (-1)-class witnesses of several degrees all occur
-NEF_GENERATORS = [F] + weyl_orbit(H, 3) + weyl_orbit(H - E[0], 3)
+NEF_GENERATORS = [F, *listed_orbit(H, 3), *listed_orbit(H - E[0], 3)]
 PERTURBATION_ENTRIES = [0, 0, 0, -1, 1]
 DENOMINATORS = [1, 1, 2, 3, 6]
 

@@ -35,11 +35,12 @@ from hilbnef import (
     reflect,
     root_basis,
     self_intersection,
-    weyl_orbit,
 )
 from hilbnef.lattice import BASIS, dot_int
 from hilbnef.translations import _section_move, _shift
 from hilbnef.weyl import orbit_class, orbit_size
+
+from conftest import listed_orbit
 
 SECTION_COUNT = 45  # sections of H-degree at most 1
 
@@ -369,17 +370,28 @@ def test_coverage_experiment_small():
     assert all(t.decomposed for t in rep.trials)
 
 
-def test_coverage_pool_lifts_only_drawn_generators(monkeypatch):
-    """The pool is F, then the orbits of H and H - E1; replaying the draws
-    gives the indices the trials read, and no others are lifted."""
-    cfg = CoverageConfig(3, samples=30, seed=5, max_h_degree=4)
-    size = 1 + len(weyl_orbit(H, 4)) + len(weyl_orbit(H - E[0], 4))
+def pool_size(k: int) -> int:
+    """The cover's pool at degree bound k: F, then the orbits of H and H - E1."""
+    return 1 + len(listed_orbit(H, k)) + len(listed_orbit(H - E[0], k))
+
+
+def drawn_indices(cfg: CoverageConfig) -> set[int]:
+    """The pool indices the trials of cfg draw, from a replay of its draws."""
+    size = pool_size(cfg.max_h_degree)
     rng = random.Random(cfg.seed)
     drawn = set()
     for _ in range(cfg.samples):
         for _ in range(rng.randint(1, translations.MAX_TERMS)):
             rng.randint(1, translations.MAX_COEFF)
             drawn.add(rng.randrange(size))
+    return drawn
+
+
+def test_coverage_pool_lifts_only_drawn_generators(monkeypatch):
+    """Replaying the draws gives the indices the trials read, and no others
+    are lifted."""
+    cfg = CoverageConfig(3, samples=30, seed=5, max_h_degree=4)
+    drawn = drawn_indices(cfg)
     expected = coverage_experiment(cfg).to_json()
     calls = []
     real = translations.fiber_orthogonal_lift
@@ -390,24 +402,22 @@ def test_coverage_pool_lifts_only_drawn_generators(monkeypatch):
 
     monkeypatch.setattr(translations, "fiber_orthogonal_lift", counted)
     assert coverage_experiment(cfg).to_json() == expected
-    assert 0 < len(calls) <= len(drawn) < size // 20
+    assert 0 < len(calls) <= len(drawn) < pool_size(4) // 20
     assert len(set(calls)) == len(calls)
 
 
 def test_coverage_draws_without_listing_the_orbits(monkeypatch):
-    """The pool's generators are unranked by index; no orbit of H or H - E1
-    is listed."""
-    calls = []
-    real = weyl._orbit_cached
-
-    def counted(start, max_h_degree):
-        calls.append(start)
-        return real(start, max_h_degree)
-
-    monkeypatch.setattr(weyl, "_orbit_cached", counted)
-    rep = coverage_experiment(CoverageConfig(3, samples=30, seed=5, max_h_degree=5))
+    """The pool's generators are unranked by index: a run unranks the 45
+    moves and one class per distinct drawn generator but F, and lists no
+    orbit of H or H - E1."""
+    cfg = CoverageConfig(3, samples=30, seed=5, max_h_degree=5)
+    unranked = []
+    real = weyl._unrank
+    monkeypatch.setattr(weyl, "_unrank", lambda *args: unranked.append(args) or real(*args))
+    translations._reduction_moves.cache_clear()
+    rep = coverage_experiment(cfg)
     assert rep.passed
-    assert H not in calls and H - E[0] not in calls
+    assert len(unranked) == SECTION_COUNT + len(drawn_indices(cfg) - {0})
 
 
 def test_coverage_experiment_deterministic():

@@ -1,6 +1,8 @@
 """Weyl orbits and (-1)-classes, with the breadth-first orbit search and the
 Diophantine (-1)-class search that production used before the orbits were
-enumerated from sorted representatives, kept here as oracles."""
+enumerated from sorted representatives, kept here as oracles.  The classes
+that production unranks are checked against the permutation listing of
+`conftest.listed_orbit`."""
 
 import random
 from fractions import Fraction
@@ -28,6 +30,8 @@ from hilbnef import (
 )
 from hilbnef.lattice import dot_int
 from hilbnef.weyl import _chamber, orbit_class, orbit_size
+
+from conftest import listed_orbit
 
 # Reflections can raise the H-degree of intermediate classes; the BFS frontier
 # explores this many degrees above the requested window before pruning.
@@ -256,11 +260,20 @@ def test_every_minus_one_class_descends_to_e9():
 
 
 @pytest.mark.parametrize("degree", range(7))
+@pytest.mark.parametrize("name", ["F", "H", "H-E1", "E9"])
+def test_orbit_by_rank_matches_the_permutation_listing(name, degree):
+    start = F if name == "F" else STARTS[name]
+    orbit = list(listed_orbit(start, degree))
+    assert weyl_orbit(start, degree) == orbit
+    assert orbit_size(start, degree) == len(orbit)
+
+
+@pytest.mark.parametrize("degree", range(7))
 @pytest.mark.parametrize("name", ["H", "H-E1", "E9", "2F"])
 def test_orbit_class_unranks_the_listed_orbit(name, degree):
     start = 2 * F if name == "2F" else STARTS[name]
-    orbit = weyl_orbit(start, degree)
-    assert [orbit_class(start, degree, i) for i in range(len(orbit))] == orbit
+    orbit = listed_orbit(start, degree)
+    assert tuple(orbit_class(start, degree, i) for i in range(len(orbit))) == orbit
     for i in (-1, len(orbit)):
         with pytest.raises(IndexError):
             orbit_class(start, degree, i)
@@ -278,7 +291,7 @@ def test_orbit_class_of_a_weyl_image_of_h(word, degree, fractions):
         start = reflect(root_basis()[i], start)
     if start.nums[0] > 6:
         return  # the listed window would pass degree 6
-    orbit = weyl_orbit(start, degree)
+    orbit = listed_orbit(start, degree)
     for u in fractions:
         i = int(u * len(orbit))
         assert orbit_class(start, degree, i) == orbit[i]
