@@ -26,7 +26,7 @@ import os
 import sys
 
 from .lattice import DivisorClass, dot_int, parse_divisor
-from .weyl import _arrangements, _representatives
+from .weyl import _degree_groups, orbit_size
 from .surface_cones import ample_family, is_nef_up_to_degree
 from .hilb import cone_duality_check
 from .bridgeland import GiesekerFalsified, gieseker_wall, slice_for
@@ -116,22 +116,20 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
     squares = window * window - dot_int(start.nums, start.nums)
     _check_cap("the orbit walk's window^2 - D.D", squares, MAX_ORBIT_SQUARES)
     try:
-        reps = _representatives(start, degree)
+        groups = _degree_groups(start, degree)
     except ValueError as exc:  # a start with no finite orbit window
         raise UsageError(str(exc)) from exc
     # one row per S9 orbit: its sorted representative, the least of its classes
-    rows = []
-    counts: dict[str, int] = {}
-    for a, b in reps:
-        size = _arrangements(b)
-        counts[str(a)] = counts.get(str(a), 0) + size
-        rep = DivisorClass((a,) + tuple(-x for x in b))
-        rows.append({"arrangements": size, "representative": str(rep)})
+    rows = [
+        {"arrangements": size, "representative": str(DivisorClass((a,) + tuple(-x for x in b)))}
+        for a, _, reps in groups
+        for b, size in reps
+    ]
     payload = {
         "start": str(start),
         "max_degree": degree,
-        "total": sum(counts.values()),
-        "counts_by_degree": counts,
+        "total": orbit_size(start, degree),
+        "counts_by_degree": {str(a): size for a, size, _ in groups},
         "representatives": rows,
     }
     return payload, 0

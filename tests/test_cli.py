@@ -390,7 +390,7 @@ def test_walls_gieseker_lists_degree_five(capsys):
 
 # (argv before the capped value, flag, cap, the cli name doing the work)
 CAPPED = [
-    (["weyl", "orbit", "--start", "H"], "--max-degree", "MAX_ORBIT_DEGREE", "_representatives"),
+    (["weyl", "orbit", "--start", "H"], "--max-degree", "MAX_ORBIT_DEGREE", "_degree_groups"),
     (
         ["surface", "nef", "--divisor", "H"],
         "--max-degree",
@@ -450,7 +450,7 @@ def test_cap_refuses_before_any_work(capsys, monkeypatch, prefix, flag, cap, wor
 
 def test_orbit_cap_covers_the_start_degree(capsys, monkeypatch):
     # the orbit window is max(--max-degree, H-degree of --start)
-    monkeypatch.setattr(cli, "_representatives", _no_work)
+    monkeypatch.setattr(cli, "_degree_groups", _no_work)
     start = f"{cli.MAX_ORBIT_DEGREE + 1}H"
     code, out, err = run_cli(
         capsys, ["weyl", "orbit", "--start", start, "--max-degree", "0"]
@@ -471,7 +471,7 @@ def test_orbit_cap_covers_the_start_degree(capsys, monkeypatch):
     ],
 )
 def test_orbit_walk_and_size_caps_refuse_before_listing(capsys, monkeypatch, over, cap):
-    monkeypatch.setattr(cli, "_representatives", _no_work)
+    monkeypatch.setattr(cli, "_degree_groups", _no_work)
     limit = getattr(cli, cap)
     code, out, err = run_cli(capsys, ["weyl", "orbit", "--start", over, "--max-degree", "0"])
     assert (code, out) == (2, "")
