@@ -281,16 +281,16 @@ def wall_oracle(sl: Slice, ch_e: ChernChar, ch_f: ChernChar) -> NumericalWall:
     return DegenerateWall(everywhere=(c00 == 0))
 
 
-def quoted_rank_one_center(sl: Slice, l: DivisorClass, points: int = 0) -> Fraction:
-    """The commonly quoted center of the wall between O(l) twisted by `points`
-    points and the ideal of n points.  The center of numerical_wall is
-    (n - points + l^2/2 - l.P) / (l.A); the quoted form has l.P/2 in place of
-    l.P.  Kept as a diagnostic for the discrepancy report."""
+def quoted_rank_one_center(sl: Slice, l: DivisorClass) -> Fraction:
+    """The commonly quoted center of the wall between O(l) and the ideal of n
+    points.  The center of numerical_wall is (n + l^2/2 - l.P) / (l.A); the
+    quoted form has l.P/2 in place of l.P.  Kept as a diagnostic for the
+    discrepancy report."""
     minus_la = intersect(-1 * l, sl.polarization)
     if minus_la == 0:
         raise ValueError("l.A = 0 gives a vertical wall, not a circle")
     return -(
-        Fraction(sl.n - points)
+        Fraction(sl.n)
         + self_intersection(l) / 2
         - intersect(l, sl.twist) / 2
     ) / minus_la

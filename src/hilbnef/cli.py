@@ -47,8 +47,8 @@ MAX_WALLS_DEGREE = 9  # --slice A2 --n 3: 7.2 MB of JSON, 1.5-2.0 s, 92 MB
 # MAX_ORBIT_SQUARES already stops --start H (16^2 - H.H = 255 > 225).
 MAX_ORBIT_DEGREE = 15  # weyl orbit --start H: 0.10-0.13 s, 16 MB
 # The orbit's walk visits, at each degree a of the window, the sorted b with
-# sum of squares a^2 - D.D (`weyl.weyl_orbit`), so its cost grows with -D.D
-# too; it is checked from the start before the walk.
+# sum of squares a^2 - D.D (`weyl._degree_groups`), so its cost grows with
+# -D.D too; it is checked from the start before the walk.
 MAX_ORBIT_SQUARES = 225  # window^2 - D.D; one degree's walk: at most 0.08 s
 # The nef test reads the (-1)-classes per S9 orbit, so its cost is the walk
 # over their sorted representatives and hardly depends on the divisor; the

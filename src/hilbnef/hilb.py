@@ -29,7 +29,7 @@ from .surface_cones import (
     _least_pairing_count,
     is_nef_up_to_degree,
 )
-from .weyl import _arrangements, _representatives, orbit_size
+from .weyl import _degree_groups, orbit_size
 
 
 @total_ordering
@@ -249,12 +249,12 @@ class _DotProfile(Record):
     """The n-independent part of the duality scan at one degree bound.
 
     The orbit blocks are {F}, the Weyl orbit of H and the Weyl orbit of H-E1,
-    each read from its sorted S9 representatives (`weyl._representatives`)
+    each read from its sorted S9 representatives (`weyl._degree_groups`)
     and never listed: `blocks[k]` is (start, size, start.F), and every class
     of block k has c.F = start.F.  The columns are the contracted curve, the
     induced fiber curve, then one induced (-1)-curve per S9 orbit, the
     orbit's representative e (its least class, read from
-    `weyl._representatives(E9, k)`): `curves[m]` is (label, curve, number of
+    `weyl._degree_groups(E9, k)`): `curves[m]` is (label, curve, number of
     curves in its orbit).  Permuting E1..E9 maps each block onto itself and
     fixes F, so the least t = c.e over a block, and how many classes reach
     it, are the same for every curve of the orbit.  `counts[k][m]` is that
@@ -294,15 +294,17 @@ def _dot_profile(max_h_degree: int) -> _DotProfile:
     raises ArithmeticError.
     """
     curves = [("contracted", C0, 1), ("fiber", InducedCurve(F), 1)]
-    for a, b in _representatives(E[8], max_h_degree):
-        e = DivisorClass((a,) + tuple(-x for x in b))
-        curves.append((str(e), InducedCurve(e), _arrangements(b)))
+    for a, _, pairs in _degree_groups(E[8], max_h_degree):
+        for b, size in pairs:
+            e = DivisorClass((a,) + tuple(-x for x in b))
+            curves.append((str(e), InducedCurve(e), size))
     shapes = [curve.c.nums for _, curve, _ in curves[_FIBER_COLUMN + 1 :]]
     blocks, counts, first = [], [], []
     for start in (F, H, H - E[0]):
         # the block is a union of S9 orbits, and its least class is the
         # least representative's (a, -b1, ..., -b9)
-        reps = _representatives(start, max_h_degree)
+        groups = _degree_groups(start, max_h_degree)
+        reps = [(a, b) for a, _, pairs in groups for b, _ in pairs]
         least = DivisorClass(min((a,) + tuple(-x for x in b) for a, b in reps))
         fiber = dot_int(start.nums, F.nums)
         size = orbit_size(start, max_h_degree)

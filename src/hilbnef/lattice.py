@@ -214,7 +214,8 @@ _NAMED.update({f"E{i}": E[i - 1] for i in range(1, RANK)})
 
 def parse_divisor(text: str) -> DivisorClass:
     """Parse "2H-E1-E2", "3/2F+H", "E9", "0" (the text of ZERO), or the JSON
-    dict encoding."""
+    dict encoding.  Every term after the first needs its sign: "H-E1 E2"
+    and "2H3E1" raise ValueError."""
     text = text.strip()
     if not text:
         raise ValueError("empty divisor expression")
@@ -231,6 +232,8 @@ def parse_divisor(text: str) -> DivisorClass:
         if m is None or (m.start() != pos):
             raise ValueError(f"cannot parse divisor expression at: {text[pos:]!r}")
         sign, coeff, name = m.groups()
+        if pos and not sign:
+            raise ValueError(f"expected + or - before the term at: {text[pos:]!r}")
         c = Fraction(coeff) if coeff else Fraction(1)
         if sign == "-":
             c = -c

@@ -10,13 +10,12 @@ closed-form ampleness tests against the full, unbounded set of (-1)-curves.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 from itertools import groupby
 
 from .lattice import DivisorClass, E, F, H, dot_int, self_intersection
 from .record import Record
-from .weyl import _arrangements, _representatives, orbit_size
+from .weyl import _arrangements, _degree_groups, orbit_size
 
 
 class NefCertificate(Record):
@@ -59,11 +58,12 @@ class NefCertificate(Record):
 def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
     """Pair d against the fiber and every (-1)-class up to the degree bound.
 
-    The (-1)-classes are read per S9 orbit, each with its least pairing
-    (`_least_minus_one_pairings`).  The witness, when the check fails, is
-    the first violating generator in the enumeration order (fiber first, then
-    the classes in numerator order): the fiber if it pairs negatively, else
-    the least class of the lowest degree whose orbit goes negative, found by
+    The (-1)-classes are read per S9 orbit, from the sorted representatives
+    of `weyl._degree_groups(E9, k)`, each with its least pairing
+    (`_least_pairing`).  The witness, when the check fails, is the first
+    violating generator in the enumeration order (fiber first, then the
+    classes in numerator order): the fiber if it pairs negatively, else the
+    least class of the lowest degree whose orbit goes negative, found by
     `_least_negative_arrangement`.  Each pairing is an integer over d's
     denominator.
     """
@@ -71,11 +71,13 @@ def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
     nums = d.nums
     lowest = fiber = dot_int(nums, F.nums)
     first: tuple[int, ...] | None = None  # numerators of the first negative class
-    for a, b, least in _least_minus_one_pairings(nums, max_h_degree):
-        lowest = min(lowest, least)
-        if least < 0 and (first is None or first[0] == a):
-            found = (a,) + _least_negative_arrangement(nums, a, b, 0)
-            first = found if first is None else min(first, found)
+    for a, _, reps in _degree_groups(E[8], max_h_degree):
+        for b, _ in reps:
+            least = _least_pairing(nums, a, b)
+            lowest = min(lowest, least)
+            if least < 0 and (first is None or first[0] == a):
+                found = (a,) + _least_negative_arrangement(nums, a, b, 0)
+                first = found if first is None else min(first, found)
     if fiber < 0:
         witness = F
     else:
@@ -91,19 +93,6 @@ def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
             None if witness is None else Fraction(dot_int(nums, witness.nums), d.den)
         ),
     )
-
-
-def _least_minus_one_pairings(
-    nums: tuple[int, ...], max_h_degree: int
-) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """(a, b, least) per S9 orbit of (-1)-classes up to the degree bound, by
-    nondecreasing degree: the orbit's sorted representative (a, b), b
-    nonincreasing, and the least dot product of the numerators nums with a
-    class of the orbit (`_least_pairing`)."""
-    if max_h_degree < 0:
-        raise ValueError("max_h_degree must be nonnegative")
-    for a, b in _representatives(E[8], max_h_degree):
-        yield a, b, _least_pairing(nums, a, b)
 
 
 def _least_pairing(nums: tuple[int, ...], a: int, b: tuple[int, ...]) -> int:

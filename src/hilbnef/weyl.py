@@ -4,9 +4,10 @@ The group is generated by reflections in the nine roots
 E1-E2, ..., E8-E9, H-E1-E2-E3 (each with square -2 and zero pairing
 against the fiber class), acting by s_b(D) = D + (D.b) b.  The first eight
 generate the permutations S9 of E1..E9.  Orbits are enumerated from sorted
-S9 representatives, not searched: the i-th class of an orbit window is
-unranked from them (`orbit_class`), and `weyl_orbit` lists the classes of
-every rank.
+S9 representatives, not searched: one cached table per orbit window
+(`_degree_groups`) holds each degree's representatives with their numbers
+of arrangements, the i-th class of the window is unranked from it
+(`orbit_class`), and `weyl_orbit` lists the classes of every rank.
 """
 
 from __future__ import annotations
@@ -116,12 +117,35 @@ def _degree_groups(
     start: DivisorClass, max_h_degree: int
 ) -> tuple[tuple[int, int, tuple[tuple[tuple[int, ...], int], ...]], ...]:
     """(a, classes of degree a, ((sorted b, its arrangements), ...)) per
-    degree a of the orbit's window, in increasing a.  The b are the tuples
-    `_representatives` caches, so the table adds one pair per representative."""
-    groups: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for a, b in _representatives(start, max_h_degree):
-        groups.setdefault(a, []).append((b, _arrangements(b)))
-    return tuple((a, sum(size for _, size in reps), tuple(reps)) for a, reps in groups.items())
+    degree a of W.start's window that holds a class, in increasing a: one
+    pair per S9 orbit, b nonincreasing, in the order of the walk.  The walk
+    at degree a covers the sorted b with sum of squares a^2 - D.D and keeps
+    those whose chamber representative is the start's."""
+    window_hi = max(max_h_degree, start.nums[0])
+    fiber = dot_int(start.nums, F.nums)
+    square = dot_int(start.nums, start.nums)
+    b = tuple(-x for x in start.nums[1:])
+    if fiber == 0 and square == 0:  # a multiple of F, fixed by W
+        return ((start.nums[0], 1, ((b, 1),)),) if start.nums[0] >= 0 else ()
+    if fiber <= 0:
+        raise ValueError(
+            f"orbit start {start} has D.F = {fiber} and D.D = {square}; only "
+            "classes with D.F > 0 or multiples of F have a finite orbit window"
+        )
+    target = _chamber(start.nums[0], sorted(b, reverse=True))
+    groups = []
+    for a in range(window_hi + 1):
+        q = a * a - square
+        if q < 0:
+            continue
+        reps = tuple(
+            (rep, _arrangements(rep))
+            for rep in _sorted_vectors(3 * a - fiber, q, 9, isqrt(q))
+            if _chamber(a, list(rep)) == target
+        )
+        if reps:
+            groups.append((a, sum(size for _, size in reps), reps))
+    return tuple(groups)
 
 
 def _unrank(reps: Sequence[tuple[tuple[int, ...], int]], i: int) -> tuple[int, ...]:
@@ -148,35 +172,6 @@ def _unrank(reps: Sequence[tuple[tuple[int, ...], int]], i: int) -> tuple[int, .
         out.append(-v)
         remaining -= 1
     return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _representatives(
-    start: DivisorClass, max_h_degree: int
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(a, b) with b nonincreasing for each S9 orbit of W.start in the window.
-    The walk at degree a covers the sorted b with sum of squares a^2 - D.D."""
-    window_hi = max(max_h_degree, start.nums[0])
-    fiber = dot_int(start.nums, F.nums)
-    square = dot_int(start.nums, start.nums)
-    b = tuple(-x for x in start.nums[1:])
-    if fiber == 0 and square == 0:  # a multiple of F
-        return ((start.nums[0], b),) if start.nums[0] >= 0 else ()
-    if fiber <= 0:
-        raise ValueError(
-            f"orbit start {start} has D.F = {fiber} and D.D = {square}; only "
-            "classes with D.F > 0 or multiples of F have a finite orbit window"
-        )
-    target = _chamber(start.nums[0], sorted(b, reverse=True))
-    found = []
-    for a in range(window_hi + 1):
-        q = a * a - square
-        if q < 0:
-            continue
-        for rep in _sorted_vectors(3 * a - fiber, q, 9, isqrt(q)):
-            if _chamber(a, list(rep)) == target:
-                found.append((a, rep))
-    return tuple(found)
 
 
 def _chamber(a: int, b: list[int]) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from hilbnef import (
     E,
     H,
 )
-from hilbnef.weyl import _representatives
+from hilbnef.weyl import _degree_groups
 
 
 def distinct_permutations(values):
@@ -46,8 +46,9 @@ def distinct_permutations(values):
 def listed_orbit(start: DivisorClass, max_h_degree: int) -> tuple[DivisorClass, ...]:
     """The classes of W.start in the window of `weyl.weyl_orbit`, sorted."""
     found = []
-    for a, b in _representatives(start, max_h_degree):
-        found += [(a,) + e for e in distinct_permutations(-x for x in b)]
+    for a, _, pairs in _degree_groups(start, max_h_degree):
+        for b, _ in pairs:
+            found += [(a,) + e for e in distinct_permutations(-x for x in b)]
     # on integral classes, the order of the numerator tuples is the class order
     return tuple(DivisorClass(vec) for vec in sorted(found))
 

@@ -265,6 +265,16 @@ def test_zero_denominator_divisor_exits_two(capsys, divisor):
     assert "Traceback" not in err
 
 
+def test_unsigned_later_term_exits_two(capsys):
+    # "H-E1 E2" once parsed as H-E1+E2 and certified a class other than the
+    # one typed
+    code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", "H-E1 E2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_deeply_nested_divisor_exits_two(capsys):
     divisor = '{"h":' * 3000 + "1" + "}" * 3000
     code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", divisor])

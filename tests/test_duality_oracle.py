@@ -291,16 +291,21 @@ def s9_orbit(c: DivisorClass) -> list[DivisorClass]:
 def inject(monkeypatch, extra):
     """Weyl orbits with the S9 orbit of the non-nef class extra[start] added
     to the orbit of each start in extra: its sorted representative joins the
-    representatives that the profile reads, and its classes join the
-    oracle's orbit."""
-    real_representatives, real_orbit = hilb._representatives, listed_orbit
+    table that the profile reads, as one more (b, arrangements) pair of its
+    degree, and its classes join the oracle's orbit."""
+    real_groups, real_orbit = hilb._degree_groups, listed_orbit
 
-    def representatives(start, max_h_degree):
-        reps = real_representatives(start, max_h_degree)
+    def degree_groups(start, max_h_degree):
+        groups = real_groups(start, max_h_degree)
         if start in extra:
             a, *e = extra[start].nums
-            reps += ((a, tuple(sorted((-x for x in e), reverse=True))),)
-        return reps
+            b = tuple(sorted((-x for x in e), reverse=True))
+            pairs = {d: reps for d, _, reps in groups}
+            pairs[a] = pairs.get(a, ()) + ((b, weyl._arrangements(b)),)
+            groups = tuple(
+                (d, sum(size for _, size in reps), reps) for d, reps in sorted(pairs.items())
+            )
+        return groups
 
     def orbit(start, max_h_degree):
         classes = real_orbit(start, max_h_degree)
@@ -308,7 +313,7 @@ def inject(monkeypatch, extra):
             classes = tuple(sorted([*classes, *s9_orbit(extra[start])]))
         return classes
 
-    monkeypatch.setattr(hilb, "_representatives", representatives)
+    monkeypatch.setattr(hilb, "_degree_groups", degree_groups)
     monkeypatch.setattr(sys.modules[__name__], "listed_orbit", orbit)
     hilb._dot_profile.cache_clear()
 

@@ -19,10 +19,12 @@ from hilbnef import (
     cone_duality_check,
     fiber_orthogonal_lift,
     intersect,
+    is_nef_up_to_degree,
     lift,
     pair_hilb,
 )
-from hilbnef.surface_cones import _least_minus_one_pairings
+from hilbnef.surface_cones import _least_pairing
+from hilbnef.weyl import _degree_groups
 
 from conftest import listed_orbit
 
@@ -125,15 +127,18 @@ def test_membership_min_curve_pairing_matches_listing_oracle():
                 # a (-1)-curve e has genus 0, so d pairs with its induced
                 # curve to e.surf + b_half (n - 1); the least e.surf is the
                 # least of the orbits' rearrangement bounds
-                pairings = _least_minus_one_pairings(d.surf.nums, k)
-                least = min(p for _, _, p in pairings)
+                least = min(
+                    _least_pairing(d.surf.nums, a, b)
+                    for a, _, pairs in _degree_groups(E[8], k)
+                    for b, _ in pairs
+                )
                 value = Fraction(least, d.surf.den) + d.b_half * (n - 1)
                 assert value == oracle_min_curve_pairing(d, n, k), (d, n, k)
 
 
 def test_membership_refuses_a_negative_degree():
     with pytest.raises(ValueError):
-        list(_least_minus_one_pairings(lift(F).surf.nums, -1))
+        is_nef_up_to_degree(lift(F).surf, -1)
 
 
 def test_decompose_fixture_classes():

@@ -170,6 +170,10 @@ def test_parse_divisor_rejects_garbage():
         parse_divisor("")
     with pytest.raises(ValueError):
         parse_divisor("E10")
+    # a term after the first needs its sign
+    for text in ("H-E1 E2", "2H3E1", "E1E2"):
+        with pytest.raises(ValueError):
+            parse_divisor(text)
 
 
 integral_coords = st.lists(st.integers(-60, 60), min_size=10, max_size=10)

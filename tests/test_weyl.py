@@ -5,6 +5,7 @@ that production unranks are checked against the permutation listing of
 `conftest.listed_orbit`."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -29,7 +30,7 @@ from hilbnef import (
     weyl_orbit,
 )
 from hilbnef.lattice import dot_int
-from hilbnef.weyl import _chamber, orbit_class, orbit_size
+from hilbnef.weyl import _chamber, _degree_groups, orbit_class, orbit_size
 
 from conftest import listed_orbit
 
@@ -266,6 +267,23 @@ def test_orbit_by_rank_matches_the_permutation_listing(name, degree):
     orbit = list(listed_orbit(start, degree))
     assert weyl_orbit(start, degree) == orbit
     assert orbit_size(start, degree) == len(orbit)
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("name", ["F", "H", "H-E1", "E9"])
+def test_degree_groups_match_the_bfs_oracle(name, degree):
+    # the oracle's classes grouped by degree and by sorted b, with the b of
+    # each degree in the walk's order (largest first)
+    start = F if name == "F" else STARTS[name]
+    by_degree: dict[int, Counter] = {}
+    for c in oracle_weyl_orbit(start, degree):
+        a, *e = c.nums
+        by_degree.setdefault(a, Counter())[tuple(sorted((-x for x in e), reverse=True))] += 1
+    expected = tuple(
+        (a, sum(counts.values()), tuple(sorted(counts.items(), reverse=True)))
+        for a, counts in sorted(by_degree.items())
+    )
+    assert _degree_groups(start, degree) == expected
 
 
 @pytest.mark.parametrize("degree", range(7))
