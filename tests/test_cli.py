@@ -266,8 +266,8 @@ def test_zero_denominator_divisor_exits_two(capsys, divisor):
 
 
 def test_unsigned_later_term_exits_two(capsys):
-    # "H-E1 E2" once parsed as H-E1+E2 and certified a class other than the
-    # one typed
+    # read as H-E1+E2, the check would certify a class other than the one
+    # typed
     code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", "H-E1 E2"])
     assert code == 2
     assert out == ""
