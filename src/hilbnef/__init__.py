@@ -60,15 +60,12 @@ from .bridgeland import (
     ideal_points_char,
     line_bundle_char,
     nef_from_wall,
-    numerical_wall,
     rank1_candidates,
     rank2_radius_bound,
-    rank2_radius_bound_exact,
-    quoted_rank_one_center,
+    rank_one_wall,
     slice_a1,
     slice_a2,
     slice_for,
-    twist,
     wall_oracle,
 )
 from .translations import (

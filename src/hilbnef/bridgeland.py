@@ -7,11 +7,15 @@ have equal tilted slope, and all decisions are made in exact rational
 arithmetic.  t never appears directly; every formula is polynomial in s and
 t^2, so walls come out as circles with rational center and radius squared.
 
-Every wall in a certificate or report comes from numerical_wall, the closed
-slope/discriminant formula.  wall_oracle is the reference: it expands the
-central-charge equality as a polynomial identity in (s, t^2).  The two must
+Every wall in a certificate or report is the wall of a rank-1 character
+against the ideal sheaf of n points, and comes from rank_one_wall, its closed
+form.  wall_oracle is the reference: it expands the central-charge equality
+of any two characters as a polynomial identity in (s, t^2).  The two must
 agree exactly; gieseker_wall checks this on the fiber wall at run time, and
 the test suite compares them on random inputs and on every candidate shape.
+Rank >= 2 destabilizers are excluded by one radius bound, rank2_radius_bound,
+evaluated with the exact A.A.  Every value here is computed exactly, once;
+the commonly quoted closed forms are replayed only by reporting.
 
 The rank-1 candidate pool is held as orbits of the permutations of E2..E9,
 which fix both slices, the twist and every filter and wall: one
@@ -60,15 +64,6 @@ class ChernChar(Record):
         _set(self, "ch2", ch2 if type(ch2) is Fraction else Fraction(ch2))
 
 
-def twist(ch: ChernChar, q: DivisorClass) -> ChernChar:
-    """exp(-q)-twisted character: (r, c1 - r q, ch2 - q.c1 + r q^2/2)."""
-    return ChernChar(
-        ch.rank,
-        ch.c1 - ch.rank * q,
-        ch.ch2 - intersect(q, ch.c1) + Fraction(ch.rank) * self_intersection(q) / 2,
-    )
-
-
 def ideal_points_char(n: int) -> ChernChar:
     """Character (1, 0, -n) of the ideal sheaf of n points."""
     if n < 1:
@@ -86,11 +81,10 @@ def line_bundle_char(c1: DivisorClass, points: int = 0) -> ChernChar:
 class Slice(Record):
     """The (A, P) half-plane of stability conditions for the n-point problem.
 
-    quoted_self_intersection is the closed-form value of A.A that circulates
-    with this polarization; for the H-family it disagrees with the exact
-    self-intersection (see reporting.discrepancy_table) and is kept only so
-    the rank-2 radius bound can be replayed with either value.  a_squared,
-    the exact A.A, is computed on construction.
+    A is the polarization and P the twist.  a_squared, the exact A.A, is
+    computed on construction; every wall and bound of the slice reads it.
+    ruling_based marks the slice on the ruling family, the only one that
+    applies the ruling_excess filter.
     """
 
     __slots__ = (
@@ -98,7 +92,6 @@ class Slice(Record):
         "polarization",
         "twist",
         "n",
-        "quoted_self_intersection",
         "ruling_based",
         "a_squared",
     )
@@ -106,7 +99,6 @@ class Slice(Record):
     polarization: DivisorClass
     twist: DivisorClass
     n: int
-    quoted_self_intersection: Fraction
     ruling_based: bool
     a_squared: Fraction
 
@@ -116,7 +108,6 @@ class Slice(Record):
         polarization: DivisorClass,
         twist: DivisorClass,
         n: int,
-        quoted_self_intersection: Fraction,
         ruling_based: bool,
     ) -> None:
         if n < 3:
@@ -126,40 +117,22 @@ class Slice(Record):
             raise ValueError("polarization must have positive self-intersection")
         if intersect(polarization, F) <= 0:
             raise ValueError("polarization must meet the fiber positively")
-        super().__init__(
-            label,
-            polarization,
-            twist,
-            n,
-            quoted_self_intersection,
-            ruling_based,
-            a_squared,
-        )
+        super().__init__(label, polarization, twist, n, ruling_based, a_squared)
 
 
 def slice_a1(n: int) -> Slice:
     """Slice on the H-family polarization (n/3)H + (n - 3/2)F, twist -F."""
-    quoted = Fraction(10 * n * n, 9) - Fraction(3 * n, 2)
-    return Slice("A1", a1_polarization(n), -1 * F, n, quoted, ruling_based=False)
+    return Slice("A1", a1_polarization(n), -1 * F, n, ruling_based=False)
 
 
 def slice_a2(n: int) -> Slice:
     """Slice on the ruling-family polarization (n/2)(H - E1) + (n - 3/2)F."""
-    quoted = Fraction(n * (2 * n - 3))
-    return Slice("A2", a2_polarization(n), -1 * F, n, quoted, ruling_based=True)
+    return Slice("A2", a2_polarization(n), -1 * F, n, ruling_based=True)
 
 
 def slice_for(label: str, n: int) -> Slice:
     """The slice named "A1" or "A2" at n."""
     return {"A1": slice_a1, "A2": slice_a2}[label](n)
-
-
-def _slope_and_discriminant(sl: Slice, ch: ChernChar) -> tuple[Fraction, Fraction]:
-    """(mu_AP, delta_AP) of a character of nonzero rank, from one twist."""
-    tw = twist(ch, sl.twist)
-    scale = sl.a_squared * ch.rank
-    mu = intersect(sl.polarization, tw.c1) / scale
-    return mu, mu * mu / 2 - tw.ch2 / scale
 
 
 class Wall(Record):
@@ -210,21 +183,25 @@ class DegenerateWall(Record):
 NumericalWall = Wall | VerticalWall | DegenerateWall
 
 
-def numerical_wall(sl: Slice, ch_e: ChernChar, ch_f: ChernChar) -> NumericalWall:
-    """Wall between two finite-slope characters via the closed formula
-    s0 = (mu_e + mu_f)/2 - (delta_e - delta_f)/(mu_e - mu_f),
-    rho^2 = (mu_e - s0)^2 - 2 delta_e."""
-    if ch_e.rank == 0 or ch_f.rank == 0:
-        raise ValueError("numerical_wall needs finite slopes; use wall_oracle")
-    mu_e, d_e = _slope_and_discriminant(sl, ch_e)
-    mu_f, d_f = _slope_and_discriminant(sl, ch_f)
-    if mu_e == mu_f:
-        if d_e == d_f:
-            return DegenerateWall(everywhere=True)
-        return VerticalWall(mu_e)
-    center = (mu_e + mu_f) / 2 - (d_e - d_f) / (mu_e - mu_f)
-    radius_sq = (mu_e - center) ** 2 - 2 * d_e
-    return Wall(center, radius_sq)
+def rank_one_wall(sl: Slice, ch: ChernChar) -> NumericalWall:
+    """Wall of a rank-1 character ch = (1, l, ch2) against the ideal sheaf of
+    n points, in closed form.  With x = n + ch2 - P.l and mu = A.(l - P)/A^2
+    the twisted slope of ch, it is the circle of center x/(A.l) and radius^2
+    center^2 - 2 center mu + (2 ch2 - 2 P.l + P^2)/A^2.  When A.l = 0 the
+    two slopes agree: the wall is everywhere if x = 0, else the vertical
+    line s = mu."""
+    if ch.rank != 1:
+        raise ValueError("rank_one_wall needs a rank-1 character; use wall_oracle")
+    a_sq, p, l = sl.a_squared, sl.twist, ch.c1
+    a_l = intersect(sl.polarization, l)
+    p_l = intersect(p, l)
+    x = sl.n + ch.ch2 - p_l
+    mu = (a_l - intersect(sl.polarization, p)) / a_sq
+    if a_l == 0:
+        return DegenerateWall(everywhere=True) if x == 0 else VerticalWall(mu)
+    center = x / a_l
+    tail = (2 * ch.ch2 - 2 * p_l + self_intersection(p)) / a_sq
+    return Wall(center, center * center - 2 * center * mu + tail)
 
 
 def _charge_polynomials(sl: Slice, ch: ChernChar):
@@ -279,21 +256,6 @@ def wall_oracle(sl: Slice, ch_e: ChernChar, ch_f: ChernChar) -> NumericalWall:
     if c10 != 0:
         return VerticalWall(-c00 / c10)
     return DegenerateWall(everywhere=(c00 == 0))
-
-
-def quoted_rank_one_center(sl: Slice, l: DivisorClass) -> Fraction:
-    """The commonly quoted center of the wall between O(l) and the ideal of n
-    points.  The center of numerical_wall is (n + l^2/2 - l.P) / (l.A); the
-    quoted form has l.P/2 in place of l.P.  Kept as a diagnostic for the
-    discrepancy report."""
-    minus_la = intersect(-1 * l, sl.polarization)
-    if minus_la == 0:
-        raise ValueError("l.A = 0 gives a vertical wall, not a circle")
-    return -(
-        Fraction(sl.n)
-        + self_intersection(l) / 2
-        - intersect(l, sl.twist) / 2
-    ) / minus_la
 
 
 # -- rank-1 candidate search -------------------------------------------------
@@ -427,7 +389,6 @@ def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
         raise ValueError("max_h_degree >= 0 required")
     a_ints = sl.polarization.nums
     slope_cap = sl.n * sl.polarization.den
-    ideal = ideal_points_char(sl.n)
     orbits: list[tuple[WallCandidate, int]] = []
     for a in range(max_h_degree + 1):
         for coords, size, f_deg, b1, rest in _degree_orbits(a):
@@ -446,28 +407,19 @@ def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
             wall = None
             if filtered is None:
                 l_cls = -1 * DivisorClass(coords)
-                wall = numerical_wall(sl, line_bundle_char(l_cls), ideal)
+                wall = rank_one_wall(sl, line_bundle_char(l_cls))
             orbits.append((WallCandidate(coords, filtered, wall), size))
     return CandidatePool(max_h_degree, tuple(orbits))
 
 
 def rank2_radius_bound(sl: Slice) -> Fraction:
     """Radius^2 cap for rank >= 2 destabilizers,
-    (2n A^2 + (A.F)^2 - A^2 F^2) / (8 (A^2)^2),
-    replayed with the quoted closed-form value of A^2."""
-    return _rank2_bound_from(sl, sl.quoted_self_intersection)
-
-
-def rank2_radius_bound_exact(sl: Slice) -> Fraction:
-    """Same cap evaluated with the exact A.A."""
-    return _rank2_bound_from(sl, sl.a_squared)
-
-
-def _rank2_bound_from(sl: Slice, a_sq: Fraction) -> Fraction:
-    n = sl.n
+    (2n A^2 + (A.F)^2 - A^2 F^2) / (8 (A^2)^2), with the exact A.A."""
+    a_sq = sl.a_squared
     a_dot_f = intersect(sl.polarization, F)
-    f_sq = self_intersection(F)
-    return (2 * n * a_sq + a_dot_f**2 - a_sq * f_sq) / (8 * a_sq * a_sq)
+    return (2 * sl.n * a_sq + a_dot_f**2 - a_sq * self_intersection(F)) / (
+        8 * a_sq * a_sq
+    )
 
 
 class GiesekerFalsified(Exception):
@@ -490,8 +442,7 @@ class GiesekerCertificate(Record):
         "empty_survivor_walls",
         "min_survivor_center",
         "walls_equal_to_fiber_wall",
-        "rank2_bound_quoted",
-        "rank2_bound_exact",
+        "rank2_bound",
         "certified",
         "candidates",
     )
@@ -505,8 +456,7 @@ class GiesekerCertificate(Record):
     empty_survivor_walls: int
     min_survivor_center: Fraction | None
     walls_equal_to_fiber_wall: int
-    rank2_bound_quoted: Fraction
-    rank2_bound_exact: Fraction
+    rank2_bound: Fraction
     certified: bool
     candidates: CandidatePool
 
@@ -527,8 +477,7 @@ class GiesekerCertificate(Record):
                 else format_rational(self.min_survivor_center)
             ),
             "walls_equal_to_fiber_wall": self.walls_equal_to_fiber_wall,
-            "rank2_radius_bound": format_rational(self.rank2_bound_quoted),
-            "rank2_radius_bound_exact": format_rational(self.rank2_bound_exact),
+            "rank2_radius_bound": format_rational(self.rank2_bound),
             "certified": self.certified,
         }
         if include_candidates:
@@ -562,11 +511,11 @@ def gieseker_wall(
     (ii) the rank-2 radius cap staying below the fiber wall's radius^2.
     Raises GiesekerFalsified on any violation.
     """
-    ideal = ideal_points_char(sl.n)
-    fiber_wall = numerical_wall(sl, line_bundle_char(-1 * F), ideal)
+    fiber = line_bundle_char(-1 * F)
+    fiber_wall = rank_one_wall(sl, fiber)
     if not isinstance(fiber_wall, Wall) or fiber_wall.is_empty:
         raise GiesekerFalsified(f"fiber wall degenerated: {fiber_wall}")
-    oracle_fiber = wall_oracle(sl, line_bundle_char(-1 * F), ideal)
+    oracle_fiber = wall_oracle(sl, fiber, ideal_points_char(sl.n))
     if oracle_fiber != fiber_wall:
         raise GiesekerFalsified(
             f"wall formulas disagree on the fiber wall: {fiber_wall} vs {oracle_fiber}"
@@ -598,14 +547,12 @@ def gieseker_wall(
         if wall == fiber_wall:
             coincident += size
 
-    bound_quoted = rank2_radius_bound(sl)
-    bound_exact = rank2_radius_bound_exact(sl)
-    for name, bound in (("quoted", bound_quoted), ("exact", bound_exact)):
-        if bound >= fiber_wall.radius_sq:
-            raise GiesekerFalsified(
-                f"rank-2 radius bound ({name}) {format_rational(bound)} reaches "
-                f"the fiber wall radius^2 {format_rational(fiber_wall.radius_sq)}"
-            )
+    bound = rank2_radius_bound(sl)
+    if bound >= fiber_wall.radius_sq:
+        raise GiesekerFalsified(
+            f"rank-2 radius bound {format_rational(bound)} reaches "
+            f"the fiber wall radius^2 {format_rational(fiber_wall.radius_sq)}"
+        )
 
     cert = GiesekerCertificate(
         slice_label=sl.label,
@@ -618,8 +565,7 @@ def gieseker_wall(
         empty_survivor_walls=empty_walls,
         min_survivor_center=min_center,
         walls_equal_to_fiber_wall=coincident,
-        rank2_bound_quoted=bound_quoted,
-        rank2_bound_exact=bound_exact,
+        rank2_bound=bound,
         certified=True,
         candidates=candidates,
     )

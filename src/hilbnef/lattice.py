@@ -206,7 +206,7 @@ def arithmetic_genus(c: DivisorClass) -> Fraction:
     return 1 + (intersect(c, c) + intersect(c, K)) / 2
 
 
-_TERM_RE = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*\*?\s*(H|F|K|E[1-9])\s*")
+_TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*\*?)?\s*(H|F|K|E[1-9])\s*")
 
 _NAMED: dict[str, DivisorClass] = {"H": H, "F": F, "K": K}
 _NAMED.update({f"E{i}": E[i - 1] for i in range(1, RANK)})
@@ -215,7 +215,8 @@ _NAMED.update({f"E{i}": E[i - 1] for i in range(1, RANK)})
 def parse_divisor(text: str) -> DivisorClass:
     """Parse "2H-E1-E2", "3/2F+H", "E9", "0" (the text of ZERO), or the JSON
     dict encoding.  Every term after the first needs its sign: "H-E1 E2"
-    and "2H3E1" raise ValueError."""
+    and "2H3E1" raise ValueError, and a "*" needs a coefficient before it:
+    "2*H" parses, "*H" raises."""
     text = text.strip()
     if not text:
         raise ValueError("empty divisor expression")

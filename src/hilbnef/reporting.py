@@ -2,11 +2,12 @@
 
 Several constants attached to this problem circulate in closed forms that do
 not survive exact arithmetic (a reflection formula with a transposed factor,
-a polarization self-intersection, two special-case wall centers and a wall
-radius, and one mislabeled case in the orthogonal-lift trichotomy).  Each row
-of the table replays the quoted form and the exact recomputation side by
-side; the certification pipeline itself only ever consumes the recomputed
-values, so every disagreement here is survivable by construction.
+a polarization self-intersection and the rank-2 radius bound built on it,
+two special-case wall centers and a wall radius, and one mislabeled case in
+the orthogonal-lift trichotomy).  Each row of the table replays the quoted
+form and the exact recomputation side by side.  The quoted forms live only
+here: the certification pipeline computes and consumes the recomputed values
+alone, so every disagreement here is survivable by construction.
 """
 
 from __future__ import annotations
@@ -14,19 +15,42 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .lattice import E, F, H, format_rational, intersect
+from .lattice import E, F, H, format_rational, intersect, self_intersection
 from .record import Record
 from .weyl import reflect, root_basis
 from .hilb import fiber_orthogonal_lift
 from .bridgeland import (
+    Slice,
     Wall,
-    ideal_points_char,
     line_bundle_char,
-    numerical_wall,
-    quoted_rank_one_center,
+    rank2_radius_bound,
+    rank_one_wall,
     slice_a1,
     slice_a2,
 )
+
+
+def _quoted_a1_self_intersection(n: int) -> Fraction:
+    """The quoted A.A of the H-family polarization, 10n^2/9 - 3n/2."""
+    return Fraction(10 * n * n, 9) - Fraction(3 * n, 2)
+
+
+def _quoted_rank2_bound(sl: Slice, a_sq: Fraction) -> Fraction:
+    """The rank-2 radius bound (2n A^2 + (A.F)^2 - A^2 F^2) / (8 (A^2)^2),
+    replayed with a quoted value a_sq of A^2."""
+    a_dot_f = intersect(sl.polarization, F)
+    return (2 * sl.n * a_sq + a_dot_f**2 - a_sq * self_intersection(F)) / (
+        8 * a_sq * a_sq
+    )
+
+
+def _quoted_rank_one_center(sl: Slice, l) -> Fraction:
+    """The commonly quoted center of the wall between O(l) and the ideal of n
+    points.  The center of rank_one_wall is (n + l^2/2 - l.P) / (l.A); the
+    quoted form has l.P/2 in place of l.P."""
+    return (
+        Fraction(sl.n) + self_intersection(l) / 2 - intersect(l, sl.twist) / 2
+    ) / intersect(l, sl.polarization)
 
 
 class DiscrepancyRow(Record):
@@ -54,7 +78,7 @@ def discrepancy_table(n: int) -> tuple[DiscrepancyRow, ...]:
     if n < 3:
         raise ValueError("n >= 3 required")
     sl1, sl2 = slice_a1(n), slice_a2(n)
-    ideal = ideal_points_char(n)
+    quoted_a_sq = _quoted_a1_self_intersection(n)
     rows: list[DiscrepancyRow] = []
 
     # a transposed factor: the quoted reflection adds a multiple of D itself
@@ -80,18 +104,38 @@ def discrepancy_table(n: int) -> tuple[DiscrepancyRow, ...]:
         DiscrepancyRow(
             quantity="self-intersection of the H-family polarization",
             quoted_formula="10n^2/9 - 3n/2",
-            quoted=format_rational(sl1.quoted_self_intersection),
+            quoted=format_rational(quoted_a_sq),
             recomputed=format_rational(sl1.a_squared),
-            agrees=sl1.quoted_self_intersection == sl1.a_squared,
+            agrees=quoted_a_sq == sl1.a_squared,
             note=(
-                "the rank-2 radius bound is replayed with both values and "
-                "stays below the extremal wall radius either way"
+                "the certificates use the recomputed value; the rank-2 "
+                "radius bound row replays the quoted one"
             ),
         )
     )
 
-    fiber_wall = numerical_wall(sl1, line_bundle_char(-1 * F), ideal)
-    quoted_radius = 1 + Fraction(3 * n) / sl1.quoted_self_intersection
+    quoted_bound = _quoted_rank2_bound(sl1, quoted_a_sq)
+    exact_bound = rank2_radius_bound(sl1)
+    rows.append(
+        DiscrepancyRow(
+            quantity="rank-2 radius bound on the H-family slice",
+            quoted_formula=(
+                "(2n A.A + (A.F)^2 - A.A F^2) / (8 (A.A)^2), "
+                "A.A = 10n^2/9 - 3n/2"
+            ),
+            quoted=format_rational(quoted_bound),
+            recomputed=format_rational(exact_bound),
+            agrees=quoted_bound == exact_bound,
+            note=(
+                "the certificate gates on the recomputed bound alone; the "
+                "quoted A.A is too small, so the quoted bound is larger, and "
+                "both stay below the extremal wall radius^2 1"
+            ),
+        )
+    )
+
+    fiber_wall = rank_one_wall(sl1, line_bundle_char(-1 * F))
+    quoted_radius = 1 + Fraction(3 * n) / quoted_a_sq
     rows.append(
         DiscrepancyRow(
             quantity="extremal wall radius^2 on the H-family slice",
@@ -107,8 +151,8 @@ def discrepancy_table(n: int) -> tuple[DiscrepancyRow, ...]:
         )
     )
 
-    e1_quoted_a1 = quoted_rank_one_center(sl1, -1 * E[0])
-    e1_wall_a1 = numerical_wall(sl1, line_bundle_char(-1 * E[0]), ideal)
+    e1_quoted_a1 = _quoted_rank_one_center(sl1, -1 * E[0])
+    e1_wall_a1 = rank_one_wall(sl1, line_bundle_char(-1 * E[0]))
     rows.append(
         DiscrepancyRow(
             quantity="exceptional-wall center on the H-family slice",
@@ -124,8 +168,8 @@ def discrepancy_table(n: int) -> tuple[DiscrepancyRow, ...]:
         )
     )
 
-    e1_quoted_a2 = quoted_rank_one_center(sl2, -1 * E[0])
-    e1_wall_a2 = numerical_wall(sl2, line_bundle_char(-1 * E[0]), ideal)
+    e1_quoted_a2 = _quoted_rank_one_center(sl2, -1 * E[0])
+    e1_wall_a2 = rank_one_wall(sl2, line_bundle_char(-1 * E[0]))
     empty_note = (
         "the wall locus is empty at this n"
         if isinstance(e1_wall_a2, Wall) and e1_wall_a2.is_empty

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 
-from .lattice import DivisorClass, E, F, H, dot_int, self_intersection
+from .lattice import DivisorClass, E, F, H, dot_int, format_rational, self_intersection
 from .record import Record
 from .weyl import _arrangements, _degree_groups, orbit_size
 
@@ -40,8 +40,6 @@ class NefCertificate(Record):
     witness_pairing: Fraction | None
 
     def to_json(self) -> dict:
-        from .lattice import format_rational
-
         data = {
             "divisor": self.divisor.to_json(),
             "degree_bound": self.degree_bound,
@@ -170,8 +168,6 @@ class AmplenessReport(Record):
     self_intersection: Fraction
 
     def to_json(self) -> dict:
-        from .lattice import format_rational
-
         return {
             "ample": self.ample,
             "family": self.family,

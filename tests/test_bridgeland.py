@@ -18,29 +18,29 @@ from hilbnef import (
     divisor,
     dumps_json,
     fiber_orthogonal_lift,
+    format_rational,
     ideal_points_char,
     intersect,
     line_bundle_char,
     nef_from_wall,
-    numerical_wall,
-    quoted_rank_one_center,
     rank1_candidates,
     rank2_radius_bound,
-    rank2_radius_bound_exact,
+    rank_one_wall,
     self_intersection,
     slice_a1,
     slice_a2,
-    twist,
     wall_oracle,
 )
-from hilbnef.bridgeland import _slope_and_discriminant
+from hilbnef.reporting import discrepancy_table
 
 FIBER_WALL = Wall(Fraction(-1), Fraction(1))
 
 
 def slope(sl, ch) -> Fraction:
-    """The twisted slope A.ch1^P / (A^2 ch0) of a character of nonzero rank."""
-    return _slope_and_discriminant(sl, ch)[0]
+    """The twisted slope A.(ch1 - ch0 P) / (A^2 ch0) of a character of
+    nonzero rank."""
+    twisted_c1 = ch.c1 - ch.rank * sl.twist
+    return intersect(sl.polarization, twisted_c1) / (sl.a_squared * ch.rank)
 
 
 def contains(outer: Wall, inner: Wall) -> bool:
@@ -56,7 +56,8 @@ ELIMINATED_A1_N3 = {"slope": 19428, "fiber_degree": 0, "fiber_component": 14688,
 ELIMINATED_A2_N3 = {"slope": 21863, "fiber_degree": 359, "fiber_component": 9360, "ruling_excess": 840}
 ELIMINATED_A2_N4 = {"slope": 23945, "fiber_degree": 0, "fiber_component": 9360, "ruling_excess": 840}
 
-# frozen rank-2 exclusion bounds
+# frozen rank-2 exclusion bounds; the quoted A1 values are the discrepancy
+# table's replay with the quoted A.A
 RANK2_QUOTED_A1 = {3: Fraction(21, 121), 4: Fraction(279, 2809), 5: Fraction(369, 5329), 12: Fraction(111, 5041)}
 RANK2_EXACT_A1 = {3: Fraction(69, 800), 4: Fraction(963, 19208), 5: Fraction(1305, 36992), 12: Fraction(411, 35912)}
 RANK2_A2 = {3: Fraction(7, 72), 4: Fraction(11, 200), 5: Fraction(15, 392), 12: Fraction(43, 3528)}
@@ -71,17 +72,9 @@ def test_chern_char_construction():
         ideal_points_char(0)
 
 
-def test_twist_matches_line_bundle():
-    # twisting O by q matches ch(O(-q)) read off directly
-    for q in (F, H, H - E[0]):
-        assert twist(line_bundle_char(ZERO), q) == line_bundle_char(-q)
-
-
 def test_slice_invariants(a1_slice_3, a2_slice_3):
     assert a1_slice_3.a_squared == 10
     assert a2_slice_3.a_squared == 9
-    assert a1_slice_3.quoted_self_intersection == Fraction(11, 2)
-    assert a2_slice_3.quoted_self_intersection == 9
     with pytest.raises(ValueError):
         slice_a1(2)
 
@@ -96,73 +89,89 @@ def test_twisted_slope_and_discriminant(a1_slice_3):
 @pytest.mark.parametrize("make", [slice_a1, slice_a2])
 def test_fiber_wall_frozen(make, n):
     sl = make(n)
-    w = numerical_wall(sl, line_bundle_char(-F), ideal_points_char(n))
+    w = rank_one_wall(sl, line_bundle_char(-F))
     assert w == FIBER_WALL
 
 
 def test_exceptional_walls(a1_slice_3, a2_slice_3):
-    ideal = ideal_points_char(3)
     for i in range(9):
-        w = numerical_wall(a1_slice_3, line_bundle_char(-E[i]), ideal)
+        w = rank_one_wall(a1_slice_3, line_bundle_char(-E[i]))
         assert w == FIBER_WALL  # coincides exactly on the H-family slice
-    w2 = numerical_wall(a2_slice_3, line_bundle_char(-E[0]), ideal)
+    w2 = rank_one_wall(a2_slice_3, line_bundle_char(-E[0]))
     assert w2 == Wall(Fraction(-1, 2), Fraction(-1, 12))
     assert w2.is_empty
 
 
 def test_conic_wall_and_negative_control(a1_slice_3):
     ideal = ideal_points_char(3)
-    w = numerical_wall(a1_slice_3, line_bundle_char(-(H - E[0] - E[1])), ideal)
+    w = rank_one_wall(a1_slice_3, line_bundle_char(-(H - E[0] - E[1])))
     assert w == Wall(Fraction(-3, 5), Fraction(3, 25))
     # walls against the ideal sheaf nest: right of the fiber wall's center is inside it
     assert FIBER_WALL.center < w.center < slope(a1_slice_3, ideal)
     assert contains(FIBER_WALL, w)
     # outside the fiber wall, harmless only because effectivity filtering removes it
-    bad = numerical_wall(a1_slice_3, line_bundle_char(-(H - E[0] - E[1] - E[2])), ideal)
+    bad = rank_one_wall(a1_slice_3, line_bundle_char(-(H - E[0] - E[1] - E[2])))
     assert bad == Wall(Fraction(-2), Fraction(23, 5))
     assert bad.center < FIBER_WALL.center
     assert not contains(FIBER_WALL, bad)
 
 
 def test_equal_slope_walls(a1_slice_3):
+    # the ideal sheaf against itself is the A.l = 0, x = 0 case; a rank-2
+    # character of equal slope has a vertical wall, which only the oracle
+    # computes: the closed form takes rank-1 characters alone
     ideal = ideal_points_char(3)
-    w = numerical_wall(a1_slice_3, ChernChar(2, ZERO, Fraction(-1)), ideal)
+    rank_two = ChernChar(2, ZERO, Fraction(-1))
+    w = wall_oracle(a1_slice_3, rank_two, ideal)
     assert isinstance(w, VerticalWall)
     assert w.s == slope(a1_slice_3, ideal)
-    w2 = numerical_wall(a1_slice_3, ideal, ideal)
-    assert isinstance(w2, DegenerateWall)
-    with pytest.raises(ValueError):
-        numerical_wall(a1_slice_3, ChernChar(0, F, Fraction(0)), ideal)
+    assert rank_one_wall(a1_slice_3, ideal) == DegenerateWall(everywhere=True)
+    assert wall_oracle(a1_slice_3, ideal, ideal) == DegenerateWall(everywhere=True)
+    for ch in (rank_two, ChernChar(0, F, Fraction(0))):
+        with pytest.raises(ValueError):
+            rank_one_wall(a1_slice_3, ch)
+
+
+@pytest.mark.parametrize(
+    "points,expected",
+    [(0, VerticalWall(Fraction(1, 3))), (2, DegenerateWall(everywhere=True))],
+)
+def test_rank_one_wall_with_a_dot_l_zero(a2_slice_3, points, expected):
+    # l = -(H - E1 - E2 - E3) meets the ruling-slice polarization in 0 at
+    # n = 3: with x = n + ch2 - P.l = 2 - points the wall is the vertical
+    # line at the shared slope 1/3, or everywhere when n - 1 points make x = 0
+    l = -(H - E[0] - E[1] - E[2])
+    assert intersect(a2_slice_3.polarization, l) == 0
+    ch = line_bundle_char(l, points)
+    got = rank_one_wall(a2_slice_3, ch)
+    assert got == expected
+    assert got == wall_oracle(a2_slice_3, ch, ideal_points_char(3))
 
 
 def test_rank_one_center_formulas(a1_slice_3, a2_slice_3):
-    # center of the E1 wall, closed-form wall vs the commonly quoted variant
-    ideal = ideal_points_char(3)
-
+    # center of the E1 wall, closed-form wall vs the commonly quoted variant,
+    # which the discrepancy table replays
     def center(sl, l):
-        return numerical_wall(sl, line_bundle_char(l), ideal).center
+        return rank_one_wall(sl, line_bundle_char(l)).center
 
+    quoted = {r.quantity: r.quoted for r in discrepancy_table(3)}
     assert center(a1_slice_3, -E[0]) == -1
-    assert quoted_rank_one_center(a1_slice_3, -E[0]) == Fraction(-4, 3)
+    assert quoted["exceptional-wall center on the H-family slice"] == "-4/3"
     assert center(a2_slice_3, -E[0]) == Fraction(-1, 2)
-    assert quoted_rank_one_center(a2_slice_3, -E[0]) == Fraction(-2, 3)
+    assert quoted["blown-up-point wall center on the ruling slice"] == "-2/3"
     assert center(a1_slice_3, -F) == -1
 
 
 @pytest.mark.parametrize("make", [slice_a1, slice_a2])
 def test_oracle_agreement_random_rank_one(make):
+    # every draw, vertical and degenerate walls included
     sl = make(3)
     rng = random.Random(11)
     ideal = ideal_points_char(3)
-    agree = 0
     for _ in range(100):
         c1 = divisor(rng.randint(-3, 3), [rng.randint(-2, 2) for _ in range(9)])
         ch = line_bundle_char(c1, rng.randint(0, 4))
-        if slope(sl, ch) == slope(sl, ideal):
-            continue  # vertical walls carry no circle to compare
-        assert numerical_wall(sl, ch, ideal) == wall_oracle(sl, ch, ideal)
-        agree += 1
-    assert agree >= 80
+        assert rank_one_wall(sl, ch) == wall_oracle(sl, ch, ideal)
 
 
 def test_candidate_census_a1_n3(gieseker_a1_3):
@@ -203,12 +212,14 @@ def test_candidate_census_a2_n4():
 
 
 def test_gieseker_wall_certified(gieseker_a1_3, gieseker_a2_3):
-    for wall, cert in (gieseker_a1_3, gieseker_a2_3):
+    # the certificate carries the one rank-2 bound, the exact one
+    for (wall, cert), make in ((gieseker_a1_3, slice_a1), (gieseker_a2_3, slice_a2)):
         assert wall == FIBER_WALL
         assert cert.certified
         assert cert.min_survivor_center == -1
-        assert cert.rank2_bound_quoted < 1
-        assert cert.rank2_bound_exact < 1
+        assert cert.rank2_bound == rank2_radius_bound(make(3)) < 1
+        assert cert.to_json()["rank2_radius_bound"] == format_rational(cert.rank2_bound)
+        assert "rank2_radius_bound_exact" not in cert.to_json(include_candidates=False)
 
 
 def test_gieseker_json_toggle(gieseker_a1_3):
@@ -253,18 +264,20 @@ def test_right_side_walls_a2_n3(a2_slice_3):
 
 @pytest.mark.parametrize("n,quoted", sorted(RANK2_QUOTED_A1.items()))
 def test_rank2_bound_quoted_a1(n, quoted):
-    assert rank2_radius_bound(slice_a1(n)) == quoted
+    rows = {r.quantity: r for r in discrepancy_table(n)}
+    row = rows["rank-2 radius bound on the H-family slice"]
+    assert Fraction(row.quoted) == quoted
+    assert Fraction(row.recomputed) == RANK2_EXACT_A1[n]
 
 
 @pytest.mark.parametrize("n,exact", sorted(RANK2_EXACT_A1.items()))
 def test_rank2_bound_exact_a1(n, exact):
-    assert rank2_radius_bound_exact(slice_a1(n)) == exact
+    assert rank2_radius_bound(slice_a1(n)) == exact
 
 
 @pytest.mark.parametrize("n,value", sorted(RANK2_A2.items()))
 def test_rank2_bound_a2(n, value):
     assert rank2_radius_bound(slice_a2(n)) == value
-    assert rank2_radius_bound_exact(slice_a2(n)) == value
 
 
 @pytest.mark.parametrize("n", range(3, 13))

@@ -5,8 +5,9 @@ the shape-by-shape enumeration, filtering and certificate that production ran
 before the pool moved to E2..E9 orbits.  They are kept here, unchanged apart
 from their names and from calling `bridgeland.wall_oracle` through the module
 (so that a test can replace it), as the independent reference.  Production
-computes each candidate wall with the closed form `numerical_wall`, so the
-equality tests also compare the two wall formulas on every surviving shape.
+computes each candidate wall with the closed rank-1 form `rank_one_wall`, so
+the equality tests also compare the two wall formulas on every surviving
+shape.
 
 The certificate lists one candidate row per orbit: the representative's
 text, the orbit size (`arrangements`), the filter and the wall.  The tests
@@ -32,10 +33,9 @@ from hilbnef.bridgeland import (
     gieseker_wall,
     ideal_points_char,
     line_bundle_char,
-    numerical_wall,
     rank1_candidates,
     rank2_radius_bound,
-    rank2_radius_bound_exact,
+    rank_one_wall,
     slice_a1,
     slice_a2,
 )
@@ -99,7 +99,7 @@ def oracle_rank1_candidates(sl, max_h_degree: int = 3):
 
 def oracle_gieseker_wall(sl, max_h_degree: int = 3):
     ideal = ideal_points_char(sl.n)
-    fiber_wall = numerical_wall(sl, line_bundle_char(-1 * F), ideal)
+    fiber_wall = rank_one_wall(sl, line_bundle_char(-1 * F))
     if not isinstance(fiber_wall, Wall) or fiber_wall.is_empty:
         raise GiesekerFalsified(f"fiber wall degenerated: {fiber_wall}")
     oracle_fiber = bridgeland.wall_oracle(sl, line_bundle_char(-1 * F), ideal)
@@ -139,14 +139,12 @@ def oracle_gieseker_wall(sl, max_h_degree: int = 3):
         if wall == fiber_wall:
             coincident += 1
 
-    bound_quoted = rank2_radius_bound(sl)
-    bound_exact = rank2_radius_bound_exact(sl)
-    for name, bound in (("quoted", bound_quoted), ("exact", bound_exact)):
-        if bound >= fiber_wall.radius_sq:
-            raise GiesekerFalsified(
-                f"rank-2 radius bound ({name}) {format_rational(bound)} reaches "
-                f"the fiber wall radius^2 {format_rational(fiber_wall.radius_sq)}"
-            )
+    bound = rank2_radius_bound(sl)
+    if bound >= fiber_wall.radius_sq:
+        raise GiesekerFalsified(
+            f"rank-2 radius bound {format_rational(bound)} reaches "
+            f"the fiber wall radius^2 {format_rational(fiber_wall.radius_sq)}"
+        )
 
     cert = GiesekerCertificate(
         slice_label=sl.label,
@@ -159,8 +157,7 @@ def oracle_gieseker_wall(sl, max_h_degree: int = 3):
         empty_survivor_walls=empty_walls,
         min_survivor_center=min_center,
         walls_equal_to_fiber_wall=coincident,
-        rank2_bound_quoted=bound_quoted,
-        rank2_bound_exact=bound_exact,
+        rank2_bound=bound,
         certified=True,
         candidates=tuple(candidates),
     )
@@ -215,6 +212,17 @@ def test_orbit_pool_matches_per_shape_oracle(label, n, degree):
     rows = data.pop("candidates")
     assert data == oracle_cert.to_json(include_candidates=False)
     assert list(expand_rows(rows)) == list(oracle_rows(oracle_cert.candidates))
+
+
+@pytest.mark.parametrize("label,n", [(label, n) for label in SLICES for n in (3, 4, 12)])
+def test_closed_form_wall_on_every_shape(label, n):
+    # the closed form against the oracle on each of the 3,200 shapes up to
+    # degree 2, the filtered ones too
+    sl = SLICES[label](n)
+    ideal = ideal_points_char(n)
+    for coords, *_ in oracle_shape_pool(2):
+        ch = line_bundle_char(-1 * DivisorClass(coords))
+        assert rank_one_wall(sl, ch) == bridgeland.wall_oracle(sl, ch, ideal)
 
 
 # degree 5 (1,104,956 shapes, about 20 s a case) on one n per slice
@@ -300,20 +308,20 @@ def test_orbit_sizes_sum_to_pool_count(degree, count):
 
 
 def _replace_walls(monkeypatch, selected, wall):
-    """Make bridgeland.numerical_wall (the production path) and
+    """Make bridgeland.rank_one_wall (the production path) and
     bridgeland.wall_oracle (the oracle path) return `wall` for every shape
     aH - sum b_i E_i with selected(a, b1)."""
 
     def faked(real):
-        def fake(sl, ch_e, ch_f):
+        def fake(sl, ch_e, *ideal):
             shape = [-c for c in ch_e.c1.coords]
             if selected(shape[0], -shape[1]):
                 return wall
-            return real(sl, ch_e, ch_f)
+            return real(sl, ch_e, *ideal)
 
         return fake
 
-    for name in ("numerical_wall", "wall_oracle"):
+    for name in ("rank_one_wall", "wall_oracle"):
         monkeypatch.setattr(bridgeland, name, faked(getattr(bridgeland, name)))
 
 

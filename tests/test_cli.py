@@ -275,6 +275,15 @@ def test_unsigned_later_term_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_star_without_coefficient_exits_two(capsys):
+    # read as H-E1, the check would certify a class the text does not spell
+    code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", "H-*E1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_deeply_nested_divisor_exits_two(capsys):
     divisor = '{"h":' * 3000 + "1" + "}" * 3000
     code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", divisor])

@@ -174,6 +174,12 @@ def test_parse_divisor_rejects_garbage():
     for text in ("H-E1 E2", "2H3E1", "E1E2"):
         with pytest.raises(ValueError):
             parse_divisor(text)
+    # a "*" needs a coefficient before it
+    for text in ("*H", "H-*E1"):
+        with pytest.raises(ValueError):
+            parse_divisor(text)
+    assert parse_divisor("2*H") == 2 * H
+    assert parse_divisor("H - 2 * E1") == H - 2 * E[0]
 
 
 integral_coords = st.lists(st.integers(-60, 60), min_size=10, max_size=10)

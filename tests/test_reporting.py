@@ -11,8 +11,8 @@ from hilbnef import (
     run_campaign,
     validate_campaign,
 )
-from hilbnef.bridgeland import rank1_candidates, slice_for
-from hilbnef.lattice import DivisorClass
+from hilbnef.bridgeland import rank1_candidates, rank2_radius_bound, slice_for
+from hilbnef.lattice import DivisorClass, format_rational
 
 # the three wall-value rows, as (quoted, recomputed) exact rationals at n=3
 WALL_ROWS_N3 = {
@@ -24,10 +24,10 @@ WALL_ROWS_N3 = {
 
 def test_discrepancy_table_shape():
     rows = discrepancy_table(3)
-    assert len(rows) == 6
+    assert len(rows) == 7
     assert all(not r.agrees for r in rows)
     quantities = [r.quantity for r in rows]
-    assert len(set(quantities)) == 6
+    assert len(set(quantities)) == 7
 
 
 def test_discrepancy_wall_rows_exact():
@@ -45,6 +45,26 @@ def test_discrepancy_reflection_and_self_intersection_rows():
     assert refl.recomputed == "E2"
     sq = rows["self-intersection of the H-family polarization"]
     assert (sq.quoted, sq.recomputed) == ("11/2", "10")
+
+
+def test_discrepancy_rank2_bound_row():
+    # the quoted A.A replayed through the rank-2 radius bound, against the
+    # bound the certificate gates on
+    rows = {r.quantity: r for r in discrepancy_table(3)}
+    row = rows["rank-2 radius bound on the H-family slice"]
+    assert (row.quoted, row.recomputed) == ("21/121", "69/800")
+    assert not row.agrees
+    assert row.recomputed == format_rational(rank2_radius_bound(slice_for("A1", 3)))
+    note = rows["self-intersection of the H-family polarization"].note
+    assert "replayed with both values" not in note
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_discrepancy_rank2_bound_row_below_fiber_wall(n):
+    # the note's claim: the exact bound is below the quoted one, below 1
+    rows = {r.quantity: r for r in discrepancy_table(n)}
+    row = rows["rank-2 radius bound on the H-family slice"]
+    assert Fraction(row.recomputed) < Fraction(row.quoted) < 1
 
 
 def test_discrepancy_table_n_dependence():
