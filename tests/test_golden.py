@@ -14,6 +14,11 @@ only when the output is meant to change.  The two `walls gieseker` files, the
 degree-3 `walls gieseker` digests and the three `walls_*` DEEP_DIGESTS were
 written again when the certificate began to list one candidate row per
 E2..E9 orbit, with its arrangement count, in place of one row per shape.
+The four `campaign run` and `walls gieseker` files, the degree-3 `walls
+gieseker` digests, `campaign_run_deg5` and the three `walls_*` DEEP_DIGESTS
+were written again when each certificate began to carry one rank-2 radius
+bound, the exact one, under `rank2_radius_bound` (the quoted replay moved to
+a discrepancy row of its own).
 The degree-3 `walls gieseker` certificates are pinned by their SHA-256
 digest instead of a file, and
 so are the degree-5 and degree-6 outputs in DEEP_DIGESTS, which were recorded
@@ -60,13 +65,13 @@ CASES = [
 DIGESTS = [
     (
         "A1",
-        "e8faa5a7d9c1b53021cc15c03e07c981791befbee9eaf027cb643aea70d7a280",
-        23997,
+        "b3658cae39208287d7c70ad4cd6f626b76bfe88a22d7ac39d6cd6308ce22e565",
+        23955,
     ),
     (
         "A2",
-        "ca658accd16d052763df216aa3d48942dbffebe8b78840cf49238c6cf269d1f5",
-        24840,
+        "7935cca16d1a79c78ae70bdf3f7722f222cf4a27f3efd97f1535ec3b526d75c3",
+        24800,
     ),
 ]
 
@@ -107,8 +112,8 @@ DEEP_DIGESTS = [
         "campaign_run_deg5",
         ["campaign", "run", "--max-degree", "5"],
         0,
-        "df767f12f342e6b9a817dc7341992b12ce06be084f0ffd3186f253496bc03e4d",
-        63442,
+        "e77ef54f02f116ea2e42f4bacd69c1e4b8cde4f56d4a68b1546f69ffa0b43252",
+        66771,
     ),
     (
         "hilb_check_theorem_n3_deg6",
@@ -142,22 +147,22 @@ DEEP_DIGESTS = [
         "walls_a2_n3_deg4",
         ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "4"],
         0,
-        "41a1513ee70336c343925612f0ca582817a60e6caf0316974cce7cc241ee709c",
-        83698,
+        "56bf994f33e4a47c7cd8085beb7e24f8cd0f3a3eac0a0e2eb9dccb801368fd25",
+        83658,
     ),
     (
         "walls_a2_n3_deg5",
         ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "5"],
         0,
-        "be73a6b42b9021871685b5b0b8815cb85148f775b5d1251d02f22f2471dc568c",
-        246043,
+        "4999daa7c64159aefa145e4974cdfa4ab913712299b7e12fc4630867b03be7e7",
+        246003,
     ),
     (
         "walls_a1_n5_deg4",
         ["walls", "gieseker", "--slice", "A1", "--n", "5", "--max-degree", "4"],
         0,
-        "390f07c2860fdb3c70f339d8895a924b679459447d859c63b7461360623beedb",
-        80747,
+        "eec103a5a9c96e8a6b308e4e308177b1ee935ba8d20d85b64f84f54574861904",
+        80703,
     ),
     (
         "weyl_orbit_h_deg8",
