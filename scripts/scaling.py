@@ -62,6 +62,11 @@ COMMANDS = [
         ["walls", "gieseker", "--slice", "A2", "--n", "3", "--max-degree", "9"],
     ),
     ("campaign_run_deg6", ["campaign", "run", "--max-degree", "6"]),
+    # the north star's n axis at its cap: 124 (slice, n) wall certificates
+    (
+        "campaign_run_n64_deg6",
+        ["campaign", "run", "--n-end", "64", "--max-degree", "6"],
+    ),
     ("coneconj_cover_n3_deg6", ["coneconj", "cover", "--n", "3", "--max-degree", "6"]),
     (
         "coneconj_cover_n3_deg6_samples10000",
