@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .lattice import E, F, H, format_rational, intersect, self_intersection
+from .lattice import DivisorClass, E, F, H, format_rational, intersect, self_intersection
 from .record import Record
 from .weyl import reflect, root_basis
 from .hilb import fiber_orthogonal_lift
@@ -44,7 +44,7 @@ def _quoted_rank2_bound(sl: Slice, a_sq: Fraction) -> Fraction:
     )
 
 
-def _quoted_rank_one_center(sl: Slice, l) -> Fraction:
+def _quoted_rank_one_center(sl: Slice, l: DivisorClass) -> Fraction:
     """The commonly quoted center of the wall between O(l) and the ideal of n
     points.  The center of rank_one_wall is (n + l^2/2 - l.P) / (l.A); the
     quoted form has l.P/2 in place of l.P."""

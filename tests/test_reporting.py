@@ -49,22 +49,16 @@ def test_discrepancy_reflection_and_self_intersection_rows():
 
 def test_discrepancy_rank2_bound_row():
     # the quoted A.A replayed through the rank-2 radius bound, against the
-    # bound the certificate gates on
-    rows = {r.quantity: r for r in discrepancy_table(3)}
-    row = rows["rank-2 radius bound on the H-family slice"]
-    assert (row.quoted, row.recomputed) == ("21/121", "69/800")
-    assert not row.agrees
-    assert row.recomputed == format_rational(rank2_radius_bound(slice_for("A1", 3)))
+    # bound the certificate gates on; the row's note holds for every n the
+    # campaign runs: recomputed < quoted < 1, the extremal wall radius^2
+    for n in range(3, 65):
+        rows = {r.quantity: r for r in discrepancy_table(n)}
+        row = rows["rank-2 radius bound on the H-family slice"]
+        assert row.recomputed == format_rational(rank2_radius_bound(slice_for("A1", n)))
+        assert Fraction(row.recomputed) < Fraction(row.quoted) < 1
+        assert not row.agrees
     note = rows["self-intersection of the H-family polarization"].note
     assert "replayed with both values" not in note
-
-
-@pytest.mark.parametrize("n", range(3, 65))
-def test_discrepancy_rank2_bound_row_below_fiber_wall(n):
-    # the note's claim: the exact bound is below the quoted one, below 1
-    rows = {r.quantity: r for r in discrepancy_table(n)}
-    row = rows["rank-2 radius bound on the H-family slice"]
-    assert Fraction(row.recomputed) < Fraction(row.quoted) < 1
 
 
 def test_discrepancy_table_n_dependence():
