@@ -29,7 +29,7 @@ from .surface_cones import (
     a2_polarization,
     ample_family,
     is_ample_hf_family,
-    is_nef_up_to_degree,
+    is_nef,
 )
 from .hilb import (
     C0,

@@ -14,9 +14,9 @@ error: line and no traceback.
 
 Parameters that would run too long are usage errors, refused before any
 work: each command's --max-degree (for `weyl orbit`, the larger of it and the
-H-degree of --start) and `coneconj cover --samples` have a cap (the MAX_*
-constants below), and `weyl orbit` refuses a start whose walk, read from the
-start, is over its cap.
+H-degree of --start), `coneconj cover --samples`, the walk of a `weyl orbit`
+start and the step bound of a `surface nef` divisor's chamber walk have caps
+(the MAX_* constants below), each read from the input.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import argparse
 import os
 import sys
 
-from .lattice import DivisorClass, dot_int, parse_divisor
+from .lattice import DivisorClass, F, dot_int, parse_divisor
 from .weyl import _degree_groups, orbit_size
-from .surface_cones import ample_family, is_nef_up_to_degree
+from .surface_cones import ample_family, is_nef
 from .hilb import cone_duality_check
 from .bridgeland import GiesekerFalsified, gieseker_wall, slice_for
 from .translations import CoverageConfig, coverage_experiment
@@ -50,10 +50,10 @@ MAX_ORBIT_DEGREE = 15  # weyl orbit --start H: 0.10-0.13 s, 16 MB
 # sum of squares a^2 - D.D (`weyl._degree_groups`), so its cost grows with
 # -D.D too; it is checked from the start before the walk.
 MAX_ORBIT_SQUARES = 225  # window^2 - D.D; one degree's walk: at most 0.08 s
-# The nef test reads the (-1)-classes per S9 orbit, so its cost is the walk
-# over their sorted representatives and hardly depends on the divisor; the
-# cap keeps the run near half of a 4 s budget (250: 3.4-3.7 s, 28 MB).
-MAX_NEF_DEGREE = 200  # surface nef --divisor H or H-E1-E2: 1.7-2.1 s, 22 MB
+# The nef test walks to the chamber and prints the word, about 2.4 us and 200
+# bytes per reflection.  a - (f^2 + 9 D.D) / (6 f) bounds the reflections, but
+# loosely (T_v(H), v = k(E1-E2+E3-E4): 18k^2 for 6k), so short walks may be refused.
+MAX_NEF_STEPS = 500_000  # a 499,998-step walk: 1.1-1.2 s, 102 MB, 10 MB of JSON
 # The duality scan prints one row per S9 orbit of curves (12 at degree 6, for
 # 3,026 curves).  Degree 7 would first need orthogonality witnesses from
 # outside the degree window: at degree 6 the orbit of 6H-3E1-2E2-...-2E8 (72
@@ -137,9 +137,12 @@ def cmd_weyl_orbit(args) -> tuple[dict, int]:
 
 def cmd_surface_nef(args) -> tuple[dict, int]:
     d = _parse_divisor_arg(args.divisor)
-    degree = _check_degree(args.max_degree, MAX_NEF_DEGREE)
-    cert = is_nef_up_to_degree(d, degree)
-    return cert.to_json(), 0 if cert.nef_up_to_bound else 1
+    f = dot_int(d.nums, F.nums)
+    if f > 0:  # a reflection lowers a by >= 1, and Cauchy-Schwarz bounds a below
+        steps = d.nums[0] + (-(f * f + 9 * dot_int(d.nums, d.nums))) // (6 * f)
+        _check_cap("the nef walk's step bound", steps, MAX_NEF_STEPS)
+    cert = is_nef(d)
+    return cert.to_json(), 0 if cert.nef else 1
 
 
 def cmd_surface_ample_family(args) -> tuple[dict, int]:
@@ -220,9 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     surface = top.add_parser("surface", help="surface cone checks").add_subparsers(
         dest="command", required=True
     )
-    nef = _command(surface, "nef", cmd_surface_nef, "degree-bounded nef check")
+    nef = _command(surface, "nef", cmd_surface_nef, "nef check against all curves")
     nef.add_argument("--divisor", required=True, help="class text or JSON")
-    nef.add_argument("--max-degree", type=int, default=3)
     ample = _command(
         surface,
         "ample-family",

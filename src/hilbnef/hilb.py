@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from itertools import groupby
 
 from .lattice import (
     DivisorClass,
@@ -23,13 +24,8 @@ from .lattice import (
     intersect,
 )
 from .record import Record, _set
-from .surface_cones import (
-    _least_negative_arrangement,
-    _least_pairing,
-    _least_pairing_count,
-    is_nef_up_to_degree,
-)
-from .weyl import _degree_groups, orbit_size
+from .surface_cones import is_nef
+from .weyl import _arrangements, _degree_groups, orbit_size
 
 
 @total_ordering
@@ -145,14 +141,12 @@ def nef_part(d: HilbDivisor, n: int) -> DivisorClass:
     return (d + d.b_half * b_negative_ray(n)).surf
 
 
-def bounding_cone_decompose(
-    d: HilbDivisor, n: int, max_h_degree: int = 3
-) -> tuple[DivisorClass, Fraction]:
+def bounding_cone_decompose(d: HilbDivisor, n: int) -> tuple[DivisorClass, Fraction]:
     """Write d = nef_part^[n] + t * b_negative_ray(n) with t = -b_half >= 0.
 
-    The nef part is certified nef up to the degree bound: its fiber pairing
-    equals surf.F and its pairing with a (-1)-curve equals the pairing of d
-    with the induced curve, so membership transfers exactly.
+    The nef part is certified nef for all curves (`is_nef`): its fiber
+    pairing equals surf.F and its pairing with a (-1)-curve equals the
+    pairing of d with the induced curve, so membership transfers exactly.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
@@ -161,15 +155,70 @@ def bounding_cone_decompose(
             "positive B/2 coefficient pairs negatively with the contracted curve"
         )
     part = nef_part(d, n)
-    cert = is_nef_up_to_degree(part, max_h_degree)
-    if cert.witness is not None:
+    cert = is_nef(part)
+    if not cert.nef:
         against = "the fiber class" if cert.witness == F else "a (-1)-curve"
+        if cert.witness is None:
+            against = "the Hodge index theorem: D.F = 0 and D.D < 0"
         raise DecompositionError(
             f"nef part fails against {against}",
             witness=cert.witness,
             pairing=cert.witness_pairing,
         )
     return part, -d.b_half
+
+
+def _least_pairing(nums: tuple[int, ...], a: int, b: tuple[int, ...]) -> int:
+    """The least dot product of the numerators nums with a class (a,
+    -b_s(1), ..., -b_s(9)) over the arrangements s of b (nonincreasing).
+    That class pairs with nums to nums0*a + sum nums_i*b_s(i), so by the
+    rearrangement inequality the least pairing puts b against nums's
+    E-numerators in ascending order.  Permuting both classes alike keeps a
+    pairing, so it is also the least pairing between their S9 orbits."""
+    return nums[0] * a + sum(x * y for x, y in zip(sorted(nums[1:]), b))
+
+
+def _least_pairing_count(nums: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """How many distinct arrangements s of b (nonincreasing) reach
+    `_least_pairing(nums, a, b)`.  Where nums_i < nums_j and b_s(i) <
+    b_s(j), swapping the two b values lowers the pairing by (nums_j -
+    nums_i)(b_s(j) - b_s(i)) > 0.  So an arrangement reaches the least
+    pairing exactly when each group of equal E-numerators of nums, taken in
+    ascending order, holds the next slice of b, in any order inside the
+    group."""
+    count, start = 1, 0
+    for _, group in groupby(sorted(nums[1:])):
+        end = start + len(list(group))
+        count *= _arrangements(b[start:end])
+        start = end
+    return count
+
+
+def _least_negative_arrangement(
+    nums: tuple[int, ...], a: int, b: tuple[int, ...], below: int
+) -> tuple[int, ...]:
+    """The least E-numerator tuple (-b_s(1), ..., -b_s(9)) over the
+    arrangements s of b (nonincreasing) whose class pairs with nums below
+    the threshold `below`; one must exist.  Greedy by position: take the
+    largest remaining b_j, so the smallest numerator, whose placement can
+    still be completed to a pairing below it, which holds exactly when the
+    rearrangement bound (the rest of b against the rest of nums ascending)
+    is below it."""
+    partial = nums[0] * a
+    rest = list(b)
+    chosen: list[int] = []
+    for i in range(1, 10):
+        tail = sorted(nums[i + 1 :])
+        for j, v in enumerate(rest):
+            if j and v == rest[j - 1]:
+                continue
+            others = rest[:j] + rest[j + 1 :]
+            if partial + nums[i] * v + sum(x * y for x, y in zip(tail, others)) < below:
+                partial += nums[i] * v
+                chosen.append(-v)
+                rest = others
+                break
+    return tuple(chosen)
 
 
 class CurveRow(Record):

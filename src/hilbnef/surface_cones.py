@@ -1,149 +1,74 @@
 """Mori and nef cones of the general nine-point blowup.
 
-On the general surface the curve cone is spanned by the fiber class and the
-(-1)-curves, so a degree-bounded nef check pairs a divisor against the fiber
-and every (-1)-class up to the bound; it reads the (-1)-classes per S9 orbit,
-from their sorted representatives, without listing them.  The two ample
-families used downstream (c*H + c_F*F and c*(H-E1) + c_F*F) admit exact
-closed-form ampleness tests against the full, unbounded set of (-1)-curves.
+On the general surface the curve cone is spanned by the fiber class F and
+the (-1)-curves, the Weyl orbit W.E9 (Nagata, "On rational surfaces II",
+1960), so a class with D.F > 0 is nef exactly when its chamber representative
+(`weyl._chamber`) is in standard form, b9 >= 0 (Harbourne, "Anticanonical
+rational surfaces", Trans. AMS 1997).  The ample families c*H + c_F*F and
+c*(H-E1) + c_F*F have closed-form tests against all curves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 
 from .lattice import DivisorClass, E, F, H, dot_int, format_rational, self_intersection
 from .record import Record
-from .weyl import _arrangements, _degree_groups, orbit_size
+from .weyl import _chamber, _pull_back
 
 
 class NefCertificate(Record):
-    """How many Mori generators the check covered, the smallest pairing, and
-    the first negative one with its generator."""
+    """The nef verdict of a divisor for all curves and its proof: for a nef one
+    the chamber walk's word and the coefficients (a-b1-b2-b3, b1-b2, ..., b8-b9,
+    b9) >= 0 on H, H-E1, 2H-E1-E2 and 3H-E1-...-E_k for k = 3..9 (the last is F);
+    else a curve, F or a (-1)-class, with its negative pairing, or none when
+    D.F = 0 and D.D < 0, which the Hodge index theorem on F^perp excludes."""
 
-    __slots__ = (
-        "divisor",
-        "degree_bound",
-        "nef_up_to_bound",
-        "generators_checked",
-        "lowest_pairing",
-        "witness",
-        "witness_pairing",
-    )
+    __slots__ = ("divisor", "nef", "standard_form", "word", "witness", "witness_pairing")
     divisor: DivisorClass
-    degree_bound: int
-    nef_up_to_bound: bool
-    generators_checked: int
-    lowest_pairing: Fraction
+    nef: bool
+    standard_form: tuple[Fraction, ...] | None
+    word: tuple[tuple[int, int, int], ...] | None
     witness: DivisorClass | None
     witness_pairing: Fraction | None
 
     def to_json(self) -> dict:
         data = {
             "divisor": self.divisor.to_json(),
-            "degree_bound": self.degree_bound,
-            "verdict": "nef_up_to_bound" if self.nef_up_to_bound else "not_nef",
-            "min_pairing": format_rational(self.lowest_pairing),
-            "generators_checked": self.generators_checked,
+            "scope": "all curves",
+            "verdict": "nef" if self.nef else "not_nef",
         }
-        if self.witness is not None:
+        if self.nef:
+            data["standard_form"] = [format_rational(c) for c in self.standard_form]
+            data["word"] = ["H-" + "-".join(f"E{i + 1}" for i in sorted(r)) for r in self.word]
+        elif self.witness is not None:
             data["witness"] = self.witness.to_json()
             data["witness_pairing"] = format_rational(self.witness_pairing)
+        else:
+            data["pairings"] = {"D.F": "0", "D.D": str(self_intersection(self.divisor))}
         return data
 
 
-def is_nef_up_to_degree(d: DivisorClass, max_h_degree: int) -> NefCertificate:
-    """Pair d against the fiber and every (-1)-class up to the degree bound.
-
-    The (-1)-classes are read per S9 orbit, from the sorted representatives
-    of `weyl._degree_groups(E9, k)`, each with its least pairing
-    (`_least_pairing`).  The witness, when the check fails, is the first
-    violating generator in the enumeration order (fiber first, then the
-    classes in numerator order): the fiber if it pairs negatively, else the
-    least class of the lowest degree whose orbit goes negative, found by
-    `_least_negative_arrangement`.  Each pairing is an integer over d's
-    denominator.
-    """
-    checked = 1 + orbit_size(E[8], max_h_degree)
+def is_nef(d: DivisorClass) -> NefCertificate:
+    """Decide whether d is nef against every curve, on integer numerators.
+    D.F < 0: witness F.  D.F = 0 and D.D < 0: not nef, with no curve.  Else
+    (D.F > 0, or D = tF, which the walk leaves as it is) d is nef when its
+    chamber representative has b9 >= 0; if not, E_i pulled back from the
+    walk's first step with a negative entry b_i pairs with d at that value.
+    A nef certificate replays as: reflect d in each root r of the word in turn
+    (x -> x + (x.r) r), sort the E-coefficients, and sum the standard form."""
     nums = d.nums
-    lowest = fiber = dot_int(nums, F.nums)
-    first: tuple[int, ...] | None = None  # numerators of the first negative class
-    for a, _, reps in _degree_groups(E[8], max_h_degree):
-        for b, _ in reps:
-            least = _least_pairing(nums, a, b)
-            lowest = min(lowest, least)
-            if least < 0 and (first is None or first[0] == a):
-                found = (a,) + _least_negative_arrangement(nums, a, b, 0)
-                first = found if first is None else min(first, found)
-    if fiber < 0:
-        witness = F
-    else:
-        witness = None if first is None else DivisorClass(first)
-    return NefCertificate(
-        divisor=d,
-        degree_bound=max_h_degree,
-        nef_up_to_bound=witness is None,
-        generators_checked=checked,
-        lowest_pairing=Fraction(lowest, d.den),
-        witness=witness,
-        witness_pairing=(
-            None if witness is None else Fraction(dot_int(nums, witness.nums), d.den)
-        ),
-    )
-
-
-def _least_pairing(nums: tuple[int, ...], a: int, b: tuple[int, ...]) -> int:
-    """The least dot product of the numerators nums with a class (a,
-    -b_s(1), ..., -b_s(9)) over the arrangements s of b (nonincreasing).
-    That class pairs with nums to nums0*a + sum nums_i*b_s(i), so by the
-    rearrangement inequality the least pairing puts b against nums's
-    E-numerators in ascending order.  Permuting both classes alike keeps a
-    pairing, so it is also the least pairing between their S9 orbits."""
-    return nums[0] * a + sum(x * y for x, y in zip(sorted(nums[1:]), b))
-
-
-def _least_pairing_count(nums: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """How many distinct arrangements s of b (nonincreasing) reach
-    `_least_pairing(nums, a, b)`.  Where nums_i < nums_j and b_s(i) <
-    b_s(j), swapping the two b values lowers the pairing by (nums_j -
-    nums_i)(b_s(j) - b_s(i)) > 0.  So an arrangement reaches the least
-    pairing exactly when each group of equal E-numerators of nums, taken in
-    ascending order, holds the next slice of b, in any order inside the
-    group."""
-    count, start = 1, 0
-    for _, group in groupby(sorted(nums[1:])):
-        end = start + len(list(group))
-        count *= _arrangements(b[start:end])
-        start = end
-    return count
-
-
-def _least_negative_arrangement(
-    nums: tuple[int, ...], a: int, b: tuple[int, ...], below: int
-) -> tuple[int, ...]:
-    """The least E-numerator tuple (-b_s(1), ..., -b_s(9)) over the
-    arrangements s of b (nonincreasing) whose class pairs with nums below
-    the threshold `below`; one must exist.  Greedy by position: take the
-    largest remaining b_j, so the smallest numerator, whose placement can
-    still be completed to a pairing below it, which holds exactly when the
-    rearrangement bound (the rest of b against the rest of nums ascending)
-    is below it."""
-    partial = nums[0] * a
-    rest = list(b)
-    chosen: list[int] = []
-    for i in range(1, 10):
-        tail = sorted(nums[i + 1 :])
-        for j, v in enumerate(rest):
-            if j and v == rest[j - 1]:
-                continue
-            others = rest[:j] + rest[j + 1 :]
-            if partial + nums[i] * v + sum(x * y for x, y in zip(tail, others)) < below:
-                partial += nums[i] * v
-                chosen.append(-v)
-                rest = others
-                break
-    return tuple(chosen)
+    fiber = dot_int(nums, F.nums)
+    witness = F if fiber < 0 else None
+    if fiber > 0 or (fiber == 0 and dot_int(nums, nums) == 0):
+        (a, *b), word, first = _chamber(nums[0], [-x for x in nums[1:]])
+        if first is None:
+            coeffs = [a - b[0] - b[1] - b[2]] + [x - y for x, y in zip(b, b[1:] + [0])]
+            form = tuple(Fraction(c, d.den) for c in coeffs)
+            return NefCertificate(d, True, form, word, None, None)
+        witness = _pull_back(word[: first[0]], first[1])
+    pairing = None if witness is None else Fraction(dot_int(nums, witness.nums), d.den)
+    return NefCertificate(d, False, None, None, witness, pairing)
 
 
 class AmplenessReport(Record):

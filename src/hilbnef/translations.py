@@ -241,7 +241,7 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageReport:
         reduced_surf, steps, _, hit_cap = reduce_surface_class(d.surf)
         reduced = HilbDivisor(reduced_surf, d.b_half)
         try:
-            part, _ = bounding_cone_decompose(reduced, cfg.n, cfg.max_h_degree)
+            part, _ = bounding_cone_decompose(reduced, cfg.n)
             decomposed = True
         except DecompositionError:
             part = nef_part(reduced, cfg.n)

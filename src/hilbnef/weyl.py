@@ -132,7 +132,7 @@ def _degree_groups(
             f"orbit start {start} has D.F = {fiber} and D.D = {square}; only "
             "classes with D.F > 0 or multiples of F have a finite orbit window"
         )
-    target = _chamber(start.nums[0], sorted(b, reverse=True))
+    target = _chamber(start.nums[0], b)[0]
     groups = []
     for a in range(window_hi + 1):
         q = a * a - square
@@ -141,7 +141,7 @@ def _degree_groups(
         reps = tuple(
             (rep, _arrangements(rep))
             for rep in _sorted_vectors(3 * a - fiber, q, 9, isqrt(q))
-            if _chamber(a, list(rep)) == target
+            if _chamber(a, rep)[0] == target
         )
         if reps:
             groups.append((a, sum(size for _, size in reps), reps))
@@ -174,20 +174,43 @@ def _unrank(reps: Sequence[tuple[tuple[int, ...], int]], i: int) -> tuple[int, .
     return tuple(out)
 
 
-def _chamber(a: int, b: list[int]) -> tuple[int, ...]:
-    """The chamber representative (a, b1 >= ... >= b9) of aH - sum b_i E_i
-    for b sorted nonincreasing.  While a < b1 + b2 + b3, the reflection in
-    H-E1-E2-E3 adds d = a - b1 - b2 - b3 < 0 to a, b1, b2 and b3, so a
-    strictly drops; on a class with D.F > 0, Cauchy-Schwarz bounds a below."""
+def _chamber(a: int, b: Sequence[int]) -> tuple[tuple[int, ...], tuple, tuple[int, int] | None]:
+    """The chamber walk of aH - sum b_i E_i, b in any order: the representative
+    (a, b1 >= ... >= b9) with a >= b1 + b2 + b3, the word, and the first step
+    with a negative entry.  Each step sorts b, stably, and, while
+    a < b1 + b2 + b3, reflects in H-E1-E2-E3, adding d = a - b1 - b2 - b3 < 0
+    to a, b1, b2 and b3; a drops, and for D.F = f > 0 Cauchy-Schwarz bounds
+    it below by (f^2 + 9 D.D) / (6 f).  In the class's own labels a step is
+    the reflection in H - E_i - E_j - E_k for the labels sorted to the front;
+    the word lists those triples (0-based).  The first negative step is (k, i)
+    when, after k reflections, the least entry is label i's (the last of a
+    tie) and negative: `_pull_back(word[:k], i)` pairs with the class at that
+    value.  Entries never grow, so it exists exactly when the final b9 < 0."""
+    # 16 b_i + (8 - i) packs b_i with its label and sorts like b, lower labels first
+    c = [(x << 4) | (8 - i) for i, x in enumerate(b)]
+    word = []
+    first = None
     while True:
-        d = a - b[0] - b[1] - b[2]
+        c.sort(reverse=True)
+        if first is None and c[8] < 0:
+            first = (len(word), 8 - (c[8] & 15))
+        d = a - (c[0] >> 4) - (c[1] >> 4) - (c[2] >> 4)
         if d >= 0:
-            return (a, *b)
+            return (a, *(x >> 4 for x in c)), tuple(word), first
+        word.append((8 - (c[0] & 15), 8 - (c[1] & 15), 8 - (c[2] & 15)))
         a += d
-        b[0] += d
-        b[1] += d
-        b[2] += d
-        b.sort(reverse=True)
+        c[:3] = [x + (d << 4) for x in c[:3]]
+
+
+def _pull_back(word: Sequence[tuple[int, int, int]], label: int) -> DivisorClass:
+    """w^-1(E_(label+1)), for w the reflections in a word's roots in turn."""
+    x = list(E[label].nums)
+    for root in reversed(word):
+        t = x[0] + sum(x[i + 1] for i in root)  # x.(H - E_i - E_j - E_k)
+        x[0] += t
+        for i in root:
+            x[i + 1] -= t
+    return DivisorClass(x)
 
 
 def _sorted_vectors(s: int, q: int, slots: int, top: int) -> Iterator[tuple[int, ...]]:

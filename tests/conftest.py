@@ -21,7 +21,7 @@ from hilbnef import (
     E,
     H,
 )
-from hilbnef.weyl import _degree_groups
+from hilbnef.weyl import _degree_groups, reflect
 
 
 def distinct_permutations(values):
@@ -51,6 +51,14 @@ def listed_orbit(start: DivisorClass, max_h_degree: int) -> tuple[DivisorClass, 
             found += [(a,) + e for e in distinct_permutations(-x for x in b)]
     # on integral classes, the order of the numerator tuples is the class order
     return tuple(DivisorClass(vec) for vec in sorted(found))
+
+
+def replay_word(d: DivisorClass, word) -> DivisorClass:
+    """d reflected, by `weyl.reflect`, in each root H - E_i - E_j - E_k of a
+    chamber-walk word (label triples, 0-based) in turn."""
+    for i, j, k in word:
+        d = reflect(H - E[i] - E[j] - E[k], d)
+    return d
 
 
 @pytest.fixture(scope="session")

@@ -105,9 +105,28 @@ def test_weyl_orbit_refuses_a_start_without_a_finite_window(capsys, start):
 
 
 def test_surface_nef_accepts(capsys):
-    code, out, _ = run_cli(capsys, ["surface", "nef", "--divisor", "H", "--max-degree", "2"])
+    code, out, _ = run_cli(capsys, ["surface", "nef", "--divisor", "H"])
     assert code == 0
-    assert json.loads(out)["verdict"] == "nef_up_to_bound"
+    data = json.loads(out)
+    assert (data["scope"], data["verdict"]) == ("all curves", "nef")
+    assert data["standard_form"] == ["1"] + ["0"] * 9
+    assert data["word"] == []
+
+
+def test_surface_nef_prints_the_hodge_pair(capsys):
+    # E1 - E2 pairs 0 with F and squares to -2: no curve witness
+    code, out, _ = run_cli(capsys, ["surface", "nef", "--divisor", "E1-E2"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "not_nef"
+    assert data["pairings"] == {"D.D": "-2", "D.F": "0"}
+    assert "witness" not in data
+
+
+def test_surface_nef_has_no_degree_option(capsys):
+    code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", "H", "--max-degree", "3"])
+    assert (code, out) == (2, "")
+    assert "--max-degree" in err
 
 
 def test_surface_nef_rejects_with_witness(capsys):
@@ -407,15 +426,12 @@ def test_walls_gieseker_lists_degree_five(capsys):
     assert sum(row["arrangements"] for row in rows) == cert["candidate_count"] == 1_104_956
 
 
-# (argv before the capped value, flag, cap, the cli name doing the work)
+# (argv before the capped value, flag, cap, the cli name doing the work); the
+# flag's value is the capped value, except for `surface nef`, whose divisor
+# v(H + E1 - E2) has the step bound v: a = v, f = 3v and D.D = -v^2
 CAPPED = [
     (["weyl", "orbit", "--start", "H"], "--max-degree", "MAX_ORBIT_DEGREE", "_degree_groups"),
-    (
-        ["surface", "nef", "--divisor", "H"],
-        "--max-degree",
-        "MAX_NEF_DEGREE",
-        "is_nef_up_to_degree",
-    ),
+    (["surface", "nef"], "--divisor", "MAX_NEF_STEPS", "is_nef"),
     (
         ["hilb", "check-theorem", "--n", "3"],
         "--max-degree",
@@ -456,13 +472,15 @@ def _no_work(*args, **kwargs):
 def test_cap_refuses_before_any_work(capsys, monkeypatch, prefix, flag, cap, worker):
     monkeypatch.setattr(cli, worker, _no_work)
     limit = getattr(cli, cap)
+    spell = (lambda v: f"{v}H+{v}E1-{v}E2") if flag == "--divisor" else str
     for value in (limit + 1, 10**9):
-        code, out, err = run_cli(capsys, prefix + [flag, str(value)])
+        code, out, err = run_cli(capsys, prefix + [flag, spell(value)])
         assert (code, out) == (2, "")
-        assert err.startswith("error:") and f"cap of {limit}" in err
+        assert err.startswith("error:") and f"is {value}, over this command's cap of {limit}" in err
+        assert err.count("\n") == 1
         assert "Traceback" not in err
     # the cap itself is allowed and reaches the work
-    code, out, err = run_cli(capsys, prefix + [flag, str(limit)])
+    code, out, err = run_cli(capsys, prefix + [flag, spell(limit)])
     assert (code, out) == (3, "")
     assert "_WorkReached" in err
 

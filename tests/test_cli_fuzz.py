@@ -32,7 +32,6 @@ GRAMMAR = {
     },
     ("surface", "nef"): {
         "--divisor": ("H", CLASSES),
-        "--max-degree": (1, _ints(cli.MAX_NEF_DEGREE)),
     },
     ("surface", "ample-family"): {
         "--n": (3, _ints()),

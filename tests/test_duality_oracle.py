@@ -27,17 +27,15 @@ from hilbnef.hilb import (
     DualityReport,
     HilbDivisor,
     InducedCurve,
+    _least_negative_arrangement,
+    _least_pairing,
+    _least_pairing_count,
     cone_duality_check,
     fiber_orthogonal_lift,
     lift,
     pair_hilb,
 )
 from hilbnef.lattice import DivisorClass, E, F, H, divisor, dot_int, parse_divisor
-from hilbnef.surface_cones import (
-    _least_negative_arrangement,
-    _least_pairing,
-    _least_pairing_count,
-)
 
 from conftest import distinct_permutations, listed_orbit
 

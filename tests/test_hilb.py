@@ -19,11 +19,10 @@ from hilbnef import (
     cone_duality_check,
     fiber_orthogonal_lift,
     intersect,
-    is_nef_up_to_degree,
     lift,
     pair_hilb,
 )
-from hilbnef.surface_cones import _least_pairing
+from hilbnef.hilb import _least_pairing
 from hilbnef.weyl import _degree_groups
 
 from conftest import listed_orbit
@@ -134,11 +133,6 @@ def test_membership_min_curve_pairing_matches_listing_oracle():
                 )
                 value = Fraction(least, d.surf.den) + d.b_half * (n - 1)
                 assert value == oracle_min_curve_pairing(d, n, k), (d, n, k)
-
-
-def test_membership_refuses_a_negative_degree():
-    with pytest.raises(ValueError):
-        is_nef_up_to_degree(lift(F).surf, -1)
 
 
 def test_decompose_fixture_classes():

@@ -23,12 +23,17 @@ from test_golden import CASES
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hilbnef"
 
-# (argv, exit code): the golden commands, then every other subcommand, the
-# exit-1 duality scan at the window edge and two refusals
+# (argv, exit code): the golden commands, then every other subcommand, each
+# branch of the nef test, the exit-1 duality scan at the window edge and three
+# refusals
 COMMANDS = [(args, 0) for _, args in CASES] + [
     (["weyl", "orbit", "--start", "H-E1", "--max-degree", "4"], 0),
-    (["surface", "nef", "--divisor", "H-2E1", "--max-degree", "3"], 1),
+    (["surface", "nef", "--divisor", "H-2E1"], 1),
     (["surface", "nef", "--divisor", json.dumps({"h": "1/2", "e": [0] * 9})], 0),
+    (["surface", "nef", "--divisor", "E1-E2"], 1),
+    (["surface", "nef", "--divisor=-F"], 1),
+    (["surface", "nef", "--divisor=-H"], 1),
+    (["surface", "nef", "--divisor=500001H+500001E1-500001E2"], 2),
     (["surface", "ample-family", "--n", "3", "--which", "A1"], 0),
     (["surface", "ample-family", "--n", "3", "--which", "A2"], 0),
     (["hilb", "check-theorem", "--n", "3", "--max-degree", "6"], 1),

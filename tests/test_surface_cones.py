@@ -9,23 +9,31 @@ from hilbnef import (
     E,
     F,
     H,
-    NefCertificate,
+    K,
     a1_polarization,
     a2_polarization,
     divisor,
     enumerate_minus_one_classes,
     intersect,
     is_ample_hf_family,
-    is_nef_up_to_degree,
+    is_nef,
     parse_divisor,
     self_intersection,
 )
 from hilbnef.lattice import dot_int
 
-from conftest import listed_orbit
+from conftest import listed_orbit, replay_word
 
 # fiber class plus (-1)-classes up to each degree
 MORI_COUNTS = {0: 10, 1: 46, 2: 172, 3: 424, 4: 937, 5: 1693, 6: 3025}
+
+# the nef classes of the standard form: H, H-E1, 2H-E1-E2, 3H-E1-...-E_k
+STANDARD_GENERATORS = [H, H - E[0], 2 * H - E[0] - E[1]] + [
+    3 * H - sum(E[:k], DivisorClass((0,) * 10)) for k in range(3, 10)
+]
+
+# the degree of the full scan that stands for "every curve" on a nef verdict
+ORACLE_DEGREE = 8
 
 
 def mori_generators(max_h_degree: int) -> list[DivisorClass]:
@@ -33,32 +41,60 @@ def mori_generators(max_h_degree: int) -> list[DivisorClass]:
     return [F, *listed_orbit(E[8], max_h_degree)]
 
 
-def oracle_nef(d: DivisorClass, max_h_degree: int) -> NefCertificate:
-    """The nef test as a full scan: pair d with every Mori generator and take
-    the first negative one, in enumeration order, as the witness."""
-    generators = mori_generators(max_h_degree)
-    dots = [dot_int(d.nums, g.nums) for g in generators]
-    first = next((i for i, v in enumerate(dots) if v < 0), None)
-    return NefCertificate(
-        divisor=d,
-        degree_bound=max_h_degree,
-        nef_up_to_bound=first is None,
-        generators_checked=len(dots),
-        lowest_pairing=Fraction(min(dots), d.den),
-        witness=None if first is None else generators[first],
-        witness_pairing=None if first is None else Fraction(dots[first], d.den),
-    )
+def oracle_nef(d: DivisorClass, max_h_degree: int) -> tuple[DivisorClass, Fraction] | None:
+    """The nef test as a full scan: the first Mori generator up to the degree
+    bound, in enumeration order, that pairs negatively with d, with the
+    pairing, or None."""
+    for g in mori_generators(max_h_degree):
+        value = dot_int(d.nums, g.nums)
+        if value < 0:
+            return g, Fraction(value, d.den)
+    return None
+
+
+def check_certificate(d: DivisorClass) -> str | int | None:
+    """Check is_nef(d) against the full scan and return its outcome: None
+    when nef, "F", "hodge", or the witness's degree."""
+    cert = is_nef(d)
+    assert cert.divisor == d
+    assert cert.to_json()["scope"] == "all curves"
+    fiber = intersect(d, F)
+    if cert.nef:
+        assert oracle_nef(d, ORACLE_DEGREE) is None
+        assert len(cert.standard_form) == 10 and min(cert.standard_form) >= 0
+        form = sum(
+            (c * g for c, g in zip(cert.standard_form, STANDARD_GENERATORS)),
+            DivisorClass((0,) * 10),
+        )
+        image = replay_word(d, cert.word)
+        assert image.h == form.h
+        assert sorted(image.e) == sorted(form.e)
+        return None
+    if cert.witness is None:
+        # Hodge index on F^perp: no curve, and the scan finds one anyway
+        assert fiber == 0 and self_intersection(d) < 0
+        assert oracle_nef(d, ORACLE_DEGREE) is not None
+        return "hodge"
+    w = cert.witness
+    assert w == F or (self_intersection(w) == -1 and intersect(w, K) == -1)
+    assert cert.witness_pairing == intersect(d, w) < 0
+    assert oracle_nef(d, int(w.h)) is not None
+    if w == F:
+        assert fiber < 0
+        return "F"
+    return int(w.h)
 
 
 @pytest.mark.parametrize("degree,count", sorted(MORI_COUNTS.items()))
 def test_mori_generator_counts(degree, count):
     assert 1 + len(enumerate_minus_one_classes(degree)) == count
-    assert is_nef_up_to_degree(H, degree).generators_checked == count
+    assert len(mori_generators(degree)) == count
 
 
 # nef generators of degree at most 3: a multiple of one plus a small, sparse
 # perturbation is near the nef cone's boundary, so both verdicts, fiber
-# witnesses and (-1)-class witnesses of several degrees all occur
+# witnesses, (-1)-class witnesses of several degrees and, from multiples of
+# F, the Hodge case all occur
 NEF_GENERATORS = [F, *listed_orbit(H, 3), *listed_orbit(H - E[0], 3)]
 PERTURBATION_ENTRIES = [0, 0, 0, -1, 1]
 DENOMINATORS = [1, 1, 2, 3, 6]
@@ -78,18 +114,20 @@ near_nef_classes = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(near_nef_classes, st.integers(0, 6))
-@example(parse_divisor("12H-4E1-4E2-4E3-4E4-11/2E5-4E6-4E7-E8-4E9"), 6)
-@example(parse_divisor("2F-1/2E3"), 4)
-@example(parse_divisor("H-E1-E2"), 5)
-@example(parse_divisor("3H-E1-E2-E3-E4-E5-E6-E7-E8"), 6)
-def test_nef_test_matches_full_scan(d, degree):
-    assert is_nef_up_to_degree(d, degree).to_json() == oracle_nef(d, degree).to_json()
+@given(near_nef_classes)
+@example(parse_divisor("12H-4E1-4E2-4E3-4E4-11/2E5-4E6-4E7-E8-4E9"))
+@example(parse_divisor("2F-1/2E3"))
+@example(parse_divisor("H-E1-E2"))
+@example(parse_divisor("3H-E1-E2-E3-E4-E5-E6-E7-E8"))
+@example(parse_divisor("F+E1-E2"))
+def test_nef_test_matches_full_scan(d):
+    check_certificate(d)
 
 
 def test_near_nef_draws_reach_every_outcome():
-    """A fixed sample of the drawn family hits nef verdicts, fiber witnesses
-    and (-1)-class witnesses at several degrees, and matches the scan."""
+    """A fixed sample of the drawn family hits nef verdicts, fiber witnesses,
+    (-1)-class witnesses at several degrees and the Hodge case, and each
+    certificate agrees with the scan."""
     rng = random.Random(0)
     outcomes = set()
     for _ in range(200):
@@ -99,31 +137,61 @@ def test_near_nef_draws_reach_every_outcome():
             [rng.choice(PERTURBATION_ENTRIES) for _ in range(10)],
             rng.choice(DENOMINATORS),
         )
-        degree = rng.randint(0, 6)
-        cert = is_nef_up_to_degree(d, degree)
-        assert cert == oracle_nef(d, degree)
-        w = cert.witness
-        outcomes.add(None if w is None else "F" if w == F else int(w.h))
-    assert {None, "F", 0, 1, 2} <= outcomes
+        outcomes.add(check_certificate(d))
+    assert {None, "F", "hodge", 0, 1, 2} <= outcomes
 
 
 def test_nef_examples():
-    for name in ("H", "F", "H-E1", "K+2F"):
-        cert = is_nef_up_to_degree(parse_divisor(name), 3)
-        assert cert.nef_up_to_bound, name
-        assert cert.lowest_pairing >= 0
+    # each is one of the standard generators, F = K + 2F among them
+    for name, k in (("H", 0), ("H-E1", 1), ("F", 9), ("K+2F", 9)):
+        cert = is_nef(parse_divisor(name))
+        assert cert.nef, name
+        assert cert.word == ()
+        assert cert.standard_form == tuple(Fraction(int(i == k)) for i in range(10))
 
 
 def test_not_nef_witness():
-    cert = is_nef_up_to_degree(parse_divisor("H-2E1"), 3)
-    assert not cert.nef_up_to_bound
+    cert = is_nef(parse_divisor("H-2E1"))
+    assert not cert.nef
     assert cert.witness == H - E[0] - E[1]
     assert cert.witness_pairing == -1
 
 
-def test_nef_certificate_min_pairing():
-    cert = is_nef_up_to_degree(H, 3)
-    assert cert.lowest_pairing == 0  # H is orthogonal to every E_i
+def test_rational_class_keeps_its_degree_six_witness():
+    # F + (3/2)(6H - 2E1 - ... - 3E5 - ... - 2E7 - 2E9): its one negative
+    # pairing is with that (-1)-class, whose E-numerators are unsorted
+    d = parse_divisor("12H-4E1-4E2-4E3-4E4-11/2E5-4E6-4E7-E8-4E9")
+    cert = is_nef(d)
+    assert cert.witness == parse_divisor("6H-2E1-2E2-2E3-2E4-3E5-2E6-2E7-2E9")
+    assert cert.witness_pairing == Fraction(-1, 2)
+    assert oracle_nef(d, 6) == (cert.witness, cert.witness_pairing)
+
+
+def test_hodge_case_has_no_curve():
+    # E1 - E2 pairs 0 with F and squares to -2: not nef, with no witness
+    # curve; the scan finds E1 against it
+    cert = is_nef(parse_divisor("E1-E2"))
+    assert (cert.nef, cert.witness) == (False, None)
+    assert cert.to_json()["pairings"] == {"D.F": "0", "D.D": "-2"}
+    assert oracle_nef(parse_divisor("E1-E2"), 0) == (E[0], -1)
+
+
+def test_negative_fiber_multiple_pairs_negatively_with_e9():
+    cert = is_nef(-1 * F)
+    assert (cert.nef, cert.witness, cert.witness_pairing) == (False, E[8], -1)
+    assert oracle_nef(-1 * F, 0) == (E[8], -1)
+
+
+def test_long_translate_of_h_is_nef():
+    # T_v(H) = H + 3v + 6k^2 F for v = k(E1-E2+E3-E4), an isometric image of
+    # H of degree 1,801 at k = 10; its walk takes 60 reflections
+    k = 10
+    d = H + 3 * k * (E[0] - E[1] + E[2] - E[3]) + 6 * k * k * F
+    assert d.h == 1801
+    cert = is_nef(d)
+    assert cert.nef and len(cert.word) == 60
+    assert cert.standard_form == tuple(Fraction(int(i == 0)) for i in range(10))
+    assert replay_word(d, cert.word) == H
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -174,11 +242,6 @@ def test_ample_rejects_mixed_families():
 
 def test_mori_generators_pair_nonnegatively_with_nef():
     d = divisor(2, [-1, -1, 0, 0, 0, 0, 0, 0, 0])  # 2H - E1 - E2 is nef
-    assert is_nef_up_to_degree(d, 2).nef_up_to_bound
+    assert is_nef(d).nef
     for g in mori_generators(2):
         assert intersect(d, g) >= 0
-
-
-def test_nef_test_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        is_nef_up_to_degree(H, -1)

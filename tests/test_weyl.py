@@ -30,9 +30,9 @@ from hilbnef import (
     weyl_orbit,
 )
 from hilbnef.lattice import dot_int
-from hilbnef.weyl import _chamber, _degree_groups, orbit_class, orbit_size
+from hilbnef.weyl import _chamber, _degree_groups, _pull_back, orbit_class, orbit_size
 
-from conftest import listed_orbit
+from conftest import listed_orbit, replay_word
 
 # Reflections can raise the H-degree of intermediate classes; the BFS frontier
 # explores this many degrees above the requested window before pruning.
@@ -253,11 +253,39 @@ def test_minus_one_classes_match_diophantine_oracle():
 
 
 def test_every_minus_one_class_descends_to_e9():
-    e9 = _chamber(0, [0] * 8 + [-1])
+    # the walk takes each (-1)-class to E9's representative, and its word
+    # takes the class itself to some E_j
+    e9 = _chamber(0, [0] * 8 + [-1])[0]
     classes = oracle_minus_one_classes(6)
     assert len(classes) == 3024
     for c in classes:
-        assert _chamber(c.nums[0], sorted((-x for x in c.nums[1:]), reverse=True)) == e9
+        rep, word, _ = _chamber(c.nums[0], [-x for x in c.nums[1:]])
+        assert rep == e9
+        assert replay_word(c, word) in E
+
+
+@pytest.mark.parametrize("b", [[2, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 5, 1, 3, 0, 0, 2, 4]])
+def test_chamber_sorts_b_itself(b):
+    # any order of b walks like the sorted b, and the word replays to it
+    a = sum(b) - 1  # fiber degree 3a - sum b > 0
+    rep, word, _ = _chamber(a, b)
+    assert rep == _chamber(a, sorted(b, reverse=True))[0]
+    d = DivisorClass((a,) + tuple(-x for x in b))
+    image = replay_word(d, word).nums
+    assert (image[0],) + tuple(sorted((-x for x in image[1:]), reverse=True)) == rep
+
+
+def test_chamber_first_negative_step():
+    # H - 2E1 reflects first in H-E1-E2-E3, to -E1 + E2 + E3: b2 = b3 = -1,
+    # and E3, the last label of the tie, pulls back to H - E1 - E2.  The
+    # walk goes on to the end, and entries never grow, so b9 < 0 there.
+    rep, word, first = _chamber(1, [2, 0, 0, 0, 0, 0, 0, 0, 0])
+    assert word[0] == (0, 1, 2)
+    assert first == (1, 2)
+    assert _pull_back(word[:1], 2) == H - E[0] - E[1]
+    assert rep[9] < 0
+    # a class with no negative entry on the way
+    assert _chamber(1, [0] * 9) == ((1,) + (0,) * 9, (), None)
 
 
 @pytest.mark.parametrize("degree", range(7))
