@@ -24,7 +24,7 @@ digest instead of a file, and
 so are the degree-5 and degree-6 outputs in DEEP_DIGESTS, which were recorded
 from the CLI while the Weyl orbits still came from a breadth-first search and
 the duality scan still paired every orbit class with every curve (all but the
-`weyl orbit` and `walls gieseker` reports and the degree-6 `hilb
+`weyl orbit`, `walls gieseker` and `surface nef` reports and the degree-6 `hilb
 check-theorem` report, whose recording the DEEP_DIGESTS comment gives).
 """
 
@@ -103,10 +103,12 @@ def test_degree3_walls_match_golden_digest(capsys, label, digest, size):
 # perfbench/expected.json still pins the earlier per-shape bytes.  The three `weyl orbit` reports were
 # recorded when it began to print one row per sorted S9 representative with
 # its arrangement count instead of every class; each row expands to the
-# listed orbit in tests/test_cli.py.  The
-# degree-25 and degree-6 `surface nef` and the larger `coneconj cover` outputs
-# were recorded while the nef test still paired the divisor with every listed
-# (-1)-class and the coverage pool still lifted every orbit class up front.
+# listed orbit in tests/test_cli.py.  The three `surface nef` reports were
+# recorded again when the nef test began to decide nefness for all curves from
+# the chamber walk; their names keep the degree bounds (25 and 6) of their
+# first recording, and each prints the witness that the bounded scan printed.
+# The larger `coneconj cover` outputs were recorded while the coverage pool
+# still lifted every orbit class up front.
 DEEP_DIGESTS = [
     (
         "campaign_run_deg5",
@@ -173,33 +175,26 @@ DEEP_DIGESTS = [
     ),
     (
         "surface_nef_h_deg25",
-        ["surface", "nef", "--divisor", "H", "--max-degree", "25"],
+        ["surface", "nef", "--divisor", "H"],
         0,
-        "49cbc7b18a599847cdbddaa9b7a684c61a93a4f7ccb8c342361a7f79d2d5210a",
-        260,
+        "8b70a49b660712962d7d0a2603210fe5de88e47edff033546d1c8ddcb71ff04a",
+        326,
     ),
     (
         "surface_nef_h_e1_e2_deg25",
-        ["surface", "nef", "--divisor", "H-E1-E2", "--max-degree", "25"],
+        ["surface", "nef", "--divisor", "H-E1-E2"],
         1,
-        "d10506b8769100c48b4f17aa790a683e36e20d219099474638f5ec5911ee9f4f",
-        433,
+        "940360c0d93ece24fade71285cecc469deb23a2280fa05fe24b15b61d39e6e30",
+        381,
     ),
     (
         # F + (3/2)(6H - 2E1 - ... - 3E5 - ... - 2E7 - 2E9): its one negative
         # pairing is with that degree-6 (-1)-class, whose E-numerators are unsorted
         "surface_nef_rational_deg6",
-        [
-            "surface",
-            "nef",
-            "--divisor",
-            "12H-4E1-4E2-4E3-4E4-11/2E5-4E6-4E7-E8-4E9",
-            "--max-degree",
-            "6",
-        ],
+        ["surface", "nef", "--divisor", "12H-4E1-4E2-4E3-4E4-11/2E5-4E6-4E7-E8-4E9"],
         1,
-        "3b88031fa1ba36afd601b9112c5d00dbf1f0b71f4c3e113ac2dffa15c329fb5a",
-        451,
+        "682cbce0f7931b62f4bbc0920ecd31c49a9d0c7c30c8743c967c559e3d9e1f50",
+        400,
     ),
     (
         "coneconj_cover_n3_deg6_seed0",
