@@ -46,7 +46,20 @@ COMMANDS = [
     ("weyl_orbit_h_deg15", ["weyl", "orbit", "--start", "H", "--max-degree", "15"]),
     # window^2 - D.D = 1 + 224 = 225, the walk cap
     ("weyl_orbit_h_15e1_deg1", ["weyl", "orbit", "--start", "H+15E1", "--max-degree", "1"]),
-    ("surface_nef_h_deg200", ["surface", "nef", "--divisor", "H", "--max-degree", "200"]),
+    # the parent runs these at its default --max-degree 3: its cap of 200 is gone
+    ("surface_nef_h", ["surface", "nef", "--divisor", "H"]),
+    # T_v(H) for v = 166(E1-E2+E3-E4): step bound 18 * 166^2 = 496,008, the
+    # largest k under MAX_NEF_STEPS, walked in 996 reflections
+    (
+        "surface_nef_translate_k166",
+        [
+            "surface",
+            "nef",
+            "--divisor",
+            "496009H-164838E1-165834E2-164838E3-165834E4-165336E5-165336E6-165336E7-165336E8"
+            "-165336E9",
+        ],
+    ),
     (
         "hilb_check_theorem_n3_deg6",
         ["hilb", "check-theorem", "--n", "3", "--max-degree", "6"],

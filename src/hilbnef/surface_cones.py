@@ -45,7 +45,8 @@ class NefCertificate(Record):
             data["witness"] = self.witness.to_json()
             data["witness_pairing"] = format_rational(self.witness_pairing)
         else:
-            data["pairings"] = {"D.F": "0", "D.D": str(self_intersection(self.divisor))}
+            square = format_rational(self_intersection(self.divisor))
+            data["pairings"] = {"D.F": "0", "D.D": square}
         return data
 
 

@@ -113,16 +113,6 @@ def test_surface_nef_accepts(capsys):
     assert data["word"] == []
 
 
-def test_surface_nef_prints_the_hodge_pair(capsys):
-    # E1 - E2 pairs 0 with F and squares to -2: no curve witness
-    code, out, _ = run_cli(capsys, ["surface", "nef", "--divisor", "E1-E2"])
-    assert code == 1
-    data = json.loads(out)
-    assert data["verdict"] == "not_nef"
-    assert data["pairings"] == {"D.D": "-2", "D.F": "0"}
-    assert "witness" not in data
-
-
 def test_surface_nef_has_no_degree_option(capsys):
     code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", "H", "--max-degree", "3"])
     assert (code, out) == (2, "")

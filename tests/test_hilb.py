@@ -161,6 +161,12 @@ def test_decompose_failure_witnesses():
     assert exc.value.witness == E[0]
     assert exc.value.pairing == -1
 
+    # E1 - E2 pairs 0 with F and squares to -2: no witness curve
+    with pytest.raises(DecompositionError) as exc:
+        bounding_cone_decompose(lift(E[0] - E[1]), 3)
+    assert "Hodge index" in str(exc.value)
+    assert (exc.value.witness, exc.value.pairing) == (None, None)
+
     # the fiber is checked first: -H also fails against every E_i
     with pytest.raises(DecompositionError) as exc:
         bounding_cone_decompose(lift(-1 * H), 3)
