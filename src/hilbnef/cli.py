@@ -15,8 +15,7 @@ error: line and no traceback.
 Parameters that would run too long are usage errors, refused before any
 work: each command's --max-degree (for `weyl orbit`, the larger of it and the
 H-degree of --start), `coneconj cover --samples`, the walk of a `weyl orbit`
-start and the step bound of a `surface nef` divisor's chamber walk have caps
-(the MAX_* constants below), each read from the input.
+start and the step bound of a `surface nef` walk have caps (MAX_* below).
 """
 
 from __future__ import annotations
@@ -50,10 +49,9 @@ MAX_ORBIT_DEGREE = 15  # weyl orbit --start H: 0.10-0.13 s, 16 MB
 # sum of squares a^2 - D.D (`weyl._degree_groups`), so its cost grows with
 # -D.D too; it is checked from the start before the walk.
 MAX_ORBIT_SQUARES = 225  # window^2 - D.D; one degree's walk: at most 0.08 s
-# The nef test walks to the chamber and prints the word, about 2.4 us and 200
-# bytes per reflection.  a - (f^2 + 9 D.D) / (6 f) bounds the reflections, but
-# loosely (T_v(H), v = k(E1-E2+E3-E4): 18k^2 for 6k), so short walks may be refused.
-MAX_NEF_STEPS = 500_000  # a 499,998-step walk: 1.1-1.2 s, 102 MB, 10 MB of JSON
+# The nef walk costs about 2.4 us and 200 bytes per reflection, which are bounded,
+# loosely, by a - (f^2 + 9 D.D) / (6 f) (T_v(H), v = k(E1-E2+E3-E4): 18k^2 for 6k).
+MAX_NEF_STEPS = 500_000  # a 499,998-step walk: 1.2 s, 101 MB, 9 MB of JSON
 # The duality scan prints one row per S9 orbit of curves (12 at degree 6, for
 # 3,026 curves).  Degree 7 would first need orthogonality witnesses from
 # outside the degree window: at degree 6 the orbit of 6H-3E1-2E2-...-2E8 (72

@@ -53,11 +53,10 @@ class NefCertificate(Record):
 def is_nef(d: DivisorClass) -> NefCertificate:
     """Decide whether d is nef against every curve, on integer numerators.
     D.F < 0: witness F.  D.F = 0 and D.D < 0: not nef, with no curve.  Else
-    (D.F > 0, or D = tF, which the walk leaves as it is) d is nef when its
-    chamber representative has b9 >= 0; if not, E_i pulled back from the
-    walk's first step with a negative entry b_i pairs with d at that value.
-    A nef certificate replays as: reflect d in each root r of the word in turn
-    (x -> x + (x.r) r), sort the E-coefficients, and sum the standard form."""
+    (D.F > 0, or D = tF) d is nef when its chamber representative has b9 >= 0,
+    and otherwise E_i pulled back from the walk's first negative entry b_i
+    pairs with d at b_i.  To replay a word, reflect d in each root r in turn
+    (x -> x + (x.r) r) and sort the E-coefficients: the standard form sums to it."""
     nums = d.nums
     fiber = dot_int(nums, F.nums)
     witness = F if fiber < 0 else None

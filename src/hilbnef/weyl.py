@@ -177,29 +177,32 @@ def _unrank(reps: Sequence[tuple[tuple[int, ...], int]], i: int) -> tuple[int, .
 def _chamber(a: int, b: Sequence[int]) -> tuple[tuple[int, ...], tuple, tuple[int, int] | None]:
     """The chamber walk of aH - sum b_i E_i, b in any order: the representative
     (a, b1 >= ... >= b9) with a >= b1 + b2 + b3, the word, and the first step
-    with a negative entry.  Each step sorts b, stably, and, while
-    a < b1 + b2 + b3, reflects in H-E1-E2-E3, adding d = a - b1 - b2 - b3 < 0
-    to a, b1, b2 and b3; a drops, and for D.F = f > 0 Cauchy-Schwarz bounds
-    it below by (f^2 + 9 D.D) / (6 f).  In the class's own labels a step is
-    the reflection in H - E_i - E_j - E_k for the labels sorted to the front;
-    the word lists those triples (0-based).  The first negative step is (k, i)
-    when, after k reflections, the least entry is label i's (the last of a
-    tie) and negative: `_pull_back(word[:k], i)` pairs with the class at that
-    value.  Entries never grow, so it exists exactly when the final b9 < 0."""
+    with a negative entry.  Each step sorts b (stably) and, while a < b1+b2+b3,
+    reflects in H-E1-E2-E3, adding d = a - b1 - b2 - b3 < 0 to a, b1, b2, b3;
+    for D.F = f > 0, a >= (f^2 + 9 D.D) / (6 f) by Cauchy-Schwarz.  In the
+    class's own labels that is the reflection in H - E_i - E_j - E_k for the
+    labels sorted to the front; the word lists those triples (0-based).  The
+    first negative step is (k, i) when, after k reflections, label i's entry is
+    the least (the last label of a tie) and negative: `_pull_back(word[:k], i)`
+    pairs with the class at that value.  Entries never grow: b9 < 0 at the end."""
     # 16 b_i + (8 - i) packs b_i with its label and sorts like b, lower labels first
-    c = [(x << 4) | (8 - i) for i, x in enumerate(b)]
+    c = [(x << 4) | t for x, t in zip(b, range(8, -1, -1))]
     word = []
     first = None
     while True:
         c.sort(reverse=True)
-        if first is None and c[8] < 0:
+        if c[8] < 0 and first is None:
             first = (len(word), 8 - (c[8] & 15))
-        d = a - (c[0] >> 4) - (c[1] >> 4) - (c[2] >> 4)
+        x, y, z = c[:3]
+        d = a - (x >> 4) - (y >> 4) - (z >> 4)
         if d >= 0:
-            return (a, *(x >> 4 for x in c)), tuple(word), first
-        word.append((8 - (c[0] & 15), 8 - (c[1] & 15), 8 - (c[2] & 15)))
+            return (a, *[v >> 4 for v in c]), tuple(word), first
+        word.append((8 - (x & 15), 8 - (y & 15), 8 - (z & 15)))
         a += d
-        c[:3] = [x + (d << 4) for x in c[:3]]
+        d <<= 4
+        c[0] = x + d
+        c[1] = y + d
+        c[2] = z + d
 
 
 def _pull_back(word: Sequence[tuple[int, int, int]], label: int) -> DivisorClass:

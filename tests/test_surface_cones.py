@@ -10,6 +10,7 @@ from hilbnef import (
     F,
     H,
     K,
+    ZERO,
     a1_polarization,
     a2_polarization,
     divisor,
@@ -29,7 +30,7 @@ MORI_COUNTS = {0: 10, 1: 46, 2: 172, 3: 424, 4: 937, 5: 1693, 6: 3025}
 
 # the nef classes of the standard form: H, H-E1, 2H-E1-E2, 3H-E1-...-E_k
 STANDARD_GENERATORS = [H, H - E[0], 2 * H - E[0] - E[1]] + [
-    3 * H - sum(E[:k], DivisorClass((0,) * 10)) for k in range(3, 10)
+    3 * H - sum(E[:k], ZERO) for k in range(3, 10)
 ]
 
 # the degree of the full scan that stands for "every curve" on a nef verdict
@@ -62,10 +63,7 @@ def check_certificate(d: DivisorClass) -> str | int | None:
     if cert.nef:
         assert oracle_nef(d, ORACLE_DEGREE) is None
         assert len(cert.standard_form) == 10 and min(cert.standard_form) >= 0
-        form = sum(
-            (c * g for c, g in zip(cert.standard_form, STANDARD_GENERATORS)),
-            DivisorClass((0,) * 10),
-        )
+        form = sum((c * g for c, g in zip(cert.standard_form, STANDARD_GENERATORS)), ZERO)
         image = replay_word(d, cert.word)
         assert image.h == form.h
         assert sorted(image.e) == sorted(form.e)
