@@ -27,8 +27,7 @@ from .surface_cones import (
     NefCertificate,
     a1_polarization,
     a2_polarization,
-    ample_family,
-    is_ample_hf_family,
+    is_ample,
     is_nef,
 )
 from .hilb import (

@@ -1,8 +1,8 @@
 """Certification campaign over a range of n.
 
 For each n the campaign runs the duality scan, the extremal-wall certificate
-on both slices, the wall-to-nef identity, and the closed-form ampleness
-checks, then attaches the discrepancy table.  The verdict is "certified"
+on both slices, the wall-to-nef identity, and the ampleness of each slice's
+polarization, then attaches the discrepancy table.  The verdict is "certified"
 only if every check passes; any falsification flips it and is preserved in
 the report verbatim.
 """
@@ -13,7 +13,7 @@ from .lattice import E, H
 from .record import Record
 from .hilb import cone_duality_check, fiber_orthogonal_lift
 from .bridgeland import GiesekerFalsified, gieseker_wall, nef_from_wall, slice_for
-from .surface_cones import ample_family
+from .surface_cones import is_ample
 from .reporting import discrepancy_table
 
 N_FLOOR = 3
@@ -88,11 +88,6 @@ class CampaignResult(Record):
         }
 
 
-def _ample_check(label: str, n: int) -> CheckResult:
-    report = ample_family(label, n)
-    return CheckResult(n, f"ample_{label}", report.ample, report.to_json())
-
-
 def _checks_for_n(n: int, max_h_degree: int, slices: tuple[str, ...]) -> list[CheckResult]:
     out: list[CheckResult] = []
     duality = cone_duality_check(n, max_h_degree)
@@ -101,7 +96,8 @@ def _checks_for_n(n: int, max_h_degree: int, slices: tuple[str, ...]) -> list[Ch
     )
     for label in slices:
         sl = slice_for(label, n)
-        out.append(_ample_check(label, n))
+        ample = is_ample(sl.polarization)
+        out.append(CheckResult(n, f"ample_{label}", ample.ample, ample.to_json()))
         try:
             wall, cert = gieseker_wall(sl, max_h_degree)
         except GiesekerFalsified as exc:

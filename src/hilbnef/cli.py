@@ -26,7 +26,7 @@ import sys
 
 from .lattice import DivisorClass, F, dot_int, parse_divisor
 from .weyl import _degree_groups, orbit_size
-from .surface_cones import ample_family, is_nef
+from .surface_cones import is_ample, is_nef
 from .hilb import cone_duality_check
 from .bridgeland import GiesekerFalsified, gieseker_wall, slice_for
 from .translations import CoverageConfig, coverage_experiment
@@ -145,7 +145,7 @@ def cmd_surface_nef(args) -> tuple[dict, int]:
 
 def cmd_surface_ample_family(args) -> tuple[dict, int]:
     n = _check_n(args.n)
-    report = ample_family(args.which, n)
+    report = is_ample(slice_for(args.which, n).polarization)
     payload = {"n": n, "which": args.which, **report.to_json()}
     return payload, 0 if report.ample else 1
 
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         surface,
         "ample-family",
         cmd_surface_ample_family,
-        "closed-form ampleness for A1/A2",
+        "ampleness of the A1/A2 polarization for all curves",
     )
     ample.add_argument("--n", type=int, required=True)
     ample.add_argument("--which", choices=("A1", "A2"), required=True)

@@ -4,8 +4,8 @@ On the general surface the curve cone is spanned by the fiber class F and
 the (-1)-curves, the Weyl orbit W.E9 (Nagata, "On rational surfaces II",
 1960), so a class with D.F > 0 is nef exactly when its chamber representative
 (`weyl._chamber`) is in standard form, b9 >= 0 (Harbourne, "Anticanonical
-rational surfaces", Trans. AMS 1997).  The ample families c*H + c_F*F and
-c*(H-E1) + c_F*F have closed-form tests against all curves.
+rational surfaces", Trans. AMS 1997).  The same walk decides ampleness: a
+nef class is ample exactly when D.F > 0 and b9 > 0.
 """
 
 from __future__ import annotations
@@ -72,108 +72,34 @@ def is_nef(d: DivisorClass) -> NefCertificate:
 
 
 class AmplenessReport(Record):
-    """Exact ampleness decision for the pencil families, with the minimized
-    pairings that prove it.  A value of None marks an infimum of -infinity."""
+    """The ampleness verdict of a divisor for all curves and the nef
+    certificate it reads (see `is_ample`)."""
 
-    __slots__ = (
-        "ample",
-        "family",
-        "divisor",
-        "fiber_pairing",
-        "min_exceptional_pairing",
-        "inf_section_family",
-        "self_intersection",
-    )
+    __slots__ = ("ample", "nef")
     ample: bool
-    family: str
-    divisor: DivisorClass
-    fiber_pairing: Fraction
-    min_exceptional_pairing: Fraction
-    inf_section_family: Fraction | None
-    self_intersection: Fraction
+    nef: NefCertificate
 
     def to_json(self) -> dict:
-        return {
-            "ample": self.ample,
-            "family": self.family,
-            "divisor": self.divisor.to_json(),
-            "pairings": {
-                "D.F": format_rational(self.fiber_pairing),
-                "min D.E_i": format_rational(self.min_exceptional_pairing),
-                "inf over aH-type (-1)-curves": (
-                    format_rational(self.inf_section_family)
-                    if self.inf_section_family is not None
-                    else "unbounded below"
-                ),
-                "D.D": format_rational(self.self_intersection),
-            },
-        }
+        return {**self.nef.to_json(), "ample": self.ample}
 
 
-def is_ample_hf_family(
-    c_h: Fraction | int, c_h_minus_e1: Fraction | int, c_f: Fraction | int
-) -> AmplenessReport:
-    """Decide ampleness of c_h*H + c_h_minus_e1*(H-E1) + c_f*F exactly.
+def is_ample(d: DivisorClass) -> AmplenessReport:
+    """Decide whether d is ample: is_nef(d) is nef, and its standard form has
+    b9 > 0 and one more positive coefficient.
 
-    At most one of c_h, c_h_minus_e1 may be nonzero.  The decision covers
-    every (-1)-curve, not just an enumerated prefix: a (-1)-curve is either
-    some E_i or has shape aH - sum(b_i E_i) with a >= 1, 0 <= b_i <= a and
-    fiber degree 1, so each pairing is minimized in closed form.
-    """
-    c_h = Fraction(c_h)
-    c_p = Fraction(c_h_minus_e1)
-    c_f = Fraction(c_f)
-    if c_h != 0 and c_p != 0:
-        raise ValueError("at most one of the H and H-E1 coefficients may be nonzero")
-    d = c_h * H + c_p * (H - E[0]) + c_f * F
-    d_sq = self_intersection(d)
-    if c_p == 0 and c_h == 0:
-        # Pure fiber multiples pair to zero with the fiber: never ample.
-        return AmplenessReport(
-            ample=False,
-            family="F-only",
-            divisor=d,
-            fiber_pairing=Fraction(0),
-            min_exceptional_pairing=c_f,
-            inf_section_family=c_f,
-            self_intersection=d_sq,
-        )
-    if c_p == 0:
-        # D.E = a*c_h + c_f for E = aH - sum(b_i E_i), minimized at a = 1.
-        fiber_pairing = 3 * c_h
-        min_exc = c_f
-        inf_family = c_h + c_f if c_h > 0 else None
-    else:
-        # (H-E1).E = a - b1 ranges over all integers >= 0 on this family.
-        fiber_pairing = 2 * c_p
-        min_exc = min(c_f, c_p + c_f)
-        inf_family = c_f if c_p > 0 else None
-    ample = (
-        fiber_pairing > 0
-        and min_exc > 0
-        and inf_family is not None
-        and inf_family > 0
-        and d_sq > 0
-    )
-    return AmplenessReport(
-        ample=ample,
-        family="H+F" if c_p == 0 else "(H-E1)+F",
-        divisor=d,
-        fiber_pairing=fiber_pairing,
-        min_exceptional_pairing=min_exc,
-        inf_section_family=inf_family,
-        self_intersection=d_sq,
-    )
-
-
-def ample_family(label: str, n: int) -> AmplenessReport:
-    """Closed-form ampleness of the A1 polarization (n/3)H + (n - 3/2)F or the
-    A2 polarization (n/2)(H - E1) + (n - 3/2)F."""
-    if label == "A1":
-        return is_ample_hf_family(Fraction(n, 3), 0, n - Fraction(3, 2))
-    if label == "A2":
-        return is_ample_hf_family(0, Fraction(n, 2), n - Fraction(3, 2))
-    raise ValueError(f"unknown polarization family {label!r}")
+    By Kleiman's criterion d is ample exactly when it is positive on the
+    closed Mori cone minus 0, which F and the (-1)-curves span.  The rays of
+    the (-1)-curves accumulate only at F: a limit x of e/|e| has x.x = 0 and
+    x.K = 0, and K^perp/K is negative definite, so x is a multiple of F = -K.
+    So d is ample exactly when D.F > 0 and D.e > 0 for every (-1)-curve e,
+    and both are invariant under the walk.  The chamber representative is
+    the sum of c_i G_i over the standard form's coefficients c_i and nef
+    generators G_i, the last G_9 = F, so D.e >= c_9 F.e = b9 = D.E9: the
+    least D.e is b9.  F meets F in 0 and every other G_i positively, so
+    D.F > 0 exactly when another c_i > 0; then D.D > 0 too."""
+    cert = is_nef(d)
+    form = cert.standard_form
+    return AmplenessReport(cert.nef and form[-1] > 0 and max(form[:-1]) > 0, cert)
 
 
 def a1_polarization(n: int) -> DivisorClass:

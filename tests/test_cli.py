@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,8 @@ def test_surface_ample_family(capsys):
     data = json.loads(out)
     assert data["ample"] is True
     assert data["which"] == "A1"
+    assert data["scope"] == "all curves"
+    assert Fraction(data["standard_form"][-1]) > 0
 
 
 def test_hilb_check_theorem(capsys):
