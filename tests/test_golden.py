@@ -18,7 +18,11 @@ The four `campaign run` and `walls gieseker` files, the degree-3 `walls
 gieseker` digests, `campaign_run_deg5` and the three `walls_*` DEEP_DIGESTS
 were written again when each certificate began to carry one rank-2 radius
 bound, the exact one, under `rank2_radius_bound` (the quoted replay moved to
-a discrepancy row of its own).
+a discrepancy row of its own).  The two `campaign run` files and
+`campaign_run_deg5` were written again when the `ample_A1` and `ample_A2`
+checks began to read the chamber walk: each check's detail is now the nef
+certificate of the polarization, with its standard form, plus `"ample"`, in
+place of the closed-form pencil-family pairings.
 The degree-3 `walls gieseker` certificates are pinned by their SHA-256
 digest instead of a file, and
 so are the degree-5 and degree-6 outputs in DEEP_DIGESTS, which were recorded
@@ -114,8 +118,8 @@ DEEP_DIGESTS = [
         "campaign_run_deg5",
         ["campaign", "run", "--max-degree", "5"],
         0,
-        "e77ef54f02f116ea2e42f4bacd69c1e4b8cde4f56d4a68b1546f69ffa0b43252",
-        66771,
+        "114212c20da9c512a1a951adf26db8362accb2b6d33474b2f5587e3e9762a688",
+        69038,
     ),
     (
         "hilb_check_theorem_n3_deg6",
