@@ -109,8 +109,7 @@ def test_degree3_walls_match_golden_digest(capsys, label, digest, size):
 # its arrangement count instead of every class; each row expands to the
 # listed orbit in tests/test_cli.py.  The three `surface nef` reports were
 # recorded again when the nef test began to decide nefness for all curves from
-# the chamber walk; their names keep the degree bounds (25 and 6) of their
-# first recording, and each prints the witness that the bounded scan printed.
+# the chamber walk; each prints the witness that the bounded scan printed.
 # The larger `coneconj cover` outputs were recorded while the coverage pool
 # still lifted every orbit class up front.
 DEEP_DIGESTS = [
@@ -178,14 +177,14 @@ DEEP_DIGESTS = [
         2220,
     ),
     (
-        "surface_nef_h_deg25",
+        "surface_nef_h",
         ["surface", "nef", "--divisor", "H"],
         0,
         "8b70a49b660712962d7d0a2603210fe5de88e47edff033546d1c8ddcb71ff04a",
         326,
     ),
     (
-        "surface_nef_h_e1_e2_deg25",
+        "surface_nef_h_e1_e2",
         ["surface", "nef", "--divisor", "H-E1-E2"],
         1,
         "940360c0d93ece24fade71285cecc469deb23a2280fa05fe24b15b61d39e6e30",
@@ -194,7 +193,7 @@ DEEP_DIGESTS = [
     (
         # F + (3/2)(6H - 2E1 - ... - 3E5 - ... - 2E7 - 2E9): its one negative
         # pairing is with that degree-6 (-1)-class, whose E-numerators are unsorted
-        "surface_nef_rational_deg6",
+        "surface_nef_rational",
         ["surface", "nef", "--divisor", "12H-4E1-4E2-4E3-4E4-11/2E5-4E6-4E7-E8-4E9"],
         1,
         "682cbce0f7931b62f4bbc0920ecd31c49a9d0c7c30c8743c967c559e3d9e1f50",
