@@ -96,8 +96,8 @@ def _checks_for_n(n: int, max_h_degree: int, slices: tuple[str, ...]) -> list[Ch
     )
     for label in slices:
         sl = slice_for(label, n)
-        ample = is_ample(sl.polarization)
-        out.append(CheckResult(n, f"ample_{label}", ample.ample, ample.to_json()))
+        report = is_ample(sl.polarization)
+        out.append(CheckResult(n, f"ample_{label}", report.ample, report.to_json()))
         try:
             wall, cert = gieseker_wall(sl, max_h_degree)
         except GiesekerFalsified as exc:
