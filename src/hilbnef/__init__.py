@@ -25,8 +25,6 @@ from .weyl import (
 from .surface_cones import (
     AmplenessReport,
     NefCertificate,
-    a1_polarization,
-    a2_polarization,
     is_ample,
     is_nef,
 )
@@ -46,6 +44,7 @@ from .hilb import (
     pair_hilb,
 )
 from .bridgeland import (
+    SLICES,
     CandidatePool,
     ChernChar,
     DegenerateWall,
@@ -62,9 +61,6 @@ from .bridgeland import (
     rank1_candidates,
     rank2_radius_bound,
     rank_one_wall,
-    slice_a1,
-    slice_a2,
-    slice_for,
     wall_oracle,
 )
 from .translations import (
@@ -80,12 +76,9 @@ from .reporting import (
     dumps_json,
 )
 from .campaign import (
-    Campaign,
     CampaignResult,
-    CampaignUsageError,
     CheckResult,
     run_campaign,
-    validate_campaign,
 )
 
 __version__ = "0.1.0"

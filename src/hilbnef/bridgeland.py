@@ -36,7 +36,9 @@ from functools import lru_cache
 from .lattice import (
     RANK,
     DivisorClass,
+    E,
     F,
+    H,
     K,
     ZERO,
     dot_int,
@@ -44,9 +46,8 @@ from .lattice import (
     intersect,
     self_intersection,
 )
-from .hilb import HilbDivisor
+from .hilb import HilbDivisor, _orthogonal_scale
 from .record import Record, _set
-from .surface_cones import a1_polarization, a2_polarization
 from .weyl import _arrangements
 
 
@@ -78,61 +79,38 @@ def line_bundle_char(c1: DivisorClass, points: int = 0) -> ChernChar:
     return ChernChar(1, c1, self_intersection(c1) / 2 - points)
 
 
-class Slice(Record):
-    """The (A, P) half-plane of stability conditions for the n-point problem.
+# The slice of each label is fixed by one family class: A1 by the H-family
+# class H, A2 by the ruling class H - E1.
+SLICES = {"A1": H, "A2": H - E[0]}
 
-    A is the polarization and P the twist.  a_squared, the exact A.A, is
-    computed on construction; every wall and bound of the slice reads it.
-    ruling_based marks the slice on the ruling family, the only one that
-    applies the ruling_excess filter.
+
+class Slice(Record):
+    """The (A, P) half-plane of stability conditions for the n-point problem
+    on the slice of the family class c = SLICES[label].
+
+    A = x c + (n - 3/2) F with x = n/(c.F), the scale of
+    fiber_orthogonal_lift(c, n), and P = -F, so nef_from_wall(sl, -1) is that
+    lift.  a_squared, the exact A.A, is computed on construction; every wall
+    and bound of the slice reads it.  An unknown label or n < 3 raises
+    ValueError.
     """
 
-    __slots__ = (
-        "label",
-        "polarization",
-        "twist",
-        "n",
-        "ruling_based",
-        "a_squared",
-    )
+    __slots__ = ("label", "family", "polarization", "twist", "n", "a_squared")
     label: str
+    family: DivisorClass
     polarization: DivisorClass
     twist: DivisorClass
     n: int
-    ruling_based: bool
     a_squared: Fraction
 
-    def __init__(
-        self,
-        label: str,
-        polarization: DivisorClass,
-        twist: DivisorClass,
-        n: int,
-        ruling_based: bool,
-    ) -> None:
-        if n < 3:
-            raise ValueError("n >= 3 required")
+    def __init__(self, label: str, n: int) -> None:
+        if label not in SLICES:
+            raise ValueError(f"unknown slice {label!r}")
+        family = SLICES[label]
+        x = _orthogonal_scale(intersect(family, F), n)
+        polarization = x * family + (n - Fraction(3, 2)) * F
         a_squared = self_intersection(polarization)
-        if a_squared <= 0:
-            raise ValueError("polarization must have positive self-intersection")
-        if intersect(polarization, F) <= 0:
-            raise ValueError("polarization must meet the fiber positively")
-        super().__init__(label, polarization, twist, n, ruling_based, a_squared)
-
-
-def slice_a1(n: int) -> Slice:
-    """Slice on the H-family polarization (n/3)H + (n - 3/2)F, twist -F."""
-    return Slice("A1", a1_polarization(n), -1 * F, n, ruling_based=False)
-
-
-def slice_a2(n: int) -> Slice:
-    """Slice on the ruling-family polarization (n/2)(H - E1) + (n - 3/2)F."""
-    return Slice("A2", a2_polarization(n), -1 * F, n, ruling_based=True)
-
-
-def slice_for(label: str, n: int) -> Slice:
-    """The slice named "A1" or "A2" at n."""
-    return {"A1": slice_a1, "A2": slice_a2}[label](n)
+        super().__init__(label, family, polarization, -1 * F, n, a_squared)
 
 
 class Wall(Record):
@@ -375,9 +353,10 @@ def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
     A candidate is eliminated by the first filter it trips, in FILTER_ORDER:
     slope (meets A more than n, so it cannot destabilize the ideal sheaf),
     fiber_degree (meets F at least twice), fiber_component (vertical class
-    that is not a full fiber multiple), and, on the ruling-based slice only,
-    ruling_excess (ruling multiples with more exceptional multiplicity than
-    ruling degree).  Survivors get their wall against the ideal character.
+    that is not a full fiber multiple), and, on the slice of the ruling class
+    H - E1 only, ruling_excess (ruling multiples with more exceptional
+    multiplicity than ruling degree).  Survivors get their wall against the
+    ideal character.
 
     Both slices' A and P = -F are fixed by every permutation of E2..E9, and
     so are the filters (they read A.l, the fiber degree, a, b1 and
@@ -389,6 +368,7 @@ def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
         raise ValueError("max_h_degree >= 0 required")
     a_ints = sl.polarization.nums
     slope_cap = sl.n * sl.polarization.den
+    ruling = sl.family == H - E[0]
     orbits: list[tuple[WallCandidate, int]] = []
     for a in range(max_h_degree + 1):
         for coords, size, f_deg, b1, rest in _degree_orbits(a):
@@ -400,7 +380,7 @@ def rank1_candidates(sl: Slice, max_h_degree: int = 3) -> CandidatePool:
             # and F is primitive
             elif f_deg == 0 and dot_int(coords, coords) != 0:
                 filtered = "fiber_component"
-            elif sl.ruling_based and a == b1 >= 1 and rest > a:
+            elif ruling and a == b1 >= 1 and rest > a:
                 filtered = "ruling_excess"
             else:
                 filtered = None
@@ -574,8 +554,7 @@ def gieseker_wall(
 
 def nef_from_wall(sl: Slice, s_w: Fraction) -> HilbDivisor:
     """The divisor K/2 - s_W A - P on the surface side, minus B/2: at the
-    certified wall center this lands exactly on the orthogonal-lift classes
-    (epsilon of H on the H-family slice, of H - E1 on the ruling slice)."""
+    certified wall center s_W = -1 it is fiber_orthogonal_lift(sl.family, n)."""
     s_w = Fraction(s_w)
     surf = Fraction(1, 2) * K - s_w * sl.polarization - sl.twist
     return HilbDivisor(surf, Fraction(-1))

@@ -1,49 +1,19 @@
 """Certification campaign over a range of n.
 
-For each n the campaign runs the duality scan, the extremal-wall certificate
-on both slices, the wall-to-nef identity, and the ampleness of each slice's
-polarization, then attaches the discrepancy table.  The verdict is "certified"
-only if every check passes; any falsification flips it and is preserved in
-the report verbatim.
+For each n the campaign runs the duality scan and, on both slices of
+`bridgeland.SLICES`, the ampleness of the slice's polarization, the
+extremal-wall certificate and the wall-to-nef identity, then attaches the
+discrepancy table.  The verdict is "certified" only if every check passes;
+any falsification flips it and is preserved in the report verbatim.
 """
 
 from __future__ import annotations
 
-from .lattice import E, H
 from .record import Record
 from .hilb import cone_duality_check, fiber_orthogonal_lift
-from .bridgeland import GiesekerFalsified, gieseker_wall, nef_from_wall, slice_for
+from .bridgeland import SLICES, GiesekerFalsified, Slice, gieseker_wall, nef_from_wall
 from .surface_cones import is_ample
 from .reporting import discrepancy_table
-
-N_FLOOR = 3
-N_CAP = 64
-
-
-class CampaignUsageError(ValueError):
-    """Bad campaign parameters; maps to CLI exit code 2."""
-
-
-class Campaign(Record):
-    __slots__ = ("n_start", "n_end", "max_h_degree", "slices")
-    n_start: int
-    n_end: int
-    max_h_degree: int
-    slices: tuple[str, ...]
-
-
-def validate_campaign(c: Campaign) -> None:
-    if c.n_start < N_FLOOR or c.n_end > N_CAP or c.n_start > c.n_end:
-        raise CampaignUsageError(
-            f"n range must satisfy {N_FLOOR} <= n_start <= n_end <= {N_CAP}; "
-            f"got {c.n_start}..{c.n_end}"
-        )
-    if c.max_h_degree < 0:
-        raise CampaignUsageError("max_h_degree must be nonnegative")
-    if not c.slices or any(s not in ("A1", "A2") for s in c.slices):
-        raise CampaignUsageError("slices must be a nonempty subset of {A1, A2}")
-    if len(set(c.slices)) != len(c.slices):
-        raise CampaignUsageError("slices must not repeat")
 
 
 class CheckResult(Record):
@@ -58,8 +28,10 @@ class CheckResult(Record):
 
 
 class CampaignResult(Record):
-    __slots__ = ("campaign", "checks", "discrepancies")
-    campaign: Campaign
+    __slots__ = ("n_start", "n_end", "max_h_degree", "checks", "discrepancies")
+    n_start: int
+    n_end: int
+    max_h_degree: int
     checks: tuple[CheckResult, ...]
     discrepancies: dict
 
@@ -76,10 +48,10 @@ class CampaignResult(Record):
         for c in self.checks:
             by_n.setdefault(c.n, []).append(c.to_json())
         return {
-            "n_start": self.campaign.n_start,
-            "n_end": self.campaign.n_end,
-            "max_h_degree": self.campaign.max_h_degree,
-            "slices": list(self.campaign.slices),
+            "n_start": self.n_start,
+            "n_end": self.n_end,
+            "max_h_degree": self.max_h_degree,
+            "slices": list(SLICES),
             "results": [
                 {"n": n, "checks": rows} for n, rows in sorted(by_n.items())
             ],
@@ -88,14 +60,14 @@ class CampaignResult(Record):
         }
 
 
-def _checks_for_n(n: int, max_h_degree: int, slices: tuple[str, ...]) -> list[CheckResult]:
+def _checks_for_n(n: int, max_h_degree: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     duality = cone_duality_check(n, max_h_degree)
     out.append(
         CheckResult(n, "duality_scan", duality.passed, duality.to_json(False))
     )
-    for label in slices:
-        sl = slice_for(label, n)
+    for label in SLICES:
+        sl = Slice(label, n)
         report = is_ample(sl.polarization)
         out.append(CheckResult(n, f"ample_{label}", report.ample, report.to_json()))
         try:
@@ -111,8 +83,7 @@ def _checks_for_n(n: int, max_h_degree: int, slices: tuple[str, ...]) -> list[Ch
             )
         )
         nef = nef_from_wall(sl, wall.center)
-        target_class = H if label == "A1" else H - E[0]
-        target = fiber_orthogonal_lift(target_class, n)
+        target = fiber_orthogonal_lift(sl.family, n)
         out.append(
             CheckResult(
                 n,
@@ -128,13 +99,14 @@ def _checks_for_n(n: int, max_h_degree: int, slices: tuple[str, ...]) -> list[Ch
     return out
 
 
-def run_campaign(c: Campaign) -> CampaignResult:
-    validate_campaign(c)
-    ns = list(range(c.n_start, c.n_end + 1))
-    checks = tuple(
-        result for n in ns for result in _checks_for_n(n, c.max_h_degree, c.slices)
-    )
+def run_campaign(n_start: int, n_end: int, max_h_degree: int) -> CampaignResult:
+    """Every check at each n of n_start..n_end; an empty range raises
+    ValueError, so that no campaign certifies without a check."""
+    if n_start > n_end:
+        raise ValueError(f"empty n range {n_start}..{n_end}")
+    ns = range(n_start, n_end + 1)
+    checks = tuple(result for n in ns for result in _checks_for_n(n, max_h_degree))
     discrepancies = {
         str(n): [row.to_json() for row in discrepancy_table(n)] for n in ns
     }
-    return CampaignResult(campaign=c, checks=checks, discrepancies=discrepancies)
+    return CampaignResult(n_start, n_end, max_h_degree, checks, discrepancies)

@@ -15,7 +15,9 @@ error: line and no traceback.
 Parameters that would run too long are usage errors, refused before any
 work: each command's --max-degree (for `weyl orbit`, the larger of it and the
 H-degree of --start), `coneconj cover --samples`, the walk of a `weyl orbit`
-start and the step bound of a `surface nef` walk have caps (MAX_* below).
+start and the step bound of a `surface nef` walk have caps (MAX_* below),
+as has `campaign run --n-end`.  The campaign always certifies both slices of
+`bridgeland.SLICES`.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .lattice import DivisorClass, F, dot_int, parse_divisor
 from .weyl import _degree_groups, orbit_size
 from .surface_cones import is_ample, is_nef
 from .hilb import cone_duality_check
-from .bridgeland import GiesekerFalsified, gieseker_wall, slice_for
+from .bridgeland import SLICES, GiesekerFalsified, Slice, gieseker_wall
 from .translations import CoverageConfig, coverage_experiment
-from .campaign import Campaign, CampaignUsageError, run_campaign
+from .campaign import run_campaign
 from .reporting import dumps_json
 
 # Caps, checked before any work.  Each comment gives one run at the cap (wall
@@ -60,6 +62,7 @@ MAX_NEF_STEPS = 500_000  # a 499,998-step walk: 1.2 s, 101 MB, 9 MB of JSON
 # degree 15 takes about 0.07 s.
 MAX_THEOREM_DEGREE = 6  # hilb check-theorem --n 3: 0.11-0.12 s, 16 MB
 MAX_CAMPAIGN_DEGREE = 6  # campaign run, n = 3..12: 0.33-0.43 s, 18.5 MB
+MAX_CAMPAIGN_N = 64  # campaign run --max-degree 6, n = 3..64: 0.99-1.01 s, 20 MB
 # The cover unranks each generator it draws (`weyl.orbit_class`) and lists
 # no orbit.
 MAX_COVER_DEGREE = 6  # coneconj cover --n 3: 0.11-0.17 s, 16 MB
@@ -98,9 +101,9 @@ def _check_cap(flag: str, value: int, cap: int) -> int:
     return value
 
 
-def _check_n(value: int) -> int:
+def _check_n(value: int, flag: str = "--n") -> int:
     if value < 3:
-        raise UsageError("--n must be at least 3")
+        raise UsageError(f"{flag} must be at least 3")
     return value
 
 
@@ -145,7 +148,7 @@ def cmd_surface_nef(args) -> tuple[dict, int]:
 
 def cmd_surface_ample_family(args) -> tuple[dict, int]:
     n = _check_n(args.n)
-    report = is_ample(slice_for(args.which, n).polarization)
+    report = is_ample(Slice(args.which, n).polarization)
     payload = {"n": n, "which": args.which, **report.to_json()}
     return payload, 0 if report.ample else 1
 
@@ -160,7 +163,7 @@ def cmd_hilb_check_theorem(args) -> tuple[dict, int]:
 def cmd_walls_gieseker(args) -> tuple[dict, int]:
     n = _check_n(args.n)
     degree = _check_degree(args.max_degree, MAX_WALLS_DEGREE)
-    sl = slice_for(args.slice, n)
+    sl = Slice(args.slice, n)
     try:
         wall, cert = gieseker_wall(sl, degree)
     except GiesekerFalsified as exc:
@@ -180,18 +183,12 @@ def cmd_coneconj_cover(args) -> tuple[dict, int]:
 
 
 def cmd_campaign_run(args) -> tuple[dict, int]:
+    n_start = _check_n(args.n_start, "--n-start")
+    n_end = _check_cap("--n-end", args.n_end, MAX_CAMPAIGN_N)
+    if n_start > n_end:
+        raise UsageError(f"--n-start {n_start} is over --n-end {n_end}")
     degree = _check_degree(args.max_degree, MAX_CAMPAIGN_DEGREE)
-    slices = tuple(s.strip() for s in args.slices.split(",") if s.strip())
-    campaign = Campaign(
-        n_start=args.n_start,
-        n_end=args.n_end,
-        max_h_degree=degree,
-        slices=slices,
-    )
-    try:
-        result = run_campaign(campaign)
-    except CampaignUsageError as exc:
-        raise UsageError(str(exc)) from exc
+    result = run_campaign(n_start, n_end, degree)
     return result.to_json(), 0 if result.all_passed else 1
 
 
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ampleness of the A1/A2 polarization for all curves",
     )
     ample.add_argument("--n", type=int, required=True)
-    ample.add_argument("--which", choices=("A1", "A2"), required=True)
+    ample.add_argument("--which", choices=tuple(SLICES), required=True)
 
     hilb = top.add_parser("hilb", help="Hilbert scheme cone checks").add_subparsers(
         dest="command", required=True
@@ -250,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     gieseker = _command(
         walls, "gieseker", cmd_walls_gieseker, "certify the extremal wall"
     )
-    gieseker.add_argument("--slice", choices=("A1", "A2"), required=True)
+    gieseker.add_argument("--slice", choices=tuple(SLICES), required=True)
     gieseker.add_argument("--n", type=int, required=True)
     gieseker.add_argument("--max-degree", type=int, default=3)
 
@@ -270,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n-start", type=int, default=3)
     run.add_argument("--n-end", type=int, default=12)
     run.add_argument("--max-degree", type=int, default=3)
-    run.add_argument("--slices", default="A1,A2")
 
     return parser
 

@@ -144,7 +144,11 @@ class DivisorClass(Record):
     @classmethod
     def from_json(cls, data: dict) -> "DivisorClass":
         """The class of {"h": x, "e": [x1, ..., x9]} whose coordinates are
-        rational texts or ints; a float or bool, not read exactly, is refused."""
+        rational texts or ints; a float or bool, not read exactly, is refused,
+        and so is any other key, which would otherwise be silently ignored."""
+        extra = data.keys() - {"h", "e"}
+        if extra:
+            raise ValueError(f"unexpected keys {sorted(extra)}")
         h, e = data["h"], data["e"]
         if type(e) is not list or len(e) != RANK - 1:
             raise ValueError("expected a list of 9 exceptional coordinates")

@@ -25,8 +25,6 @@ from .bridgeland import (
     line_bundle_char,
     rank2_radius_bound,
     rank_one_wall,
-    slice_a1,
-    slice_a2,
 )
 
 
@@ -77,7 +75,7 @@ def discrepancy_table(n: int) -> tuple[DiscrepancyRow, ...]:
     """Replay every quoted-vs-recomputed disagreement at this n, exactly."""
     if n < 3:
         raise ValueError("n >= 3 required")
-    sl1, sl2 = slice_a1(n), slice_a2(n)
+    sl1, sl2 = Slice("A1", n), Slice("A2", n)
     quoted_a_sq = _quoted_a1_self_intersection(n)
     rows: list[DiscrepancyRow] = []
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import DivisorClass, E, F, H, dot_int, format_rational, self_intersection
+from .lattice import DivisorClass, F, dot_int, format_rational, self_intersection
 from .record import Record
 from .weyl import _chamber, _pull_back
 
@@ -101,12 +101,3 @@ def is_ample(d: DivisorClass) -> AmplenessReport:
     form = cert.standard_form
     return AmplenessReport(cert.nef and form[-1] > 0 and max(form[:-1]) > 0, cert)
 
-
-def a1_polarization(n: int) -> DivisorClass:
-    """(n/3) H + (n - 3/2) F, ample for n >= 2."""
-    return Fraction(n, 3) * H + (n - Fraction(3, 2)) * F
-
-
-def a2_polarization(n: int) -> DivisorClass:
-    """(n/2) (H - E1) + (n - 3/2) F, ample for n >= 2."""
-    return Fraction(n, 2) * (H - E[0]) + (n - Fraction(3, 2)) * F

@@ -15,9 +15,8 @@ import pytest
 from hilbnef import (
     cone_duality_check,
     gieseker_wall,
-    slice_a1,
-    slice_a2,
     DivisorClass,
+    Slice,
     E,
     H,
 )
@@ -78,12 +77,12 @@ def orbit_ruling_3():
 
 @pytest.fixture(scope="session")
 def a1_slice_3():
-    return slice_a1(3)
+    return Slice("A1", 3)
 
 
 @pytest.fixture(scope="session")
 def a2_slice_3():
-    return slice_a2(3)
+    return Slice("A2", 3)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,8 @@ from hilbnef import (
     H,
     HilbDivisor,
     K,
+    SLICES,
+    Slice,
     Wall,
     ZERO,
     b_negative_ray,
@@ -39,8 +41,6 @@ from hilbnef import (
     reflect,
     root_basis,
     self_intersection,
-    slice_a1,
-    slice_a2,
     wall_oracle,
     weyl_orbit,
 )
@@ -67,8 +67,8 @@ def criterion(capsys, number, label):
 def test_criterion_1_extremal_wall_center(capsys):
     with criterion(capsys, 1, "extremal wall center is exactly -1 on both slices"):
         for n in N_RANGE:
-            for make in (slice_a1, slice_a2):
-                wall, cert = gieseker_wall(make(n), DEGREE_BOUND)
+            for label in SLICES:
+                wall, cert = gieseker_wall(Slice(label, n), DEGREE_BOUND)
                 assert wall == Wall(Fraction(-1), Fraction(1))
                 assert cert.certified
                 assert cert.min_survivor_center == -1
@@ -77,11 +77,11 @@ def test_criterion_1_extremal_wall_center(capsys):
 def test_criterion_2_rank_two_exclusion(capsys):
     with criterion(capsys, 2, "rank-2 destabilizers are excluded, bound < 1"):
         for n in N_RANGE:
-            for make in (slice_a1, slice_a2):
-                assert rank2_radius_bound(make(n)) < 1
+            for label in SLICES:
+                assert rank2_radius_bound(Slice(label, n)) < 1
         # the certificate's bound uses the exact A.A; the quoted 21/121
         # is the discrepancy table's replay with the quoted A.A
-        assert rank2_radius_bound(slice_a1(3)) == Fraction(69, 800)
+        assert rank2_radius_bound(Slice("A1", 3)) == Fraction(69, 800)
         rows = {r.quantity: r for r in discrepancy_table(3)}
         row = rows["rank-2 radius bound on the H-family slice"]
         assert (row.quoted, row.recomputed) == ("21/121", "69/800")
@@ -90,10 +90,9 @@ def test_criterion_2_rank_two_exclusion(capsys):
 def test_criterion_3_wall_to_nef_dictionary(capsys):
     with criterion(capsys, 3, "wall position converts to the nef boundary classes"):
         for n in N_RANGE:
-            assert nef_from_wall(slice_a1(n), Fraction(-1)) == fiber_orthogonal_lift(H, n)
-            assert nef_from_wall(slice_a2(n), Fraction(-1)) == fiber_orthogonal_lift(
-                H - E[0], n
-            )
+            a1, a2 = Slice("A1", n), Slice("A2", n)
+            assert nef_from_wall(a1, Fraction(-1)) == fiber_orthogonal_lift(H, n)
+            assert nef_from_wall(a2, Fraction(-1)) == fiber_orthogonal_lift(H - E[0], n)
 
 
 def test_criterion_4_duality_scan(capsys):
@@ -133,8 +132,8 @@ def test_criterion_5_weyl_orbit_matches_enumeration(capsys):
 def test_criterion_6_wall_formula_against_oracle(capsys):
     with criterion(capsys, 6, "wall formula agrees with the central-charge oracle"):
         rng = random.Random(42)
-        for make in (slice_a1, slice_a2):
-            sl = make(3)
+        for label in SLICES:
+            sl = Slice(label, 3)
             ideal = ideal_points_char(3)
             for _ in range(100):
                 c1 = divisor(rng.randint(-3, 3), [rng.randint(-2, 2) for _ in range(9)])
@@ -160,8 +159,8 @@ def test_criterion_7_discrepancy_report(capsys):
             assert Fraction(row.recomputed) == recomputed
         # the certificate goes through on both slices with the recomputed
         # values only (the quoted centers would break it): no GiesekerFalsified
-        for make in (slice_a1, slice_a2):
-            assert gieseker_wall(make(3))[1].certified
+        for label in SLICES:
+            assert gieseker_wall(Slice(label, 3))[1].certified
 
 
 def test_criterion_8_decompose_recompose(capsys):

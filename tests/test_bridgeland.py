@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from hilbnef import (
+    SLICES,
     ChernChar,
     DegenerateWall,
     E,
@@ -15,6 +16,7 @@ from hilbnef import (
     VerticalWall,
     Wall,
     ZERO,
+    Slice,
     divisor,
     dumps_json,
     fiber_orthogonal_lift,
@@ -27,13 +29,23 @@ from hilbnef import (
     rank2_radius_bound,
     rank_one_wall,
     self_intersection,
-    slice_a1,
-    slice_a2,
     wall_oracle,
 )
 from hilbnef.reporting import discrepancy_table
 
 FIBER_WALL = Wall(Fraction(-1), Fraction(1))
+
+
+def slice_id(label: str) -> str:
+    """The test ID of a slice parameter: slice_a1, slice_a2."""
+    return f"slice_{label.lower()}"
+
+
+# the two polarizations in closed form
+CLOSED_FORMS = {
+    "A1": lambda n: Fraction(n, 3) * H + (n - Fraction(3, 2)) * F,
+    "A2": lambda n: Fraction(n, 2) * (H - E[0]) + (n - Fraction(3, 2)) * F,
+}
 
 
 def slope(sl, ch) -> Fraction:
@@ -76,7 +88,19 @@ def test_slice_invariants(a1_slice_3, a2_slice_3):
     assert a1_slice_3.a_squared == 10
     assert a2_slice_3.a_squared == 9
     with pytest.raises(ValueError):
-        slice_a1(2)
+        Slice("A1", 2)
+    with pytest.raises(ValueError):
+        Slice("A3", 3)
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+@pytest.mark.parametrize("label", SLICES)
+def test_slice_is_its_family_class(label, n):
+    # test_surface_cones::test_quoted_polarizations_are_ample checks that
+    # each of these polarizations is ample
+    sl = Slice(label, n)
+    assert sl.polarization == CLOSED_FORMS[label](n)
+    assert nef_from_wall(sl, Fraction(-1)) == fiber_orthogonal_lift(sl.family, n)
 
 
 def test_twisted_slope_and_discriminant(a1_slice_3):
@@ -86,9 +110,9 @@ def test_twisted_slope_and_discriminant(a1_slice_3):
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-@pytest.mark.parametrize("make", [slice_a1, slice_a2])
-def test_fiber_wall_frozen(make, n):
-    sl = make(n)
+@pytest.mark.parametrize("label", SLICES, ids=slice_id)
+def test_fiber_wall_frozen(label, n):
+    sl = Slice(label, n)
     w = rank_one_wall(sl, line_bundle_char(-F))
     assert w == FIBER_WALL
 
@@ -162,10 +186,10 @@ def test_rank_one_center_formulas(a1_slice_3, a2_slice_3):
     assert center(a1_slice_3, -F) == -1
 
 
-@pytest.mark.parametrize("make", [slice_a1, slice_a2])
-def test_oracle_agreement_random_rank_one(make):
+@pytest.mark.parametrize("label", SLICES, ids=slice_id)
+def test_oracle_agreement_random_rank_one(label):
     # every draw, vertical and degenerate walls included
-    sl = make(3)
+    sl = Slice(label, 3)
     rng = random.Random(11)
     ideal = ideal_points_char(3)
     for _ in range(100):
@@ -205,7 +229,7 @@ def test_candidate_census_a2_n3(gieseker_a2_3):
 def test_candidate_census_a2_n4():
     from hilbnef import gieseker_wall
 
-    _, cert = gieseker_wall(slice_a2(4), 3)
+    _, cert = gieseker_wall(Slice("A2", 4), 3)
     assert dict(cert.eliminated) == ELIMINATED_A2_N4
     assert cert.survivor_count == 17
     assert cert.certified
@@ -213,11 +237,11 @@ def test_candidate_census_a2_n4():
 
 def test_gieseker_wall_certified(gieseker_a1_3, gieseker_a2_3):
     # the certificate carries the one rank-2 bound, the exact one
-    for (wall, cert), make in ((gieseker_a1_3, slice_a1), (gieseker_a2_3, slice_a2)):
+    for (wall, cert), label in ((gieseker_a1_3, "A1"), (gieseker_a2_3, "A2")):
         assert wall == FIBER_WALL
         assert cert.certified
         assert cert.min_survivor_center == -1
-        assert cert.rank2_bound == rank2_radius_bound(make(3)) < 1
+        assert cert.rank2_bound == rank2_radius_bound(Slice(label, 3)) < 1
         assert cert.to_json()["rank2_radius_bound"] == format_rational(cert.rank2_bound)
         assert "rank2_radius_bound_exact" not in cert.to_json(include_candidates=False)
 
@@ -272,19 +296,19 @@ def test_rank2_bound_quoted_a1(n, quoted):
 
 @pytest.mark.parametrize("n,exact", sorted(RANK2_EXACT_A1.items()))
 def test_rank2_bound_exact_a1(n, exact):
-    assert rank2_radius_bound(slice_a1(n)) == exact
+    assert rank2_radius_bound(Slice("A1", n)) == exact
 
 
 @pytest.mark.parametrize("n,value", sorted(RANK2_A2.items()))
 def test_rank2_bound_a2(n, value):
-    assert rank2_radius_bound(slice_a2(n)) == value
+    assert rank2_radius_bound(Slice("A2", n)) == value
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_nef_from_wall_matches_orthogonal_lifts(n):
-    d1 = nef_from_wall(slice_a1(n), Fraction(-1))
+    d1 = nef_from_wall(Slice("A1", n), Fraction(-1))
     assert d1 == fiber_orthogonal_lift(H, n)
-    d2 = nef_from_wall(slice_a2(n), Fraction(-1))
+    d2 = nef_from_wall(Slice("A2", n), Fraction(-1))
     assert d2 == fiber_orthogonal_lift(H - E[0], n)
 
 

@@ -27,6 +27,8 @@ from hilbnef.bridgeland import (
     FILTER_ORDER,
     GiesekerCertificate,
     GiesekerFalsified,
+    SLICES,
+    Slice,
     VerticalWall,
     Wall,
     WallCandidate,
@@ -36,16 +38,21 @@ from hilbnef.bridgeland import (
     rank1_candidates,
     rank2_radius_bound,
     rank_one_wall,
-    slice_a1,
-    slice_a2,
 )
-from hilbnef.lattice import RANK, DivisorClass, F, dot_int, format_rational, parse_divisor
+from hilbnef.lattice import (
+    RANK,
+    DivisorClass,
+    E,
+    F,
+    H,
+    dot_int,
+    format_rational,
+    parse_divisor,
+)
 from hilbnef.cli import main
 from hilbnef.reporting import dumps_json
 
 from conftest import distinct_permutations
-
-SLICES = {"A1": slice_a1, "A2": slice_a2}
 
 
 def oracle_shape_pool(max_h_degree: int):
@@ -79,6 +86,7 @@ def oracle_rank1_candidates(sl, max_h_degree: int = 3):
     a_ints = sl.polarization.nums
     slope_cap = sl.n * sl.polarization.den
     ideal = ideal_points_char(sl.n)
+    ruling = sl.family == H - E[0]
     for coords, f_deg, a, b1, rest in oracle_shape_pool(max_h_degree):
         if dot_int(coords, a_ints) > slope_cap:
             filtered = "slope"
@@ -86,7 +94,7 @@ def oracle_rank1_candidates(sl, max_h_degree: int = 3):
             filtered = "fiber_degree"
         elif f_deg == 0 and not oracle_is_fiber_multiple(coords):
             filtered = "fiber_component"
-        elif sl.ruling_based and a == b1 >= 1 and rest > a:
+        elif ruling and a == b1 >= 1 and rest > a:
             filtered = "ruling_excess"
         else:
             filtered = None
@@ -201,7 +209,7 @@ CASES += [(label, n, 3) for label in SLICES for n in (3, 4, 12)]
 
 @pytest.mark.parametrize("label,n,degree", CASES)
 def test_orbit_pool_matches_per_shape_oracle(label, n, degree):
-    sl = SLICES[label](n)
+    sl = Slice(label, n)
     oracle_wall, oracle_cert = oracle_gieseker_wall(sl, degree)
     pool = rank1_candidates(sl, degree)
     assert len(pool) == len(oracle_cert.candidates)
@@ -218,7 +226,7 @@ def test_orbit_pool_matches_per_shape_oracle(label, n, degree):
 def test_closed_form_wall_on_every_shape(label, n):
     # the closed form against the oracle on each of the 3,200 shapes up to
     # degree 2, the filtered ones too
-    sl = SLICES[label](n)
+    sl = Slice(label, n)
     ideal = ideal_points_char(n)
     for coords, *_ in oracle_shape_pool(2):
         ch = line_bundle_char(-1 * DivisorClass(coords))
@@ -235,7 +243,7 @@ def test_orbit_rows_expand_to_oracle_shapes(label, n, degree):
     # the printed rows, expanded shape by shape and merged into pool order,
     # against the oracle's candidates, streamed so that no pool is held in
     # memory
-    sl = SLICES[label](n)
+    sl = Slice(label, n)
     cert = json.loads(dumps_json(gieseker_wall(sl, degree)[1].to_json()))
     rows = cert["candidates"]
     expanded = expand_rows(rows)
@@ -250,7 +258,7 @@ def test_orbit_rows_expand_to_oracle_shapes(label, n, degree):
 def test_shape_texts_match_divisor_strings():
     # every orbit up to degree 4: its row names str(DivisorClass) of the
     # representative, which reads back as that shape
-    pool = rank1_candidates(slice_a2(3), 4)
+    pool = rank1_candidates(Slice("A2", 3), 4)
     rows = json.loads(dumps_json(pool.to_json()))
     for row, (rep, size) in zip(rows, pool.orbits, strict=True):
         text = str(DivisorClass(rep.shape))
@@ -263,7 +271,7 @@ def test_shape_texts_match_divisor_strings():
 def test_one_layout_per_distinct_filter_and_wall(label, n, degree):
     # the rows without their orbit: one distinct row per distinct (filter,
     # wall), fewer than the orbits, and the rows of one wall share its dict
-    pool = rank1_candidates(SLICES[label](n), degree)
+    pool = rank1_candidates(Slice(label, n), degree)
     distinct = {(rep.filtered_by, rep.wall) for rep, _ in pool.orbits}
     rows = pool.to_json()
     layouts = {
@@ -281,7 +289,7 @@ def test_report_matches_per_shape_rows(capsys, label, n, degree):
     # the whole `walls gieseker` report: the oracle certificate's fields, and
     # candidate rows that expand into the oracle's per-shape rows; degree 0
     # lists only the E_i and degree 1 has the representative "H"
-    oracle_wall, oracle_cert = oracle_gieseker_wall(SLICES[label](n), degree)
+    oracle_wall, oracle_cert = oracle_gieseker_wall(Slice(label, n), degree)
     args = ["walls", "gieseker", "--slice", label, "--n", str(n)]
     assert main(args + ["--max-degree", str(degree)]) == 0
     out = capsys.readouterr().out
@@ -301,7 +309,7 @@ POOL_COUNTS = {0: 9, 1: 139, 2: 3200, 3: 34162, 4: 227112}
 @pytest.mark.parametrize("degree,count", sorted(POOL_COUNTS.items()))
 def test_orbit_sizes_sum_to_pool_count(degree, count):
     assert sum(1 for _ in oracle_shape_pool(degree)) == count
-    pool = rank1_candidates(slice_a2(3), degree)
+    pool = rank1_candidates(Slice("A2", 3), degree)
     assert sum(size for _, size in pool.orbits) == count
     sizes = [row[1] for a in range(degree + 1) for row in bridgeland._degree_orbits(a)]
     assert sum(sizes) == count
@@ -343,7 +351,7 @@ FALSIFIERS = {
 def test_falsified_wall_matches_oracle(monkeypatch, label, case):
     selected, wall = FALSIFIERS[case]
     _replace_walls(monkeypatch, selected, wall)
-    sl = SLICES[label](3)
+    sl = Slice(label, 3)
     with pytest.raises(GiesekerFalsified) as expected:
         oracle_gieseker_wall(sl, 3)
     with pytest.raises(GiesekerFalsified) as got:
@@ -363,5 +371,5 @@ def test_production_walls_use_the_closed_form(monkeypatch):
         return real(sl, ch_e, ch_f)
 
     monkeypatch.setattr(bridgeland, "wall_oracle", counted)
-    gieseker_wall(slice_a2(3), 2)
+    gieseker_wall(Slice("A2", 3), 2)
     assert calls == [line_bundle_char(-1 * F)]

@@ -189,18 +189,38 @@ def test_coneconj_cover(capsys):
 
 
 def test_campaign_run(capsys):
-    code, out, _ = run_cli(
-        capsys, ["campaign", "run", "--n-start", "3", "--n-end", "3", "--slices", "A1"]
-    )
+    # every run certifies both slices
+    code, out, _ = run_cli(capsys, ["campaign", "run", "--n-start", "3", "--n-end", "3"])
     assert code == 0
     data = json.loads(out)
     assert data["verdict"] == "certified"
+    assert data["slices"] == ["A1", "A2"]
     assert [c["name"] for c in data["results"][0]["checks"]] == [
         "duality_scan",
         "ample_A1",
         "extremal_wall_A1",
         "wall_to_nef_A1",
+        "ample_A2",
+        "extremal_wall_A2",
+        "wall_to_nef_A2",
     ]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--n-start", "2"], "--n-start must be at least 3"),
+        (["--n-start", "5", "--n-end", "4"], "--n-start 5 is over --n-end 4"),
+        (["--slices", "A1"], "unrecognized arguments: --slices A1"),
+    ],
+    ids=["n-start-below-3", "empty-range", "slices-unknown"],
+)
+def test_campaign_run_refusals(capsys, monkeypatch, args, message):
+    # refused before any work; --n-end over its cap is a CAPPED case below
+    monkeypatch.setattr(cli, "run_campaign", _no_work)
+    code, out, err = run_cli(capsys, ["campaign", "run", *args])
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -266,8 +286,17 @@ def test_rational_strings_everywhere(capsys):
         '{"h": 1e400, "e": [0,0,0,0,0,0,0,0,0]}',
         '{"h": 0.1, "e": [0,0,0,0,0,0,0,0,0]}',
         '{"h": true, "e": [0,0,0,0,0,0,0,0,0]}',
+        '{"h": "1", "e": [0,0,0,0,0,0,0,0,0], "x": 1}',
     ],
-    ids=["json", "text", "json-infinity", "json-overflow", "json-float", "json-bool"],
+    ids=[
+        "json",
+        "text",
+        "json-infinity",
+        "json-overflow",
+        "json-float",
+        "json-bool",
+        "json-extra-key",
+    ],
 )
 def test_zero_denominator_divisor_exits_two(capsys, divisor):
     code, out, err = run_cli(capsys, ["surface", "nef", "--divisor", divisor])
@@ -432,6 +461,7 @@ CAPPED = [
         "cone_duality_check",
     ),
     (["campaign", "run"], "--max-degree", "MAX_CAMPAIGN_DEGREE", "run_campaign"),
+    (["campaign", "run"], "--n-end", "MAX_CAMPAIGN_N", "run_campaign"),
     (
         ["walls", "gieseker", "--slice", "A2", "--n", "3"],
         "--max-degree",

@@ -9,7 +9,6 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from hilbnef import cli
-from hilbnef.campaign import N_CAP
 from hilbnef.cli import main
 from hilbnef.reporting import dumps_json
 
@@ -54,9 +53,8 @@ GRAMMAR = {
     },
     ("campaign", "run"): {
         "--n-start": (3, _ints()),
-        "--n-end": (3, _ints(N_CAP)),
+        "--n-end": (3, _ints(cli.MAX_CAMPAIGN_N)),
         "--max-degree": (1, _ints(cli.MAX_CAMPAIGN_DEGREE)),
-        "--slices": ("A1,A2", ["A1", "A2,A1", "A1,A1", "A3", ","]),
     },
 }
 

@@ -233,6 +233,10 @@ def test_from_json_reads_only_exact_coordinates():
     for h, e in [(0.1, [0] * 9), (True, [0] * 9), (float("inf"), [0] * 9), ("1", "0" * 9)]:
         with pytest.raises(ValueError):
             DivisorClass.from_json({"h": h, "e": e})
+    # an unread key such as "den" would change nothing without a word
+    for extra in ({"x": 1}, {"den": "2"}):
+        with pytest.raises(ValueError):
+            DivisorClass.from_json({"h": "1", "e": [0] * 9, **extra})
 
 
 def test_integral_coordinate_helpers():

@@ -13,8 +13,8 @@ from hilbnef.bridgeland import (
     DegenerateWall,
     VerticalWall,
     Wall,
+    Slice,
     WallCandidate,
-    slice_a1,
 )
 from hilbnef.hilb import C0, ContractedCurve, CurveRow, HilbDivisor, InducedCurve
 from hilbnef.lattice import ZERO, DivisorClass, E, F, H, divisor
@@ -31,7 +31,7 @@ def _hashed_values():
             HilbDivisor(H - E[0], Fraction(-1, 2)),
             Root(E[0] - E[1]),
             ChernChar(1, F, Fraction(-3)),
-            slice_a1(4),
+            Slice("A1", 4),
             Wall(Fraction(-1), Fraction(1)),
             VerticalWall(Fraction(2, 3)),
             DegenerateWall(True),
